@@ -19,19 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError
-from .numerics import (
-    SeededRng,
-    Tensor,
-    batch_norm,
-    broadcast_to,
-    concat,
-    conv2d,
-    gelu,
-    maxpool2d,
-    relu,
-    reshape,
-    softmax,
-)
+from .numerics import SeededRng, Tensor, batch_norm, conv2d, gelu, maxpool2d, relu, reshape, softmax
+from .numerics import attention as attention_node
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
@@ -233,31 +222,10 @@ class EncoderBlock:
         """MHSA over tokens; keys/values optionally get prepended prefixes.
 
         Returns (output, attention maps), maps as a detached (H, ..., n,
-        n + Lp/2) numpy array whose rows sum to 1.
+        n + Lp/2) numpy array whose rows sum to 1.  All heads run in one
+        fused graph node.
         """
-        dk = self.cfg.head_dim
-        scale = 1.0 / np.sqrt(dk)
-        heads = []
-        maps = []
-        for i in range(self.cfg.heads):
-            q = x @ self.q[i]
-            k = x @ self.k[i]
-            v = x @ self.v[i]
-            if prefix_kv is not None:
-                pk, pv = prefix_kv
-                k_pre = pk @ self.k[i]
-                v_pre = pv @ self.v[i]
-                if x.ndim == 3:
-                    b = x.shape[0]
-                    k_pre = broadcast_to(reshape(k_pre, (1,) + k_pre.shape), (b,) + k_pre.shape)
-                    v_pre = broadcast_to(reshape(v_pre, (1,) + v_pre.shape), (b,) + v_pre.shape)
-                k = concat([k_pre, k], axis=-2)
-                v = concat([v_pre, v], axis=-2)
-            att = softmax((q @ k.swapaxes(-1, -2)) * scale, axis=-1)
-            heads.append(att @ v)
-            maps.append(att.data)
-        out = concat(heads, axis=-1) @ self.out_proj
-        return out, np.stack(maps)
+        return attention_node(x, self.q, self.k, self.v, self.out_proj, prefix_kv)
 
     def ffn(self, x: Tensor, mode: str, placement: str | None = None) -> Tensor:
         placement = placement or self.cfg.bn_placement
@@ -417,9 +385,10 @@ def hash_state(model) -> str:
     import hashlib
 
     digest = hashlib.sha256()
-    for name in sorted(state_arrays(model)):
+    arrays = state_arrays(model)
+    for name in sorted(arrays):
         digest.update(name.encode())
-        digest.update(np.ascontiguousarray(state_arrays(model)[name]).tobytes())
+        digest.update(np.ascontiguousarray(arrays[name]).tobytes())
     return digest.hexdigest()
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .backbone import BackboneConfig, Encoder, Linear, hash_state
 from .errors import ArgumentError, UsageError
-from .numerics import SeededRng, Tensor, gelu, log_softmax, no_grad, softmax
+from .numerics import SeededRng, Tensor, gelu, log_softmax, log_softmax_nll, no_grad, softmax
 from .optim import CosineSchedule, EarlyStopping, ReduceOnPlateau, make_optimizer
 from .stochastic_classifier import StochasticHead, init_means_from_prototypes
 
@@ -146,8 +146,9 @@ class TeacherState:
 
         digest = hashlib.sha256()
         digest.update(hash_state(self.encoder).encode())
-        for name in sorted(self.proj.params()):
-            digest.update(np.ascontiguousarray(self.proj.params()[name].data).tobytes())
+        params = self.proj.params()
+        for name in sorted(params):
+            digest.update(np.ascontiguousarray(params[name].data).tobytes())
         return digest.hexdigest()
 
 
@@ -226,12 +227,7 @@ def dino_step(student_encoder: Encoder, student_proj: DinoHead, teacher: Teacher
 
 def cross_entropy_loss(head: StochasticHead, z: Tensor, labels: np.ndarray, rng: SeededRng, noise: bool = True) -> Tensor:
     """Mean CE of the stochastic head's class probabilities at `labels`."""
-    logits = head.logits(z, rng=rng, noise=noise)
-    logp = log_softmax(logits, axis=-1)
-    labels = np.asarray(labels, dtype=int)
-    onehot = np.zeros(logp.shape)
-    onehot[np.arange(len(labels)), labels] = 1.0
-    return -(Tensor(onehot) * logp).sum() * (1.0 / len(labels))
+    return log_softmax_nll(head.logits(z, rng=rng, noise=noise), labels)
 
 
 # -- phases -------------------------------------------------------------------
@@ -400,10 +396,7 @@ def linear_probe(teacher: TeacherState, data_x: np.ndarray, data_y: np.ndarray, 
         total = 0.0
         for start in range(0, n, batch):
             idx = order[start : start + batch]
-            logp = log_softmax(probe(Tensor(features[idx])), axis=-1)
-            onehot = np.zeros(logp.shape)
-            onehot[np.arange(len(idx)), targets[idx]] = 1.0
-            loss = -(Tensor(onehot) * logp).sum() * (1.0 / len(idx))
+            loss = log_softmax_nll(probe(Tensor(features[idx])), targets[idx])
             opt.zero_grad()
             loss.backward()
             opt.step()

@@ -4,6 +4,18 @@ Every forward pass in this package is built from the `Tensor` operations in
 this module, so there is exactly one gradient code path and it can be
 verified centrally with `grad_check` against central finite differences.
 
+The layers that dominate a training step are fused primitives: each is one
+graph node with a hand-written backward, and each is `grad_check`-verified
+in the tests.
+
+- `batch_norm`: train mode (closed-form backward) and eval mode;
+- `attention`: all heads as one batched (B, H, n, d_k) product, with
+  optional key/value prefixes projected and prepended inside the node;
+- `log_softmax_nll`: log-softmax plus negative log-likelihood of integer
+  labels;
+- `stochastic_weights`: the stochastic head's (M, d) weight matrix
+  mu + eps (*) softplus(sigma - c).
+
 Default precision is float64; float32 can be selected per tensor (gradient
 checks at 32-bit need the relaxed tolerance, see `grad_check`).
 """
@@ -102,9 +114,14 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, grad: np.ndarray):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+        """Keep the first gradient as is; add later ones out of place.
+
+        A backward may hand the same array to several parents (`add` does), so
+        a stored gradient is never written into.
+        """
+        if grad.dtype != self.data.dtype:
+            grad = grad.astype(self.data.dtype)
+        self.grad = grad if self.grad is None else self.grad + grad
 
     def backward(self, grad=None):
         """Reverse-mode sweep from this tensor; seeds with ones if scalar."""
@@ -571,39 +588,204 @@ def batch_norm(
     eps: float = 1e-5,
     momentum: float = 0.1,
 ) -> Tensor:
-    """Normalize per feature over all other axes.
+    """Normalize per feature over all other axes, as one graph node.
 
     Train mode uses biased batch statistics with `eps` inside the square
     root and updates the running stats in place with `momentum` (new = (1-m)
-    old + m batch).  Eval mode normalizes by sqrt(max(running_var, eps)) so
+    old + m batch); its backward is the closed form of Ioffe & Szegedy
+    (2015).  Eval mode normalizes by sqrt(max(running_var, eps)) so
     calibrated (0, 1) stats act as an exact identity.
     """
-    x = _as_tensor(x)
+    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     if mode not in ("train", "eval"):
         raise UsageError(f"batch_norm mode must be 'train' or 'eval', got {mode!r}")
     axis = feature_axis % x.ndim
     reduce_axes = tuple(i for i in range(x.ndim) if i != axis)
     shape = [1] * x.ndim
     shape[axis] = x.data.shape[axis]
-    gamma_b = reshape(gamma, tuple(shape))
-    beta_b = reshape(beta, tuple(shape))
+    shape = tuple(shape)
+    scale = gamma.data.reshape(shape)
     if mode == "train":
-        n = int(np.prod([x.data.shape[i] for i in reduce_axes]))
-        if n < 2:
+        if x.data.size // x.data.shape[axis] < 2:
             raise UsageError("batch_norm train mode needs at least 2 samples per feature")
-        mu = tensor_mean(x, axis=reduce_axes, keepdims=True)
-        centered = x - mu
-        var = tensor_mean(centered * centered, axis=reduce_axes, keepdims=True)
-        xn = centered / sqrt(var + eps)
+        mu = x.data.mean(axis=reduce_axes, keepdims=True)
+        centered = x.data - mu
+        var = (centered * centered).mean(axis=reduce_axes, keepdims=True)
+        inv = 1.0 / np.sqrt(var + eps)
         running_mean *= 1.0 - momentum
-        running_mean += momentum * mu.data.reshape(-1)
+        running_mean += momentum * mu.reshape(-1)
         running_var *= 1.0 - momentum
-        running_var += momentum * var.data.reshape(-1)
+        running_var += momentum * var.reshape(-1)
     else:
-        rm = running_mean.reshape(shape)
-        denom = np.sqrt(np.maximum(running_var, eps)).reshape(shape)
-        xn = (x - rm) * (1.0 / denom)
-    return gamma_b * xn + beta_b
+        centered = x.data - running_mean.reshape(shape)
+        inv = 1.0 / np.sqrt(np.maximum(running_var, eps)).reshape(shape)
+    xn = centered * inv
+
+    def backward(g):
+        if gamma.requires_grad:
+            gamma._accumulate((g * xn).sum(axis=reduce_axes))
+        if beta.requires_grad:
+            beta._accumulate(g.sum(axis=reduce_axes))
+        if x.requires_grad:
+            gx = g * scale
+            if mode == "train":
+                gx = gx - gx.mean(axis=reduce_axes, keepdims=True) - xn * (gx * xn).mean(axis=reduce_axes, keepdims=True)
+            x._accumulate(gx * inv)
+
+    return _result(scale * xn + beta.data.reshape(shape), (x, gamma, beta), backward)
+
+
+def attention(x, wq, wk, wv, wo, prefix_kv=None):
+    """Multi-head scaled dot-product attention as one graph node.
+
+    `wq`, `wk` and `wv` hold one (d, d_k) projection per head; their data are
+    concatenated here so all heads run as one batched (B, H, n, d_k) product.
+    `wo` is the (d, d) output projection.  `prefix_kv` = (p_K, p_V), each
+    (L, d), is projected by the key and value weights and prepended to every
+    sample's keys and values.  `x` is (n, d) or (B, n, d).
+
+    Returns (output shaped like `x`, attention maps as a detached
+    (H, [B,] n, L + n) array whose rows sum to 1).
+    """
+    x, wo = _as_tensor(x), _as_tensor(wo)
+    # snapshot the per-head lists: a caller may swap an entry before backward
+    wq, wk, wv = tuple(wq), tuple(wk), tuple(wv)
+    if x.ndim not in (2, 3):
+        raise ArgumentError(f"attention expects (n, d) or (B, n, d) input, got {x.shape}")
+    heads, dk = len(wq), wq[0].data.shape[1]
+    width = heads * dk
+    xb = x.data if x.ndim == 3 else x.data[None]
+    b, n, d = xb.shape
+    xf = xb.reshape(b * n, d)
+
+    def split(a):  # (B, n, H*dk) -> (B, H, n, dk)
+        return a.reshape(a.shape[0], a.shape[1], heads, dk).transpose(0, 2, 1, 3)
+
+    def merge(a):  # (B, H, n, dk) -> (B*n, H*dk)
+        return a.transpose(0, 2, 1, 3).reshape(a.shape[0] * a.shape[2], width)
+
+    w_q, w_k, w_v = (np.concatenate([w.data for w in ws], axis=1) for ws in (wq, wk, wv))
+    q = split((xf @ w_q).reshape(b, n, width))
+    k = split((xf @ w_k).reshape(b, n, width))
+    v = split((xf @ w_v).reshape(b, n, width))
+    parents = [x, *wq, *wk, *wv, wo]
+    n_pre = 0
+    if prefix_kv is not None:
+        pk, pv = _as_tensor(prefix_kv[0]), _as_tensor(prefix_kv[1])
+        parents += [pk, pv]
+        n_pre = pk.data.shape[0]
+        k_pre = split((pk.data @ w_k)[None])
+        v_pre = split((pv.data @ w_v)[None])
+        k = np.concatenate([np.broadcast_to(k_pre, (b, heads, n_pre, dk)), k], axis=2)
+        v = np.concatenate([np.broadcast_to(v_pre, (b, heads, n_pre, dk)), v], axis=2)
+    scale = 1.0 / np.sqrt(dk)
+    scores = (q @ k.swapaxes(-1, -2)) * scale
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    att = e / e.sum(axis=-1, keepdims=True)
+    heads_out = merge(att @ v)
+    out = (heads_out @ wo.data).reshape(xb.shape)
+
+    def backward(g):
+        gf = g.reshape(b * n, d)
+        if wo.requires_grad:
+            wo._accumulate(heads_out.T @ gf)
+        g_heads = split((gf @ wo.data.T).reshape(b, n, width))
+        g_att = g_heads @ v.swapaxes(-1, -2)
+        g_scores = att * (g_att - (g_att * att).sum(axis=-1, keepdims=True)) * scale
+        g_k = g_scores.swapaxes(-1, -2) @ q
+        g_v = att.swapaxes(-1, -2) @ g_heads
+        pre_k = pre_v = None
+        if n_pre:  # prefix rows are shared by the batch: their gradients sum over it
+            pre_k = (pk, merge(g_k[:, :, :n_pre].sum(axis=0, keepdims=True)))
+            pre_v = (pv, merge(g_v[:, :, :n_pre].sum(axis=0, keepdims=True)))
+        g_q = merge(g_scores @ k) if x.requires_grad or any(t.requires_grad for t in wq) else None
+        gx = None
+        for ws, w, g_tok, pre in (
+            (wq, w_q, g_q, None),
+            (wk, w_k, merge(g_k[:, :, n_pre:]), pre_k),
+            (wv, w_v, merge(g_v[:, :, n_pre:]), pre_v),
+        ):
+            if any(t.requires_grad for t in ws):
+                gw = xf.T @ g_tok
+                if pre is not None:
+                    gw = gw + pre[0].data.T @ pre[1]
+                for i, t in enumerate(ws):
+                    if t.requires_grad:
+                        t._accumulate(gw[:, i * dk : (i + 1) * dk])
+            if pre is not None and pre[0].requires_grad:
+                pre[0]._accumulate(pre[1] @ w.T)
+            if x.requires_grad:
+                gx = g_tok @ w.T if gx is None else gx + g_tok @ w.T
+        if gx is not None:
+            x._accumulate(gx.reshape(x.data.shape))
+
+    maps = att.swapaxes(0, 1) if x.ndim == 3 else att[0]
+    return _result(out if x.ndim == 3 else out[0], parents, backward), maps.copy()
+
+
+def log_softmax_nll(logits, labels) -> Tensor:
+    """Mean -log softmax(logits)[i, labels[i]] over a (B, M) batch, as one node.
+
+    `labels` are integer class indices; no one-hot matrix is built.
+    """
+    logits = _as_tensor(logits)
+    labels = np.asarray(labels)
+    if logits.ndim != 2 or labels.shape != logits.shape[:1] or not np.issubdtype(labels.dtype, np.integer):
+        raise ArgumentError(f"log_softmax_nll expects (B, M) logits and B integer labels, got {logits.shape} and {labels.shape}")
+    batch, classes = logits.shape
+    if batch == 0:
+        raise ArgumentError("log_softmax_nll needs a non-empty batch")
+    if labels.min() < 0 or labels.max() >= classes:
+        raise ArgumentError(f"labels must lie in [0, {classes}), got [{labels.min()}, {labels.max()}]")
+    rows = np.arange(batch)
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=-1, keepdims=True)
+    data = np.asarray((np.log(total[:, 0]) - shifted[rows, labels]).mean())
+
+    def backward(g):
+        if logits.requires_grad:
+            grad = e / total
+            grad[rows, labels] -= 1.0
+            logits._accumulate(grad * (g / batch))
+
+    return _result(data, (logits,), backward)
+
+
+def stochastic_weights(mu, sigma, eps, offset: float) -> Tensor:
+    """(M, d) matrix with rows mu_m + eps_m (*) softplus(sigma_m - offset), as one node.
+
+    `mu` and `sigma` are sequences of M (d,) tensors and `eps` an (M, d)
+    array; `eps=None` gives the stacked means (noise off) and leaves `sigma`
+    out of the graph.
+    """
+    # snapshot the per-class lists: a caller may swap an entry before backward
+    mu = tuple(mu)
+    data = np.stack([m.data for m in mu])
+    if eps is None:
+
+        def backward_mean(g):
+            for i, m in enumerate(mu):
+                if m.requires_grad:
+                    m._accumulate(g[i])
+
+        return _result(data, mu, backward_mean)
+    sigma = tuple(sigma)
+    eps = np.asarray(eps, dtype=float)
+    if eps.shape != data.shape:
+        raise ArgumentError(f"eps shape {eps.shape} does not match the weight matrix {data.shape}")
+    shifted = np.stack([s.data for s in sigma]) - offset
+    data = data + eps * np.logaddexp(0.0, shifted)
+
+    def backward(g):
+        g_sigma = g * eps * _special.expit(shifted)
+        for i, (m, s) in enumerate(zip(mu, sigma)):
+            if m.requires_grad:
+                m._accumulate(g[i])
+            if s.requires_grad:
+                s._accumulate(g_sigma[i])
+
+    return _result(data, mu + sigma, backward)
 
 
 def cosine_similarity(u, v) -> Tensor:
@@ -646,6 +828,9 @@ def grad_check(f, x: Tensor, tol: float = 1e-4, step: float = 1e-5) -> GradCheck
 
     `f` must be pure and deterministic; it is evaluated twice up front and a
     mismatch raises `UsageError`.
+
+    The default tolerance suits float64.  A float32 `x` is perturbed in
+    float32, so use the relaxed `tol=5e-2` with `step=1e-2` there.
     """
     probe = Tensor(x.data.copy(), requires_grad=True)
     out1 = f(probe)

@@ -90,8 +90,9 @@ class Adam(Optimizer):
                 grad = p.grad
                 if g["weight_decay"] and not self.decoupled:
                     grad = grad + g["weight_decay"] * p.data
-                m = self._m.get(id(p), np.zeros_like(p.data))
-                v = self._v.get(id(p), np.zeros_like(p.data))
+                m, v = self._m.get(id(p)), self._v.get(id(p))
+                if m is None:  # moments start at zero on a parameter's first step
+                    m, v = np.zeros_like(p.data), np.zeros_like(p.data)
                 m = self.b1 * m + (1 - self.b1) * grad
                 v = self.b2 * v + (1 - self.b2) * grad * grad
                 self._m[id(p)], self._v[id(p)] = m, v

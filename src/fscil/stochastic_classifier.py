@@ -2,9 +2,11 @@
 
 Each class owns a weight distribution (mu, sigma); a concrete weight vector
 is drawn with the reparameterization phi = mu + eps (*) softplus(sigma - c),
-eps ~ N(0, 1), so gradients flow into both mu and sigma.  Scores are
-temperature-scaled cosine similarities between the sampled weight and the
-feature, turned into class probabilities by a softmax.
+eps ~ N(0, 1), so gradients flow into both mu and sigma.  One (M, d) draw
+from the batch's rng gives eps for every class, and the whole (M, d) weight
+matrix is one graph node.  Scores are temperature-scaled cosine similarities
+between the sampled weight and the feature, turned into class probabilities
+by a softmax.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ArgumentError, DomainError
-from .numerics import SeededRng, Tensor, concat, l2_normalize, reshape, softmax, softplus
+from .numerics import SeededRng, Tensor, l2_normalize, reshape, softmax, stochastic_weights
 
 SOFTPLUS_OFFSET = 4.0  # hyper-parameter c; sigma starts at c so the initial noise scale is ln 2
 
@@ -42,6 +44,20 @@ class StochasticHead:
         self.sigma.append(Tensor(np.full(self.dim, self.offset), requires_grad=True))
         return self.num_classes - 1
 
+    def _eps(self, rows: int, rng: SeededRng | None, noise: bool, frozen_eps) -> np.ndarray | None:
+        """(rows, dim) standard-normal draw, or None when noise is off.
+
+        One `rng.normal(size=(rows, dim))` call fills the rows in order, so
+        row m is the same for a given rng whatever the number of classes.
+        """
+        if not noise:
+            return None
+        if frozen_eps is not None:
+            return np.asarray(frozen_eps, dtype=float).reshape(rows, self.dim)
+        if rng is None:
+            raise ArgumentError("noise=True needs an rng or a frozen eps")
+        return rng.normal(size=(rows, self.dim))
+
     def sample_weights(self, class_index: int, rng: SeededRng | None = None, noise: bool = True, frozen_eps: np.ndarray | None = None) -> Tensor:
         """phi_m = mu_m + eps (*) softplus(sigma_m - c); phi = mu when noise is off.
 
@@ -50,24 +66,12 @@ class StochasticHead:
         """
         if not 0 <= class_index < self.num_classes:
             raise ArgumentError(f"class index {class_index} out of range (M={self.num_classes})")
-        mu = self.mu[class_index]
-        if not noise:
-            return mu + 0.0
-        if frozen_eps is not None:
-            eps = np.asarray(frozen_eps, dtype=float)
-        elif rng is not None:
-            eps = rng.normal(size=self.dim)
-        else:
-            raise ArgumentError("noise=True needs an rng or a frozen eps")
-        return mu + Tensor(eps) * softplus(self.sigma[class_index] - self.offset)
+        row = slice(class_index, class_index + 1)
+        weights = stochastic_weights(self.mu[row], self.sigma[row], self._eps(1, rng, noise, frozen_eps), self.offset)
+        return reshape(weights, (self.dim,))
 
     def _weight_matrix(self, rng, noise, frozen_eps) -> Tensor:
-        rows = []
-        for m in range(self.num_classes):
-            eps = frozen_eps[m] if frozen_eps is not None else None
-            sub = rng.child(f"class{m}") if (rng is not None and noise and frozen_eps is None) else rng
-            rows.append(reshape(self.sample_weights(m, sub, noise=noise, frozen_eps=eps), (1, self.dim)))
-        return concat(rows, axis=0)
+        return stochastic_weights(self.mu, self.sigma, self._eps(self.num_classes, rng, noise, frozen_eps), self.offset)
 
     def logits(self, z: Tensor, rng: SeededRng | None = None, noise: bool = False, frozen_eps: np.ndarray | None = None) -> Tensor:
         """eta * <phi_hat_m, z_hat> for every class; z may be (d,) or (B, d)."""

@@ -1,0 +1,340 @@
+"""Fused primitives: gradient checks, equality with the composed-op oracles,
+gradient routing and the graph size of one training step."""
+
+import numpy as np
+import pytest
+
+from fscil.backbone import BackboneConfig, Encoder
+from fscil.base_trainer import cross_entropy_loss
+from fscil.config import toy_fscil_config
+from fscil.errors import ArgumentError
+from fscil.numerics import (
+    SeededRng,
+    Tensor,
+    attention,
+    batch_norm,
+    broadcast_to,
+    concat,
+    grad_check,
+    log_softmax,
+    log_softmax_nll,
+    reshape,
+    softmax,
+    softplus,
+    sqrt,
+    stochastic_weights,
+    tensor_mean,
+)
+from fscil.stochastic_classifier import StochasticHead
+
+D, HEADS, DK = 6, 2, 3
+
+
+def _weights(seed=0):
+    rng = np.random.default_rng(seed)
+    return {
+        "wq": [Tensor(rng.normal(size=(D, DK)) * 0.5, requires_grad=True) for _ in range(HEADS)],
+        "wk": [Tensor(rng.normal(size=(D, DK)) * 0.5, requires_grad=True) for _ in range(HEADS)],
+        "wv": [Tensor(rng.normal(size=(D, DK)) * 0.5, requires_grad=True) for _ in range(HEADS)],
+        "wo": Tensor(rng.normal(size=(D, D)) * 0.5, requires_grad=True),
+        "pk": Tensor(rng.normal(size=(2, D)), requires_grad=True),
+        "pv": Tensor(rng.normal(size=(2, D)), requires_grad=True),
+    }
+
+
+def _tokens(ndim, seed=1):
+    shape = (4, D) if ndim == 2 else (3, 4, D)
+    return np.random.default_rng(seed).normal(size=shape)
+
+
+def composed_attention(x, wq, wk, wv, wo, prefix_kv=None):
+    """Per-head attention from the elementwise primitives (the unfused oracle)."""
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    heads = []
+    for q_w, k_w, v_w in zip(wq, wk, wv):
+        q, k, v = x @ q_w, x @ k_w, x @ v_w
+        if prefix_kv is not None:
+            k_pre, v_pre = prefix_kv[0] @ k_w, prefix_kv[1] @ v_w
+            if x.ndim == 3:
+                b = x.shape[0]
+                k_pre = broadcast_to(reshape(k_pre, (1,) + k_pre.shape), (b,) + k_pre.shape)
+                v_pre = broadcast_to(reshape(v_pre, (1,) + v_pre.shape), (b,) + v_pre.shape)
+            k, v = concat([k_pre, k], axis=-2), concat([v_pre, v], axis=-2)
+        heads.append(softmax((q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(q_w.shape[1])), axis=-1) @ v)
+    return concat(heads, axis=-1) @ wo
+
+
+def composed_batch_norm(x, gamma, beta, feature_axis):
+    """Train-mode batch-norm from the elementwise primitives."""
+    axis = feature_axis % x.ndim
+    reduce_axes = tuple(i for i in range(x.ndim) if i != axis)
+    shape = tuple(x.shape[i] if i == axis else 1 for i in range(x.ndim))
+    centered = x - tensor_mean(x, axis=reduce_axes, keepdims=True)
+    var = tensor_mean(centered * centered, axis=reduce_axes, keepdims=True)
+    return reshape(gamma, shape) * (centered / sqrt(var + 1e-5)) + reshape(beta, shape)
+
+
+def _check(f, x, tol=1e-4, step=1e-5):
+    report = grad_check(f, x, tol=tol, step=step)
+    assert report.passed, report
+
+
+# -- gradient checks -------------------------------------------------------------------
+
+
+ATTENTION_CASES = [
+    (ndim, with_prefix, target, index)
+    for ndim in (2, 3)
+    for with_prefix in (False, True)
+    for target, index in [("x", None), ("wq", 0), ("wk", 1), ("wv", 0), ("wo", None)] + ([("pk", None), ("pv", None)] if with_prefix else [])
+]
+
+
+@pytest.mark.parametrize("ndim,with_prefix,target,index", ATTENTION_CASES)
+def test_attention_passes_grad_check(ndim, with_prefix, target, index):
+    tokens = _tokens(ndim)
+    start = tokens if target == "x" else (_weights()[target] if index is None else _weights()[target][index]).data
+
+    def f(t):
+        w = _weights()
+        if target == "x":
+            x = t
+        else:
+            x = Tensor(tokens)
+            if index is None:
+                w[target] = t
+            else:
+                w[target][index] = t
+        kv = (w["pk"], w["pv"]) if with_prefix else None
+        out, _ = attention(x, w["wq"], w["wk"], w["wv"], w["wo"], kv)
+        return (out * out).sum()
+
+    _check(f, Tensor(start.copy()))
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("feature_axis", [1, -1])
+@pytest.mark.parametrize("target", ["x", "gamma", "beta"])
+def test_batch_norm_passes_grad_check(mode, feature_axis, target):
+    rng = np.random.default_rng(2)
+    x0 = rng.normal(size=(4, 3, 5))
+    c = x0.shape[feature_axis]
+    params = {"x": x0, "gamma": rng.normal(size=c), "beta": rng.normal(size=c)}
+    running_mean, running_var = rng.normal(size=c), rng.uniform(0.5, 2.0, size=c)
+    weights = Tensor(rng.normal(size=x0.shape))
+
+    def f(t):
+        args = {name: Tensor(value) for name, value in params.items()}
+        args[target] = t
+        out = batch_norm(args["x"], args["gamma"], args["beta"], running_mean.copy(), running_var.copy(), mode, feature_axis=feature_axis)
+        return (out * out * weights).sum()
+
+    _check(f, Tensor(params[target].copy()))
+
+
+def test_log_softmax_nll_passes_grad_check():
+    rng = np.random.default_rng(3)
+    labels = np.array([0, 3, 3, 1, 2])
+    _check(lambda t: log_softmax_nll(t * 2.0, labels), Tensor(rng.normal(size=(5, 4))))
+
+
+@pytest.mark.parametrize("target,noise", [("mu", True), ("sigma", True), ("mu", False)])
+def test_stochastic_weights_passes_grad_check(target, noise):
+    rng = np.random.default_rng(4)
+    mu0, sigma0 = rng.normal(size=(3, 5)), 4.0 + rng.normal(size=(3, 5))
+    eps = rng.normal(size=(3, 5)) if noise else None
+    weights = Tensor(rng.normal(size=(3, 5)))
+
+    def f(t):
+        mu = [Tensor(row) for row in mu0]
+        sigma = [Tensor(row) for row in sigma0]
+        (mu if target == "mu" else sigma)[1] = t
+        return (stochastic_weights(mu, sigma, eps, 4.0) ** 2 * weights).sum()
+
+    _check(f, Tensor((mu0 if target == "mu" else sigma0)[1].copy()))
+
+
+def test_float32_fused_grad_checks_at_relaxed_tolerance():
+    w = _weights()
+    x = Tensor(_tokens(3).astype(np.float32), dtype=np.float32)
+    kv = (w["pk"], w["pv"])
+    _check(lambda t: (attention(t, w["wq"], w["wk"], w["wv"], w["wo"], kv)[0] ** 2).sum(), x, tol=5e-2, step=1e-2)
+    g, b = Tensor(np.array([1.0, 2.0, 0.5, 1.5, 1.0, 0.7])), Tensor(np.zeros(D))
+    _check(lambda t: (batch_norm(t, g, b, np.zeros(D), np.ones(D), "train") ** 3).sum(), x, tol=5e-2, step=1e-2)
+    labels = np.array([0, 1, 2, 1])
+    logits = Tensor(np.random.default_rng(5).normal(size=(4, 3)).astype(np.float32), dtype=np.float32)
+    _check(lambda t: log_softmax_nll(t, labels), logits, tol=5e-2, step=1e-2)
+    probe = Tensor(x.data.copy(), requires_grad=True, dtype=np.float32)
+    (attention(probe, w["wq"], w["wk"], w["wv"], w["wo"], kv)[0] ** 2).sum().backward()
+    assert probe.grad.dtype == np.float32
+
+
+# -- equality with the composed oracles ------------------------------------------------
+
+
+@pytest.mark.parametrize("ndim", [2, 3])
+@pytest.mark.parametrize("with_prefix", [False, True])
+def test_attention_matches_composed_oracle(ndim, with_prefix):
+    fused_w, oracle_w = _weights(), _weights()
+    x_fused, x_oracle = Tensor(_tokens(ndim), requires_grad=True), Tensor(_tokens(ndim), requires_grad=True)
+    seed = np.random.default_rng(6).normal(size=x_fused.shape)
+
+    out, maps = attention(x_fused, *(fused_w[k] for k in ("wq", "wk", "wv", "wo")), (fused_w["pk"], fused_w["pv"]) if with_prefix else None)
+    expected = composed_attention(x_oracle, *(oracle_w[k] for k in ("wq", "wk", "wv", "wo")), (oracle_w["pk"], oracle_w["pv"]) if with_prefix else None)
+    np.testing.assert_allclose(out.data, expected.data, atol=1e-12)
+    assert maps.shape == (HEADS,) + x_fused.shape[:-1] + (x_fused.shape[-2] + (2 if with_prefix else 0),)
+
+    out.backward(seed)
+    expected.backward(seed)
+    np.testing.assert_allclose(x_fused.grad, x_oracle.grad, atol=1e-12)
+    for key in ("wq", "wk", "wv"):
+        for fused_t, oracle_t in zip(fused_w[key], oracle_w[key]):
+            np.testing.assert_allclose(fused_t.grad, oracle_t.grad, atol=1e-12)
+    np.testing.assert_allclose(fused_w["wo"].grad, oracle_w["wo"].grad, atol=1e-12)
+    if with_prefix:
+        for key in ("pk", "pv"):
+            np.testing.assert_allclose(fused_w[key].grad, oracle_w[key].grad, atol=1e-12)
+
+
+@pytest.mark.parametrize("feature_axis", [1, -1])
+def test_batch_norm_train_matches_composed_oracle(feature_axis):
+    rng = np.random.default_rng(7)
+    x0 = rng.normal(size=(4, 3, 5)) * 2.0 + 1.0
+    c = x0.shape[feature_axis]
+    g0, b0 = rng.normal(size=c), rng.normal(size=c)
+    leaves = [[Tensor(a.copy(), requires_grad=True) for a in (x0, g0, b0)] for _ in range(2)]
+    running = [(np.zeros(c), np.ones(c)) for _ in range(2)]
+    seed = rng.normal(size=x0.shape)
+
+    fused = batch_norm(*leaves[0], *running[0], "train", feature_axis=feature_axis)
+    expected = composed_batch_norm(*leaves[1], feature_axis)
+    np.testing.assert_allclose(fused.data, expected.data, atol=1e-12)
+    axes = tuple(i for i in range(3) if i != feature_axis % 3)
+    np.testing.assert_allclose(running[0][0], 0.1 * x0.mean(axis=axes), atol=1e-12)
+    np.testing.assert_allclose(running[0][1], 0.9 + 0.1 * x0.var(axis=axes), atol=1e-12)
+
+    fused.backward(seed)
+    expected.backward(seed)
+    for fused_t, oracle_t in zip(*leaves):
+        np.testing.assert_allclose(fused_t.grad, oracle_t.grad, atol=1e-12)
+
+
+def test_batch_norm_eval_calibrated_stats_are_exact_identity():
+    x = np.random.default_rng(8).normal(size=(5, 3))
+    out = batch_norm(Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)), np.zeros(3), np.ones(3), "eval")
+    assert np.array_equal(out.data, x)
+
+
+def test_log_softmax_nll_matches_one_hot_oracle():
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        batch, classes = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+        logits = rng.normal(size=(batch, classes)) * 5.0
+        labels = rng.integers(0, classes, size=batch)
+        fused_in, oracle_in = Tensor(logits, requires_grad=True), Tensor(logits, requires_grad=True)
+        onehot = np.zeros((batch, classes))
+        onehot[np.arange(batch), labels] = 1.0
+        fused = log_softmax_nll(fused_in, labels)
+        expected = -(Tensor(onehot) * log_softmax(oracle_in, axis=-1)).sum() * (1.0 / batch)
+        assert abs(fused.item() - expected.item()) <= 1e-12
+        fused.backward()
+        expected.backward()
+        np.testing.assert_allclose(fused_in.grad, oracle_in.grad, atol=1e-12)
+
+
+def test_log_softmax_nll_rejects_bad_labels():
+    logits = Tensor(np.zeros((2, 3)))
+    for labels in (np.array([0, 3]), np.array([-1, 0]), np.array([0.0, 1.0]), np.array([0])):
+        with pytest.raises(ArgumentError):
+            log_softmax_nll(logits, labels)
+
+
+def test_stochastic_weights_match_composed_oracle():
+    rng = np.random.default_rng(10)
+    mu0, sigma0, eps = rng.normal(size=(4, 3)), 4.0 + rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+    fused = stochastic_weights([Tensor(r) for r in mu0], [Tensor(r) for r in sigma0], eps, 4.0)
+    for m in range(4):
+        row = Tensor(mu0[m]) + Tensor(eps[m]) * softplus(Tensor(sigma0[m]) - 4.0)
+        np.testing.assert_allclose(fused.data[m], row.data, atol=1e-12)
+    plain = stochastic_weights([Tensor(r) for r in mu0], [Tensor(r) for r in sigma0], None, 4.0)
+    assert np.array_equal(plain.data, mu0)
+
+
+# -- gradient routing --------------------------------------------------------------------
+
+
+def test_shared_gradient_array_is_not_mutated():
+    # the outer add hands one array to both the inner add and `a`; a later
+    # write into `a` must not change what `b` receives
+    a = Tensor([1.0, 2.0], requires_grad=True)
+    b = Tensor([3.0, 4.0], requires_grad=True)
+    seed = np.ones(2)
+    ((a + b) + a).backward(seed)
+    np.testing.assert_array_equal(a.grad, [2.0, 2.0])
+    np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+    np.testing.assert_array_equal(seed, [1.0, 1.0])
+
+
+def test_swapped_head_weight_keeps_gradient_on_forward_tensor():
+    cfg = BackboneConfig(image_size=4, conv_channels=(D,), embed_dim=D, heads=HEADS, layers=1, ffn_hidden=8)
+    block = Encoder(cfg, SeededRng(1)).blocks[0]
+    used, swapped_in = block.q[0], Tensor(block.q[0].data.copy(), requires_grad=True)
+    out, _ = block.attention(Tensor(_tokens(3)))
+    block.q[0] = swapped_in
+    (out * out).sum().backward()
+    assert used.grad is not None and np.any(used.grad != 0.0)
+    assert swapped_in.grad is None
+
+    head = StochasticHead(3)
+    for row in np.eye(3):
+        head.add_class(row)
+    used_mu, swapped_mu = head.mu[1], Tensor(head.mu[1].data.copy(), requires_grad=True)
+    loss = log_softmax_nll(head.logits(Tensor(np.ones((2, 3))), noise=True, frozen_eps=np.ones((3, 3))), np.array([1, 2]))
+    head.mu[1] = swapped_mu
+    loss.backward()
+    assert used_mu.grad is not None and swapped_mu.grad is None
+
+
+# -- head eps stream and graph size --------------------------------------------------------
+
+
+def test_head_eps_row_independent_of_class_count():
+    rng = np.random.default_rng(11)
+    means = rng.normal(size=(9, 5))
+    small, large = StochasticHead(5), StochasticHead(5)
+    for m in means[:6]:
+        small.add_class(m)
+    for m in means:
+        large.add_class(m)
+    batch_rng = SeededRng(3).child("eps", "e0", "b0")
+    few = small._weight_matrix(batch_rng, True, None).data
+    many = large._weight_matrix(SeededRng(3).child("eps", "e0", "b0"), True, None).data
+    assert np.array_equal(few, many[:6])
+
+
+def _graph_size(root) -> int:
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+def _toy_step_nodes(classes: int) -> int:
+    cfg = toy_fscil_config().model
+    rng = SeededRng(0)
+    encoder = Encoder(cfg, rng.child("encoder")).train()
+    head = StochasticHead(cfg.embed_dim)
+    for m in range(classes):
+        head.add_class(rng.child("mu", m).normal(size=cfg.embed_dim))
+    images = rng.child("images").normal(size=(64, cfg.in_channels, cfg.image_size, cfg.image_size))
+    loss = cross_entropy_loss(head, encoder.forward(Tensor(images)), np.arange(64) % classes, rng.child("eps"))
+    return _graph_size(loss)
+
+
+def test_toy_training_step_graph_size():
+    small, large = _toy_step_nodes(10), _toy_step_nodes(74)
+    assert small <= 110
+    assert large - small <= 2 * (74 - 10)  # only the mu and sigma leaves per class
