@@ -5,9 +5,9 @@ Convolutional tokenization (no class token, no positional embedding),
 batch-norm encoder blocks, prefix-augmented attention, and sequence pooling.
 """
 
-import numpy as np
+from dataclasses import replace
 
-from fscil.backbone import BackboneConfig, Encoder, mhsa_forward
+from fscil.backbone import BackboneConfig, Encoder
 from fscil.delta_params import PrefixSet, prefix_mhsa
 from fscil.numerics import SeededRng, Tensor
 
@@ -27,7 +27,7 @@ tokens = encoder.tokenize(images)
 print("token sequence:", tokens.shape)
 
 # Attention maps are row-stochastic: each token's weights sum to one.
-out, maps = mhsa_forward(tokens, encoder.blocks[0])
+out, maps = encoder.blocks[0].attention(tokens)
 print("attention maps (heads, batch, n, n):", maps.shape, "row sums ~", maps.sum(axis=-1).round(9).min())
 
 # Prefixes lengthen only the key/value side; the output shape is unchanged.
@@ -39,8 +39,11 @@ print("with prefixes: output", pre_out.shape, "- attention rows now span", pre_m
 z = encoder.forward(images)
 print("pooled feature:", z.shape)
 
-# Both FFN norm placements are available; "between" is the default wiring.
+# `bn_placement` picks where the FFN's one inner norm sits; "between" is the
+# default wiring.  Only that norm is built, under its placement's name.
+before_encoder = Encoder(replace(cfg, bn_placement="before"), rng).eval()
 x = Tensor(rng.child("ffn").normal(size=(5, cfg.embed_dim)))
-between = encoder.blocks[0].ffn(x, "eval", placement="between")
-before = encoder.blocks[0].ffn(x, "eval", placement="before")
+between = encoder.blocks[0].ffn(x, "eval")
+before = before_encoder.blocks[0].ffn(x, "eval")
 print("FFN placements agree in shape:", between.shape == before.shape)
+print("inner norms built:", [name for name, _ in encoder.blocks[0].norms()][-1], "/", [name for name, _ in before_encoder.blocks[0].norms()][-1])

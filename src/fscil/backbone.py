@@ -4,8 +4,9 @@ The tokenizer applies 1-3 conv layers (each conv -> channel BN -> ReLU ->
 optional max-pool) and flattens the spatial grid into a token sequence; no
 class token and no positional embedding are added.  Encoder blocks are
 pre-norm residual blocks whose norms are batch-norm layers, and the FFN
-carries its own internal BN whose position is selectable ("between" the two
-linear layers, the default, or "before" the first one).  A learned scalar
+carries one internal BN whose position `bn_placement` selects ("between" the
+two linear layers, the default, or "before" the first one); only that BN is
+built.  A learned scalar
 score pools the final token sequence into a single feature vector.
 
 No projection carries a bias; the batch-norm shifts play that role.
@@ -14,7 +15,7 @@ No projection carries a bias; the batch-norm shifts play that role.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -215,8 +216,7 @@ class EncoderBlock:
         self.theta2 = Tensor(trunc_normal(rng.child("ffn2"), (cfg.ffn_hidden, d)), requires_grad=True)
         self.attn_bn = BatchNorm(d)
         self.ffn_bn = BatchNorm(d)
-        self.ffn_bn_mid = BatchNorm(cfg.ffn_hidden)
-        self.ffn_bn_in = BatchNorm(d)
+        self.inner_bn = BatchNorm(cfg.ffn_hidden if cfg.bn_placement == "between" else d)
 
     def attention(self, x: Tensor, prefix_kv=None):
         """MHSA over tokens; keys/values optionally get prepended prefixes.
@@ -227,13 +227,16 @@ class EncoderBlock:
         """
         return attention_node(x, self.q, self.k, self.v, self.out_proj, prefix_kv)
 
-    def ffn(self, x: Tensor, mode: str, placement: str | None = None) -> Tensor:
-        placement = placement or self.cfg.bn_placement
-        if placement == "between":
-            return gelu(self.ffn_bn_mid(x @ self.theta1, mode)) @ self.theta2
-        if placement == "before":
-            return gelu(self.ffn_bn_in(x, mode) @ self.theta1) @ self.theta2
-        raise ArgumentError(f"unknown FFN BN placement {placement!r}")
+    def ffn(self, x: Tensor, mode: str) -> Tensor:
+        """theta2(gelu(theta1 x)) with the inner BN where `bn_placement` puts it."""
+        if self.cfg.bn_placement == "between":
+            return gelu(self.inner_bn(x @ self.theta1, mode)) @ self.theta2
+        return gelu(self.inner_bn(x, mode) @ self.theta1) @ self.theta2
+
+    def norms(self) -> tuple:
+        """(checkpoint name, BatchNorm) pairs; the inner BN keeps its placement's name."""
+        inner = "ffn_bn_mid" if self.cfg.bn_placement == "between" else "ffn_bn_in"
+        return (("attn_bn", self.attn_bn), ("ffn_bn", self.ffn_bn), (inner, self.inner_bn))
 
     def __call__(self, x: Tensor, mode: str, prefix_kv=None):
         attn_out, maps = self.attention(self.attn_bn(x, mode), prefix_kv=prefix_kv)
@@ -250,13 +253,13 @@ class EncoderBlock:
         out[f"{prefix}.out_proj"] = self.out_proj
         out[f"{prefix}.theta1"] = self.theta1
         out[f"{prefix}.theta2"] = self.theta2
-        for name, bn in (("attn_bn", self.attn_bn), ("ffn_bn", self.ffn_bn), ("ffn_bn_mid", self.ffn_bn_mid), ("ffn_bn_in", self.ffn_bn_in)):
+        for name, bn in self.norms():
             out.update(bn.params(f"{prefix}.{name}"))
         return out
 
     def buffers(self, prefix: str) -> dict:
         out = {}
-        for name, bn in (("attn_bn", self.attn_bn), ("ffn_bn", self.ffn_bn), ("ffn_bn_mid", self.ffn_bn_mid), ("ffn_bn_in", self.ffn_bn_in)):
+        for name, bn in self.norms():
             out.update(bn.buffers(f"{prefix}.{name}"))
         return out
 
@@ -332,31 +335,6 @@ class Encoder:
         copy_state(self, clone)
         clone.mode = self.mode
         return clone
-
-
-# -- spec-level operation aliases -------------------------------------------
-
-
-def conv_tokenize(images: Tensor, encoder: Encoder) -> Tensor:
-    """Token sequence X (B, n, d) for a batch of images."""
-    return encoder.tokenize(images)
-
-
-def mhsa_forward(x: Tensor, block: EncoderBlock):
-    """Plain multi-head self-attention: (output, attention maps)."""
-    return block.attention(x)
-
-
-def ffn_forward(x: Tensor, block: EncoderBlock, placement: str, mode: str = "eval") -> Tensor:
-    return block.ffn(x, mode, placement=placement)
-
-
-def sequence_pool(tokens: Tensor, encoder: Encoder) -> Tensor:
-    return encoder.sequence_pool(tokens)
-
-
-def encoder_forward(images: Tensor, encoder: Encoder, prefixes=None) -> Tensor:
-    return encoder.forward(images, prefixes=prefixes)
 
 
 # -- state persistence --------------------------------------------------------

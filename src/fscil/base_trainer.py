@@ -11,14 +11,14 @@ train under cross-entropy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .backbone import BackboneConfig, Encoder, Linear, hash_state
 from .errors import ArgumentError, UsageError
-from .numerics import SeededRng, Tensor, gelu, log_softmax, log_softmax_nll, no_grad, softmax
-from .optim import CosineSchedule, EarlyStopping, ReduceOnPlateau, make_optimizer
+from .numerics import SeededRng, Tensor, gelu, log_softmax, log_softmax_nll, no_grad
+from .optim import CosineSchedule, EarlyStopping, ReduceOnPlateau, make_optimizer, run_epochs
 from .stochastic_classifier import StochasticHead, init_means_from_prototypes
 
 
@@ -296,47 +296,48 @@ def _ssl_phase(encoder, proj, teacher, data_x, config, rng, history, log):
     lr_schedule = CosineSchedule(config.ssl_lr, config.ssl_lr * 1e-2, config.ssl_epochs)
     wd_schedule = CosineSchedule(config.ssl_weight_decay, config.ssl_weight_decay_end, config.ssl_epochs)
     warmup_epochs = max(1, int(config.warmup_fraction * config.ssl_epochs))
-    stopper = EarlyStopping(config.ssl_early_stop)
-    n = len(data_x)
-    batch = min(config.ssl_batch_size, n)
+    entropies, step_info = [], {}
 
-    for epoch in range(config.ssl_epochs):
+    def record_entropy(epoch):
+        mean_entropy = float(np.mean(entropies))
+        entropies.clear()
+        history["teacher_entropy"].append(mean_entropy)
+        if log is not None:
+            log.emit(phase="ssl", session=0, epoch=epoch, key="teacher_entropy", value=mean_entropy)
+
+    def before_epoch(epoch):
+        if epoch:
+            record_entropy(epoch - 1)
         if epoch < warmup_epochs:
             frac = epoch / warmup_epochs
             teacher.current_temp = config.warmup_teacher_temp + frac * (config.teacher_temp - config.warmup_teacher_temp)
         else:
             teacher.current_temp = config.teacher_temp
-        lr = lr_schedule.value(epoch)
-        wd = wd_schedule.value(epoch)
         for group in opt.groups:
-            group["lr"] = lr
-            group["weight_decay"] = wd
+            group["lr"] = lr_schedule.value(epoch)
+            group["weight_decay"] = wd_schedule.value(epoch)
 
-        order = rng.child("shuffle", f"epoch{epoch}").permutation(n)
-        total, entropies = 0.0, []
-        for start in range(0, n, batch):
-            idx = order[start : start + batch]
-            slots = crop_slots(
-                data_x[idx], rng.child("crops", f"e{epoch}", f"b{start}"), config.n_local_crops, config.global_crop_scale, config.local_crop_scale
-            )
-            loss, info = dino_step(encoder, proj, teacher, slots, config.student_temp)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            ema_update_teacher(teacher, encoder, proj)
-            update_center(teacher, info["teacher_outputs"], momentum=config.center_momentum)
-            total += loss.item() * len(idx)
-            entropies.append(info["teacher_entropy"])
-        mean_loss = total / n
-        mean_entropy = float(np.mean(entropies))
-        history["ssl_loss"].append(mean_loss)
-        history["teacher_entropy"].append(mean_entropy)
-        if log is not None:
-            log.emit(phase="ssl", session=0, epoch=epoch, key="loss", value=mean_loss)
-            log.emit(phase="ssl", session=0, epoch=epoch, key="lr", value=lr)
-            log.emit(phase="ssl", session=0, epoch=epoch, key="teacher_entropy", value=mean_entropy)
-        if stopper.update(mean_loss):
-            break
+    def batch_loss(idx, epoch, start):
+        slots = crop_slots(
+            data_x[idx], rng.child("crops", f"e{epoch}", f"b{start}"), config.n_local_crops, config.global_crop_scale, config.local_crop_scale
+        )
+        loss, info = dino_step(encoder, proj, teacher, slots, config.student_temp)
+        step_info.update(info)
+        entropies.append(info["teacher_entropy"])
+        return loss
+
+    def after_step():
+        ema_update_teacher(teacher, encoder, proj)
+        update_center(teacher, step_info["teacher_outputs"], momentum=config.center_momentum)
+
+    stopper = EarlyStopping(config.ssl_early_stop)
+    losses = run_epochs(
+        opt, len(data_x), config.ssl_batch_size, config.ssl_epochs, rng, batch_loss, log, "ssl",
+        stopper=stopper, before_epoch=before_epoch, after_step=after_step,
+    )
+    history["ssl_loss"].extend(losses)
+    if losses:
+        record_entropy(len(losses) - 1)
 
 
 def _supervised_phase(encoder, head, data_x, data_y, config, rng, history, log):
@@ -348,29 +349,17 @@ def _supervised_phase(encoder, head, data_x, data_y, config, rng, history, log):
             {"params": list(head.params().values()), "lr": config.sup_classifier_lr, "weight_decay": config.sup_weight_decay},
         ],
     )
+
+    def batch_loss(idx, epoch, start):
+        z = encoder.forward(Tensor(data_x[idx]))
+        return cross_entropy_loss(head, z, data_y[idx], rng.child("eps", f"e{epoch}", f"b{start}"), noise=config.head_noise_train)
+
     plateau = ReduceOnPlateau(opt, config.sup_plateau_patience, config.sup_plateau_factor, config.sup_min_lr)
     stopper = EarlyStopping(config.sup_early_stop)
-    n = len(data_x)
-    batch = min(config.sup_batch_size, n)
-    for epoch in range(config.sup_epochs):
-        order = rng.child("shuffle", f"epoch{epoch}").permutation(n)
-        total = 0.0
-        for start in range(0, n, batch):
-            idx = order[start : start + batch]
-            z = encoder.forward(Tensor(data_x[idx]))
-            loss = cross_entropy_loss(head, z, data_y[idx], rng.child("eps", f"e{epoch}", f"b{start}"), noise=config.head_noise_train)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            total += loss.item() * len(idx)
-        mean_loss = total / n
-        history["sup_loss"].append(mean_loss)
-        plateau.step(mean_loss)
-        if log is not None:
-            log.emit(phase="supervised", session=0, epoch=epoch, key="loss", value=mean_loss)
-            log.emit(phase="supervised", session=0, epoch=epoch, key="lr", value=opt.groups[0]["lr"])
-        if stopper.update(mean_loss):
-            break
+    losses = run_epochs(
+        opt, len(data_x), config.sup_batch_size, config.sup_epochs, rng, batch_loss, log, "supervised", plateau=plateau, stopper=stopper
+    )
+    history["sup_loss"].extend(losses)
     encoder.eval()
 
 
@@ -388,23 +377,12 @@ def linear_probe(teacher: TeacherState, data_x: np.ndarray, data_y: np.ndarray, 
 
     probe = Linear(rng.child("probe"), features.shape[1], len(classes), bias=True)
     opt = make_optimizer(config.probe_optimizer, [{"params": list(probe.params("p").values()), "lr": config.probe_lr}])
+
+    def batch_loss(idx, epoch, start):
+        return log_softmax_nll(probe(Tensor(features[idx])), targets[idx])
+
     stopper = EarlyStopping(config.probe_early_stop)
-    n = len(features)
-    batch = min(config.probe_batch_size, n)
-    for epoch in range(config.probe_epochs):
-        order = rng.child("shuffle", f"epoch{epoch}").permutation(n)
-        total = 0.0
-        for start in range(0, n, batch):
-            idx = order[start : start + batch]
-            loss = log_softmax_nll(probe(Tensor(features[idx])), targets[idx])
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            total += loss.item() * len(idx)
-        if log is not None:
-            log.emit(phase="linear_probe", session=0, epoch=epoch, key="loss", value=total / n)
-        if stopper.update(total / n):
-            break
+    run_epochs(opt, len(features), config.probe_batch_size, config.probe_epochs, rng, batch_loss, log, "linear_probe", stopper=stopper)
 
     with no_grad():
         preds = np.argmax(probe(Tensor(features)).data, axis=-1)

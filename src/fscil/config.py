@@ -28,7 +28,6 @@ class TrainingConfig:
 
     # self-supervised phase (teacher/student distillation)
     ssl_lr: float = 2.5e-4
-    ssl_classifier_lr: float = 2.5e-4  # projection-head group
     ssl_weight_decay: float = 0.04
     ssl_weight_decay_end: float = 0.4
     ssl_epochs: int = 500
@@ -120,7 +119,6 @@ def desk_profile(**overrides) -> TrainingConfig:
         ssl_early_stop=10,
         ssl_batch_size=64,
         ssl_lr=1e-3,
-        ssl_classifier_lr=1e-3,
         sup_lr=1e-3,
         sup_classifier_lr=0.02,
         sup_epochs=50,

@@ -15,7 +15,7 @@ import numpy as np
 from .backbone import Encoder, EncoderBlock, hash_state
 from .errors import ArgumentError, ContractViolation
 from .numerics import SeededRng, Tensor
-from .optim import EarlyStopping, ReduceOnPlateau, make_optimizer
+from .optim import EarlyStopping, ReduceOnPlateau, make_optimizer, run_epochs
 
 PREFIX_INIT_RANGE = 0.02
 
@@ -109,30 +109,14 @@ def train_session(
     stopper = EarlyStopping(config.inc_early_stop) if config.inc_early_stop else None
 
     encoder.eval()  # frozen backbone: running stats must not move
-    n = len(data_x)
     epochs = config.inc_epochs_base if session == 0 else config.inc_epochs
-    batch = min(config.inc_batch_size, n)
     from .base_trainer import cross_entropy_loss  # shared CE through the stochastic head
 
-    for epoch in range(epochs):
-        order = rng.child("shuffle", f"epoch{epoch}").permutation(n)
-        total = 0.0
-        for start in range(0, n, batch):
-            idx = order[start : start + batch]
-            x = Tensor(data_x[idx])
-            z = encoder.forward(x, prefixes=prefixes)
-            loss = cross_entropy_loss(head, z, data_y[idx], rng.child("eps", f"e{epoch}", f"b{start}"), noise=config.head_noise_train)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            total += loss.item() * len(idx)
-        mean_loss = total / n
-        plateau.step(mean_loss)
-        if log is not None:
-            log.emit(phase="incremental", session=session, epoch=epoch, key="loss", value=mean_loss)
-            log.emit(phase="incremental", session=session, epoch=epoch, key="lr", value=opt.groups[0]["lr"])
-        if stopper is not None and stopper.update(mean_loss):
-            break
+    def batch_loss(idx, epoch, start):
+        z = encoder.forward(Tensor(data_x[idx]), prefixes=prefixes)
+        return cross_entropy_loss(head, z, data_y[idx], rng.child("eps", f"e{epoch}", f"b{start}"), noise=config.head_noise_train)
+
+    run_epochs(opt, len(data_x), config.inc_batch_size, epochs, rng, batch_loss, log, "incremental", session, plateau=plateau, stopper=stopper)
 
     if hash_state(encoder) != frozen_hash:
         raise ContractViolation("frozen backbone parameters changed during session training")

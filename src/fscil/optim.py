@@ -1,8 +1,10 @@
-"""Optimizers and schedules used across the training phases.
+"""Optimizers, schedules and the epoch loop shared by every training phase.
 
 SGD with momentum plus two adaptive-moment variants (coupled and decoupled
 weight decay) mirror the sensitivity grid; the decoupled variant is the
-default everywhere.
+default everywhere.  `run_epochs` is the one shuffle/batch/step loop that
+distillation, supervised training, prefix sessions, the backbone-finetune
+ablation, prediction nets and the linear probe all run.
 """
 
 from __future__ import annotations
@@ -12,15 +14,12 @@ import math
 import numpy as np
 
 from .errors import ArgumentError
-from .numerics import Tensor
 
 
 class Optimizer:
     """Base: parameter groups of {params: [Tensor], lr: float, weight_decay: float}."""
 
     def __init__(self, groups):
-        if isinstance(groups, (list, tuple)) and groups and isinstance(groups[0], Tensor):
-            groups = [{"params": list(groups)}]
         self.groups = []
         for g in groups:
             self.groups.append(
@@ -39,10 +38,6 @@ class Optimizer:
     def scale_lr(self, factor: float, min_lr: float = 0.0):
         for g in self.groups:
             g["lr"] = max(g["lr"] * factor, min_lr)
-
-    def set_lr(self, lr: float):
-        for g in self.groups:
-            g["lr"] = lr
 
     def step(self):
         raise NotImplementedError
@@ -166,3 +161,58 @@ class EarlyStopping:
         else:
             self.bad_epochs += 1
         return self.bad_epochs >= self.patience
+
+
+def run_epochs(
+    opt: Optimizer,
+    n: int,
+    batch_size: int,
+    epochs: int,
+    rng,
+    batch_loss,
+    log=None,
+    phase: str = "",
+    session: int = 0,
+    plateau: ReduceOnPlateau | None = None,
+    stopper: EarlyStopping | None = None,
+    before_epoch=None,
+    after_step=None,
+) -> list:
+    """Train for up to `epochs` passes over `n` samples; returns per-epoch mean losses.
+
+    Epoch `e` visits the samples in the order `rng.child("shuffle", f"epoch{e}")`
+    permutes them, in batches of `min(batch_size, n)` (the last may be short).
+    `batch_loss(idx, epoch, start)` returns the graph-carrying mean loss of the
+    samples `idx`, which start at offset `start` of the epoch's order.  The
+    epoch's mean weights each batch loss by its length.  After every epoch the
+    plateau (when given) steps on that mean, `loss` and `lr` (the first
+    group's, after the plateau step) are logged under `phase` and `session`,
+    and the stopper (when given) may end training.  `before_epoch(epoch)` runs
+    before an epoch's first batch and `after_step()` after every optimizer step.
+    """
+    batch = min(batch_size, n)
+    means = []
+    for epoch in range(epochs):
+        if before_epoch is not None:
+            before_epoch(epoch)
+        order = rng.child("shuffle", f"epoch{epoch}").permutation(n)
+        total = 0.0
+        for start in range(0, n, batch):
+            idx = order[start : start + batch]
+            loss = batch_loss(idx, epoch, start)
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
+            if after_step is not None:
+                after_step()
+            total += loss.item() * len(idx)
+        mean_loss = total / n
+        means.append(mean_loss)
+        if plateau is not None:
+            plateau.step(mean_loss)
+        if log is not None:
+            log.emit(phase=phase, session=session, epoch=epoch, key="loss", value=mean_loss)
+            log.emit(phase=phase, session=session, epoch=epoch, key="lr", value=opt.groups[0]["lr"])
+        if stopper is not None and stopper.update(mean_loss):
+            break
+    return means

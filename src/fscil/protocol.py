@@ -15,13 +15,12 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .base_trainer import class_prototypes, embed_all, linear_probe, train_base
+from .base_trainer import embed_all, linear_probe, train_base
 from .config import RunConfig
 from .delta_params import PrefixSet, train_session, trainable_fraction
 from .errors import ArgumentError
@@ -35,8 +34,8 @@ from .harness import (
     generate_blobs,
     load_idx_dataset,
 )
-from .numerics import SeededRng, Tensor, no_grad
-from .optim import make_optimizer
+from .numerics import SeededRng, Tensor
+from .optim import make_optimizer, run_epochs
 from .prototype_rectification import (
     PredictionNet,
     merge_pairs,
@@ -189,21 +188,12 @@ def _finetune_backbone_session(view, remapped, encoder, head, new_rows, tc, rng,
     params = list(encoder.params().values()) + [head.mu[m] for m in new_rows] + [head.sigma[m] for m in new_rows]
     opt = make_optimizer(tc.optimizer, [{"params": params, "lr": tc.inc_lr, "weight_decay": tc.inc_weight_decay}])
     encoder.eval()  # keep running stats frozen; gradients still flow
-    n = len(view.images)
-    batch = min(tc.inc_batch_size, n)
-    for epoch in range(tc.inc_epochs):
-        order = rng.child("shuffle", f"epoch{epoch}").permutation(n)
-        total = 0.0
-        for start in range(0, n, batch):
-            idx = order[start : start + batch]
-            z = encoder.forward(Tensor(view.images[idx]))
-            loss = cross_entropy_loss(head, z, remapped[idx], rng.child("eps", f"e{epoch}", f"b{start}"), noise=tc.head_noise_train)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            total += loss.item() * len(idx)
-        if log is not None:
-            log.emit(phase="incremental", session=session, epoch=epoch, key="loss", value=total / n)
+
+    def batch_loss(idx, epoch, start):
+        z = encoder.forward(Tensor(view.images[idx]))
+        return cross_entropy_loss(head, z, remapped[idx], rng.child("eps", f"e{epoch}", f"b{start}"), noise=tc.head_noise_train)
+
+    run_epochs(opt, len(view.images), tc.inc_batch_size, tc.inc_epochs, rng, batch_loss, log, "incremental", session)
     encoder.set_requires_grad(False)
 
 

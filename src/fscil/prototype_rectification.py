@@ -18,7 +18,7 @@ import numpy as np
 from .backbone import Linear
 from .errors import ArgumentError
 from .numerics import SeededRng, Tensor, gelu
-from .optim import make_optimizer
+from .optim import make_optimizer, run_epochs
 from .task_inference import ClassGaussian, select_class_batch
 
 
@@ -134,23 +134,12 @@ def train_prediction_net(net: PredictionNet, pairs: OutlierPairs, config, rng: S
     if len(pairs) == 0:
         raise ArgumentError("prediction net needs at least one pair")
     opt = make_optimizer(config.optimizer, [{"params": list(net.params().values()), "lr": config.prednet_lr, "weight_decay": config.prednet_weight_decay}])
-    n = len(pairs)
-    batch = min(config.prednet_batch_size, n)
-    for epoch in range(config.prednet_epochs):
-        order = rng.child("shuffle", f"epoch{epoch}").permutation(n)
-        total = 0.0
-        for start in range(0, n, batch):
-            idx = order[start : start + batch]
-            pred = net(Tensor(pairs.inputs[idx]))
-            diff = pred - Tensor(pairs.targets[idx])
-            loss = (diff * diff).mean()
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            total += loss.item() * len(idx)
-        if log is not None:
-            log.emit(phase="prediction_net", session=session, epoch=epoch, key="loss", value=total / n)
-            log.emit(phase="prediction_net", session=session, epoch=epoch, key="lr", value=config.prednet_lr)
+
+    def batch_loss(idx, epoch, start):
+        diff = net(Tensor(pairs.inputs[idx])) - Tensor(pairs.targets[idx])
+        return (diff * diff).mean()
+
+    run_epochs(opt, len(pairs), config.prednet_batch_size, config.prednet_epochs, rng, batch_loss, log, "prediction_net", session)
     return net
 
 

@@ -109,22 +109,13 @@ def class_distances(queries: np.ndarray, gaussians: list, covariance: SharedCova
     return dists
 
 
-def select_class(query: np.ndarray, gaussians: list, covariance: SharedCovariance | None, metric: str = "mahalanobis"):
-    """Nearest class under the chosen metric: (class_id, owning session).
-
-    Ties break toward the lowest class id (statistics are kept sorted).
-    """
-    order = sorted(range(len(gaussians)), key=lambda i: gaussians[i].class_id)
-    ordered = [gaussians[i] for i in order]
-    dists = class_distances(np.asarray(query, dtype=float)[None, :], ordered, covariance, metric)[0]
-    best = int(np.argmin(dists))
-    return ordered[best].class_id, ordered[best].session
-
-
 def select_class_batch(queries: np.ndarray, gaussians: list, covariance: SharedCovariance | None, metric: str = "mahalanobis"):
-    """Vectorized `select_class`: arrays of class ids and sessions."""
-    order = sorted(range(len(gaussians)), key=lambda i: gaussians[i].class_id)
-    ordered = [gaussians[i] for i in order]
+    """Nearest class of every query row under the chosen metric.
+
+    Returns arrays of class ids and their owning sessions.  Ties break toward
+    the lowest class id (statistics are ranked in class-id order).
+    """
+    ordered = sorted(gaussians, key=lambda g: g.class_id)
     dists = class_distances(queries, ordered, covariance, metric)
     best = np.argmin(dists, axis=1)
     class_ids = np.array([ordered[b].class_id for b in best])

@@ -6,11 +6,12 @@ across criteria.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fscil.backbone import BackboneConfig, Encoder, ffn_forward, mhsa_forward
+from fscil.backbone import BackboneConfig, Encoder
 from fscil.base_trainer import DinoHead, dino_step, ema_update_teacher, make_teacher, train_base
 from fscil.config import desk_profile, toy_fscil_config
 from fscil.delta_params import PrefixSet, prefix_mhsa
@@ -20,7 +21,7 @@ from fscil.numerics import SeededRng, Tensor, grad_check, log_softmax
 from fscil.prototype_rectification import PredictionNet, rectify_prototype
 from fscil.protocol import run_from_config
 from fscil.stochastic_classifier import StochasticHead
-from fscil.task_inference import SharedCovariance, fit_class_stats, select_class
+from fscil.task_inference import SharedCovariance, fit_class_stats, select_class_batch
 
 from mc_helpers import planted_bias_trial
 from test_harness import CUB_CUMULATIVE, _labels, reference_metrics
@@ -78,27 +79,28 @@ def test_criterion_1_gradient_integrity():
             old = getter()
             setter(t)
             try:
-                return (mhsa_forward(Tensor(tokens), block)[0] ** 2).sum()
+                return (block.attention(Tensor(tokens))[0] ** 2).sum()
             finally:
                 setter(old)
 
         check(f, Tensor(getter().data.copy()))
-    check(lambda t: (mhsa_forward(t, block)[0] ** 2).sum(), Tensor(tokens.copy()))
+    check(lambda t: (block.attention(t)[0] ** 2).sum(), Tensor(tokens.copy()))
 
-    # FFN, both internal BN placements, train-mode BN with batch >= 8
+    # FFN, both internal BN placements (same weights), train-mode BN with batch >= 8
     flat = rng.child("flat").normal(size=(8, 8))
-    for placement in ("between", "before"):
+    before_block = Encoder(replace(cfg, bn_placement="before"), rng.child("enc")).train().blocks[0]
+    for ffn_block in (block, before_block):
 
-        def f_theta(t, placement=placement):
-            old = block.theta1
-            block.theta1 = t
+        def f_theta(t, ffn_block=ffn_block):
+            old = ffn_block.theta1
+            ffn_block.theta1 = t
             try:
-                return (ffn_forward(Tensor(flat), block, placement, mode="train") ** 2).sum()
+                return (ffn_block.ffn(Tensor(flat), "train") ** 2).sum()
             finally:
-                block.theta1 = old
+                ffn_block.theta1 = old
 
-        check(f_theta, Tensor(block.theta1.data.copy()))
-        check(lambda t, p=placement: (ffn_forward(t, block, p, mode="train") ** 2).sum(), Tensor(flat.copy()))
+        check(f_theta, Tensor(ffn_block.theta1.data.copy()))
+        check(lambda t, b=ffn_block: (b.ffn(t, "train") ** 2).sum(), Tensor(flat.copy()))
 
     # sequence pooling
     def f_pool(t):
@@ -175,7 +177,7 @@ def test_criterion_2_prefix_equivalence():
     for _ in range(1000):
         n = int(rng.integers(1, 6))
         x = Tensor(rng.normal(size=(2, n, 8)))
-        plain, _ = mhsa_forward(x, block)
+        plain, _ = block.attention(x)
         prefixed, _ = prefix_mhsa(x, block, empty, layer=0)
         identical += int(np.array_equal(plain.data, prefixed.data))
     _report("criterion 2 (prefix equivalence)", identical == 1000, f"{identical}/1000 bitwise identical")
@@ -201,8 +203,8 @@ def test_criterion_3_routing_oracle():
         inv = np.linalg.inv(shared.matrix + eps * np.eye(dim))
         dists = [(g.mean - q) @ inv @ (g.mean - q) for g in gaussians]
         want = gaussians[int(np.argmin(dists))]
-        got_cls, got_sess = select_class(q, gaussians, shared, metric="mahalanobis")
-        maha_agree += int(got_cls == want.class_id and got_sess == want.session)
+        got_cls, got_sess = select_class_batch(q[None], gaussians, shared, metric="mahalanobis")
+        maha_agree += int(got_cls[0] == want.class_id and got_sess[0] == want.session)
 
     euclid_agree = 0
     for _ in range(1000):
@@ -211,9 +213,9 @@ def test_criterion_3_routing_oracle():
         gaussians, _ = fit_class_stats(rng.normal(size=(n_classes, dim)) * 3, np.arange(n_classes), session=0)
         identity = SharedCovariance(matrix=np.eye(dim), sessions=[0])
         q = rng.normal(size=dim) * 2
-        e_cls, _ = select_class(q, gaussians, None, metric="euclidean")
-        m_cls, _ = select_class(q, gaussians, identity, metric="mahalanobis")
-        euclid_agree += int(e_cls == m_cls)
+        e_cls, _ = select_class_batch(q[None], gaussians, None, metric="euclidean")
+        m_cls, _ = select_class_batch(q[None], gaussians, identity, metric="mahalanobis")
+        euclid_agree += int(e_cls[0] == m_cls[0])
 
     ok = maha_agree == 1000 and euclid_agree == 1000
     _report("criterion 3 (routing oracle)", ok, f"brute force {maha_agree}/1000, euclidean==identity {euclid_agree}/1000")

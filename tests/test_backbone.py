@@ -1,20 +1,11 @@
 """Backbone tests: tokenizer geometry, attention/FFN oracles, full-block grads."""
 
+import json
+
 import numpy as np
 import pytest
 
-from fscil.backbone import (
-    BackboneConfig,
-    Encoder,
-    conv_tokenize,
-    encoder_forward,
-    ffn_forward,
-    hash_state,
-    load_state,
-    mhsa_forward,
-    save_state,
-    sequence_pool,
-)
+from fscil.backbone import BackboneConfig, Encoder, hash_state, load_state, save_state
 from fscil.errors import ArgumentError
 from fscil.numerics import SeededRng, Tensor, gelu, grad_check
 
@@ -46,7 +37,7 @@ def test_token_count_28px_conv7_stride2_pool2():
     )
     assert cfg.token_count() == 36
     enc = Encoder(cfg, SeededRng(0)).eval()
-    tokens = conv_tokenize(Tensor(np.random.default_rng(0).normal(size=(2, 1, 28, 28))), enc)
+    tokens = enc.tokenize(Tensor(np.random.default_rng(0).normal(size=(2, 1, 28, 28))))
     assert tokens.shape == (2, 36, 16)
 
 
@@ -54,7 +45,7 @@ def test_token_count_degenerate_kernel_equals_image():
     cfg = BackboneConfig(image_size=7, conv_channels=(8,), conv_kernel=7, conv_stride=1, conv_padding=0, pool_size=0, embed_dim=8, heads=2)
     assert cfg.token_count() == 1
     enc = Encoder(cfg, SeededRng(1)).eval()
-    tokens = conv_tokenize(Tensor(np.zeros((1, 1, 7, 7))), enc)
+    tokens = enc.tokenize(Tensor(np.zeros((1, 1, 7, 7))))
     assert tokens.shape == (1, 1, 8)
 
 
@@ -63,7 +54,7 @@ def test_two_conv_layers_with_7px_kernels_constructible():
         image_size=32, conv_channels=(12, 24), conv_kernel=7, conv_stride=2, conv_padding=3, pool_size=2, pool_stride=2, embed_dim=24, heads=4
     )
     enc = Encoder(cfg, SeededRng(2)).eval()
-    tokens = conv_tokenize(Tensor(np.random.default_rng(1).normal(size=(1, 1, 32, 32))), enc)
+    tokens = enc.tokenize(Tensor(np.random.default_rng(1).normal(size=(1, 1, 32, 32))))
     assert tokens.shape[-1] == 24 and tokens.shape[-2] == cfg.token_count()
 
 
@@ -80,7 +71,7 @@ def test_single_token_single_head_attention():
     enc = Encoder(cfg, SeededRng(3))
     block = enc.blocks[0]
     x = Tensor(np.random.default_rng(2).normal(size=(1, 8)))
-    out, maps = mhsa_forward(x, block)
+    out, maps = block.attention(x)
     expected = (x.data @ block.v[0].data) @ block.out_proj.data  # softmax over one token is 1
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
     np.testing.assert_allclose(maps, np.ones((1, 1, 1)), atol=1e-15)
@@ -104,7 +95,7 @@ def test_attention_matches_naive_oracle():
     att = e / e.sum(axis=1, keepdims=True)
     expected = (att @ vm) @ o
 
-    out, maps = mhsa_forward(Tensor(x), block)
+    out, maps = block.attention(Tensor(x))
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
     np.testing.assert_allclose(maps[0], att, atol=1e-12)
 
@@ -116,7 +107,7 @@ def test_attention_rows_sum_to_one_and_shape_preserved():
     for _ in range(10):
         n = int(rng.integers(1, 7))
         x = Tensor(rng.normal(size=(2, n, 16)))
-        out, maps = mhsa_forward(x, enc.blocks[0])
+        out, maps = enc.blocks[0].attention(x)
         assert out.shape == (2, n, 16)
         np.testing.assert_allclose(maps.sum(axis=-1), np.ones(maps.shape[:-1]), atol=1e-9)
 
@@ -126,7 +117,7 @@ def test_paper_scale_heads_divide_embed_dim():
     assert cfg.head_dim == 64
     enc = Encoder(cfg, SeededRng(6))
     x = Tensor(np.random.default_rng(4).normal(size=(1, 9, 384)))
-    out, _ = mhsa_forward(x, enc.blocks[0])
+    out, _ = enc.blocks[0].attention(x)
     assert out.shape == (1, 9, 384)
 
 
@@ -134,20 +125,19 @@ def test_paper_scale_heads_divide_embed_dim():
 
 
 def test_ffn_zero_projections_give_zero():
-    enc = Encoder(small_cfg(), SeededRng(7))
-    block = enc.blocks[0]
-    block.theta1.data = np.zeros_like(block.theta1.data)
-    block.theta2.data = np.zeros_like(block.theta2.data)
     x = Tensor(np.random.default_rng(5).normal(size=(3, 8)))
     for placement in ("between", "before"):
-        np.testing.assert_allclose(ffn_forward(x, block, placement, mode="eval").data, np.zeros((3, 8)), atol=1e-15)
+        block = Encoder(small_cfg(bn_placement=placement), SeededRng(7)).blocks[0]
+        block.theta1.data = np.zeros_like(block.theta1.data)
+        block.theta2.data = np.zeros_like(block.theta2.data)
+        np.testing.assert_allclose(block.ffn(x, "eval").data, np.zeros((3, 8)), atol=1e-15)
 
 
 def test_ffn_between_with_identity_bn_matches_mlp_oracle():
     enc = Encoder(small_cfg(), SeededRng(8))
     block = enc.blocks[0]
     x = np.random.default_rng(6).normal(size=(3, 8))
-    out = ffn_forward(Tensor(x), block, "between", mode="eval")  # fresh running stats: BN is identity in eval
+    out = block.ffn(Tensor(x), "eval")  # fresh running stats: BN is identity in eval
     oracle = gelu(Tensor(x @ block.theta1.data)).data @ block.theta2.data
     np.testing.assert_allclose(out.data, oracle, atol=1e-12)
 
@@ -157,14 +147,14 @@ def test_ffn_placement_default_is_between():
 
 
 def test_ffn_before_normalizes_input_first():
-    enc = Encoder(small_cfg(), SeededRng(9))
+    enc = Encoder(small_cfg(bn_placement="before"), SeededRng(9))
     block = enc.blocks[0]
     x = np.random.default_rng(7).normal(size=(4, 8))
-    out = ffn_forward(Tensor(x), block, "before", mode="eval")
+    out = block.ffn(Tensor(x), "eval")
     oracle = gelu(Tensor(x @ block.theta1.data)).data @ block.theta2.data  # eval BN is identity here too
     np.testing.assert_allclose(out.data, oracle, atol=1e-12)
     with pytest.raises(ArgumentError):
-        ffn_forward(Tensor(x), block, "sideways")
+        small_cfg(bn_placement="sideways")
 
 
 # -- sequence pool -------------------------------------------------------------------
@@ -173,14 +163,14 @@ def test_ffn_before_normalizes_input_first():
 def test_sequence_pool_single_token_identity():
     enc = Encoder(small_cfg(), SeededRng(10))
     x = np.random.default_rng(8).normal(size=(1, 1, 8))
-    np.testing.assert_array_equal(sequence_pool(Tensor(x), enc).data, x[:, 0, :])
+    np.testing.assert_array_equal(enc.sequence_pool(Tensor(x)).data, x[:, 0, :])
 
 
 def test_sequence_pool_zero_scores_mean():
     enc = Encoder(small_cfg(), SeededRng(11))
     enc.pool_score.data = np.zeros_like(enc.pool_score.data)
     x = np.random.default_rng(9).normal(size=(2, 5, 8))
-    np.testing.assert_allclose(sequence_pool(Tensor(x), enc).data, x.mean(axis=1), atol=1e-12)
+    np.testing.assert_allclose(enc.sequence_pool(Tensor(x)).data, x.mean(axis=1), atol=1e-12)
 
 
 def test_sequence_pool_matches_weighted_sum_oracle():
@@ -190,7 +180,7 @@ def test_sequence_pool_matches_weighted_sum_oracle():
     e = np.exp(scores - scores.max())
     w = e / e.sum()
     oracle = (w * x).sum(axis=0)
-    np.testing.assert_allclose(sequence_pool(Tensor(x), enc).data, oracle, atol=1e-12)
+    np.testing.assert_allclose(enc.sequence_pool(Tensor(x)).data, oracle, atol=1e-12)
 
 
 # -- encoder ---------------------------------------------------------------------------
@@ -200,15 +190,15 @@ def test_encoder_zero_blocks_is_pooled_tokenizer():
     cfg = small_cfg(layers=0, final_norm=False)
     enc = Encoder(cfg, SeededRng(13)).eval()
     x = Tensor(np.random.default_rng(11).normal(size=(2, 1, 4, 4)))
-    z = encoder_forward(x, enc)
+    z = enc.forward(x)
     np.testing.assert_array_equal(z.data, enc.sequence_pool(enc.tokenize(x)).data)
 
 
 def test_encoder_eval_deterministic_bitwise():
     enc = Encoder(small_cfg(layers=2), SeededRng(14)).eval()
     x = Tensor(np.random.default_rng(12).normal(size=(3, 1, 4, 4)))
-    z1 = encoder_forward(x, enc)
-    z2 = encoder_forward(x, enc)
+    z1 = enc.forward(x)
+    z2 = enc.forward(x)
     assert np.array_equal(z1.data, z2.data)
 
 
@@ -232,7 +222,7 @@ def test_full_block_gradients_through_train_bn():
         ("q0", lambda: block.q[0], lambda t: block.q.__setitem__(0, t)),
         ("theta1", lambda: block.theta1, lambda t: setattr(block, "theta1", t)),
         ("attn_bn.gamma", lambda: block.attn_bn.gamma, lambda t: setattr(block.attn_bn, "gamma", t)),
-        ("ffn_bn_mid.beta", lambda: block.ffn_bn_mid.beta, lambda t: setattr(block.ffn_bn_mid, "beta", t)),
+        ("ffn_bn_mid.beta", lambda: block.inner_bn.beta, lambda t: setattr(block.inner_bn, "beta", t)),
         ("pool_score", lambda: enc.pool_score, lambda t: setattr(enc, "pool_score", t)),
         ("conv0", lambda: enc.tokenizer.weights[0], lambda t: enc.tokenizer.weights.__setitem__(0, t)),
     ]
@@ -242,7 +232,7 @@ def test_full_block_gradients_through_train_bn():
             old = getter()
             setter(t)
             try:
-                return (encoder_forward(Tensor(x), enc) ** 2).sum()
+                return (enc.forward(Tensor(x)) ** 2).sum()
             finally:
                 setter(old)
 
@@ -256,6 +246,27 @@ def test_checkpoint_round_trip(tmp_path):
     save_state(path, {"encoder": enc})
     clone = Encoder(small_cfg(layers=2), SeededRng(99))
     assert hash_state(clone) != hash_state(enc)
+    load_state(path, {"encoder": clone})
+    assert hash_state(clone) == hash_state(enc)
+
+
+def test_ffn_builds_only_the_selected_bn():
+    for placement, name, width in (("between", "ffn_bn_mid", 12), ("before", "ffn_bn_in", 8)):
+        params = Encoder(small_cfg(bn_placement=placement), SeededRng(17)).params()
+        inner = [key for key in params if ".ffn_bn_" in key]
+        assert inner == [f"blocks.0.{name}.gamma", f"blocks.0.{name}.beta"]
+        assert params[inner[0]].shape == (width,)
+
+
+def test_checkpoint_with_both_ffn_bns_still_loads(tmp_path):
+    enc = Encoder(small_cfg(), SeededRng(18))
+    path = tmp_path / "ckpt.json"
+    save_state(path, {"encoder": enc})
+    payload = json.loads(path.read_text())
+    for key in ("gamma", "beta", "running_mean", "running_var"):  # the unused BN older checkpoints carry
+        payload[f"encoder.blocks.0.ffn_bn_in.{key}"] = {"shape": [8], "values": [0.5] * 8}
+    path.write_text(json.dumps(payload))
+    clone = Encoder(small_cfg(), SeededRng(99))
     load_state(path, {"encoder": clone})
     assert hash_state(clone) == hash_state(enc)
 

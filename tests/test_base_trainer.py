@@ -88,7 +88,7 @@ def _iter_bns(encoder):
     for bn in encoder.tokenizer.norms:
         yield bn
     for block in encoder.blocks:
-        yield from (block.attn_bn, block.ffn_bn, block.ffn_bn_mid, block.ffn_bn_in)
+        yield from (bn for _, bn in block.norms())
     if encoder.final_bn is not None:
         yield encoder.final_bn
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fscil.backbone import BackboneConfig, Encoder, hash_state, mhsa_forward
+from fscil.backbone import BackboneConfig, Encoder, hash_state
 from fscil.config import TrainingConfig, desk_profile
 from fscil.delta_params import PrefixSet, prefix_mhsa, train_session, trainable_fraction
 from fscil.errors import ArgumentError, ContractViolation
@@ -21,7 +21,7 @@ def test_empty_prefix_equals_plain_attention_bitwise():
     rng = np.random.default_rng(0)
     for _ in range(20):
         x = Tensor(rng.normal(size=(2, 3, 8)))
-        plain, _ = mhsa_forward(x, block)
+        plain, _ = block.attention(x)
         with_prefix, _ = prefix_mhsa(x, block, prefixes, layer=0)
         assert np.array_equal(plain.data, with_prefix.data)
 

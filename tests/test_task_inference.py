@@ -9,7 +9,6 @@ from fscil.task_inference import (
     accumulate_covariance,
     class_distances,
     fit_class_stats,
-    select_class,
     select_class_batch,
 )
 
@@ -118,9 +117,9 @@ def test_identity_covariance_ranks_like_euclidean():
     shared = SharedCovariance(matrix=np.eye(4), sessions=[0])
     for _ in range(100):
         q = rng.normal(size=4) * 2
-        m_cls, _ = select_class(q, gaussians, shared, metric="mahalanobis")
-        e_cls, _ = select_class(q, gaussians, None, metric="euclidean")
-        assert m_cls == e_cls
+        m_cls, _ = select_class_batch(q[None], gaussians, shared, metric="mahalanobis")
+        e_cls, _ = select_class_batch(q[None], gaussians, None, metric="euclidean")
+        assert m_cls[0] == e_cls[0]
 
 
 def test_select_class_matches_brute_force_oracle():
@@ -131,7 +130,7 @@ def test_select_class_matches_brute_force_oracle():
         dim = int(rng.integers(2, 9))
         gaussians, shared = _random_instance(rng, n_classes, dim)
         q = rng.normal(size=dim) * 2
-        got_cls, got_sess = select_class(q, gaussians, shared, metric="mahalanobis")
+        (got_cls,), (got_sess,) = select_class_batch(q[None], gaussians, shared, metric="mahalanobis")
 
         # brute force: explicit inverse of the regularized matrix, python loop
         eps = 1e-6 * np.trace(shared.matrix) / dim
@@ -151,7 +150,7 @@ def test_batch_selection_matches_scalar_path():
     queries = rng.normal(size=(20, 5))
     ids, sessions = select_class_batch(queries, gaussians, shared, metric="mahalanobis")
     for i, q in enumerate(queries):
-        c, s = select_class(q, gaussians, shared, metric="mahalanobis")
+        (c,), (s,) = select_class_batch(q[None], gaussians, shared, metric="mahalanobis")
         assert ids[i] == c and sessions[i] == s
 
 
@@ -160,20 +159,20 @@ def test_affine_equivariance_of_mahalanobis_argmin():
     for _ in range(50):
         gaussians, shared = _random_instance(rng, 6, 4)
         q = rng.normal(size=4) * 2
-        base, _ = select_class(q, gaussians, shared, metric="mahalanobis")
+        base, _ = select_class_batch(q[None], gaussians, shared, metric="mahalanobis")
 
         m = rng.normal(size=(4, 4)) + 2 * np.eye(4)  # invertible w.h.p.
         mapped = [type(g)(class_id=g.class_id, session=g.session, mean=m @ g.mean, count=g.count) for g in gaussians]
         mapped_cov = SharedCovariance(matrix=m @ shared.matrix @ m.T, sessions=list(shared.sessions))
-        got, _ = select_class(m @ q, mapped, mapped_cov, metric="mahalanobis")
-        assert got == base
+        got, _ = select_class_batch((m @ q)[None], mapped, mapped_cov, metric="mahalanobis")
+        assert got[0] == base[0]
 
 
 def test_singular_regularized_matrix_raises_numeric_error():
     gaussians, _ = fit_class_stats(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 1]), session=0)
     zero_cov = SharedCovariance(matrix=np.zeros((2, 2)), sessions=[0])  # trace 0 -> eps 0 -> singular
     with pytest.raises(NumericError, match="euclidean"):
-        select_class(np.array([0.5, 0.5]), gaussians, zero_cov, metric="mahalanobis")
+        select_class_batch(np.array([[0.5, 0.5]]), gaussians, zero_cov, metric="mahalanobis")
 
 
 def test_unknown_metric_rejected():
@@ -184,5 +183,5 @@ def test_unknown_metric_rejected():
 
 def test_tie_breaks_to_lowest_class_id():
     gaussians, _ = fit_class_stats(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1, 0]), session=0)
-    cls, _ = select_class(np.array([0.0, 0.0]), gaussians, None, metric="euclidean")
-    assert cls == 0
+    cls, _ = select_class_batch(np.array([[0.0, 0.0]]), gaussians, None, metric="euclidean")
+    assert cls[0] == 0
