@@ -48,7 +48,6 @@ class BackboneConfig:
     ffn_hidden: int = 64
     bn_placement: str = "between"
     final_norm: bool = True
-    prefix_capable: bool = True
 
     def __post_init__(self):
         if not self.conv_channels:
@@ -105,7 +104,6 @@ class BackboneConfig:
             "ffn_hidden": self.ffn_hidden,
             "bn_placement": self.bn_placement,
             "final_norm": self.final_norm,
-            "prefix_capable": self.prefix_capable,
         }
 
     @classmethod

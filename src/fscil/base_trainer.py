@@ -257,12 +257,11 @@ def train_base(
     config,
     rng: SeededRng,
     log=None,
-    skip_ssl: bool = False,
 ):
     """Full base-task routine.
 
     Phase 1 distills with cosine-scheduled learning rate and weight decay
-    until early stopping; phase 2 initializes the head means from class
+    until early stopping (`ssl_epochs=0` skips it); phase 2 initializes the head means from class
     prototypes and runs supervised cross-entropy.  Phase 2 never starts
     before phase 1 has finished.  Returns (encoder, head, teacher, history).
     """
@@ -279,8 +278,7 @@ def train_base(
     teacher = make_teacher(encoder, proj, config)
     history = {"ssl_loss": [], "sup_loss": [], "teacher_entropy": []}
 
-    if not skip_ssl:
-        _ssl_phase(encoder, proj, teacher, data_x, config, rng.child("ssl"), history, log)
+    _ssl_phase(encoder, proj, teacher, data_x, config, rng.child("ssl"), history, log)
 
     head = StochasticHead(model_cfg.embed_dim, temperature=config.head_temperature, offset=config.head_offset)
     prototypes = class_prototypes(encoder, data_x, data_y)

@@ -19,10 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig
+from .config import ABLATION_TOGGLES, RunConfig
 from .errors import ArgumentError, FscilError
 from .harness import generate_blobs, write_idx_images, write_idx_labels
-from .protocol import ABLATION_TOGGLES, format_ablation_report, run_ablation, run_from_config
+from .protocol import format_ablation_report, run_ablation, run_from_config
 
 
 def _build_parser() -> argparse.ArgumentParser:

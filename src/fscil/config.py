@@ -14,12 +14,15 @@ from .backbone import BackboneConfig
 from .errors import ArgumentError
 
 
-def _from_mapping(cls, data: dict):
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
+def _known_keys(cls, data: dict) -> dict:
+    unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
         raise ArgumentError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    return cls(**data)
+    return data
+
+
+def _from_mapping(cls, data: dict):
+    return cls(**_known_keys(cls, data))
 
 
 @dataclass
@@ -65,19 +68,17 @@ class TrainingConfig:
     inc_epochs: int = 15
     inc_batch_size: int = 200
     inc_weight_decay: float = 0.0
-    inc_early_stop: int = 0  # 0 disables
+    delta_params: bool = True  # False: no prefixes; later sessions fine-tune the backbone instead
     prefix_len: int = 16
     outliers_base: int = 5
     outliers_inc: int = 1
-    pseudo_stats: str = "all"  # off | inc | all: enrich Gaussian stats with pseudo-labeled pool samples
-    pseudo_prednet: str = "inc"  # off | inc | all: enrich prediction-net pairs
 
     # prediction network
     prednet_lr: float = 1e-3
     prednet_epochs: int = 300
     prednet_batch_size: int = 100
     prednet_weight_decay: float = 0.0
-    prednet_depth: int = 2
+    prediction_net: bool = True  # False: no rectification; new head rows start at raw prototypes
 
     # linear probe diagnostic (frozen teacher)
     run_probe: bool = False
@@ -91,15 +92,10 @@ class TrainingConfig:
     head_temperature: float = 16.0
     head_offset: float = 4.0
     head_noise_train: bool = True
-    head_noise_eval: bool = False
-    rectify_head_means: bool = True
 
     def __post_init__(self):
         self.global_crop_scale = tuple(self.global_crop_scale)
         self.local_crop_scale = tuple(self.local_crop_scale)
-        for key in ("pseudo_stats", "pseudo_prednet"):
-            if getattr(self, key) not in ("off", "inc", "all"):
-                raise ArgumentError(f"{key} must be one of off/inc/all")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -128,8 +124,6 @@ def desk_profile(**overrides) -> TrainingConfig:
         inc_batch_size=32,
         prednet_epochs=150,
         prednet_batch_size=32,
-        proj_hidden_dim=64,
-        proj_dim=32,
     )
     return replace(cfg, **overrides)
 
@@ -204,12 +198,9 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {"model", "training", "dataset", "split", "metric"}
-        unknown = set(data) - known
-        if unknown:
-            raise ArgumentError(f"unknown RunConfig keys: {sorted(unknown)}")
+        _known_keys(cls, data)
         return cls(
-            model=BackboneConfig.from_dict(data.get("model", {})),
+            model=BackboneConfig.from_dict(_known_keys(BackboneConfig, data.get("model", {}))),
             training=TrainingConfig.from_dict(data.get("training", {})),
             dataset=DatasetConfig.from_dict(data.get("dataset", {})),
             split=SplitConfig.from_dict(data.get("split", {})),
@@ -224,6 +215,22 @@ class RunConfig:
     def load(cls, path) -> "RunConfig":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
+
+
+# `--without` name -> the `TrainingConfig` values that switch that component off
+ABLATION_TOGGLES = {
+    "ssl": {"ssl_epochs": 0},
+    "prediction_net": {"prediction_net": False},
+    "stochastic_head": {"head_noise_train": False},
+    "delta_params": {"delta_params": False},
+}
+
+
+def ablated(config: RunConfig, name: str) -> RunConfig:
+    """`config` with the component `name` switched off."""
+    if name not in ABLATION_TOGGLES:
+        raise ArgumentError(f"unknown ablation toggle {name!r}; expected one of {sorted(ABLATION_TOGGLES)}")
+    return replace(config, training=replace(config.training, **ABLATION_TOGGLES[name]))
 
 
 def toy_fscil_config() -> RunConfig:

@@ -15,7 +15,7 @@ import numpy as np
 from .backbone import Encoder, EncoderBlock, hash_state
 from .errors import ArgumentError, ContractViolation
 from .numerics import SeededRng, Tensor
-from .optim import EarlyStopping, ReduceOnPlateau, make_optimizer, run_epochs
+from .optim import ReduceOnPlateau, make_optimizer, run_epochs
 
 PREFIX_INIT_RANGE = 0.02
 
@@ -106,7 +106,6 @@ def train_session(
     trainable = list(prefixes.params().values()) + [head.mu[m] for m in new_rows] + [head.sigma[m] for m in new_rows]
     opt = make_optimizer(config.optimizer, [{"params": trainable, "lr": config.inc_lr, "weight_decay": config.inc_weight_decay}])
     plateau = ReduceOnPlateau(opt, config.inc_plateau_patience, config.inc_plateau_factor, config.inc_min_lr)
-    stopper = EarlyStopping(config.inc_early_stop) if config.inc_early_stop else None
 
     encoder.eval()  # frozen backbone: running stats must not move
     epochs = config.inc_epochs_base if session == 0 else config.inc_epochs
@@ -116,7 +115,7 @@ def train_session(
         z = encoder.forward(Tensor(data_x[idx]), prefixes=prefixes)
         return cross_entropy_loss(head, z, data_y[idx], rng.child("eps", f"e{epoch}", f"b{start}"), noise=config.head_noise_train)
 
-    run_epochs(opt, len(data_x), config.inc_batch_size, epochs, rng, batch_loss, log, "incremental", session, plateau=plateau, stopper=stopper)
+    run_epochs(opt, len(data_x), config.inc_batch_size, epochs, rng, batch_loss, log, "incremental", session, plateau=plateau)
 
     if hash_state(encoder) != frozen_hash:
         raise ContractViolation("frozen backbone parameters changed during session training")

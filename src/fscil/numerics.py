@@ -107,9 +107,6 @@ class Tensor:
 
     # -- graph plumbing ----------------------------------------------------
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False, dtype=self.data.dtype)
-
     def zero_grad(self):
         self.grad = None
 

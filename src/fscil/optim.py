@@ -124,28 +124,6 @@ class CosineSchedule:
         return self.end + 0.5 * (self.start - self.end) * (1.0 + math.cos(math.pi * t))
 
 
-class ReduceOnPlateau:
-    """Multiply the optimizer lr by `factor` after `patience` epochs without improvement."""
-
-    def __init__(self, optimizer: Optimizer, patience: int, factor: float, min_lr: float = 0.0):
-        self.optimizer = optimizer
-        self.patience = patience
-        self.factor = factor
-        self.min_lr = min_lr
-        self.best = math.inf
-        self.bad_epochs = 0
-
-    def step(self, metric: float):
-        if metric < self.best - 1e-12:
-            self.best = metric
-            self.bad_epochs = 0
-        else:
-            self.bad_epochs += 1
-            if self.bad_epochs > self.patience:
-                self.optimizer.scale_lr(self.factor, self.min_lr)
-                self.bad_epochs = 0
-
-
 class EarlyStopping:
     """Signal a stop after `patience` epochs without loss improvement."""
 
@@ -161,6 +139,21 @@ class EarlyStopping:
         else:
             self.bad_epochs += 1
         return self.bad_epochs >= self.patience
+
+
+class ReduceOnPlateau(EarlyStopping):
+    """Multiply the optimizer lr by `factor` after more than `patience` epochs without improvement."""
+
+    def __init__(self, optimizer: Optimizer, patience: int, factor: float, min_lr: float = 0.0):
+        super().__init__(patience + 1)
+        self.optimizer = optimizer
+        self.factor = factor
+        self.min_lr = min_lr
+
+    def step(self, metric: float):
+        if self.update(metric):
+            self.optimizer.scale_lr(self.factor, self.min_lr)
+            self.bad_epochs = 0
 
 
 def run_epochs(

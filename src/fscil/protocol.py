@@ -1,13 +1,16 @@
 """Protocol runner: base training, incremental sessions, routing, records.
 
-Session order per incremental task: embed the session's samples with the
-frozen prefix-free backbone, fit and accumulate Gaussian statistics
-(optionally enriched by pseudo-labeled test-pool embeddings), train the
-session's prediction network on outlier pairs, refine the routing
-statistics, extend the classifier with rows initialized from the refined
-prototypes, then train the session's prefixes together with those new rows.
+Session order: (session 0 only) train the base backbone and head; embed the
+session's samples with the frozen prefix-free backbone; fit and accumulate
+Gaussian statistics, always enriched by the test-pool embeddings that are
+pseudo-labeled as this session's classes; train the session's prediction
+network on outlier pairs (in incremental sessions also on those
+pseudo-labeled embeddings) and refine the routing statistics; (later
+sessions) extend the classifier with rows initialized from the refined
+prototypes; then train the session's prefixes together with its head rows.
 Evaluation routes every test sample through the shared-covariance ranking to
 pick a session's prefixes before the stochastic head predicts the label.
+Ablations are `TrainingConfig` values (see `config.ABLATION_TOGGLES`).
 """
 
 from __future__ import annotations
@@ -21,9 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .base_trainer import embed_all, linear_probe, train_base
-from .config import RunConfig
+from .config import RunConfig, ablated
 from .delta_params import PrefixSet, train_session, trainable_fraction
-from .errors import ArgumentError
 from .events import EventLog
 from .harness import (
     ArrayDataset,
@@ -37,6 +39,7 @@ from .harness import (
 from .numerics import SeededRng, Tensor
 from .optim import make_optimizer, run_epochs
 from .prototype_rectification import (
+    OutlierPairs,
     PredictionNet,
     merge_pairs,
     pseudo_label,
@@ -46,9 +49,6 @@ from .prototype_rectification import (
 )
 from .stochastic_classifier import init_means_from_prototypes
 from .task_inference import SharedCovariance, accumulate_covariance, fit_class_stats, select_class_batch
-
-ABLATION_TOGGLES = ("ssl", "prediction_net", "stochastic_head", "delta_params")
-
 
 @dataclass
 class RunRecord:
@@ -64,31 +64,16 @@ class RunRecord:
     started_at: str = ""
     finished_at: str = ""
 
+    def _hashed(self) -> dict:
+        """Every field except the time stamps."""
+        names = ("config", "seed", "session_results", "metrics", "trainable_fractions", "bayes_accuracy", "probe_accuracy")
+        return {name: getattr(self, name) for name in names}
+
     def content_hash(self) -> str:
-        payload = {
-            "config": self.config,
-            "seed": self.seed,
-            "session_results": self.session_results,
-            "metrics": self.metrics,
-            "trainable_fractions": self.trainable_fractions,
-            "bayes_accuracy": self.bayes_accuracy,
-            "probe_accuracy": self.probe_accuracy,
-        }
-        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+        return hashlib.sha256(json.dumps(self._hashed(), sort_keys=True).encode()).hexdigest()
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "seed": self.seed,
-            "session_results": self.session_results,
-            "metrics": self.metrics,
-            "trainable_fractions": self.trainable_fractions,
-            "bayes_accuracy": self.bayes_accuracy,
-            "probe_accuracy": self.probe_accuracy,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "content_hash": self.content_hash(),
-        }
+        return {**self._hashed(), "started_at": self.started_at, "finished_at": self.finished_at, "content_hash": self.content_hash()}
 
 
 def build_dataset(config: RunConfig, seed: int) -> ArrayDataset:
@@ -126,11 +111,11 @@ class _ProtocolState:
         self.rebuild_covariance()
 
 
-def _fit_session_stats(state, encoder, view_images, remapped_labels, session, pool_x, config, toggles, rng, log):
-    """Fit (and optionally pseudo-enrich and rectify) one session's statistics.
+def _fit_session_stats(state, encoder, view_images, remapped_labels, session, pool_x, config, rng, log):
+    """Fit, pseudo-enrich and (optionally) rectify one session's statistics.
 
-    Returns the embeddings/labels the statistics were fitted on, so the head
-    extension can reuse the refined prototypes.
+    Returns the embeddings of the session's own samples, from which the
+    head extension takes raw prototypes when rectification is off.
     """
     tc = config.training
     metric = config.resolved_metric()
@@ -143,34 +128,30 @@ def _fit_session_stats(state, encoder, view_images, remapped_labels, session, po
     pseudo_x = np.zeros((0, embeddings.shape[1]))
     pseudo_y = np.zeros(0, dtype=int)
 
-    wants_pseudo = tc.pseudo_stats == "all" or (tc.pseudo_stats == "inc" and session > 0)
-    prednet_pseudo = tc.pseudo_prednet == "all" or (tc.pseudo_prednet == "inc" and session > 0)
-    if (wants_pseudo or prednet_pseudo) and len(pool_x):
+    if len(pool_x):
         pool_emb = embed_all(encoder, pool_x)
         assigned = pseudo_label(pool_emb, state.all_gaussians(), state.covariance, metric)
         keep = np.isin(assigned, session_classes)  # only this session's classes; past embeddings are gone
         pseudo_x, pseudo_y = pool_emb[keep], assigned[keep]
 
-    if wants_pseudo and len(pseudo_x):
+    if len(pseudo_x):
         stats_x = np.concatenate([embeddings, pseudo_x])
         stats_y = np.concatenate([stats_y, pseudo_y])
         gaussians, scatter = fit_class_stats(stats_x, stats_y, session)
         state.set_session_stats(session, gaussians, scatter)
 
-    if "prediction_net" not in toggles:
+    if tc.prediction_net:
         n_out = tc.outliers_base if session == 0 else tc.outliers_inc
         by_class = {g.class_id: g for g in gaussians}
         parts = []
         for cls in session_classes:
             rows = embeddings[np.asarray(remapped_labels) == cls]
             parts.append(select_outlier_pairs(rows, by_class[cls].mean, min(n_out, len(rows)), lenient=True))
-        if prednet_pseudo and len(pseudo_x):
-            from .prototype_rectification import OutlierPairs
-
+        if session > 0 and len(pseudo_x):
             targets = np.stack([by_class[int(c)].mean for c in pseudo_y])
             parts.append(OutlierPairs(inputs=pseudo_x, targets=targets, per_class=0))
         pairs = merge_pairs(parts)
-        net = PredictionNet(embeddings.shape[1], session, rng.child("prednet"), depth=tc.prednet_depth)
+        net = PredictionNet(embeddings.shape[1], session, rng.child("prednet"))
         train_prediction_net(net, pairs, tc, rng.child("prednet_train"), log=log, session=session)
         state.prednets[session] = net
         refined, refined_scatter = refine_gaussian_stats(net, stats_x, stats_y, gaussians)
@@ -197,17 +178,15 @@ def _finetune_backbone_session(view, remapped, encoder, head, new_rows, tc, rng,
     encoder.set_requires_grad(False)
 
 
-def _evaluate(encoder, head, state, pool_x, metric, config, rng, use_prefixes: bool):
-    """Route every pool sample to a session, then predict with the head."""
-    tc = config.training
+def _evaluate(encoder, head, state, pool_x, metric):
+    """Route every pool sample to a session, then predict with the noise-free head."""
     pool_emb = embed_all(encoder, pool_x)
     _, routed_sessions = select_class_batch(pool_emb, state.all_gaussians(), state.covariance, metric)
     predictions = np.full(len(pool_x), -1, dtype=int)
     for sess in sorted(set(routed_sessions.tolist())):
         idx = np.flatnonzero(routed_sessions == sess)
-        prefixes = state.prefixes.get(sess) if use_prefixes else None
-        z = embed_all(encoder, pool_x[idx], prefixes=prefixes)
-        preds = head.predict_label(Tensor(z), rng=rng.child(f"eval{sess}"), noise=tc.head_noise_eval)
+        z = embed_all(encoder, pool_x[idx], prefixes=state.prefixes.get(sess))
+        preds = head.predict_label(Tensor(z))
         predictions[idx] = np.atleast_1d(preds)
     return predictions
 
@@ -218,23 +197,12 @@ def run_protocol(
     config: RunConfig,
     seed: int,
     log: EventLog | None = None,
-    toggles=frozenset(),
 ):
     """Execute the full incremental protocol; returns (RunRecord, artifacts)."""
-    toggles = frozenset(toggles)
-    unknown = toggles - set(ABLATION_TOGGLES)
-    if unknown:
-        raise ArgumentError(f"unknown ablation toggles: {sorted(unknown)}")
     check_disjoint(specs)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
 
     tc = config.training
-    if "stochastic_head" in toggles:
-        from dataclasses import replace
-
-        tc = replace(tc, head_noise_train=False, head_noise_eval=False)
-        config = RunConfig(model=config.model, training=tc, dataset=config.dataset, split=config.split, metric=config.metric)
-    use_prefixes = "delta_params" not in toggles and config.model.prefix_capable
     metric = config.resolved_metric()
 
     rng = SeededRng(seed)
@@ -259,41 +227,34 @@ def run_protocol(
         pool_x, pool_y = vault.test_pool(k)
 
         if k == 0:
-            encoder, head, teacher, _ = train_base(
-                view.images, remapped, config.model, tc, rng.child("base"), log=log, skip_ssl="ssl" in toggles
-            )
+            encoder, head, teacher, _ = train_base(view.images, remapped, config.model, tc, rng.child("base"), log=log)
             encoder.set_requires_grad(False)
             encoder.eval()
             if tc.run_probe:
                 _, probe_accuracy = linear_probe(teacher, view.images, remapped, tc, rng.child("probe"), log=log)
+        embeddings = _fit_session_stats(state, encoder, view.images, remapped, k, pool_x, config, rng.child(f"stats{k}"), log)
+        if k == 0:
             new_rows = list(range(head.num_classes))
-            if use_prefixes:
-                prefixes = PrefixSet(k, config.model.layers, tc.prefix_len, config.model.embed_dim, rng.child(f"prefix{k}"))
-                state.prefixes[k] = prefixes
-                train_session(view.images, remapped, encoder, head, prefixes, new_rows, tc, rng.child(f"session{k}"), log=log, session=k)
-                trainable_fractions.append(trainable_fraction(prefixes, [head.mu[m] for m in new_rows] + [head.sigma[m] for m in new_rows], encoder))
-            _fit_session_stats(state, encoder, view.images, remapped, k, pool_x, config, toggles, rng.child(f"stats{k}"), log)
         else:
-            embeddings = _fit_session_stats(state, encoder, view.images, remapped, k, pool_x, config, toggles, rng.child(f"stats{k}"), log)
             session_classes = sorted(set(int(c) for c in remapped))
-            by_class = {g.class_id: g for g in state.gaussians_by_session[k]}
-            if "prediction_net" not in toggles and tc.rectify_head_means:
+            if tc.prediction_net:
+                by_class = {g.class_id: g for g in state.gaussians_by_session[k]}
                 prototypes = {cls: by_class[cls].mean for cls in session_classes}  # refined prototypes
             else:
                 prototypes = {cls: embeddings[remapped == cls].mean(axis=0) for cls in session_classes}
             new_rows = list(range(head.num_classes, head.num_classes + len(session_classes)))
             init_means_from_prototypes(head, prototypes)
-            if use_prefixes:
-                prefixes = PrefixSet(k, config.model.layers, tc.prefix_len, config.model.embed_dim, rng.child(f"prefix{k}"))
-                state.prefixes[k] = prefixes
-                train_session(view.images, remapped, encoder, head, prefixes, new_rows, tc, rng.child(f"session{k}"), log=log, session=k)
-                trainable_fractions.append(trainable_fraction(prefixes, [head.mu[m] for m in new_rows] + [head.sigma[m] for m in new_rows], encoder))
-            else:
-                _finetune_backbone_session(view, remapped, encoder, head, new_rows, tc, rng.child(f"session{k}"), log, k)
+        if tc.delta_params:
+            prefixes = PrefixSet(k, config.model.layers, tc.prefix_len, config.model.embed_dim, rng.child(f"prefix{k}"))
+            state.prefixes[k] = prefixes
+            train_session(view.images, remapped, encoder, head, prefixes, new_rows, tc, rng.child(f"session{k}"), log=log, session=k)
+            trainable_fractions.append(trainable_fraction(prefixes, [head.mu[m] for m in new_rows] + [head.sigma[m] for m in new_rows], encoder))
+        elif k:
+            _finetune_backbone_session(view, remapped, encoder, head, new_rows, tc, rng.child(f"session{k}"), log, k)
 
         view.close()
 
-        predictions = _evaluate(encoder, head, state, pool_x, metric, config, rng.child(f"evalrng{k}"), use_prefixes)
+        predictions = _evaluate(encoder, head, state, pool_x, metric)
         pred_original = [int(original[int(p)]) for p in predictions]
         true_original = [int(c) for c in pool_y]
         accuracy = 100.0 * sum(1 for p, t in zip(pred_original, true_original) if p == t) / len(true_original)
@@ -369,7 +330,7 @@ def save_run(out_dir, config: RunConfig, record: RunRecord, artifacts: dict):
             json.dump({"matrix": artifacts["covariance"].matrix.tolist(), "sessions": artifacts["covariance"].sessions}, fh)
 
 
-def run_from_config(config: RunConfig, seed: int, out_dir=None, toggles=frozenset()):
+def run_from_config(config: RunConfig, seed: int, out_dir=None):
     """Build the dataset and splits from `config`, run, optionally persist."""
     dataset = build_dataset(config, seed)
     specs = build_fscil_splits(
@@ -381,7 +342,7 @@ def run_from_config(config: RunConfig, seed: int, out_dir=None, toggles=frozense
     else:
         log = EventLog(None)
     try:
-        record, artifacts = run_protocol(dataset, specs, config, seed, log=log, toggles=toggles)
+        record, artifacts = run_protocol(dataset, specs, config, seed, log=log)
     finally:
         log.close()
     if out_dir:
@@ -389,9 +350,9 @@ def run_from_config(config: RunConfig, seed: int, out_dir=None, toggles=frozense
     return record, artifacts
 
 
-def run_many(config: RunConfig, seeds, toggles=frozenset()):
+def run_many(config: RunConfig, seeds):
     """Run several seeds; aggregate mean and std of the headline metrics."""
-    records = [run_from_config(config, s, toggles=toggles)[0] for s in seeds]
+    records = [run_from_config(config, s)[0] for s in seeds]
     acc = [r.metrics["average_accuracy"] for r in records]
     forget = [r.metrics["average_forgetting"] for r in records]
     f1 = [r.metrics["macro_f1"] for r in records]
@@ -409,27 +370,19 @@ def run_many(config: RunConfig, seeds, toggles=frozenset()):
 
 def run_ablation(config: RunConfig, without: str | None, seeds) -> dict:
     """Paired full-vs-ablated runs; returns a side-by-side metric report."""
-    if without is not None and without not in ABLATION_TOGGLES:
-        raise ArgumentError(f"unknown ablation toggle {without!r}; expected one of {ABLATION_TOGGLES}")
-    base_records, base_summary = run_many(config, seeds)
-    report = {
-        "toggle": without,
-        "baseline": base_summary,
-        "baseline_per_seed": [
-            {"seed": r.seed, "average_accuracy": r.metrics["average_accuracy"], "average_forgetting": r.metrics["average_forgetting"]}
-            for r in base_records
-        ],
-    }
+    arms = {"baseline": config}
     if without is not None:
-        ablated_records, ablated_summary = run_many(config, seeds, toggles=frozenset({without}))
-        report["ablated"] = ablated_summary
-        report["ablated_per_seed"] = [
+        arms["ablated"] = ablated(config, without)
+    report = {"toggle": without}
+    for arm, arm_config in arms.items():
+        records, report[arm] = run_many(arm_config, seeds)
+        report[f"{arm}_per_seed"] = [
             {"seed": r.seed, "average_accuracy": r.metrics["average_accuracy"], "average_forgetting": r.metrics["average_forgetting"]}
-            for r in ablated_records
+            for r in records
         ]
+    if without is not None:
         report["delta"] = {
-            "average_accuracy": ablated_summary["average_accuracy_mean"] - base_summary["average_accuracy_mean"],
-            "average_forgetting": ablated_summary["average_forgetting_mean"] - base_summary["average_forgetting_mean"],
+            key: report["ablated"][f"{key}_mean"] - report["baseline"][f"{key}_mean"] for key in ("average_accuracy", "average_forgetting")
         }
     return report
 

@@ -13,7 +13,7 @@ import pytest
 
 from fscil.backbone import BackboneConfig, Encoder
 from fscil.base_trainer import DinoHead, dino_step, ema_update_teacher, make_teacher, train_base
-from fscil.config import desk_profile, toy_fscil_config
+from fscil.config import ablated, desk_profile, toy_fscil_config
 from fscil.delta_params import PrefixSet, prefix_mhsa
 from fscil.errors import ContractViolation
 from fscil.harness import SessionDataVault, build_fscil_splits, compute_metrics, generate_blobs
@@ -43,7 +43,7 @@ def toy_runs():
 
 @pytest.fixture(scope="module")
 def ablated_runs():
-    records = [run_from_config(toy_fscil_config(), seed=s, toggles={"delta_params"})[0] for s in SEEDS]
+    records = [run_from_config(ablated(toy_fscil_config(), "delta_params"), seed=s)[0] for s in SEEDS]
     return records
 
 

@@ -67,3 +67,14 @@ def test_ablate_command_without_toggle(tmp_path, config_path, capsys):
 def test_cli_rejects_unknown_ablation_choice(config_path):
     with pytest.raises(SystemExit):
         main(["ablate", "--config", str(config_path), "--without", "nonsense"])
+
+
+@pytest.mark.parametrize("section, key, value", [("training", "pseudo_stats", "all"), ("model", "prefix_capable", True)])
+def test_run_rejects_removed_config_key(tmp_path, capsys, section, key, value):
+    data = small_config().to_dict()
+    data[section][key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--config", str(path), "--seed", "0", "--out", str(tmp_path / "run")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()

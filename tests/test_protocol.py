@@ -5,10 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from fscil.config import BackboneConfig, DatasetConfig, RunConfig, SplitConfig, desk_profile
+from fscil.config import ABLATION_TOGGLES, BackboneConfig, DatasetConfig, RunConfig, SplitConfig, ablated, desk_profile
 from fscil.errors import ArgumentError
-from fscil.protocol import build_dataset, run_ablation, run_from_config, run_protocol
-from fscil.harness import build_fscil_splits
+from fscil.protocol import run_ablation, run_from_config
 
 
 def small_config(**dataset_kw) -> RunConfig:
@@ -78,10 +77,35 @@ def test_determinism_same_seed_same_hash():
 
 def test_unknown_toggle_rejected():
     cfg = small_config()
-    dataset = build_dataset(cfg, 0)
-    specs = build_fscil_splits(dataset.train_y, dataset.test_y, 4, 2, 3, 0)
     with pytest.raises(ArgumentError):
-        run_protocol(dataset, specs, cfg, seed=0, toggles={"bogus"})
+        ablated(cfg, "bogus")
+
+
+@pytest.fixture(scope="module")
+def ablated_run_dirs(tmp_path_factory):
+    """One saved run per ablation arm: (loaded config, record, run directory)."""
+    runs = {}
+    for name in ABLATION_TOGGLES:
+        out = tmp_path_factory.mktemp(name)
+        record, _ = run_from_config(ablated(small_config(), name), seed=2, out_dir=out)
+        runs[name] = (RunConfig.load(out / "config.json"), record, out)
+    return runs
+
+
+@pytest.mark.parametrize("name", sorted(ABLATION_TOGGLES))
+def test_ablated_run_records_its_arm(ablated_run_dirs, name):
+    loaded, record, out = ablated_run_dirs[name]
+    assert loaded.to_dict() == ablated(small_config(), name).to_dict()
+    stored = json.loads((out / "record.json").read_text())
+    assert stored["config"] == json.loads((out / "config.json").read_text())
+    rerun, _ = run_from_config(loaded, seed=2)
+    assert rerun.content_hash() == record.content_hash() == stored["content_hash"]
+
+
+def test_ssl_arm_emits_no_ssl_event(ablated_run_dirs):
+    with open(ablated_run_dirs["ssl"][2] / "events.jsonl") as fh:
+        phases = {json.loads(line)["phase"] for line in fh}
+    assert "ssl" not in phases and "supervised" in phases
 
 
 def test_run_persistence_layout(tmp_path):
@@ -134,7 +158,7 @@ def test_ablation_unknown_toggle_rejected():
 
 def test_stochastic_head_toggle_disables_noise():
     cfg = small_config()
-    record, artifacts = run_from_config(cfg, seed=9, toggles={"stochastic_head"})
+    record, artifacts = run_from_config(ablated(cfg, "stochastic_head"), seed=9)
     # sigma rows stay at the initialization: no gradient ever reaches them
     head = artifacts["head"]
     for sig in head.sigma:
@@ -143,7 +167,7 @@ def test_stochastic_head_toggle_disables_noise():
 
 def test_prediction_net_toggle_skips_rectification():
     cfg = small_config()
-    record, artifacts = run_from_config(cfg, seed=10, toggles={"prediction_net"})
+    record, artifacts = run_from_config(ablated(cfg, "prediction_net"), seed=10)
     assert artifacts["prednets"] == {}
 
 
