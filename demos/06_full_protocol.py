@@ -6,8 +6,6 @@ model is scored on every class seen so far; past training data is
 structurally unreachable.  Takes roughly half a minute.
 """
 
-import numpy as np
-
 from fscil.config import toy_fscil_config
 from fscil.protocol import format_ablation_report, run_ablation, run_from_config
 

@@ -14,12 +14,13 @@ No projection carries a bias; the batch-norm shifts play that role.
 
 from __future__ import annotations
 
-import json
+import hashlib
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, FormatError
 from .numerics import SeededRng, Tensor, batch_norm, conv2d, gelu, maxpool2d, relu, reshape, softmax
 from .numerics import attention as attention_node
 
@@ -87,30 +88,6 @@ class BackboneConfig:
         n, d, dp = self.token_count(), self.embed_dim, self.ffn_hidden
         per_block = 4 * n * d * d + 2 * n * n * d + 2 * n * d * dp
         return self.layers * per_block + 2 * n * d
-
-    def to_dict(self) -> dict:
-        return {
-            "image_size": self.image_size,
-            "in_channels": self.in_channels,
-            "conv_channels": list(self.conv_channels),
-            "conv_kernel": self.conv_kernel,
-            "conv_stride": self.conv_stride,
-            "conv_padding": self.conv_padding,
-            "pool_size": self.pool_size,
-            "pool_stride": self.pool_stride,
-            "embed_dim": self.embed_dim,
-            "layers": self.layers,
-            "heads": self.heads,
-            "ffn_hidden": self.ffn_hidden,
-            "bn_placement": self.bn_placement,
-            "final_norm": self.final_norm,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BackboneConfig":
-        d = dict(d)
-        d["conv_channels"] = tuple(d.get("conv_channels", ()))
-        return cls(**d)
 
 
 class BatchNorm:
@@ -330,12 +307,12 @@ class Encoder:
 
     def copy(self) -> "Encoder":
         clone = Encoder(self.cfg, SeededRng(0))
-        copy_state(self, clone)
+        load_arrays(clone, state_arrays(self))
         clone.mode = self.mode
         return clone
 
 
-# -- state persistence --------------------------------------------------------
+# -- state: copying, hashing, saving and loading all use one name -> ndarray map
 
 
 def state_arrays(model) -> dict:
@@ -346,47 +323,58 @@ def state_arrays(model) -> dict:
     return out
 
 
-def copy_state(src, dst):
-    """Copy all parameter/buffer values from one model to a same-shaped one."""
-    src_arrays = state_arrays(src)
-    for name, p in dst.params().items():
-        p.data = src_arrays[name].copy()
-    if hasattr(dst, "buffers"):
-        for name, buf in dst.buffers().items():
-            buf[...] = src_arrays[name]
+def _check_arrays(model, arrays: dict, prefix: str):
+    for name, current in state_arrays(model).items():
+        entry = arrays.get(prefix + name)
+        if not isinstance(entry, np.ndarray) or entry.shape != current.shape:
+            found = "no entry" if entry is None else f"shape {np.shape(entry)}"
+            raise FormatError(f"state entry {prefix + name!r}: expected shape {current.shape}, found {found}")
 
 
-def hash_state(model) -> str:
-    """Order-independent digest of every parameter and buffer byte."""
-    import hashlib
+def load_arrays(model, arrays: dict, prefix: str = ""):
+    """Copy `arrays[prefix + name]` into every parameter and buffer of `model`.
 
+    Names and shapes are all checked before anything is written, so a
+    missing or mis-shaped entry raises `FormatError` and leaves `model`
+    unchanged.  Entries the model does not have are ignored.
+    """
+    _check_arrays(model, arrays, prefix)
+    for name, p in model.params().items():
+        p.data = np.array(arrays[prefix + name], dtype=p.data.dtype)
+    for name, buf in getattr(model, "buffers", dict)().items():
+        buf[...] = arrays[prefix + name]
+
+
+def hash_state(*models) -> str:
+    """Digest of every parameter and buffer (names and bytes, in name order) of `models`."""
     digest = hashlib.sha256()
-    arrays = state_arrays(model)
-    for name in sorted(arrays):
-        digest.update(name.encode())
-        digest.update(np.ascontiguousarray(arrays[name]).tobytes())
+    for model in models:
+        arrays = state_arrays(model)
+        for name in sorted(arrays):
+            digest.update(name.encode())
+            digest.update(np.ascontiguousarray(arrays[name]).tobytes())
     return digest.hexdigest()
 
 
-def save_state(path, models: dict):
-    """Write a JSON checkpoint: canonical name -> {shape, values}."""
-    payload = {}
-    for scope, model in models.items():
-        for name, arr in state_arrays(model).items():
-            payload[f"{scope}.{name}"] = {"shape": list(arr.shape), "values": np.asarray(arr).reshape(-1).tolist()}
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
+def save_state(path, models: dict, **arrays):
+    """One `.npz` file of each model's arrays as `scope.name` plus `arrays` (`np.savez` adds a missing `.npz`)."""
+    scoped = {f"{scope}.{name}": arr for scope, model in models.items() for name, arr in state_arrays(model).items()}
+    np.savez(path, **scoped, **arrays)
 
 
-def load_state(path, models: dict):
-    """Load a checkpoint written by `save_state` into live models."""
-    with open(path) as fh:
-        payload = json.load(fh)
+def load_state(path, models: dict) -> dict:
+    """Load a `save_state` file into the live `models`; returns every entry.
+
+    Raises `FormatError`, and changes no model, when the file is not a
+    readable `.npz` or an entry a model needs is missing or mis-shaped.
+    """
+    try:
+        with np.load(path) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+    except (TypeError, ValueError, EOFError, zipfile.BadZipFile) as exc:  # TypeError: a bare .npy array
+        raise FormatError(f"{path} is not a readable .npz state file: {exc}") from exc
     for scope, model in models.items():
-        for name, p in model.params().items():
-            entry = payload[f"{scope}.{name}"]
-            p.data = np.array(entry["values"]).reshape(entry["shape"])
-        if hasattr(model, "buffers"):
-            for name, buf in model.buffers().items():
-                entry = payload[f"{scope}.{name}"]
-                buf[...] = np.array(entry["values"]).reshape(entry["shape"])
+        _check_arrays(model, arrays, f"{scope}.")
+    for scope, model in models.items():
+        load_arrays(model, arrays, f"{scope}.")
+    return arrays

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backbone import BackboneConfig, Encoder, Linear, hash_state
+from .backbone import BackboneConfig, Encoder, Linear, hash_state, load_arrays, state_arrays
 from .errors import ArgumentError, UsageError
 from .numerics import SeededRng, Tensor, gelu, log_softmax, log_softmax_nll, no_grad
 from .optim import CosineSchedule, EarlyStopping, ReduceOnPlateau, make_optimizer, run_epochs
@@ -106,8 +106,7 @@ class DinoHead:
 
     def copy(self) -> "DinoHead":
         clone = DinoHead(SeededRng(0), self.l1.weight.shape[0], self.l1.weight.shape[1], self.out_dim)
-        for name, p in clone.params().items():
-            p.data = self.params()[name].data.copy()
+        load_arrays(clone, state_arrays(self))
         return clone
 
 
@@ -142,14 +141,7 @@ class TeacherState:
         return e / e.sum(axis=-1, keepdims=True)
 
     def state_hash(self) -> str:
-        import hashlib
-
-        digest = hashlib.sha256()
-        digest.update(hash_state(self.encoder).encode())
-        params = self.proj.params()
-        for name in sorted(params):
-            digest.update(np.ascontiguousarray(params[name].data).tobytes())
-        return digest.hexdigest()
+        return hash_state(self.encoder, self.proj)
 
 
 def make_teacher(student_encoder: Encoder, student_proj: DinoHead, config) -> TeacherState:

@@ -97,16 +97,6 @@ class TrainingConfig:
         self.global_crop_scale = tuple(self.global_crop_scale)
         self.local_crop_scale = tuple(self.local_crop_scale)
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["global_crop_scale"] = list(self.global_crop_scale)
-        d["local_crop_scale"] = list(self.local_crop_scale)
-        return d
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainingConfig":
-        return _from_mapping(cls, data)
-
 
 def desk_profile(**overrides) -> TrainingConfig:
     """Training settings sized for synthetic desk-scale runs."""
@@ -148,26 +138,12 @@ class DatasetConfig:
         if self.kind not in ("blobs", "idx"):
             raise ArgumentError(f"dataset kind must be 'blobs' or 'idx', got {self.kind!r}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DatasetConfig":
-        return _from_mapping(cls, data)
-
 
 @dataclass
 class SplitConfig:
     base_classes: int = 10
     ways: int = 2
     shots: int = 5
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SplitConfig":
-        return _from_mapping(cls, data)
 
 
 @dataclass
@@ -188,22 +164,17 @@ class RunConfig:
         return "euclidean" if self.split.shots == 1 else "mahalanobis"
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model.to_dict(),
-            "training": self.training.to_dict(),
-            "dataset": self.dataset.to_dict(),
-            "split": self.split.to_dict(),
-            "metric": self.metric,
-        }
+        """Nested plain dict; tuple fields stay tuples, which JSON writes as lists."""
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         _known_keys(cls, data)
         return cls(
-            model=BackboneConfig.from_dict(_known_keys(BackboneConfig, data.get("model", {}))),
-            training=TrainingConfig.from_dict(data.get("training", {})),
-            dataset=DatasetConfig.from_dict(data.get("dataset", {})),
-            split=SplitConfig.from_dict(data.get("split", {})),
+            model=_from_mapping(BackboneConfig, data.get("model", {})),
+            training=_from_mapping(TrainingConfig, data.get("training", {})),
+            dataset=_from_mapping(DatasetConfig, data.get("dataset", {})),
+            split=_from_mapping(SplitConfig, data.get("split", {})),
             metric=data.get("metric", "auto"),
         )
 

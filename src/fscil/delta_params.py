@@ -58,9 +58,6 @@ class PrefixSet:
         for p in self.params().values():
             p.requires_grad = flag
 
-    def state_bytes(self) -> bytes:
-        return b"".join(np.ascontiguousarray(t.data).tobytes() for t in self.p_k + self.p_v)
-
 
 def prefix_mhsa(x: Tensor, block: EncoderBlock, prefixes: PrefixSet | None, layer: int = 0):
     """Attention with `prefixes` for `layer` prepended to keys and values."""

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .backbone import save_state
 from .base_trainer import embed_all, linear_probe, train_base
 from .config import RunConfig, ablated
 from .delta_params import PrefixSet, train_session, trainable_fraction
@@ -114,8 +115,9 @@ class _ProtocolState:
 def _fit_session_stats(state, encoder, view_images, remapped_labels, session, pool_x, config, rng, log):
     """Fit, pseudo-enrich and (optionally) rectify one session's statistics.
 
-    Returns the embeddings of the session's own samples, from which the
-    head extension takes raw prototypes when rectification is off.
+    Returns the prefix-free embeddings of the session's own samples (the
+    head extension takes raw prototypes from them when rectification is
+    off) and of the test pool (evaluation routes from them).
     """
     tc = config.training
     metric = config.resolved_metric()
@@ -125,14 +127,10 @@ def _fit_session_stats(state, encoder, view_images, remapped_labels, session, po
 
     stats_x, stats_y = embeddings, np.asarray(remapped_labels)
     session_classes = sorted(set(int(c) for c in remapped_labels))
-    pseudo_x = np.zeros((0, embeddings.shape[1]))
-    pseudo_y = np.zeros(0, dtype=int)
-
-    if len(pool_x):
-        pool_emb = embed_all(encoder, pool_x)
-        assigned = pseudo_label(pool_emb, state.all_gaussians(), state.covariance, metric)
-        keep = np.isin(assigned, session_classes)  # only this session's classes; past embeddings are gone
-        pseudo_x, pseudo_y = pool_emb[keep], assigned[keep]
+    pool_emb = embed_all(encoder, pool_x)
+    assigned = pseudo_label(pool_emb, state.all_gaussians(), state.covariance, metric)
+    keep = np.isin(assigned, session_classes)  # only this session's classes; past embeddings are gone
+    pseudo_x, pseudo_y = pool_emb[keep], assigned[keep]
 
     if len(pseudo_x):
         stats_x = np.concatenate([embeddings, pseudo_x])
@@ -156,7 +154,7 @@ def _fit_session_stats(state, encoder, view_images, remapped_labels, session, po
         state.prednets[session] = net
         refined, refined_scatter = refine_gaussian_stats(net, stats_x, stats_y, gaussians)
         state.set_session_stats(session, refined, refined_scatter)
-    return embeddings
+    return embeddings, pool_emb
 
 
 def _finetune_backbone_session(view, remapped, encoder, head, new_rows, tc, rng, log, session):
@@ -178,9 +176,9 @@ def _finetune_backbone_session(view, remapped, encoder, head, new_rows, tc, rng,
     encoder.set_requires_grad(False)
 
 
-def _evaluate(encoder, head, state, pool_x, metric):
-    """Route every pool sample to a session, then predict with the noise-free head."""
-    pool_emb = embed_all(encoder, pool_x)
+def _evaluate(encoder, head, state, pool_x, pool_emb, metric):
+    """Route every pool sample by its prefix-free embedding `pool_emb` to a
+    session, then predict with that session's prefixes and the noise-free head."""
     _, routed_sessions = select_class_batch(pool_emb, state.all_gaussians(), state.covariance, metric)
     predictions = np.full(len(pool_x), -1, dtype=int)
     for sess in sorted(set(routed_sessions.tolist())):
@@ -232,7 +230,7 @@ def run_protocol(
             encoder.eval()
             if tc.run_probe:
                 _, probe_accuracy = linear_probe(teacher, view.images, remapped, tc, rng.child("probe"), log=log)
-        embeddings = _fit_session_stats(state, encoder, view.images, remapped, k, pool_x, config, rng.child(f"stats{k}"), log)
+        embeddings, pool_emb = _fit_session_stats(state, encoder, view.images, remapped, k, pool_x, config, rng.child(f"stats{k}"), log)
         if k == 0:
             new_rows = list(range(head.num_classes))
         else:
@@ -251,10 +249,11 @@ def run_protocol(
             trainable_fractions.append(trainable_fraction(prefixes, [head.mu[m] for m in new_rows] + [head.sigma[m] for m in new_rows], encoder))
         elif k:
             _finetune_backbone_session(view, remapped, encoder, head, new_rows, tc, rng.child(f"session{k}"), log, k)
+            pool_emb = embed_all(encoder, pool_x)  # the backbone moved since the statistics were fitted
 
         view.close()
 
-        predictions = _evaluate(encoder, head, state, pool_x, metric)
+        predictions = _evaluate(encoder, head, state, pool_x, pool_emb, metric)
         pred_original = [int(original[int(p)]) for p in predictions]
         true_original = [int(c) for c in pool_y]
         accuracy = 100.0 * sum(1 for p, t in zip(pred_original, true_original) if p == t) / len(true_original)
@@ -298,7 +297,13 @@ def run_protocol(
 
 
 def save_run(out_dir, config: RunConfig, record: RunRecord, artifacts: dict):
-    """One directory per run: config, metrics, record, per-session artifacts."""
+    """One directory per run: config, metrics, record and `state.npz`.
+
+    `state.npz` holds every array the run keeps, under canonical names:
+    `encoder.*`, `head.*`, `session{k}.prefixes.*`,
+    `session{k}.prediction_net.*`, `session{k}.class_ids`/`counts`/`means`
+    (the routing Gaussians) and `covariance`.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     config.save(out / "config.json")
@@ -307,27 +312,19 @@ def save_run(out_dir, config: RunConfig, record: RunRecord, artifacts: dict):
     with open(out / "record.json", "w") as fh:
         json.dump(record.to_dict(), fh, indent=2, sort_keys=True)
 
-    from .backbone import save_state
-
-    save_state(out / "checkpoint.json", {"encoder": artifacts["encoder"], "head": artifacts["head"]})
-    sessions_dir = out / "sessions"
-    sessions_dir.mkdir(exist_ok=True)
+    models = {"encoder": artifacts["encoder"], "head": artifacts["head"]}
+    arrays = {}
     for k, gaussians in artifacts["gaussians"].items():
-        payload = {
-            "session": k,
-            "gaussians": [
-                {"class_id": g.class_id, "session": g.session, "count": g.count, "mean": g.mean.tolist()} for g in gaussians
-            ],
-        }
         if k in artifacts["prefixes"]:
-            payload["prefixes"] = {name: p.data.tolist() for name, p in artifacts["prefixes"][k].params().items()}
+            models[f"session{k}.prefixes"] = artifacts["prefixes"][k]
         if k in artifacts["prednets"]:
-            payload["prediction_net"] = {name: p.data.tolist() for name, p in artifacts["prednets"][k].params().items()}
-        with open(sessions_dir / f"session_{k}.json", "w") as fh:
-            json.dump(payload, fh)
+            models[f"session{k}.prediction_net"] = artifacts["prednets"][k]
+        arrays[f"session{k}.class_ids"] = np.array([g.class_id for g in gaussians])
+        arrays[f"session{k}.counts"] = np.array([g.count for g in gaussians])
+        arrays[f"session{k}.means"] = np.stack([g.mean for g in gaussians])
     if artifacts["covariance"] is not None:
-        with open(out / "covariance.json", "w") as fh:
-            json.dump({"matrix": artifacts["covariance"].matrix.tolist(), "sessions": artifacts["covariance"].sessions}, fh)
+        arrays["covariance"] = artifacts["covariance"].matrix
+    save_state(out / "state.npz", models, **arrays)
 
 
 def run_from_config(config: RunConfig, seed: int, out_dir=None):

@@ -67,9 +67,6 @@ class PredictionNet:
             out.update(layer.params(f"layers.{i}"))
         return out
 
-    def state_bytes(self) -> bytes:
-        return b"".join(np.ascontiguousarray(p.data).tobytes() for p in self.params().values())
-
     @classmethod
     def identity(cls, dim: int, session: int = 0) -> "PredictionNet":
         """Exact identity map (linear variant), handy as a fixed point."""

@@ -107,13 +107,6 @@ class StochasticHead:
             self.mu[m].requires_grad = flag
             self.sigma[m].requires_grad = flag
 
-    def copy(self) -> "StochasticHead":
-        clone = StochasticHead(self.dim, self.temperature, self.offset)
-        for m in range(self.num_classes):
-            clone.add_class(self.mu[m].data)
-            clone.sigma[m].data = self.sigma[m].data.copy()
-        return clone
-
 
 def init_means_from_prototypes(head: StochasticHead, prototypes: dict) -> StochasticHead:
     """Extend `head` with rows for new classes, means set to the prototypes.

@@ -1,12 +1,10 @@
-"""Backbone tests: tokenizer geometry, attention/FFN oracles, full-block grads."""
-
-import json
+"""Backbone tests: tokenizer geometry, attention/FFN oracles, full-block grads, state files."""
 
 import numpy as np
 import pytest
 
-from fscil.backbone import BackboneConfig, Encoder, hash_state, load_state, save_state
-from fscil.errors import ArgumentError
+from fscil.backbone import BackboneConfig, Encoder, hash_state, load_arrays, load_state, save_state, state_arrays
+from fscil.errors import ArgumentError, FormatError
 from fscil.numerics import SeededRng, Tensor, gelu, grad_check
 
 
@@ -242,7 +240,7 @@ def test_full_block_gradients_through_train_bn():
 
 def test_checkpoint_round_trip(tmp_path):
     enc = Encoder(small_cfg(layers=2), SeededRng(16))
-    path = tmp_path / "ckpt.json"
+    path = tmp_path / "ckpt.npz"
     save_state(path, {"encoder": enc})
     clone = Encoder(small_cfg(layers=2), SeededRng(99))
     assert hash_state(clone) != hash_state(enc)
@@ -260,15 +258,81 @@ def test_ffn_builds_only_the_selected_bn():
 
 def test_checkpoint_with_both_ffn_bns_still_loads(tmp_path):
     enc = Encoder(small_cfg(), SeededRng(18))
-    path = tmp_path / "ckpt.json"
-    save_state(path, {"encoder": enc})
-    payload = json.loads(path.read_text())
-    for key in ("gamma", "beta", "running_mean", "running_var"):  # the unused BN older checkpoints carry
-        payload[f"encoder.blocks.0.ffn_bn_in.{key}"] = {"shape": [8], "values": [0.5] * 8}
-    path.write_text(json.dumps(payload))
+    path = tmp_path / "ckpt.npz"
+    unused_bn = {f"encoder.blocks.0.ffn_bn_in.{key}": np.full(8, 0.5) for key in ("gamma", "beta", "running_mean", "running_var")}
+    save_state(path, {"encoder": enc}, **unused_bn)
     clone = Encoder(small_cfg(), SeededRng(99))
     load_state(path, {"encoder": clone})
     assert hash_state(clone) == hash_state(enc)
+
+
+def test_copy_is_an_independent_equal_encoder():
+    enc = Encoder(small_cfg(), SeededRng(19)).eval()
+    before = hash_state(enc)
+    clone = enc.copy()
+    assert hash_state(clone) == before and clone.mode == "eval"
+    clone.blocks[0].theta1.data[0, 0] += 1.0  # a parameter
+    clone.blocks[0].attn_bn.running_mean[0] += 1.0  # a buffer
+    assert hash_state(enc) == before != hash_state(clone)
+
+
+def test_hash_state_of_several_models_covers_each():
+    a, b = Encoder(small_cfg(), SeededRng(20)), Encoder(small_cfg(), SeededRng(21))
+    assert hash_state(a) == hash_state(a.copy())
+    assert hash_state(a, b) != hash_state(a, a) != hash_state(b, b)
+
+
+@pytest.mark.parametrize("field, value", [("heads", 4), ("ffn_hidden", 16)])
+def test_mismatched_checkpoint_raises_format_error_and_changes_nothing(tmp_path, field, value):
+    path = tmp_path / "ckpt.npz"
+    save_state(path, {"encoder": Encoder(small_cfg(**{field: value}), SeededRng(22))})
+    target = Encoder(small_cfg(), SeededRng(23))
+    before = hash_state(target)
+    with pytest.raises(FormatError, match="encoder.blocks.0"):
+        load_state(path, {"encoder": target})
+    assert hash_state(target) == before
+
+
+def test_incomplete_state_names_the_missing_entry_and_changes_nothing():
+    source, target = Encoder(small_cfg(), SeededRng(24)), Encoder(small_cfg(), SeededRng(25))
+    arrays = dict(state_arrays(source))
+    del arrays["pool_score"]
+    before = hash_state(target)
+    with pytest.raises(FormatError, match="'pool_score'"):
+        load_arrays(target, arrays)
+    assert hash_state(target) == before
+
+
+def test_failed_load_of_one_scope_leaves_every_scope_unchanged(tmp_path):
+    path = tmp_path / "ckpt.npz"
+    save_state(path, {"a": Encoder(small_cfg(), SeededRng(26)), "b": Encoder(small_cfg(heads=4), SeededRng(27))})
+    first, second = Encoder(small_cfg(), SeededRng(28)), Encoder(small_cfg(), SeededRng(29))
+    before = hash_state(first, second)
+    with pytest.raises(FormatError, match="'b.blocks.0"):
+        load_state(path, {"a": first, "b": second})
+    assert hash_state(first, second) == before
+
+
+@pytest.mark.parametrize("damage", ["truncated", "garbled", "empty", "bare_npy"])
+def test_unreadable_state_file_raises_format_error(tmp_path, damage):
+    enc = Encoder(small_cfg(), SeededRng(30))
+    path = tmp_path / "ckpt.npz"
+    save_state(path, {"encoder": enc})
+    data = path.read_bytes()
+    if damage == "truncated":
+        path.write_bytes(data[: len(data) // 2])
+    elif damage == "garbled":
+        path.write_bytes(b"not an npz archive\n" * 20)
+    elif damage == "empty":
+        path.write_bytes(b"")
+    else:
+        with open(path, "wb") as fh:
+            np.save(fh, np.ones(3))
+    target = Encoder(small_cfg(), SeededRng(31))
+    before = hash_state(target)
+    with pytest.raises(FormatError):
+        load_state(path, {"encoder": target})
+    assert hash_state(target) == before
 
 
 def test_embed_dim_must_divide_heads():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from fscil.cli import main
-from fscil.config import RunConfig
 from fscil.harness import load_idx_images, load_idx_labels
 
 from test_protocol import small_config

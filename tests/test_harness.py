@@ -5,7 +5,6 @@ import pytest
 
 from fscil.errors import ArgumentError, ContractViolation, FormatError
 from fscil.harness import (
-    ArrayDataset,
     SessionDataVault,
     build_fscil_splits,
     check_disjoint,

@@ -1,9 +1,9 @@
-"""Every name a `src/fscil` module imports is used in that module."""
+"""Every name a module of `src/fscil`, `tests` or `demos` imports is used in that module."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "fscil"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def unused_imports(source: str) -> list:
@@ -21,8 +21,17 @@ def unused_imports(source: str) -> list:
     return [f"line {line}: {name}" for name, line in sorted(imported.items(), key=lambda kv: kv[1]) if name not in used]
 
 
+def _found(*dirs) -> list:
+    return [f"{path.relative_to(ROOT)} {line}" for d in dirs for path in sorted(d.glob("*.py")) for line in unused_imports(path.read_text())]
+
+
 def test_no_unused_imports_in_src():
-    found = [f"{path.name} {line}" for path in sorted(SRC.glob("*.py")) for line in unused_imports(path.read_text())]
+    found = _found(ROOT / "src" / "fscil")
+    assert not found, found
+
+
+def test_no_unused_imports_in_tests_and_demos():
+    found = _found(ROOT / "tests", ROOT / "demos")
     assert not found, found
 
 

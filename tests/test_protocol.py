@@ -5,9 +5,14 @@ import json
 import numpy as np
 import pytest
 
+from fscil.backbone import Encoder, hash_state, load_state, state_arrays
 from fscil.config import ABLATION_TOGGLES, BackboneConfig, DatasetConfig, RunConfig, SplitConfig, ablated, desk_profile
+from fscil.delta_params import PrefixSet
 from fscil.errors import ArgumentError
+from fscil.numerics import SeededRng
 from fscil.protocol import run_ablation, run_from_config
+from fscil.prototype_rectification import PredictionNet
+from fscil.stochastic_classifier import StochasticHead
 
 
 def small_config(**dataset_kw) -> RunConfig:
@@ -108,15 +113,18 @@ def test_ssl_arm_emits_no_ssl_event(ablated_run_dirs):
     assert "ssl" not in phases and "supervised" in phases
 
 
-def test_run_persistence_layout(tmp_path):
+@pytest.fixture(scope="module")
+def saved_run(tmp_path_factory):
     cfg = small_config(classes=6)
     cfg.split = SplitConfig(base_classes=4, ways=2, shots=3)
-    out = tmp_path / "run"
-    record, _ = run_from_config(cfg, seed=5, out_dir=out)
-    for name in ("config.json", "metrics.json", "record.json", "events.jsonl", "checkpoint.json", "covariance.json"):
-        assert (out / name).exists(), name
-    sessions = sorted(p.name for p in (out / "sessions").iterdir())
-    assert sessions == ["session_0.json", "session_1.json"]
+    out = tmp_path_factory.mktemp("run")
+    record, artifacts = run_from_config(cfg, seed=5, out_dir=out)
+    return cfg, record, artifacts, out
+
+
+def test_run_persistence_layout(saved_run):
+    _, record, _, out = saved_run
+    assert sorted(p.name for p in out.iterdir()) == ["config.json", "events.jsonl", "metrics.json", "record.json", "state.npz"]
 
     with open(out / "record.json") as fh:
         stored = json.load(fh)
@@ -132,6 +140,36 @@ def test_run_persistence_layout(tmp_path):
         assert set(rec) == {"phase", "session", "epoch", "key", "value"}
     phases = [r["phase"] for r in lines]
     assert phases.index("supervised") > max(i for i, p in enumerate(phases) if p == "ssl")
+
+
+def test_saved_state_reloads_into_fresh_models(saved_run):
+    cfg, _, artifacts, out = saved_run
+    dim, sessions = cfg.model.embed_dim, sorted(artifacts["gaussians"])
+    assert sessions == [0, 1]
+    encoder, head = Encoder(cfg.model, SeededRng(99)), StochasticHead(dim)
+    for _ in range(artifacts["head"].num_classes):
+        head.add_class(np.ones(dim))
+    models = {"encoder": encoder, "head": head}
+    for k in sessions:
+        models[f"session{k}.prefixes"] = PrefixSet(k, cfg.model.layers, cfg.training.prefix_len, dim)
+        models[f"session{k}.prediction_net"] = PredictionNet(dim, k, SeededRng(99))
+    assert hash_state(encoder) != hash_state(artifacts["encoder"])
+
+    arrays = load_state(out / "state.npz", models)
+    assert hash_state(encoder) == hash_state(artifacts["encoder"])
+    assert hash_state(head) == hash_state(artifacts["head"])
+    session_arrays = set()
+    for k in sessions:
+        assert hash_state(models[f"session{k}.prefixes"]) == hash_state(artifacts["prefixes"][k])
+        assert hash_state(models[f"session{k}.prediction_net"]) == hash_state(artifacts["prednets"][k])
+        gaussians = artifacts["gaussians"][k]
+        np.testing.assert_array_equal(arrays[f"session{k}.means"], np.stack([g.mean for g in gaussians]))
+        assert arrays[f"session{k}.class_ids"].tolist() == [g.class_id for g in gaussians]
+        assert arrays[f"session{k}.counts"].tolist() == [g.count for g in gaussians]
+        session_arrays |= {f"session{k}.means", f"session{k}.class_ids", f"session{k}.counts"}
+    np.testing.assert_array_equal(arrays["covariance"], artifacts["covariance"].matrix)
+    model_arrays = {f"{scope}.{name}" for scope, model in models.items() for name in state_arrays(model)}
+    assert set(arrays) == model_arrays | session_arrays | {"covariance"}
 
 
 def test_round_trip_config(tmp_path):

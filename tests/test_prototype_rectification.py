@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fscil.backbone import hash_state
 from fscil.config import TrainingConfig, desk_profile
 from fscil.errors import ArgumentError
 from fscil.numerics import SeededRng, Tensor, grad_check
@@ -246,11 +247,11 @@ def test_refine_two_point_hand_case():
 
 def test_per_session_net_isolation():
     net_a = PredictionNet(3, 0, SeededRng(14), depth=2)
-    frozen = net_a.state_bytes()
+    frozen = hash_state(net_a)
     pairs = OutlierPairs(inputs=np.random.default_rng(15).normal(size=(6, 3)), targets=np.zeros((6, 3)), per_class=2)
     net_b = PredictionNet(3, 1, SeededRng(16), depth=2)
     train_prediction_net(net_b, pairs, desk_profile(prednet_epochs=20, prednet_batch_size=6), SeededRng(17))
-    assert net_a.state_bytes() == frozen
+    assert hash_state(net_a) == frozen
 
 
 # -- planted-bias de-biasing (Monte Carlo) ------------------------------------------------
