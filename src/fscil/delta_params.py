@@ -60,7 +60,12 @@ class PrefixSet:
 
 
 def prefix_mhsa(x: Tensor, block: EncoderBlock, prefixes: PrefixSet | None, layer: int = 0):
-    """Attention with `prefixes` for `layer` prepended to keys and values."""
+    """Attention with `prefixes` for `layer` prepended to keys and values.
+
+    The one-block entry point, with the prefix width checked against the
+    block; `Encoder.forward` hands `layer_kv` to its blocks itself, and the
+    prefix tests and demos/02 call this.
+    """
     kv = prefixes.layer_kv(layer) if prefixes is not None else None
     if kv is not None and kv[0].shape[-1] != block.cfg.embed_dim:
         raise ArgumentError(f"prefix dim {kv[0].shape[-1]} does not match embed dim {block.cfg.embed_dim}")
@@ -89,13 +94,14 @@ def train_session(
     """Train the session's prefixes and the newly added head rows only.
 
     The backbone and all pre-existing head rows must come in frozen; a state
-    hash guards that they leave the function bitwise unchanged.
+    hash of the backbone and a copy of those rows guard that they leave the
+    function unchanged.
     """
     if any(p.requires_grad for p in encoder.params().values()):
         raise ContractViolation("backbone must be frozen before a session is trained")
     frozen_hash = hash_state(encoder)
     old_rows = [m for m in range(head.num_classes) if m not in new_rows]
-    old_bytes = b"".join(np.ascontiguousarray(head.mu[m].data).tobytes() + np.ascontiguousarray(head.sigma[m].data).tobytes() for m in old_rows)
+    frozen_rows = [(head.mu[m].data.copy(), head.sigma[m].data.copy()) for m in old_rows]
 
     head.set_requires_grad(False)
     head.set_requires_grad(True, classes=new_rows)
@@ -116,7 +122,9 @@ def train_session(
 
     if hash_state(encoder) != frozen_hash:
         raise ContractViolation("frozen backbone parameters changed during session training")
-    new_old_bytes = b"".join(np.ascontiguousarray(head.mu[m].data).tobytes() + np.ascontiguousarray(head.sigma[m].data).tobytes() for m in old_rows)
-    if new_old_bytes != old_bytes:
+    if not all(
+        np.array_equal(head.mu[m].data, mu, equal_nan=True) and np.array_equal(head.sigma[m].data, sigma, equal_nan=True)
+        for m, (mu, sigma) in zip(old_rows, frozen_rows)
+    ):
         raise ContractViolation("frozen classifier rows changed during session training")
     return prefixes, head

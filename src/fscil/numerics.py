@@ -14,7 +14,15 @@ in the tests.
 - `log_softmax_nll`: log-softmax plus negative log-likelihood of integer
   labels;
 - `stochastic_weights`: the stochastic head's (M, d) weight matrix
-  mu + eps (*) softplus(sigma - c).
+  mu + eps (*) softplus(sigma - c);
+- `mlp_mse`: a prediction net's loss mean((gelu(x W1 + b1) W2 + b2 - t)^2),
+  or its one-layer form, with a backward that repeats the composed ops'
+  arithmetic, so values and gradients are bitwise the unfused graph's.
+
+`Tensor.backward` releases the graph as it sweeps: once a non-leaf node has
+passed its gradient on, its gradient, backward closure and parent links are
+dropped, so only leaf gradients survive the call.  Backpropagating through a
+released node again raises `UsageError`; build a new forward pass instead.
 
 Default precision is float64; float32 can be selected per tensor (gradient
 checks at 32-bit need the relaxed tolerance, see `grad_check`).
@@ -121,7 +129,10 @@ class Tensor:
         self.grad = grad if self.grad is None else self.grad + grad
 
     def backward(self, grad=None):
-        """Reverse-mode sweep from this tensor; seeds with ones if scalar."""
+        """Reverse-mode sweep from this tensor; seeds with ones if scalar.
+
+        Releases every non-leaf node of the graph (see the module docstring).
+        """
         if grad is None:
             if self.data.size != 1:
                 raise ArgumentError("backward() without a seed needs a scalar output")
@@ -142,9 +153,13 @@ class Tensor:
                     if id(p) not in seen:
                         stack.append((p, False))
         self._accumulate(np.asarray(grad, dtype=self.data.dtype).reshape(self.data.shape))
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad, node._backward, node._parents = None, _released, ()
 
     # -- arithmetic --------------------------------------------------------
 
@@ -202,6 +217,10 @@ class Tensor:
 
     def sqrt(self):
         return sqrt(self)
+
+
+def _released(grad):
+    raise UsageError("backward through a graph that an earlier backward() released; build the forward pass again")
 
 
 def _as_tensor(x) -> Tensor:
@@ -330,16 +349,24 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
+def _gelu_cdf(x: np.ndarray) -> np.ndarray:
+    return 0.5 * (1.0 + _special.erf(x * _INV_SQRT2))
+
+
+def _gelu_grad(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+    return g * (cdf + x * pdf)
+
+
 def gelu(a) -> Tensor:
     """Exact erf-based GELU: x * Phi(x)."""
     a = _as_tensor(a)
-    cdf = 0.5 * (1.0 + _special.erf(a.data * _INV_SQRT2))
+    cdf = _gelu_cdf(a.data)
     data = a.data * cdf
 
     def backward(g):
         if a.requires_grad:
-            pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT_2PI
-            a._accumulate(g * (cdf + a.data * pdf))
+            a._accumulate(_gelu_grad(g, a.data, cdf))
 
     return _result(data, (a,), backward)
 
@@ -462,23 +489,6 @@ def take(a, idx) -> Tensor:
             a._accumulate(buf)
 
     return _result(a.data[idx].copy(), (a,), backward)
-
-
-def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-
-    def backward(g):
-        offset = 0
-        for t, size in zip(tensors, sizes):
-            if t.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(offset, offset + size)
-                t._accumulate(g[tuple(sl)])
-            offset += size
-
-    return _result(data, tuple(tensors), backward)
 
 
 def matmul(a, b) -> Tensor:
@@ -783,6 +793,53 @@ def stochastic_weights(mu, sigma, eps, offset: float) -> Tensor:
                 s._accumulate(g_sigma[i])
 
     return _result(data, mu + sigma, backward)
+
+
+def mlp_mse(x, target, w1, b1, w2=None, b2=None) -> Tensor:
+    """mean((gelu(x @ w1 + b1) @ w2 + b2 - target) ** 2) over a (B, d) batch, as one node.
+
+    Without `w2` and `b2` the net is the single layer x @ w1 + b1.  The
+    backward takes the composed graph's steps in the same order (the mean's
+    1/n, the square's two equal halves, the bias sums over the batch), so
+    the loss and every gradient are bitwise those of the unfused ops.
+    """
+    x, target, w1, b1 = (_as_tensor(t) for t in (x, target, w1, b1))
+    if x.ndim != 2:
+        raise ArgumentError(f"mlp_mse expects a (B, d) batch, got {x.shape}")
+    parents = [x, target, w1, b1]
+    hidden = x.data @ w1.data + b1.data
+    out = hidden
+    if w2 is not None:
+        w2, b2 = _as_tensor(w2), _as_tensor(b2)
+        parents += [w2, b2]
+        cdf = _gelu_cdf(hidden)
+        act = hidden * cdf
+        out = act @ w2.data + b2.data
+    if target.shape != out.shape:
+        raise ArgumentError(f"mlp_mse target shape {target.shape} does not match the output {out.shape}")
+    diff = out - target.data
+    inv_n = 1.0 / diff.size
+    data = np.asarray((diff * diff).sum() * inv_n)
+
+    def backward(g):
+        half = (g * inv_n) * diff
+        g_out = half + half
+        if target.requires_grad:
+            target._accumulate(-g_out)
+        if w2 is not None:
+            if b2.requires_grad:
+                b2._accumulate(_unbroadcast(g_out, b2.data.shape))
+            if w2.requires_grad:
+                w2._accumulate(act.swapaxes(-1, -2) @ g_out)
+            g_out = _gelu_grad(g_out @ w2.data.swapaxes(-1, -2), hidden, cdf)
+        if b1.requires_grad:
+            b1._accumulate(_unbroadcast(g_out, b1.data.shape))
+        if w1.requires_grad:
+            w1._accumulate(x.data.swapaxes(-1, -2) @ g_out)
+        if x.requires_grad:
+            x._accumulate(g_out @ w1.data.swapaxes(-1, -2))
+
+    return _result(data, parents, backward)
 
 
 def cosine_similarity(u, v) -> Tensor:

@@ -2,9 +2,12 @@
 
 SGD with momentum plus two adaptive-moment variants (coupled and decoupled
 weight decay) mirror the sensitivity grid; the decoupled variant is the
-default everywhere.  `run_epochs` is the one shuffle/batch/step loop that
-distillation, supervised training, prefix sessions, the backbone-finetune
-ablation, prediction nets and the linear probe all run.
+default everywhere.  The adaptive variants keep their moments in one flat
+buffer per parameter group, so a step costs a few whole-buffer array ops
+rather than a Python loop of them per parameter.  `run_epochs` is the one
+shuffle/batch/step loop that distillation, supervised training, prefix
+sessions, the backbone-finetune ablation, prediction nets and the linear
+probe all run.
 """
 
 from __future__ import annotations
@@ -62,7 +65,16 @@ class SGD(Optimizer):
 
 
 class Adam(Optimizer):
-    """Adam; weight decay, when set, is coupled (added to the gradient)."""
+    """Adam; weight decay, when set, is coupled (added to the gradient).
+
+    Each group keeps its first and second moments in one flat buffer apiece,
+    the group's parameters laid end to end in order (in the group's common
+    dtype).  A step concatenates the gradients that exist, updates the
+    moments with whole-buffer array ops and subtracts one slice from each
+    parameter.  A parameter whose `grad` is None keeps its data and moments
+    untouched; moments start at zero, as on a parameter's first step.  Every
+    op is elementwise, so the result is bitwise a per-parameter update's.
+    """
 
     decoupled = False
 
@@ -70,31 +82,59 @@ class Adam(Optimizer):
         super().__init__(groups)
         self.b1, self.b2 = betas
         self.eps = eps
-        self._m = {}
-        self._v = {}
         self._t = 0
+        self._moments = []
+        for g in self.groups:
+            size = sum(p.data.size for p in g["params"])
+            dtype = np.result_type(*(p.data.dtype for p in g["params"])) if g["params"] else np.float64
+            self._moments.append((np.zeros(size, dtype), np.zeros(size, dtype)))
+        self._layouts = [{} for _ in self.groups]
+
+    @staticmethod
+    def _layout(params, live):
+        """(live params, their entries of the group's buffers or None for all,
+        each live param's (start, end) in the concatenated gradient)."""
+        chosen, rows, bounds = [], [], []
+        offset = start = 0
+        for p, has_grad in zip(params, live):
+            if has_grad:
+                chosen.append(p)
+                rows.append(np.arange(offset, offset + p.data.size))
+                bounds.append((start, start + p.data.size))
+                start += p.data.size
+            offset += p.data.size
+        return chosen, (None if all(live) or not chosen else np.concatenate(rows)), bounds
 
     def step(self):
         self._t += 1
         b1t = 1.0 - self.b1**self._t
         b2t = 1.0 - self.b2**self._t
-        for g in self.groups:
-            for p in g["params"]:
-                if p.grad is None:
-                    continue
-                grad = p.grad
-                if g["weight_decay"] and not self.decoupled:
-                    grad = grad + g["weight_decay"] * p.data
-                m, v = self._m.get(id(p)), self._v.get(id(p))
-                if m is None:  # moments start at zero on a parameter's first step
-                    m, v = np.zeros_like(p.data), np.zeros_like(p.data)
-                m = self.b1 * m + (1 - self.b1) * grad
-                v = self.b2 * v + (1 - self.b2) * grad * grad
-                self._m[id(p)], self._v[id(p)] = m, v
-                update = (m / b1t) / (np.sqrt(v / b2t) + self.eps)
-                if g["weight_decay"] and self.decoupled:
-                    update = update + g["weight_decay"] * p.data
-                p.data -= g["lr"] * update
+        for g, (m_all, v_all), layouts in zip(self.groups, self._moments, self._layouts):
+            live = tuple(p.grad is not None for p in g["params"])
+            if live not in layouts:
+                layouts[live] = self._layout(g["params"], live)
+            params, rows, bounds = layouts[live]
+            if not params:
+                continue
+            grad = np.concatenate([p.grad.reshape(-1) for p in params])
+            decay = g["weight_decay"]
+            data = np.concatenate([p.data.reshape(-1) for p in params]) if decay else None
+            if decay and not self.decoupled:
+                grad = grad + decay * data
+            m = m_all if rows is None else m_all[rows]
+            v = v_all if rows is None else v_all[rows]
+            m *= self.b1
+            m += (1 - self.b1) * grad
+            v *= self.b2
+            v += (1 - self.b2) * grad * grad
+            if rows is not None:
+                m_all[rows], v_all[rows] = m, v
+            update = (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            if decay and self.decoupled:
+                update += decay * data
+            update *= g["lr"]
+            for p, (start, end) in zip(params, bounds):
+                p.data -= update[start:end].reshape(p.data.shape)
 
 
 class AdamW(Adam):

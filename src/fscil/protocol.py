@@ -10,6 +10,10 @@ sessions) extend the classifier with rows initialized from the refined
 prototypes; then train the session's prefixes together with its head rows.
 Evaluation routes every test sample through the shared-covariance ranking to
 pick a session's prefixes before the stochastic head predicts the label.
+While the backbone is frozen, a test sample's embedding under a given prefix
+set (or none) cannot change, so each is computed once per prefix set and
+kept by its dataset test index; the `delta_params: false` arm, whose
+backbone trains in every session, drops them after each session's training.
 Ablations are `TrainingConfig` values (see `config.ABLATION_TOGGLES`).
 """
 
@@ -112,12 +116,39 @@ class _ProtocolState:
         self.rebuild_covariance()
 
 
-def _fit_session_stats(state, encoder, view_images, remapped_labels, session, pool_x, config, rng, log):
+class _PoolEmbeddings:
+    """Test-pool embeddings by dataset test index, one table per prefix set.
+
+    `None` keys the prefix-free table.  A row is embedded the first time it
+    is asked for under a prefix set and served from the table afterwards,
+    which holds only while the encoder and that prefix set are frozen;
+    `clear()` forgets every row after the encoder trained.
+    """
+
+    def __init__(self, test_x: np.ndarray):
+        self.test_x = test_x
+        self._tables = {}
+
+    def embed(self, encoder, indices: np.ndarray, prefixes: PrefixSet | None = None) -> np.ndarray:
+        if prefixes not in self._tables:
+            self._tables[prefixes] = (np.empty((len(self.test_x), encoder.cfg.embed_dim)), np.zeros(len(self.test_x), dtype=bool))
+        rows, done = self._tables[prefixes]
+        missing = indices[~done[indices]]
+        if len(missing):
+            rows[missing] = embed_all(encoder, self.test_x[missing], prefixes=prefixes)
+            done[missing] = True
+        return rows[indices]
+
+    def clear(self):
+        self._tables.clear()
+
+
+def _fit_session_stats(state, encoder, view_images, remapped_labels, session, pool_emb, config, rng, log):
     """Fit, pseudo-enrich and (optionally) rectify one session's statistics.
 
-    Returns the prefix-free embeddings of the session's own samples (the
-    head extension takes raw prototypes from them when rectification is
-    off) and of the test pool (evaluation routes from them).
+    `pool_emb` holds the prefix-free embeddings of the test pool.  Returns
+    those of the session's own samples (the head extension takes raw
+    prototypes from them when rectification is off).
     """
     tc = config.training
     metric = config.resolved_metric()
@@ -127,7 +158,6 @@ def _fit_session_stats(state, encoder, view_images, remapped_labels, session, po
 
     stats_x, stats_y = embeddings, np.asarray(remapped_labels)
     session_classes = sorted(set(int(c) for c in remapped_labels))
-    pool_emb = embed_all(encoder, pool_x)
     assigned = pseudo_label(pool_emb, state.all_gaussians(), state.covariance, metric)
     keep = np.isin(assigned, session_classes)  # only this session's classes; past embeddings are gone
     pseudo_x, pseudo_y = pool_emb[keep], assigned[keep]
@@ -154,7 +184,7 @@ def _fit_session_stats(state, encoder, view_images, remapped_labels, session, po
         state.prednets[session] = net
         refined, refined_scatter = refine_gaussian_stats(net, stats_x, stats_y, gaussians)
         state.set_session_stats(session, refined, refined_scatter)
-    return embeddings, pool_emb
+    return embeddings
 
 
 def _finetune_backbone_session(view, remapped, encoder, head, new_rows, tc, rng, log, session):
@@ -176,14 +206,15 @@ def _finetune_backbone_session(view, remapped, encoder, head, new_rows, tc, rng,
     encoder.set_requires_grad(False)
 
 
-def _evaluate(encoder, head, state, pool_x, pool_emb, metric):
-    """Route every pool sample by its prefix-free embedding `pool_emb` to a
-    session, then predict with that session's prefixes and the noise-free head."""
+def _evaluate(encoder, head, state, pool, pool_idx, pool_emb, metric):
+    """Route every pool sample (dataset test indices `pool_idx`) by its
+    prefix-free embedding `pool_emb` to a session, then predict with that
+    session's prefixes and the noise-free head."""
     _, routed_sessions = select_class_batch(pool_emb, state.all_gaussians(), state.covariance, metric)
-    predictions = np.full(len(pool_x), -1, dtype=int)
+    predictions = np.full(len(pool_idx), -1, dtype=int)
     for sess in sorted(set(routed_sessions.tolist())):
         idx = np.flatnonzero(routed_sessions == sess)
-        z = embed_all(encoder, pool_x[idx], prefixes=state.prefixes.get(sess))
+        z = pool.embed(encoder, pool_idx[idx], state.prefixes.get(sess))
         preds = head.predict_label(Tensor(z))
         predictions[idx] = np.atleast_1d(preds)
     return predictions
@@ -206,6 +237,7 @@ def run_protocol(
     rng = SeededRng(seed)
     vault = SessionDataVault(dataset, specs)
     state = _ProtocolState()
+    pool = _PoolEmbeddings(dataset.test_x)
 
     # global label order: base classes first, then each session's, all sorted
     order = [c for spec in specs for c in spec.label_set]
@@ -222,7 +254,7 @@ def run_protocol(
         k = spec.session
         view = vault.open(k)
         remapped = np.array([remap[int(c)] for c in view.labels])
-        pool_x, pool_y = vault.test_pool(k)
+        _, pool_y = vault.test_pool(k)
 
         if k == 0:
             encoder, head, teacher, _ = train_base(view.images, remapped, config.model, tc, rng.child("base"), log=log)
@@ -230,7 +262,8 @@ def run_protocol(
             encoder.eval()
             if tc.run_probe:
                 _, probe_accuracy = linear_probe(teacher, view.images, remapped, tc, rng.child("probe"), log=log)
-        embeddings, pool_emb = _fit_session_stats(state, encoder, view.images, remapped, k, pool_x, config, rng.child(f"stats{k}"), log)
+        pool_emb = pool.embed(encoder, spec.test_indices)
+        embeddings = _fit_session_stats(state, encoder, view.images, remapped, k, pool_emb, config, rng.child(f"stats{k}"), log)
         if k == 0:
             new_rows = list(range(head.num_classes))
         else:
@@ -249,11 +282,12 @@ def run_protocol(
             trainable_fractions.append(trainable_fraction(prefixes, [head.mu[m] for m in new_rows] + [head.sigma[m] for m in new_rows], encoder))
         elif k:
             _finetune_backbone_session(view, remapped, encoder, head, new_rows, tc, rng.child(f"session{k}"), log, k)
-            pool_emb = embed_all(encoder, pool_x)  # the backbone moved since the statistics were fitted
+            pool.clear()  # the backbone moved since the statistics were fitted
+            pool_emb = pool.embed(encoder, spec.test_indices)
 
         view.close()
 
-        predictions = _evaluate(encoder, head, state, pool_x, pool_emb, metric)
+        predictions = _evaluate(encoder, head, state, pool, spec.test_indices, pool_emb, metric)
         pred_original = [int(original[int(p)]) for p in predictions]
         true_original = [int(c) for c in pool_y]
         accuracy = 100.0 * sum(1 for p, t in zip(pred_original, true_original) if p == t) / len(true_original)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .backbone import Linear
 from .errors import ArgumentError
-from .numerics import SeededRng, Tensor, gelu
+from .numerics import SeededRng, Tensor, gelu, mlp_mse
 from .optim import make_optimizer, run_epochs
 from .task_inference import ClassGaussian, select_class_batch
 
@@ -53,6 +53,7 @@ class PredictionNet:
             ]
 
     def __call__(self, x: Tensor) -> Tensor:
+        """The composed forward graph; training uses the fused `mlp_mse` loss."""
         out = self.layers[0](x)
         if self.depth == 2:
             out = self.layers[1](gelu(out))
@@ -77,7 +78,11 @@ class PredictionNet:
 
 
 def estimate_intra_class_bias(full_embeddings: np.ndarray, fewshot_embeddings: np.ndarray) -> np.ndarray:
-    """mean(full population) - mean(few-shot subset); diagnostic only."""
+    """mean(full population) - mean(few-shot subset): the bias rectification corrects.
+
+    A diagnostic for planted-bias experiments (demos/05 reports it); the
+    protocol never knows the full population, so it does not call this.
+    """
     full = np.asarray(full_embeddings, dtype=float)
     few = np.asarray(fewshot_embeddings, dtype=float)
     if len(full) == 0 or len(few) == 0:
@@ -132,9 +137,10 @@ def train_prediction_net(net: PredictionNet, pairs: OutlierPairs, config, rng: S
         raise ArgumentError("prediction net needs at least one pair")
     opt = make_optimizer(config.optimizer, [{"params": list(net.params().values()), "lr": config.prednet_lr, "weight_decay": config.prednet_weight_decay}])
 
+    weights = [t for layer in net.layers for t in (layer.weight, layer.bias)]
+
     def batch_loss(idx, epoch, start):
-        diff = net(Tensor(pairs.inputs[idx])) - Tensor(pairs.targets[idx])
-        return (diff * diff).mean()
+        return mlp_mse(pairs.inputs[idx], pairs.targets[idx], *weights)
 
     run_epochs(opt, len(pairs), config.prednet_batch_size, config.prednet_epochs, rng, batch_loss, log, "prediction_net", session)
     return net

@@ -62,7 +62,9 @@ class StochasticHead:
         """phi_m = mu_m + eps (*) softplus(sigma_m - c); phi = mu when noise is off.
 
         `frozen_eps` fixes the draw so the sampling path stays deterministic
-        for gradient checking.
+        for gradient checking.  Training draws all rows at once through
+        `logits`; this one-row draw is what the Monte-Carlo moment tests and
+        demos/03 sample the reparameterization with.
         """
         if not 0 <= class_index < self.num_classes:
             raise ArgumentError(f"class index {class_index} out of range (M={self.num_classes})")

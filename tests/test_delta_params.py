@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fscil import delta_params
 from fscil.backbone import BackboneConfig, Encoder, hash_state
 from fscil.config import TrainingConfig, desk_profile
 from fscil.delta_params import PrefixSet, prefix_mhsa, train_session, trainable_fraction
@@ -119,6 +120,22 @@ def test_train_session_keeps_backbone_and_old_rows_frozen():
     assert hash_state(encoder) == before_backbone
     for m, old in zip((0, 1), before_old):
         assert np.array_equal(head.mu[m].data, old)
+
+
+@pytest.mark.parametrize("part", ["mu", "sigma"])
+def test_train_session_rejects_a_changed_frozen_head_row(monkeypatch, part):
+    cfg, encoder, head, x, y = _session_setup(3)
+    real = delta_params.run_epochs
+
+    def drifting(*args, **kwargs):
+        out = real(*args, **kwargs)
+        getattr(head, part)[1].data[0] += 1e-12  # an old row moves during training
+        return out
+
+    monkeypatch.setattr(delta_params, "run_epochs", drifting)
+    prefixes = PrefixSet(session=1, layers=1, prefix_len=4, dim=8, rng=SeededRng(12))
+    with pytest.raises(ContractViolation, match="classifier rows"):
+        train_session(x, y, encoder, head, prefixes, new_rows=[2, 3], config=desk_profile(inc_epochs=1, inc_batch_size=5), rng=SeededRng(13), session=1)
 
 
 def test_train_session_rejects_unfrozen_backbone():

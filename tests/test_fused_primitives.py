@@ -1,5 +1,5 @@
 """Fused primitives: gradient checks, equality with the composed-op oracles,
-gradient routing and the graph size of one training step."""
+gradient routing, graph release and the graph size of one training step."""
 
 import numpy as np
 import pytest
@@ -7,17 +7,19 @@ import pytest
 from fscil.backbone import BackboneConfig, Encoder
 from fscil.base_trainer import cross_entropy_loss
 from fscil.config import toy_fscil_config
-from fscil.errors import ArgumentError
+from fscil.errors import ArgumentError, UsageError
 from fscil.numerics import (
     SeededRng,
     Tensor,
+    _as_tensor,
+    _result,
     attention,
     batch_norm,
     broadcast_to,
-    concat,
     grad_check,
     log_softmax,
     log_softmax_nll,
+    mlp_mse,
     reshape,
     softmax,
     softplus,
@@ -25,6 +27,7 @@ from fscil.numerics import (
     stochastic_weights,
     tensor_mean,
 )
+from fscil.prototype_rectification import PredictionNet
 from fscil.stochastic_classifier import StochasticHead
 
 D, HEADS, DK = 6, 2, 3
@@ -45,6 +48,25 @@ def _weights(seed=0):
 def _tokens(ndim, seed=1):
     shape = (4, D) if ndim == 2 else (3, 4, D)
     return np.random.default_rng(seed).normal(size=shape)
+
+
+def concat(tensors, axis: int = 0) -> Tensor:
+    """Concatenation as a graph node; the composed attention oracle joins
+    prefixes and heads with it."""
+    tensors = [_as_tensor(t) for t in tensors]
+    data = np.concatenate([t.data for t in tensors], axis=axis)
+    sizes = [t.data.shape[axis] for t in tensors]
+
+    def backward(g):
+        offset = 0
+        for t, size in zip(tensors, sizes):
+            if t.requires_grad:
+                sl = [slice(None)] * g.ndim
+                sl[axis] = slice(offset, offset + size)
+                t._accumulate(g[tuple(sl)])
+            offset += size
+
+    return _result(data, tuple(tensors), backward)
 
 
 def composed_attention(x, wq, wk, wv, wo, prefix_kv=None):
@@ -169,6 +191,32 @@ def test_float32_fused_grad_checks_at_relaxed_tolerance():
     assert probe.grad.dtype == np.float32
 
 
+def _mlp_arrays(depth, dtype=np.float64, batch=5, dim=4, hidden=6):
+    """(x, target, w1, b1[, w2, b2]) with nonzero biases, for `mlp_mse`."""
+    rng = np.random.default_rng(20 + depth)
+    widths = [(dim, dim)] if depth == 1 else [(dim, hidden), (hidden, dim)]
+    arrays = [rng.normal(size=(batch, dim)), rng.normal(size=(batch, dim))]
+    for fan_in, fan_out in widths:
+        arrays += [rng.normal(size=(fan_in, fan_out)) / np.sqrt(fan_in), rng.normal(size=fan_out) * 0.5]
+    return [a.astype(dtype) for a in arrays]
+
+
+MLP_ARGS = ("x", "target", "w1", "b1", "w2", "b2")
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("dtype, tol, step", [(np.float64, 1e-4, 1e-5), (np.float32, 5e-2, 1e-2)])
+def test_mlp_mse_passes_grad_check(depth, dtype, tol, step):
+    arrays = _mlp_arrays(depth, dtype)
+    for i, name in enumerate(MLP_ARGS[: len(arrays)]):
+
+        def f(t, i=i):
+            return mlp_mse(*(t if j == i else Tensor(a, dtype=dtype) for j, a in enumerate(arrays)))
+
+        report = grad_check(f, Tensor(arrays[i], dtype=dtype), tol=tol, step=step)
+        assert report.passed, f"depth {depth} {name}: {report}"
+
+
 # -- equality with the composed oracles ------------------------------------------------
 
 
@@ -260,6 +308,37 @@ def test_stochastic_weights_match_composed_oracle():
     assert np.array_equal(plain.data, mu0)
 
 
+@pytest.mark.parametrize("depth", [1, 2])
+def test_mlp_mse_matches_the_composed_prediction_net_bitwise(depth):
+    arrays = _mlp_arrays(depth)
+    nets = [PredictionNet(4, 0, SeededRng(0), depth=depth, hidden=6) for _ in range(2)]
+    for net in nets:
+        for layer, (w, b) in zip(net.layers, zip(arrays[2::2], arrays[3::2])):
+            layer.weight.data, layer.bias.data = w.copy(), b.copy()
+    leaves = [[Tensor(a, requires_grad=True) for a in arrays[:2]] for _ in range(2)]
+    fused = mlp_mse(*leaves[0], *(t for layer in nets[0].layers for t in (layer.weight, layer.bias)))
+    diff = nets[1](leaves[1][0]) - leaves[1][1]
+    expected = (diff * diff).mean()
+    assert _graph_size(fused) == 1 + len(arrays)
+    assert np.array_equal(fused.data, expected.data)
+
+    fused.backward()
+    expected.backward()
+    for fused_leaf, oracle_leaf in zip(*leaves):
+        assert np.array_equal(fused_leaf.grad, oracle_leaf.grad)
+    for fused_layer, oracle_layer in zip(*(net.layers for net in nets)):
+        assert np.array_equal(fused_layer.weight.grad, oracle_layer.weight.grad)
+        assert np.array_equal(fused_layer.bias.grad, oracle_layer.bias.grad)
+
+
+def test_mlp_mse_rejects_bad_shapes():
+    x, target, w, b = _mlp_arrays(1)
+    with pytest.raises(ArgumentError):
+        mlp_mse(x[0], target[0], w, b)
+    with pytest.raises(ArgumentError):
+        mlp_mse(x, target[:, :2], w, b)
+
+
 # -- gradient routing --------------------------------------------------------------------
 
 
@@ -293,6 +372,31 @@ def test_swapped_head_weight_keeps_gradient_on_forward_tensor():
     head.mu[1] = swapped_mu
     loss.backward()
     assert used_mu.grad is not None and swapped_mu.grad is None
+
+
+# -- graph release -----------------------------------------------------------------------
+
+
+def test_backward_releases_intermediate_nodes_and_keeps_leaf_gradients():
+    x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+    mid = x * 2.0
+    loss = (mid * mid).sum()
+    loss.backward()
+    np.testing.assert_array_equal(x.grad, 8.0 * x.data)
+    assert loss.item() == 56.0
+    for node in (mid, loss):
+        assert node.grad is None and node._parents == ()
+
+
+def test_backward_through_a_released_graph_raises():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    z = x * 3.0
+    loss = (z * z).sum()
+    loss.backward()
+    with pytest.raises(UsageError):
+        loss.backward()
+    with pytest.raises(UsageError):  # a second loss on `z` must not stop silently at `z`
+        (z * 2.0).sum().backward()
 
 
 # -- head eps stream and graph size --------------------------------------------------------

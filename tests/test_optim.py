@@ -1,11 +1,76 @@
-"""The shared epoch loop: batch order, loss means, plateau, early stop, events."""
+"""Optimizers and the shared epoch loop: the one-buffer Adam against the
+per-parameter loop, batch order, loss means, plateau, early stop, events."""
 
 import numpy as np
 import pytest
 
 from fscil.events import EventLog
 from fscil.numerics import SeededRng, Tensor
-from fscil.optim import SGD, EarlyStopping, ReduceOnPlateau, run_epochs
+from fscil.optim import SGD, Adam, AdamW, EarlyStopping, Optimizer, ReduceOnPlateau, run_epochs
+
+
+class PerParameterAdam(Optimizer):
+    """Adam as one update per parameter with its own moment arrays (the oracle)."""
+
+    def __init__(self, groups, decoupled: bool, betas=(0.9, 0.999), eps: float = 1e-8):
+        super().__init__(groups)
+        self.decoupled = decoupled
+        self.b1, self.b2 = betas
+        self.eps = eps
+        self._m = {}
+        self._v = {}
+        self._t = 0
+
+    def step(self):
+        self._t += 1
+        b1t = 1.0 - self.b1**self._t
+        b2t = 1.0 - self.b2**self._t
+        for g in self.groups:
+            for p in g["params"]:
+                if p.grad is None:
+                    continue
+                grad = p.grad
+                if g["weight_decay"] and not self.decoupled:
+                    grad = grad + g["weight_decay"] * p.data
+                m, v = self._m.get(id(p)), self._v.get(id(p))
+                if m is None:
+                    m, v = np.zeros_like(p.data), np.zeros_like(p.data)
+                m = self.b1 * m + (1 - self.b1) * grad
+                v = self.b2 * v + (1 - self.b2) * grad * grad
+                self._m[id(p)], self._v[id(p)] = m, v
+                update = (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+                if g["weight_decay"] and self.decoupled:
+                    update = update + g["weight_decay"] * p.data
+                p.data -= g["lr"] * update
+
+
+@pytest.mark.parametrize("cls", [Adam, AdamW])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_adam_matches_the_per_parameter_loop_bitwise(cls, dtype):
+    rng = np.random.default_rng(0)
+    shapes = [[(3, 4), (4,)], [(2,), (5, 2), (1,)]]
+    init = [[rng.normal(size=shape).astype(dtype) for shape in group] for group in shapes]
+    sides = []
+    for make in (lambda groups: cls(groups), lambda groups: PerParameterAdam(groups, cls.decoupled)):
+        params = [[Tensor(a.copy(), requires_grad=True, dtype=dtype) for a in group] for group in init]
+        sides.append((make([{"params": params[0], "lr": 0.05, "weight_decay": 0.1}, {"params": params[1], "lr": 0.01}]), params))
+    for step in range(20):
+        grads = [[rng.normal(size=shape).astype(dtype) for shape in group] for group in shapes]
+        for opt, params in sides:
+            opt.groups[0]["lr"] = 0.05 / (1 + step)
+            opt.groups[1]["weight_decay"] = 0.02 * (step % 3)
+            if step % 5 == 4:
+                opt.scale_lr(0.5)
+            for group, group_grads in zip(params, grads):
+                for i, (p, grad) in enumerate(zip(group, group_grads)):
+                    # group 1's second parameter first gets a gradient at step 3; at step 7
+                    # no parameter of group 1 has one
+                    skip = group is params[1] and ((i == 1 and (step < 3 or step % 4 == 1)) or step == 7)
+                    p.grad = None if skip else grad.copy()
+            opt.step()
+        for fused, oracle in zip(*(params for _, params in sides)):
+            for a, b in zip(fused, oracle):
+                assert a.data.dtype == dtype and np.array_equal(a.data, b.data)
 
 
 def _setup(lr: float = 0.1):

@@ -1,18 +1,23 @@
 """Protocol runner tests: bookkeeping, determinism, persistence, ablation wiring."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from fscil import protocol
 from fscil.backbone import Encoder, hash_state, load_state, state_arrays
+from fscil.base_trainer import embed_all
 from fscil.config import ABLATION_TOGGLES, BackboneConfig, DatasetConfig, RunConfig, SplitConfig, ablated, desk_profile
 from fscil.delta_params import PrefixSet
 from fscil.errors import ArgumentError
-from fscil.numerics import SeededRng
-from fscil.protocol import run_ablation, run_from_config
+from fscil.harness import build_fscil_splits
+from fscil.numerics import SeededRng, Tensor
+from fscil.protocol import build_dataset, run_ablation, run_from_config
 from fscil.prototype_rectification import PredictionNet
 from fscil.stochastic_classifier import StochasticHead
+from fscil.task_inference import select_class_batch
 
 
 def small_config(**dataset_kw) -> RunConfig:
@@ -78,6 +83,78 @@ def test_determinism_same_seed_same_hash():
     assert rec1.content_hash() == rec2.content_hash()
     rec3, _ = run_from_config(cfg, seed=4)
     assert rec3.content_hash() != rec1.content_hash()
+
+
+@pytest.fixture(scope="module")
+def counted_runs():
+    """Full and `delta_params`-ablated runs of `small_config()`, seed 11, with
+    every `protocol.embed_all` call of a test-pool sample recorded as
+    (prefix set or None, dataset test index)."""
+    runs = {}
+    for arm in ("full", "delta_params"):
+        cfg = small_config() if arm == "full" else ablated(small_config(), arm)
+        dataset = build_dataset(cfg, 11)
+        specs = build_fscil_splits(dataset.train_y, dataset.test_y, cfg.split.base_classes, cfg.split.ways, cfg.split.shots, 11)
+        test_index = {row.tobytes(): i for i, row in enumerate(dataset.test_x)}
+        calls = []
+
+        def counting(encoder, data_x, prefixes=None, **kw):
+            calls.extend((prefixes, test_index[row.tobytes()]) for row in data_x if row.tobytes() in test_index)
+            return embed_all(encoder, data_x, prefixes=prefixes, **kw)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(protocol, "embed_all", counting)
+            record, artifacts = protocol.run_protocol(dataset, specs, cfg, 11)
+        runs[arm] = (cfg, dataset, specs, record, artifacts, calls)
+    return runs
+
+
+def test_each_pool_sample_is_embedded_once_per_prefix_set(counted_runs):
+    _, _, specs, _, artifacts, calls = counted_runs["full"]
+    counts = Counter(calls)
+    assert max(counts.values()) == 1
+    assert {i for prefixes, i in counts if prefixes is None} == set(specs[-1].test_indices.tolist())
+    assert {prefixes for prefixes, _ in counts} - {None} <= set(artifacts["prefixes"].values())
+
+
+def test_backbone_finetune_arm_reembeds_the_pool_after_each_session(counted_runs):
+    _, _, specs, _, _, calls = counted_runs["delta_params"]
+    assert {prefixes for prefixes, _ in calls} == {None}
+    first_session = {}
+    for spec in reversed(specs):
+        first_session.update((i, spec.session) for i in spec.test_indices.tolist())
+    # embedded when it joins the pool, then again after every session's backbone training
+    n = len(specs)
+    expected = {i: n - s + (s > 0) for i, s in first_session.items()}
+    assert dict(Counter(i for _, i in calls)) == expected
+
+
+def test_pool_embeddings_serve_each_prefix_sets_own_rows():
+    cfg = small_config()
+    encoder = Encoder(cfg.model, SeededRng(0))
+    encoder.set_requires_grad(False)
+    test_x = np.random.default_rng(0).normal(size=(12, cfg.model.in_channels, cfg.model.image_size, cfg.model.image_size))
+    prefix_sets = [None] + [PrefixSet(k, cfg.model.layers, cfg.training.prefix_len, cfg.model.embed_dim, SeededRng(k)) for k in (1, 2)]
+    pool = protocol._PoolEmbeddings(test_x)
+    for idx in (np.array([3, 1, 7]), np.arange(12), np.array([11, 3]), np.array([], dtype=int)):
+        for prefixes in prefix_sets:
+            expected = embed_all(encoder, test_x[idx], prefixes=prefixes)
+            np.testing.assert_allclose(pool.embed(encoder, idx, prefixes), expected, rtol=0, atol=1e-12)
+
+
+def test_last_session_predictions_match_a_cache_free_recomputation(counted_runs):
+    cfg, dataset, specs, record, artifacts, _ = counted_runs["full"]
+    order = [c for spec in specs for c in spec.label_set]
+    pool_x = dataset.test_x[specs[-1].test_indices]
+    encoder, head = artifacts["encoder"], artifacts["head"]
+    gaussians = [g for k in sorted(artifacts["gaussians"]) for g in artifacts["gaussians"][k]]
+    _, routed = select_class_batch(embed_all(encoder, pool_x), gaussians, artifacts["covariance"], cfg.resolved_metric())
+    expected = np.full(len(pool_x), -1)
+    for sess in set(routed.tolist()):
+        idx = np.flatnonzero(routed == sess)
+        labels = head.predict_label(Tensor(embed_all(encoder, pool_x[idx], prefixes=artifacts["prefixes"][sess])))
+        expected[idx] = [order[int(c)] for c in np.atleast_1d(labels)]
+    assert record.session_results[-1]["predictions"] == expected.tolist()
 
 
 def test_unknown_toggle_rejected():
