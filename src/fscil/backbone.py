@@ -1,8 +1,10 @@
 """Compact convolutional-tokenizer transformer encoder with batch-norm.
 
-The tokenizer applies 1-3 conv layers (each conv -> channel BN -> ReLU ->
-optional max-pool) and flattens the spatial grid into a token sequence; no
-class token and no positional embedding are added.  Encoder blocks are
+The tokenizer transposes the (B, C, H, W) images to channels-last once,
+applies 1-3 conv layers (each conv -> channel BN -> ReLU -> optional
+max-pool) to (B, H, W, C) maps and reshapes the final grid into a token
+sequence; no class token and no positional embedding are added.  Every
+batch-norm normalizes the last axis.  Encoder blocks are
 pre-norm residual blocks whose norms are batch-norm layers, and the FFN
 carries one internal BN whose position `bn_placement` selects ("between" the
 two linear layers, the default, or "before" the first one); only that BN is
@@ -91,27 +93,16 @@ class BackboneConfig:
 
 
 class BatchNorm:
-    """Per-feature scale/shift with running statistics."""
+    """Per-feature (last axis) scale/shift with running statistics."""
 
-    def __init__(self, num_features: int, feature_axis: int = -1):
+    def __init__(self, num_features: int):
         self.gamma = Tensor(np.ones(num_features), requires_grad=True)
         self.beta = Tensor(np.zeros(num_features), requires_grad=True)
         self.running_mean = np.zeros(num_features)
         self.running_var = np.ones(num_features)
-        self.feature_axis = feature_axis
 
     def __call__(self, x: Tensor, mode: str) -> Tensor:
-        return batch_norm(
-            x,
-            self.gamma,
-            self.beta,
-            self.running_mean,
-            self.running_var,
-            mode,
-            feature_axis=self.feature_axis,
-            eps=BN_EPS,
-            momentum=BN_MOMENTUM,
-        )
+        return batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var, mode, eps=BN_EPS, momentum=BN_MOMENTUM)
 
     def params(self, prefix: str) -> dict:
         return {f"{prefix}.gamma": self.gamma, f"{prefix}.beta": self.beta}
@@ -139,7 +130,12 @@ class Linear:
 
 
 class ConvTokenizer:
-    """Conv stack producing the token sequence X in R^{n x d}."""
+    """Conv stack producing the token sequence X in R^{n x d}.
+
+    The (B, C, H, W) images are transposed once to channels-last; every
+    conv, batch-norm, ReLU and pool stage then works on (B, H, W, C) maps,
+    and the last map's grid cells, in row-major order, are the tokens.
+    """
 
     def __init__(self, rng: SeededRng, cfg: BackboneConfig):
         self.cfg = cfg
@@ -150,18 +146,18 @@ class ConvTokenizer:
             fan = in_c * cfg.conv_kernel * cfg.conv_kernel
             w = rng.child(f"conv{i}").normal(size=(out_c, in_c, cfg.conv_kernel, cfg.conv_kernel))
             self.weights.append(Tensor(w / np.sqrt(fan), requires_grad=True))
-            self.norms.append(BatchNorm(out_c, feature_axis=1))
+            self.norms.append(BatchNorm(out_c))
             in_c = out_c
 
     def __call__(self, images: Tensor, mode: str) -> Tensor:
-        x = images
+        x = images.swapaxes(1, 3).swapaxes(1, 2)  # (B, C, H, W) -> (B, H, W, C)
         for w, bn in zip(self.weights, self.norms):
             x = conv2d(x, w, stride=self.cfg.conv_stride, padding=self.cfg.conv_padding)
             x = relu(bn(x, mode))
             if self.cfg.pool_size:
                 x = maxpool2d(x, self.cfg.pool_size, self.cfg.pool_stride)
-        b, c, h, w_ = x.shape
-        return reshape(x, (b, c, h * w_)).swapaxes(1, 2)
+        b, h, w_, c = x.shape
+        return reshape(x, (b, h * w_, c))
 
     def params(self, prefix: str) -> dict:
         out = {}

@@ -1,7 +1,8 @@
 """Base-task training: self-distillation first, then supervised cross-entropy.
 
 The distillation phase follows the teacher/student recipe: two global crops
-feed the teacher, all crops feed the student, teacher targets are centered
+feed the teacher, all crops feed the student (every crop box of a batch is
+drawn from that batch's one random stream), teacher targets are centered
 and sharpened before the softmax, no gradient reaches the teacher, and the
 teacher tracks the student by exponential moving average.  Once that phase
 finishes (early stopping on the distillation loss), the classifier means
@@ -25,64 +26,36 @@ from .stochastic_classifier import StochasticHead, init_means_from_prototypes
 # -- multi-crop views ---------------------------------------------------------
 
 
-@dataclass
-class CropSet:
-    """Two global crops plus local crops, all resized to the input size."""
-
-    globals: list
-    locals: list
-    boxes: list  # (top, left, side) per crop, global crops first
-
-    @property
-    def all_crops(self) -> list:
-        return self.globals + self.locals
-
-    def __len__(self):
-        return len(self.globals) + len(self.locals)
-
-
-def _resize_nearest(patch: np.ndarray, out_size: int) -> np.ndarray:
-    side = patch.shape[-1]
-    idx = np.floor(np.arange(out_size) * side / out_size).astype(int)
-    return patch[:, idx][:, :, idx]
-
-
-def _crop(image: np.ndarray, rng: SeededRng, scale_range, out_size: int):
-    h = image.shape[-1]
-    s = rng.uniform(*scale_range)
-    side = int(np.clip(round(h * np.sqrt(s)), 1, h))
-    top = int(rng.integers(0, h - side + 1))
-    left = int(rng.integers(0, h - side + 1))
-    patch = image[:, top : top + side, left : left + side]
-    return _resize_nearest(patch, out_size), (top, left, side)
-
-
-def multi_crop(image: np.ndarray, rng: SeededRng, n_local: int, global_scale=(0.6, 1.0), local_scale=(0.2, 0.5)) -> CropSet:
-    """Deterministic (given rng) global/local crops of one (C, H, W) image."""
-    image = np.asarray(image, dtype=float)
-    if image.ndim != 3:
-        raise ArgumentError(f"multi_crop expects a (C, H, W) image, got shape {image.shape}")
-    h = image.shape[-1]
-    if h < 2 or image.shape[-2] < 2:
-        raise ArgumentError(f"image {image.shape} too small to crop")
-    crops, boxes = [], []
-    for i in range(2):
-        crop, box = _crop(image, rng.child(f"global{i}"), global_scale, h)
-        crops.append(crop)
-        boxes.append(box)
-    locs = []
-    for i in range(n_local):
-        crop, box = _crop(image, rng.child(f"local{i}"), local_scale, h)
-        locs.append(crop)
-        boxes.append(box)
-    return CropSet(globals=crops, locals=locs, boxes=boxes)
-
-
 def crop_slots(images: np.ndarray, rng: SeededRng, n_local: int, global_scale, local_scale) -> list:
-    """Per-slot batches: slot j stacks the j-th crop of every image."""
-    sets = [multi_crop(img, rng.child(f"img{i}"), n_local, global_scale, local_scale) for i, img in enumerate(images)]
-    n_slots = 2 + n_local
-    return [np.stack([s.all_crops[j] for s in sets]) for j in range(n_slots)]
+    """Multi-crop views of a (B, C, H, W) batch as per-slot (B, C, H, W) batches.
+
+    Slots 0 and 1 hold the global crops, the other `n_local` the local ones;
+    slot j stacks the j-th crop of every image.  A crop is a random square
+    window resized back to H x W by nearest neighbour: for a scale s drawn
+    uniformly from the slot's range, side = clip(round(H sqrt(s)), 1, H),
+    top and left are uniform in [0, H - side], and output pixel i reads
+    window pixel floor(i side / H).  Every box of the batch comes from `rng`:
+    per slot, B scales, then B tops, then B lefts.
+    """
+    images = np.asarray(images, dtype=float)
+    if images.ndim != 4:
+        raise ArgumentError(f"crop_slots expects (B, C, H, W) images, got shape {images.shape}")
+    b, c, h = images.shape[0], images.shape[1], images.shape[-1]
+    if min(images.shape[-2:]) < 2:
+        raise ArgumentError(f"images {images.shape} too small to crop")
+    grid = np.arange(h)
+    batch_idx = np.arange(b)[:, None, None, None]
+    channel_idx = np.arange(c)[None, :, None, None]
+    slots = []
+    for j in range(2 + n_local):
+        low, high = global_scale if j < 2 else local_scale
+        side = np.clip(np.round(h * np.sqrt(rng.uniform(low, high, size=b))), 1, h).astype(int)
+        top = rng.integers(0, h - side + 1)
+        left = rng.integers(0, h - side + 1)
+        offsets = grid * side[:, None] // h  # (B, H): window pixel read by each output pixel
+        rows, cols = top[:, None] + offsets, left[:, None] + offsets
+        slots.append(images[batch_idx, channel_idx, rows[:, None, :, None], cols[:, None, None, :]])
+    return slots
 
 
 # -- teacher state ------------------------------------------------------------

@@ -8,7 +8,12 @@ The layers that dominate a training step are fused primitives: each is one
 graph node with a hand-written backward, and each is `grad_check`-verified
 in the tests.
 
-- `batch_norm`: train mode (closed-form backward) and eval mode;
+- `batch_norm`: the last axis of a 2-d (rows, C) view, in train mode
+  (closed-form backward from the two row sums sum(g) and sum(g * xn)) and
+  eval mode; a sum whose gradient no parameter needs is skipped;
+- `conv2d` and `maxpool2d`: channels-last (B, H, W, C) maps; the
+  convolution is one im2col matrix product each way, the pooling a running
+  maximum over the window taps;
 - `attention`: all heads as one batched (B, H, n, d_k) product, with
   optional key/value prefixes projected and prepended inside the node;
 - `log_softmax_nll`: log-softmax plus negative log-likelihood of integer
@@ -513,8 +518,10 @@ def matmul(a, b) -> Tensor:
             ga = g @ b.data.swapaxes(-1, -2)
             a._accumulate(_unbroadcast(ga, a.data.shape))
         if b.requires_grad:
-            gb = a.data.swapaxes(-1, -2) @ g
-            b._accumulate(_unbroadcast(gb, b.data.shape))
+            if b.ndim == 2:  # a weight shared by every leading index of `a`: one GEMM over all rows
+                b._accumulate(a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+            else:
+                b._accumulate(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
 
     return _result(data, (a, b), backward)
 
@@ -522,63 +529,77 @@ def matmul(a, b) -> Tensor:
 # -- structured ops ----------------------------------------------------------
 
 
-def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-d convolution over (B, C, H, W) input with an (O, C, k, k) kernel."""
+def conv2d(x, weight, stride: int = 1, padding: int = 0) -> Tensor:
+    """2-d convolution of channels-last (B, H, W, C) input with an (O, C, k, k) kernel.
+
+    Returns (B, OH, OW, O).  The k x k windows are gathered once into an
+    im2col matrix, so the forward and the kernel gradient are one matrix
+    product each; the input gradient is one product scattered back with k^2
+    strided adds.
+    """
     x, weight = _as_tensor(x), _as_tensor(weight)
-    b, c, h, w = x.data.shape
+    b, h, w, c = x.data.shape
     out_c, in_c, kh, kw = weight.data.shape
     if in_c != c:
         raise ArgumentError(f"conv2d channel mismatch: input {c}, kernel {in_c}")
     if h + 2 * padding < kh or w + 2 * padding < kw:
         raise ArgumentError(f"conv2d kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{w + 2 * padding}")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x.data
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    data = np.einsum("bcxykl,ockl->boxy", win, weight.data, optimize=True)
-    parents = [x, weight]
-    if bias is not None:
-        bias = _as_tensor(bias)
-        data = data + bias.data[None, :, None, None]
-        parents.append(bias)
-    oh, ow = data.shape[2], data.shape[3]
+    xp = x.data
+    if padding:
+        xp = np.zeros((b, h + 2 * padding, w + 2 * padding, c), dtype=x.data.dtype)
+        xp[:, padding : padding + h, padding : padding + w] = x.data
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    oh, ow = win.shape[1], win.shape[2]
+    cols = win.reshape(b * oh * ow, c * kh * kw)  # columns ordered (c, i, j), as the kernel flattens
+    wmat = weight.data.reshape(out_c, -1)
+    data = (cols @ wmat.T).reshape(b, oh, ow, out_c)
 
     def backward(g):
+        g2 = g.reshape(-1, out_c)
         if weight.requires_grad:
-            weight._accumulate(np.einsum("bcxykl,boxy->ockl", win, g, optimize=True))
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(g.sum(axis=(0, 2, 3)))
+            weight._accumulate((g2.T @ cols).reshape(weight.data.shape))
         if x.requires_grad:
+            dcols = (g2 @ wmat).reshape(b, oh, ow, c, kh, kw)
             dxp = np.zeros_like(xp)
             for i in range(kh):
                 for j in range(kw):
-                    contrib = np.tensordot(g, weight.data[:, :, i, j], axes=([1], [0]))
-                    dxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += contrib.transpose(0, 3, 1, 2)
-            x._accumulate(dxp[:, :, padding : padding + h, padding : padding + w] if padding else dxp)
+                    dxp[:, i : i + stride * oh : stride, j : j + stride * ow : stride] += dcols[..., i, j]
+            x._accumulate(dxp[:, padding : padding + h, padding : padding + w] if padding else dxp)
 
-    return _result(data, tuple(parents), backward)
+    return _result(data, (x, weight), backward)
 
 
 def maxpool2d(x, size: int, stride: int | None = None) -> Tensor:
-    """Max pooling over (B, C, H, W); gradient routes to the first argmax."""
+    """Max pooling over channels-last (B, H, W, C); gradient routes to the first maximal tap.
+
+    The forward is a running maximum over the size^2 window taps (row-major
+    order); the backward hands each output's gradient to the first tap equal
+    to the maximum, which is where an argmax over the window would point.
+    """
     x = _as_tensor(x)
     stride = stride or size
-    b, c, h, w = x.data.shape
+    b, h, w, c = x.data.shape
     if h < size or w < size:
         raise ArgumentError(f"maxpool window {size} larger than input {h}x{w}")
-    win = np.lib.stride_tricks.sliding_window_view(x.data, (size, size), axis=(2, 3))[:, :, ::stride, ::stride]
-    oh, ow = win.shape[2], win.shape[3]
-    flat = win.reshape(b, c, oh, ow, size * size)
-    idx = flat.argmax(axis=-1)
-    data = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    oh, ow = (h - size) // stride + 1, (w - size) // stride + 1
+    taps = [(slice(i, i + stride * oh, stride), slice(j, j + stride * ow, stride)) for i in range(size) for j in range(size)]
+    data = x.data[:, taps[0][0], taps[0][1]].copy()
+    for rows, cols in taps[1:]:
+        np.maximum(data, x.data[:, rows, cols], out=data)
 
     def backward(g):
         if not x.requires_grad:
             return
         dx = np.zeros_like(x.data)
-        ki, kj = np.divmod(idx, size)
-        for i in range(size):
-            for j in range(size):
-                mask = (ki == i) & (kj == j)
-                dx[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += g * mask
+        unrouted = np.ones(data.shape, dtype=bool)
+        for rows, cols in taps:
+            hit = x.data[:, rows, cols] == data
+            hit &= unrouted
+            unrouted ^= hit
+            if stride >= size:  # windows do not overlap: each input cell belongs to one tap
+                np.multiply(g, hit, out=dx[:, rows, cols])
+            else:
+                dx[:, rows, cols] += g * hit
         x._accumulate(dx)
 
     return _result(data, (x,), backward)
@@ -591,55 +612,65 @@ def batch_norm(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     mode: str,
-    feature_axis: int = -1,
     eps: float = 1e-5,
     momentum: float = 0.1,
 ) -> Tensor:
-    """Normalize per feature over all other axes, as one graph node.
+    """Normalize each feature (the last axis) over all other axes, as one graph node.
 
-    Train mode uses biased batch statistics with `eps` inside the square
-    root and updates the running stats in place with `momentum` (new = (1-m)
-    old + m batch); its backward is the closed form of Ioffe & Szegedy
-    (2015).  Eval mode normalizes by sqrt(max(running_var, eps)) so
-    calibrated (0, 1) stats act as an exact identity.
+    `x` is viewed as a 2-d (rows, C) array.  Train mode uses biased batch
+    statistics (one sum for the mean, one row-dot of the centered rows for
+    the variance) with `eps` inside the square root and updates the running
+    stats in place with `momentum` (new = (1-m) old + m batch).  Eval mode
+    normalizes by sqrt(max(running_var, eps)) so calibrated (0, 1) stats act
+    as an exact identity.  The backward needs only sum(g) and sum(g * xn)
+    over the rows (Ioffe & Szegedy 2015):
+    dx = gamma * inv * (g - mean(g) - xn * mean(g * xn)) in train mode and
+    gamma * inv * g in eval mode; a reduction that no gradient needs is skipped.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     if mode not in ("train", "eval"):
         raise UsageError(f"batch_norm mode must be 'train' or 'eval', got {mode!r}")
-    axis = feature_axis % x.ndim
-    reduce_axes = tuple(i for i in range(x.ndim) if i != axis)
-    shape = [1] * x.ndim
-    shape[axis] = x.data.shape[axis]
-    shape = tuple(shape)
-    scale = gamma.data.reshape(shape)
-    if mode == "train":
-        if x.data.size // x.data.shape[axis] < 2:
+    train = mode == "train"
+    c = x.data.shape[-1]
+    x2 = x.data.reshape(-1, c)
+    rows = x2.shape[0]
+    if train:
+        if rows < 2:
             raise UsageError("batch_norm train mode needs at least 2 samples per feature")
-        mu = x.data.mean(axis=reduce_axes, keepdims=True)
-        centered = x.data - mu
-        var = (centered * centered).mean(axis=reduce_axes, keepdims=True)
+        mu = x2.sum(axis=0) / rows
+        xn = x2 - mu
+        var = np.einsum("ij,ij->j", xn, xn) / rows
         inv = 1.0 / np.sqrt(var + eps)
         running_mean *= 1.0 - momentum
-        running_mean += momentum * mu.reshape(-1)
+        running_mean += momentum * mu
         running_var *= 1.0 - momentum
-        running_var += momentum * var.reshape(-1)
+        running_var += momentum * var
     else:
-        centered = x.data - running_mean.reshape(shape)
-        inv = 1.0 / np.sqrt(np.maximum(running_var, eps)).reshape(shape)
-    xn = centered * inv
+        xn = x2 - running_mean
+        inv = 1.0 / np.sqrt(np.maximum(running_var, eps))
+    xn *= inv
+    out = xn * gamma.data
+    out += beta.data
 
     def backward(g):
+        g2 = g.reshape(-1, c)
+        x_train = x.requires_grad and train
+        g_sum = g2.sum(axis=0) if beta.requires_grad or x_train else None
+        g_xn = np.einsum("ij,ij->j", g2, xn) if gamma.requires_grad or x_train else None
         if gamma.requires_grad:
-            gamma._accumulate((g * xn).sum(axis=reduce_axes))
+            gamma._accumulate(g_xn)
         if beta.requires_grad:
-            beta._accumulate(g.sum(axis=reduce_axes))
+            beta._accumulate(g_sum)
         if x.requires_grad:
-            gx = g * scale
-            if mode == "train":
-                gx = gx - gx.mean(axis=reduce_axes, keepdims=True) - xn * (gx * xn).mean(axis=reduce_axes, keepdims=True)
-            x._accumulate(gx * inv)
+            if train:
+                gx = g2 - g_sum / rows
+                gx -= xn * (g_xn / rows)
+                gx *= gamma.data * inv
+            else:
+                gx = g2 * (gamma.data * inv)
+            x._accumulate(gx.reshape(x.data.shape))
 
-    return _result(scale * xn + beta.data.reshape(shape), (x, gamma, beta), backward)
+    return _result(out.reshape(x.data.shape), (x, gamma, beta), backward)
 
 
 def attention(x, wq, wk, wv, wo, prefix_kv=None):

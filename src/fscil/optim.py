@@ -222,6 +222,8 @@ def run_epochs(
     group's, after the plateau step) are logged under `phase` and `session`,
     and the stopper (when given) may end training.  `before_epoch(epoch)` runs
     before an epoch's first batch and `after_step()` after every optimizer step.
+    The last step's gradients are released on return, so the trained
+    parameters hold no `.grad` arrays.
     """
     batch = min(batch_size, n)
     means = []
@@ -248,4 +250,5 @@ def run_epochs(
             log.emit(phase=phase, session=session, epoch=epoch, key="lr", value=opt.groups[0]["lr"])
         if stopper is not None and stopper.update(mean_loss):
             break
+    opt.zero_grad()
     return means

@@ -17,7 +17,7 @@ import numpy as np
 
 from .backbone import Linear
 from .errors import ArgumentError
-from .numerics import SeededRng, Tensor, gelu, mlp_mse
+from .numerics import SeededRng, Tensor, gelu, mlp_mse, no_grad
 from .optim import make_optimizer, run_epochs
 from .task_inference import ClassGaussian, select_class_batch
 
@@ -60,7 +60,9 @@ class PredictionNet:
         return out
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self(Tensor(np.asarray(x, dtype=float))).data
+        """The net's output for an array of embeddings; builds no graph."""
+        with no_grad():
+            return self(Tensor(np.asarray(x, dtype=float))).data
 
     def params(self) -> dict:
         out = {}

@@ -11,7 +11,6 @@ from fscil.base_trainer import (
     ema_update_teacher,
     linear_probe,
     make_teacher,
-    multi_crop,
     train_base,
     update_center,
 )
@@ -37,37 +36,75 @@ def tiny_model():
 # -- multi-crop ------------------------------------------------------------------
 
 
+def replayed_boxes(rng, batch, h, n_local, global_scale=(0.6, 1.0), local_scale=(0.2, 0.5)):
+    """Per slot, (top, left, side) arrays drawn in `crop_slots`' documented order."""
+    boxes = []
+    for j in range(2 + n_local):
+        low, high = global_scale if j < 2 else local_scale
+        side = np.clip(np.round(h * np.sqrt(rng.uniform(low, high, size=batch))), 1, h).astype(int)
+        top = rng.integers(0, h - side + 1)
+        left = rng.integers(0, h - side + 1)
+        boxes.append((top, left, side))
+    return boxes
+
+
+def window_crops(images, boxes):
+    """Per-image oracle: slice each box's window and resize it by nearest neighbour."""
+    h = images.shape[-1]
+    slots = []
+    for top, left, side in boxes:
+        crops = []
+        for img, t, l, sd in zip(images, top, left, side):
+            patch = img[:, t : t + sd, l : l + sd]
+            idx = np.floor(np.arange(h) * sd / h).astype(int)
+            crops.append(patch[:, idx][:, :, idx])
+        slots.append(np.stack(crops))
+    return slots
+
+
 def test_multi_crop_counts():
-    img = np.random.default_rng(0).normal(size=(1, 8, 8))
-    crops = multi_crop(img, SeededRng(1), n_local=0)
-    assert len(crops) == 2 and len(crops.locals) == 0
-    crops = multi_crop(img, SeededRng(1), n_local=3)
-    assert len(crops) == 5 and len(crops.all_crops) == 5
+    img = np.random.default_rng(0).normal(size=(3, 1, 8, 8))
+    assert len(crop_slots(img, SeededRng(1), 0, (0.6, 1.0), (0.2, 0.5))) == 2
+    assert len(crop_slots(img, SeededRng(1), 3, (0.6, 1.0), (0.2, 0.5))) == 5
 
 
 def test_multi_crop_deterministic_bitwise():
-    img = np.random.default_rng(1).normal(size=(1, 8, 8))
-    a = multi_crop(img, SeededRng(7), n_local=4)
-    b = multi_crop(img, SeededRng(7), n_local=4)
-    for ca, cb in zip(a.all_crops, b.all_crops):
-        assert np.array_equal(ca, cb)
-    assert a.boxes == b.boxes
+    img = np.random.default_rng(1).normal(size=(5, 2, 8, 8))
+    a = crop_slots(img, SeededRng(7), 4, (0.6, 1.0), (0.2, 0.5))
+    b = crop_slots(img, SeededRng(7), 4, (0.6, 1.0), (0.2, 0.5))
+    assert all(np.array_equal(ca, cb) for ca, cb in zip(a, b))
 
 
 def test_multi_crop_boxes_within_bounds_oracle():
-    img = np.random.default_rng(2).normal(size=(1, 6, 6))
-    for seed in range(10_000):
-        crops = multi_crop(img, SeededRng(seed), n_local=2)
-        for top, left, side in crops.boxes:
-            assert 0 <= top and 0 <= left and side >= 1
-            assert top + side <= 6 and left + side <= 6
-        for c in crops.all_crops:
-            assert c.shape == (1, 6, 6)
+    img = np.random.default_rng(2).normal(size=(8, 1, 6, 6))
+    for seed in range(2_000):
+        boxes = replayed_boxes(SeededRng(seed), 8, 6, n_local=2)
+        for top, left, side in boxes:
+            assert np.all(top >= 0) and np.all(left >= 0) and np.all(side >= 1)
+            assert np.all(top + side <= 6) and np.all(left + side <= 6)
+        slots = crop_slots(img, SeededRng(seed), 2, (0.6, 1.0), (0.2, 0.5))
+        for got, expected in zip(slots, window_crops(img, boxes)):
+            assert got.shape == (8, 1, 6, 6) and np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("global_scale, local_scale", [((0.6, 1.0), (0.2, 0.5)), ((1.0, 1.0), (0.0, 1e-3))])
+def test_crop_slots_crops_are_nearest_resized_windows(global_scale, local_scale):
+    img = np.random.default_rng(3).normal(size=(5, 3, 9, 9))
+    for seed in range(20):
+        slots = crop_slots(img, SeededRng(seed), 3, global_scale, local_scale)
+        boxes = replayed_boxes(SeededRng(seed), 5, 9, 3, global_scale, local_scale)
+        for got, expected in zip(slots, window_crops(img, boxes)):
+            assert np.array_equal(got, expected)
+    if global_scale == (1.0, 1.0):  # whole-image windows and one-pixel windows
+        assert np.array_equal(slots[0], img)
+        assert all(np.all(s == s[:, :, :1, :1]) for s in slots[2:])
 
 
 def test_multi_crop_too_small_image():
     with pytest.raises(ArgumentError):
-        multi_crop(np.zeros((1, 1, 1)), SeededRng(0), n_local=0)
+        crop_slots(np.zeros((2, 1, 1, 1)), SeededRng(0), 0, (0.6, 1.0), (0.2, 0.5))
+    with pytest.raises(ArgumentError):
+        crop_slots(np.zeros((1, 4, 4)), SeededRng(0), 0, (0.6, 1.0), (0.2, 0.5))
 
 
 # -- dino step ------------------------------------------------------------------------
@@ -255,6 +292,10 @@ def test_train_base_phases_and_loss_trend():
     sup = history["sup_loss"]
     k = min(10, max(1, len(sup) // 2))
     assert np.mean(sup[-k:]) < np.mean(sup[:k])
+
+    # training releases the last step's gradients
+    for model in (encoder, head, teacher.encoder, teacher.proj):
+        assert all(p.grad is None for p in model.params().values())
 
 
 def test_train_base_enforces_two_classes():

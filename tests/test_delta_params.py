@@ -118,6 +118,7 @@ def test_train_session_keeps_backbone_and_old_rows_frozen():
     before_old = [head.mu[m].data.copy() for m in (0, 1)]
     train_session(x, y, encoder, head, prefixes, new_rows=[2, 3], config=tc, rng=SeededRng(8), session=1)
     assert hash_state(encoder) == before_backbone
+    assert all(p.grad is None for model in (encoder, head, prefixes) for p in model.params().values())
     for m, old in zip((0, 1), before_old):
         assert np.array_equal(head.mu[m].data, old)
 

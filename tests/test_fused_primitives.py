@@ -134,6 +134,18 @@ def test_attention_passes_grad_check(ndim, with_prefix, target, index):
     _check(f, Tensor(start.copy()))
 
 
+def features_last_batch_norm(x, gamma, beta, running_mean, running_var, mode, feature_axis):
+    """`batch_norm` of `x` whose features sit on `feature_axis`, returned in `x`'s layout.
+
+    The node normalizes the last axis; features on axis 1 reach it through
+    a `swapaxes`, which hands it a non-contiguous view (as channels-first
+    data would).
+    """
+    if feature_axis % x.ndim == x.ndim - 1:
+        return batch_norm(x, gamma, beta, running_mean, running_var, mode)
+    return batch_norm(x.swapaxes(feature_axis, -1), gamma, beta, running_mean, running_var, mode).swapaxes(feature_axis, -1)
+
+
 @pytest.mark.parametrize("mode", ["train", "eval"])
 @pytest.mark.parametrize("feature_axis", [1, -1])
 @pytest.mark.parametrize("target", ["x", "gamma", "beta"])
@@ -148,7 +160,7 @@ def test_batch_norm_passes_grad_check(mode, feature_axis, target):
     def f(t):
         args = {name: Tensor(value) for name, value in params.items()}
         args[target] = t
-        out = batch_norm(args["x"], args["gamma"], args["beta"], running_mean.copy(), running_var.copy(), mode, feature_axis=feature_axis)
+        out = features_last_batch_norm(args["x"], args["gamma"], args["beta"], running_mean.copy(), running_var.copy(), mode, feature_axis)
         return (out * out * weights).sum()
 
     _check(f, Tensor(params[target].copy()))
@@ -254,7 +266,7 @@ def test_batch_norm_train_matches_composed_oracle(feature_axis):
     running = [(np.zeros(c), np.ones(c)) for _ in range(2)]
     seed = rng.normal(size=x0.shape)
 
-    fused = batch_norm(*leaves[0], *running[0], "train", feature_axis=feature_axis)
+    fused = features_last_batch_norm(*leaves[0], *running[0], "train", feature_axis)
     expected = composed_batch_norm(*leaves[1], feature_axis)
     np.testing.assert_allclose(fused.data, expected.data, atol=1e-12)
     axes = tuple(i for i in range(3) if i != feature_axis % 3)
@@ -265,6 +277,21 @@ def test_batch_norm_train_matches_composed_oracle(feature_axis):
     expected.backward(seed)
     for fused_t, oracle_t in zip(*leaves):
         np.testing.assert_allclose(fused_t.grad, oracle_t.grad, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_batch_norm_frozen_scale_and_shift_get_no_gradient(mode):
+    rng = np.random.default_rng(10)
+    x0, g0, b0 = rng.normal(size=(4, 3, 5)), rng.normal(size=5), rng.normal(size=5)
+    running_var = rng.uniform(0.5, 2.0, size=5)
+    seed = rng.normal(size=x0.shape)
+    grads = []
+    for live in (True, False):
+        x, gamma, beta = Tensor(x0, requires_grad=True), Tensor(g0, requires_grad=live), Tensor(b0, requires_grad=live)
+        batch_norm(x, gamma, beta, np.zeros(5), running_var.copy(), mode).backward(seed)
+        assert (gamma.grad is None, beta.grad is None) == (not live, not live)
+        grads.append(x.grad)
+    np.testing.assert_array_equal(grads[0], grads[1])
 
 
 def test_batch_norm_eval_calibrated_stats_are_exact_identity():

@@ -8,6 +8,8 @@ from fscil.errors import ArgumentError, DomainError, UsageError
 from fscil.numerics import (
     SeededRng,
     Tensor,
+    _as_tensor,
+    _result,
     batch_norm,
     broadcast_to,
     conv2d,
@@ -252,7 +254,7 @@ def test_elementwise_ops_pass_grad_check(name, fn):
 def test_conv_and_pool_pass_grad_check():
     rng = np.random.default_rng(11)
     w = rng.normal(size=(2, 1, 3, 3)) * 0.5
-    x = Tensor(rng.normal(size=(2, 1, 6, 6)) * 3.0)  # well separated, pooling argmax stable
+    x = Tensor((rng.normal(size=(2, 1, 6, 6)) * 3.0).transpose(0, 2, 3, 1))  # channels-last; well separated, pooling argmax stable
 
     def f_x(t):
         return (maxpool2d(conv2d(t, Tensor(w), stride=1, padding=1), 2) ** 2).sum()
@@ -263,6 +265,124 @@ def test_conv_and_pool_pass_grad_check():
         return (conv2d(Tensor(x.data), t, stride=2, padding=0) ** 2).sum()
 
     assert grad_check(f_w, Tensor(w), tol=1e-4).passed
+
+
+def nchw_conv2d(x, weight, stride: int = 1, padding: int = 0) -> Tensor:
+    """The channels-first (B, C, H, W) convolution that loops over kernel taps
+    in its backward, as `conv2d` computed it before im2col (the oracle)."""
+    x, weight = _as_tensor(x), _as_tensor(weight)
+    h, w = x.data.shape[2:]
+    kh, kw = weight.data.shape[2:]
+    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x.data
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    data = np.einsum("bcxykl,ockl->boxy", win, weight.data, optimize=True)
+    oh, ow = data.shape[2], data.shape[3]
+
+    def backward(g):
+        if weight.requires_grad:
+            weight._accumulate(np.einsum("bcxykl,boxy->ockl", win, g, optimize=True))
+        if x.requires_grad:
+            dxp = np.zeros_like(xp)
+            for i in range(kh):
+                for j in range(kw):
+                    contrib = np.tensordot(g, weight.data[:, :, i, j], axes=([1], [0]))
+                    dxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += contrib.transpose(0, 3, 1, 2)
+            x._accumulate(dxp[:, :, padding : padding + h, padding : padding + w] if padding else dxp)
+
+    return _result(data, (x, weight), backward)
+
+
+def nchw_maxpool2d(x, size: int, stride: int) -> Tensor:
+    """Channels-first max pooling through an argmax over each window (the oracle)."""
+    x = _as_tensor(x)
+    b, c = x.data.shape[:2]
+    win = np.lib.stride_tricks.sliding_window_view(x.data, (size, size), axis=(2, 3))[:, :, ::stride, ::stride]
+    oh, ow = win.shape[2], win.shape[3]
+    flat = win.reshape(b, c, oh, ow, size * size)
+    idx = flat.argmax(axis=-1)
+
+    def backward(g):
+        dx = np.zeros_like(x.data)
+        ki, kj = np.divmod(idx, size)
+        for i in range(size):
+            for j in range(size):
+                dx[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += g * ((ki == i) & (kj == j))
+        x._accumulate(dx)
+
+    return _result(np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0], (x,), backward)
+
+
+def channels_last(a):
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1))
+
+
+CONV_CASES = [(stride, padding, channels) for stride in (1, 2) for padding in (0, 1) for channels in (1, 3)]
+
+
+@pytest.mark.parametrize("stride, padding, channels", CONV_CASES)
+@pytest.mark.parametrize("target", ["x", "weight"])
+def test_conv2d_passes_grad_check(stride, padding, channels, target):
+    rng = np.random.default_rng(15)
+    arrays = {"x": rng.normal(size=(2, 5, 5, channels)), "weight": rng.normal(size=(2, channels, 3, 3)) * 0.5}
+    out_side = (5 + 2 * padding - 3) // stride + 1
+    weights = Tensor(rng.normal(size=(2, out_side, out_side, 2)))
+
+    def f(t):
+        args = {name: Tensor(a) for name, a in arrays.items()}
+        args[target] = t
+        return (conv2d(args["x"], args["weight"], stride=stride, padding=padding) ** 2 * weights).sum()
+
+    report = grad_check(f, Tensor(arrays[target].copy()), tol=1e-4)
+    assert report.passed, report
+
+
+@pytest.mark.parametrize("stride, padding, channels", CONV_CASES)
+def test_conv2d_matches_the_nchw_tap_loop_oracle(stride, padding, channels):
+    rng = np.random.default_rng(16)
+    x0, w0 = rng.normal(size=(3, channels, 6, 6)), rng.normal(size=(4, channels, 3, 3))
+    x_last, w_last = Tensor(channels_last(x0), requires_grad=True), Tensor(w0, requires_grad=True)
+    x_first, w_first = Tensor(x0, requires_grad=True), Tensor(w0, requires_grad=True)
+    out = conv2d(x_last, w_last, stride=stride, padding=padding)
+    expected = nchw_conv2d(x_first, w_first, stride=stride, padding=padding)
+    np.testing.assert_allclose(out.data, channels_last(expected.data), atol=1e-12)
+    seed = rng.normal(size=expected.shape)
+    out.backward(channels_last(seed))
+    expected.backward(seed)
+    np.testing.assert_allclose(x_last.grad, channels_last(x_first.grad), atol=1e-12)
+    np.testing.assert_allclose(w_last.grad, w_first.grad, atol=1e-12)
+
+
+@pytest.mark.parametrize("size, stride", [(2, 2), (3, 3), (2, 1), (3, 2)])  # non-overlapping, then overlapping windows
+def test_maxpool2d_passes_grad_check(size, stride):
+    rng = np.random.default_rng(17)
+    x = Tensor(rng.permutation(2 * 7 * 7 * 2).reshape(2, 7, 7, 2) * 0.1)  # distinct values: every window has one maximum
+    weights = Tensor(rng.normal(size=maxpool2d(x, size, stride).shape))
+    report = grad_check(lambda t: (maxpool2d(t, size, stride) * weights).sum(), x, tol=1e-4)
+    assert report.passed, report
+
+
+@pytest.mark.parametrize("size, stride", [(2, 2), (3, 3), (2, 1), (3, 2)])
+def test_maxpool2d_ties_route_to_the_first_tap_like_the_argmax_oracle(size, stride):
+    rng = np.random.default_rng(18)
+    x0 = rng.integers(0, 3, size=(3, 2, 7, 7)).astype(float)  # many tied maxima
+    x_last, x_first = Tensor(channels_last(x0), requires_grad=True), Tensor(x0, requires_grad=True)
+    out, expected = maxpool2d(x_last, size, stride), nchw_maxpool2d(x_first, size, stride)
+    assert np.array_equal(out.data, channels_last(expected.data))
+    seed = rng.normal(size=expected.shape)
+    out.backward(channels_last(seed))
+    expected.backward(seed)
+    assert np.array_equal(x_last.grad, channels_last(x_first.grad))
+
+
+@pytest.mark.parametrize("a_shape", [(3, 4, 5), (2, 3, 4, 5)])
+def test_matmul_weight_gradient_matches_the_batched_sum(a_shape):
+    rng = np.random.default_rng(19)
+    a, w = Tensor(rng.normal(size=a_shape), requires_grad=True), Tensor(rng.normal(size=(5, 6)), requires_grad=True)
+    seed = rng.normal(size=a_shape[:-1] + (6,))
+    (a @ w).backward(seed)
+    batched = a.data.swapaxes(-1, -2) @ seed
+    np.testing.assert_allclose(w.grad, batched.reshape(-1, 5, 6).sum(axis=0), atol=1e-12)
+    np.testing.assert_allclose(a.grad, seed @ w.data.T, atol=1e-12)
 
 
 def test_batch_norm_train_passes_grad_check():

@@ -136,8 +136,21 @@ def test_identity_pairs_reach_small_mse():
     net = PredictionNet(4, 0, SeededRng(0), depth=1)
     cfg = desk_profile(prednet_epochs=400, prednet_batch_size=20, prednet_lr=1e-2)
     train_prediction_net(net, pairs, cfg, SeededRng(1))
-    mse = float(((net.apply(data) - data) ** 2).mean())
+    assert all(p.grad is None for p in net.params().values())
+    out = net.apply(data)
+    mse = float(((out - data) ** 2).mean())
     assert mse < 1e-4
+
+
+def test_apply_builds_no_graph(monkeypatch):
+    net = PredictionNet(3, 0, SeededRng(11), depth=2)
+    x = np.random.default_rng(12).normal(size=(4, 3))
+    expected = net(Tensor(x))
+    assert expected.requires_grad and expected._parents  # the composed forward builds one
+    forward, outputs = PredictionNet.__call__, []
+    monkeypatch.setattr(PredictionNet, "__call__", lambda self, t: outputs.append(forward(self, t)) or outputs[-1])
+    assert np.array_equal(net.apply(x), expected.data)
+    assert not outputs[0].requires_grad and outputs[0]._parents == ()
 
 
 def test_single_pair_memorized():
