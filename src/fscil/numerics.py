@@ -596,10 +596,7 @@ def maxpool2d(x, size: int, stride: int | None = None) -> Tensor:
             hit = x.data[:, rows, cols] == data
             hit &= unrouted
             unrouted ^= hit
-            if stride >= size:  # windows do not overlap: each input cell belongs to one tap
-                np.multiply(g, hit, out=dx[:, rows, cols])
-            else:
-                dx[:, rows, cols] += g * hit
+            dx[:, rows, cols] += g * hit
         x._accumulate(dx)
 
     return _result(data, (x,), backward)
