@@ -70,7 +70,6 @@ class TrainingConfig:
     inc_weight_decay: float = 0.0
     delta_params: bool = True  # False: no prefixes; later sessions fine-tune the backbone instead
     prefix_len: int = 16
-    outliers_base: int = 5
     outliers_inc: int = 1
 
     # prediction network

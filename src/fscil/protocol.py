@@ -3,11 +3,11 @@
 Session order: (session 0 only) train the base backbone and head; embed the
 session's samples with the frozen prefix-free backbone; fit and accumulate
 Gaussian statistics, always enriched by the test-pool embeddings that are
-pseudo-labeled as this session's classes; train the session's prediction
-network on outlier pairs (in incremental sessions also on those
-pseudo-labeled embeddings) and refine the routing statistics; (later
-sessions) extend the classifier with rows initialized from the refined
-prototypes; then train the session's prefixes together with its head rows.
+pseudo-labeled as this session's classes - these raw statistics are what
+routing uses; (later sessions) train the session's prediction network on
+outlier pairs and those pseudo-labeled embeddings, and extend the classifier
+with rows initialized from the rectified prototypes; then train the
+session's prefixes together with its head rows.
 Evaluation routes every test sample through the shared-covariance ranking to
 pick a session's prefixes before the stochastic head predicts the label.
 While the backbone is frozen, a test sample's embedding under a given prefix
@@ -143,48 +143,46 @@ class _PoolEmbeddings:
         self._tables.clear()
 
 
-def _fit_session_stats(state, encoder, view_images, remapped_labels, session, pool_emb, config, rng, log):
-    """Fit, pseudo-enrich and (optionally) rectify one session's statistics.
+def _fit_session_stats(state, encoder, view_images, remapped_labels, session, pool_emb, metric):
+    """Fit and pseudo-enrich one session's statistics.
 
-    `pool_emb` holds the prefix-free embeddings of the test pool.  Returns
-    those of the session's own samples (the head extension takes raw
-    prototypes from them when rectification is off).
+    `pool_emb` holds the prefix-free embeddings of the test pool; the rows
+    pseudo-labeled as one of this session's classes join its statistics.
+    Returns the embeddings of the session's own samples and the
+    pseudo-labeled pool rows with their labels.
     """
-    tc = config.training
-    metric = config.resolved_metric()
     embeddings = embed_all(encoder, view_images)
     gaussians, scatter = fit_class_stats(embeddings, remapped_labels, session)
     state.set_session_stats(session, gaussians, scatter)
 
-    stats_x, stats_y = embeddings, np.asarray(remapped_labels)
-    session_classes = sorted(set(int(c) for c in remapped_labels))
     assigned = pseudo_label(pool_emb, state.all_gaussians(), state.covariance, metric)
-    keep = np.isin(assigned, session_classes)  # only this session's classes; past embeddings are gone
+    keep = np.isin(assigned, [g.class_id for g in gaussians])  # only this session's classes; past embeddings are gone
     pseudo_x, pseudo_y = pool_emb[keep], assigned[keep]
-
     if len(pseudo_x):
-        stats_x = np.concatenate([embeddings, pseudo_x])
-        stats_y = np.concatenate([stats_y, pseudo_y])
-        gaussians, scatter = fit_class_stats(stats_x, stats_y, session)
+        gaussians, scatter = fit_class_stats(np.concatenate([embeddings, pseudo_x]), np.concatenate([remapped_labels, pseudo_y]), session)
         state.set_session_stats(session, gaussians, scatter)
+    return embeddings, pseudo_x, pseudo_y
 
-    if tc.prediction_net:
-        n_out = tc.outliers_base if session == 0 else tc.outliers_inc
-        by_class = {g.class_id: g for g in gaussians}
-        parts = []
-        for cls in session_classes:
-            rows = embeddings[np.asarray(remapped_labels) == cls]
-            parts.append(select_outlier_pairs(rows, by_class[cls].mean, min(n_out, len(rows)), lenient=True))
-        if session > 0 and len(pseudo_x):
-            targets = np.stack([by_class[int(c)].mean for c in pseudo_y])
-            parts.append(OutlierPairs(inputs=pseudo_x, targets=targets, per_class=0))
-        pairs = merge_pairs(parts)
-        net = PredictionNet(embeddings.shape[1], session, rng.child("prednet"))
-        train_prediction_net(net, pairs, tc, rng.child("prednet_train"), log=log, session=session)
-        state.prednets[session] = net
-        refined, refined_scatter = refine_gaussian_stats(net, stats_x, stats_y, gaussians)
-        state.set_session_stats(session, refined, refined_scatter)
-    return embeddings
+
+def _rectified_prototypes(state, embeddings, remapped_labels, pseudo_x, pseudo_y, session, tc, rng, log) -> dict:
+    """Train the session's prediction net and rectify its class means.
+
+    The net learns to map each class's `outliers_inc` farthest members and
+    the pseudo-labeled pool rows onto the session's (enriched) class means.
+    Returns R(mu) by class id; the routing statistics are left as they are.
+    """
+    gaussians = state.gaussians_by_session[session]
+    by_class = {g.class_id: g for g in gaussians}
+    parts = []
+    for g in gaussians:
+        rows = embeddings[remapped_labels == g.class_id]
+        parts.append(select_outlier_pairs(rows, g.mean, min(tc.outliers_inc, len(rows))))
+    if len(pseudo_x):
+        parts.append(OutlierPairs(inputs=pseudo_x, targets=np.stack([by_class[int(c)].mean for c in pseudo_y])))
+    net = PredictionNet(embeddings.shape[1], session, rng.child("prednet"))
+    train_prediction_net(net, merge_pairs(parts), tc, rng.child("prednet_train"), log=log, session=session)
+    state.prednets[session] = net
+    return {g.class_id: g.mean for g in refine_gaussian_stats(net, gaussians)}
 
 
 def _finetune_backbone_session(view, remapped, encoder, head, new_rows, tc, rng, log, session):
@@ -263,14 +261,13 @@ def run_protocol(
             if tc.run_probe:
                 _, probe_accuracy = linear_probe(teacher, view.images, remapped, tc, rng.child("probe"), log=log)
         pool_emb = pool.embed(encoder, spec.test_indices)
-        embeddings = _fit_session_stats(state, encoder, view.images, remapped, k, pool_emb, config, rng.child(f"stats{k}"), log)
+        embeddings, pseudo_x, pseudo_y = _fit_session_stats(state, encoder, view.images, remapped, k, pool_emb, metric)
         if k == 0:
             new_rows = list(range(head.num_classes))
         else:
             session_classes = sorted(set(int(c) for c in remapped))
             if tc.prediction_net:
-                by_class = {g.class_id: g for g in state.gaussians_by_session[k]}
-                prototypes = {cls: by_class[cls].mean for cls in session_classes}  # refined prototypes
+                prototypes = _rectified_prototypes(state, embeddings, remapped, pseudo_x, pseudo_y, k, tc, rng.child(f"stats{k}"), log)
             else:
                 prototypes = {cls: embeddings[remapped == cls].mean(axis=0) for cls in session_classes}
             new_rows = list(range(head.num_classes, head.num_classes + len(session_classes)))
@@ -335,8 +332,9 @@ def save_run(out_dir, config: RunConfig, record: RunRecord, artifacts: dict):
 
     `state.npz` holds every array the run keeps, under canonical names:
     `encoder.*`, `head.*`, `session{k}.prefixes.*`,
-    `session{k}.prediction_net.*`, `session{k}.class_ids`/`counts`/`means`
-    (the routing Gaussians) and `covariance`.
+    `session{k}.prediction_net.*` (incremental sessions only),
+    `session{k}.class_ids`/`counts`/`means` (the routing Gaussians) and
+    `covariance`.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

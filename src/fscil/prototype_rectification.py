@@ -1,17 +1,16 @@
 """Prototype rectification via per-session prediction networks.
 
-Few-shot prototypes are biased estimates of the true class means.  A small
-network is trained (MSE) to map class members - drawn from the most distant
-members of each class, optionally enriched with pseudo-labeled test-pool
-embeddings - onto their class prototype.  At inference the network's output
-is averaged with the raw prototype, and the session's Gaussian statistics
-are re-estimated around the refined means.
+Few-shot prototypes are biased estimates of the true class means.  In each
+incremental session a small network is trained (MSE) to map class members -
+the most distant members of each class, enriched with pseudo-labeled
+test-pool embeddings - onto their class prototype.  The rectified prototype
+averages the network's output with the raw one; it initializes the
+session's new classifier rows, while routing keeps the raw statistics.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from .backbone import Linear
 from .errors import ArgumentError
 from .numerics import SeededRng, Tensor, gelu, mlp_mse, no_grad
 from .optim import make_optimizer, run_epochs
-from .task_inference import ClassGaussian, select_class_batch
+from .task_inference import select_class_batch
 
 
 @dataclass
@@ -28,7 +27,6 @@ class OutlierPairs:
 
     inputs: np.ndarray
     targets: np.ndarray
-    per_class: int
 
     def __len__(self):
         return len(self.inputs)
@@ -92,21 +90,18 @@ def estimate_intra_class_bias(full_embeddings: np.ndarray, fewshot_embeddings: n
     return full.mean(axis=0) - few.mean(axis=0)
 
 
-def select_outlier_pairs(embeddings: np.ndarray, prototype: np.ndarray, n_outliers: int, lenient: bool = False) -> OutlierPairs:
+def select_outlier_pairs(embeddings: np.ndarray, prototype: np.ndarray, n_outliers: int) -> OutlierPairs:
     """The `n_outliers` class members farthest (euclidean) from the prototype,
     each paired with the prototype as regression target."""
     embeddings = np.asarray(embeddings, dtype=float)
     prototype = np.asarray(prototype, dtype=float)
     if n_outliers > len(embeddings):
-        if not lenient:
-            raise ArgumentError(f"requested {n_outliers} outliers from a class of {len(embeddings)}")
-        warnings.warn(f"clamping outlier count {n_outliers} to class size {len(embeddings)}")
-        n_outliers = len(embeddings)
+        raise ArgumentError(f"requested {n_outliers} outliers from a class of {len(embeddings)}")
     dists = np.linalg.norm(embeddings - prototype, axis=1)
     order = np.argsort(-dists, kind="stable")[:n_outliers]
     inputs = embeddings[order]
     targets = np.broadcast_to(prototype, inputs.shape).copy()
-    return OutlierPairs(inputs=inputs, targets=targets, per_class=n_outliers)
+    return OutlierPairs(inputs=inputs, targets=targets)
 
 
 def merge_pairs(parts: list) -> OutlierPairs:
@@ -116,7 +111,6 @@ def merge_pairs(parts: list) -> OutlierPairs:
     return OutlierPairs(
         inputs=np.concatenate([p.inputs for p in parts]),
         targets=np.concatenate([p.targets for p in parts]),
-        per_class=parts[0].per_class,
     )
 
 
@@ -156,23 +150,7 @@ def rectify_prototype(net: PredictionNet, prototype: np.ndarray) -> np.ndarray:
     return 0.5 * (net.apply(prototype) + prototype)
 
 
-def refine_gaussian_stats(net: PredictionNet, embeddings: np.ndarray, labels: np.ndarray, gaussians: list):
-    """Refined session statistics: means become R(mu) and the scatter is
-    re-pooled from the net's outputs around the refined means."""
-    embeddings = np.asarray(embeddings, dtype=float)
-    labels = np.asarray(labels)
-    if len(embeddings) != len(labels):
-        raise ArgumentError("embeddings and labels length mismatch")
-    refined = []
-    by_class = {g.class_id: g for g in gaussians}
-    dim = embeddings.shape[1]
-    scatter = np.zeros((dim, dim))
-    mapped = net.apply(embeddings)
-    for cls in sorted(by_class):
-        g = by_class[cls]
-        new_mean = rectify_prototype(net, g.mean)
-        refined.append(ClassGaussian(class_id=cls, session=g.session, mean=new_mean, count=g.count))
-        rows = mapped[labels == cls]
-        centered = rows - new_mean
-        scatter += centered.T @ centered
-    return refined, scatter / len(embeddings)
+def refine_gaussian_stats(net: PredictionNet, gaussians: list) -> list:
+    """The session's Gaussians with each mean replaced by R(mu); class id,
+    session and count are unchanged."""
+    return [replace(g, mean=rectify_prototype(net, g.mean)) for g in gaussians]

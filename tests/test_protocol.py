@@ -15,8 +15,8 @@ from fscil.errors import ArgumentError
 from fscil.harness import build_fscil_splits
 from fscil.numerics import SeededRng, Tensor
 from fscil.protocol import build_dataset, run_ablation, run_from_config
-from fscil.prototype_rectification import PredictionNet
-from fscil.stochastic_classifier import StochasticHead
+from fscil.prototype_rectification import PredictionNet, rectify_prototype
+from fscil.stochastic_classifier import StochasticHead, init_means_from_prototypes
 from fscil.task_inference import select_class_batch
 
 
@@ -63,7 +63,7 @@ def test_artifacts_cover_every_session(small_run):
     cfg, record, artifacts = small_run
     assert sorted(artifacts["prefixes"]) == [0, 1, 2]
     assert sorted(artifacts["gaussians"]) == [0, 1, 2]
-    assert sorted(artifacts["prednets"]) == [0, 1, 2]
+    assert sorted(artifacts["prednets"]) == [1, 2]  # the base session trains no prediction net
     # per-class Gaussian count matches the split
     assert len(artifacts["gaussians"][0]) == 4
     assert len(artifacts["gaussians"][1]) == 2
@@ -229,6 +229,7 @@ def test_saved_state_reloads_into_fresh_models(saved_run):
     models = {"encoder": encoder, "head": head}
     for k in sessions:
         models[f"session{k}.prefixes"] = PrefixSet(k, cfg.model.layers, cfg.training.prefix_len, dim)
+    for k in sessions[1:]:
         models[f"session{k}.prediction_net"] = PredictionNet(dim, k, SeededRng(99))
     assert hash_state(encoder) != hash_state(artifacts["encoder"])
 
@@ -238,7 +239,8 @@ def test_saved_state_reloads_into_fresh_models(saved_run):
     session_arrays = set()
     for k in sessions:
         assert hash_state(models[f"session{k}.prefixes"]) == hash_state(artifacts["prefixes"][k])
-        assert hash_state(models[f"session{k}.prediction_net"]) == hash_state(artifacts["prednets"][k])
+        if k:
+            assert hash_state(models[f"session{k}.prediction_net"]) == hash_state(artifacts["prednets"][k])
         gaussians = artifacts["gaussians"][k]
         np.testing.assert_array_equal(arrays[f"session{k}.means"], np.stack([g.mean for g in gaussians]))
         assert arrays[f"session{k}.class_ids"].tolist() == [g.class_id for g in gaussians]
@@ -247,6 +249,7 @@ def test_saved_state_reloads_into_fresh_models(saved_run):
     np.testing.assert_array_equal(arrays["covariance"], artifacts["covariance"].matrix)
     model_arrays = {f"{scope}.{name}" for scope, model in models.items() for name in state_arrays(model)}
     assert set(arrays) == model_arrays | session_arrays | {"covariance"}
+    assert not [name for name in arrays if name.startswith("session0.prediction_net.")]
 
 
 def test_round_trip_config(tmp_path):
@@ -278,6 +281,45 @@ def test_stochastic_head_toggle_disables_noise():
     head = artifacts["head"]
     for sig in head.sigma:
         assert np.allclose(sig.data, head.offset)
+
+
+@pytest.fixture(scope="module")
+def rectification_arms():
+    """Artifacts of full and `prediction_net`-ablated `small_config()` runs at
+    seed 11, and the prototypes each incremental session of the full arm
+    handed to `init_means_from_prototypes`."""
+    prototypes = []
+
+    def recording(head, protos):
+        prototypes.append(dict(protos))
+        return init_means_from_prototypes(head, protos)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol, "init_means_from_prototypes", recording)
+        _, full = run_from_config(small_config(), seed=11)
+    _, plain = run_from_config(ablated(small_config(), "prediction_net"), seed=11)
+    return full, plain, prototypes
+
+
+def test_rectification_leaves_routing_statistics_alone(rectification_arms):
+    full, plain, _ = rectification_arms
+    assert sorted(full["prednets"]) == [1, 2] and plain["prednets"] == {}
+    assert sorted(full["gaussians"]) == sorted(plain["gaussians"]) == [0, 1, 2]
+    for k in full["gaussians"]:
+        for a, b in zip(full["gaussians"][k], plain["gaussians"][k], strict=True):
+            assert (a.class_id, a.session, a.count) == (b.class_id, b.session, b.count)
+            assert np.array_equal(a.mean, b.mean)
+    assert np.array_equal(full["covariance"].matrix, plain["covariance"].matrix)
+
+
+def test_new_head_rows_start_at_rectified_routing_means(rectification_arms):
+    full, _, prototypes = rectification_arms
+    assert len(prototypes) == 2  # one call per incremental session
+    for k, protos in zip((1, 2), prototypes):
+        routing = {g.class_id: g.mean for g in full["gaussians"][k]}
+        assert sorted(protos) == sorted(routing)
+        for cls, proto in protos.items():
+            np.testing.assert_allclose(proto, rectify_prototype(full["prednets"][k], routing[cls]), rtol=0, atol=1e-12)
 
 
 def test_prediction_net_toggle_skips_rectification():

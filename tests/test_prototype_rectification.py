@@ -79,16 +79,12 @@ def test_outlier_ranking_matches_full_sort_oracle():
 
 def test_outlier_count_defaults_follow_published_settings():
     cfg = TrainingConfig()
-    assert cfg.outliers_base == 5 and cfg.outliers_inc == 1
+    assert cfg.outliers_inc == 1
 
 
-def test_too_many_outliers_strict_and_lenient():
-    emb = np.zeros((3, 2))
+def test_too_many_outliers_rejected():
     with pytest.raises(ArgumentError):
-        select_outlier_pairs(emb, np.zeros(2), 5)
-    with pytest.warns(UserWarning):
-        pairs = select_outlier_pairs(emb, np.zeros(2), 5, lenient=True)
-    assert len(pairs) == 3
+        select_outlier_pairs(np.zeros((3, 2)), np.zeros(2), 5)
 
 
 # -- pseudo labeling ---------------------------------------------------------------
@@ -132,7 +128,7 @@ def test_identity_pairs_reach_small_mse():
     # the linear variant can represent the identity exactly
     rng = np.random.default_rng(7)
     data = rng.normal(size=(20, 4))
-    pairs = OutlierPairs(inputs=data, targets=data.copy(), per_class=0)
+    pairs = OutlierPairs(inputs=data, targets=data.copy())
     net = PredictionNet(4, 0, SeededRng(0), depth=1)
     cfg = desk_profile(prednet_epochs=400, prednet_batch_size=20, prednet_lr=1e-2)
     train_prediction_net(net, pairs, cfg, SeededRng(1))
@@ -154,7 +150,7 @@ def test_apply_builds_no_graph(monkeypatch):
 
 
 def test_single_pair_memorized():
-    pairs = OutlierPairs(inputs=np.array([[1.0, -2.0]]), targets=np.array([[0.5, 0.5]]), per_class=1)
+    pairs = OutlierPairs(inputs=np.array([[1.0, -2.0]]), targets=np.array([[0.5, 0.5]]))
     net = PredictionNet(2, 0, SeededRng(2), depth=2)
     cfg = desk_profile(prednet_epochs=1200, prednet_batch_size=1, prednet_lr=1e-2)
     train_prediction_net(net, pairs, cfg, SeededRng(3))
@@ -169,7 +165,7 @@ def test_prednet_lr_default():
 def test_empty_pairs_rejected():
     net = PredictionNet(2, 0, SeededRng(4))
     with pytest.raises(ArgumentError):
-        train_prediction_net(net, OutlierPairs(np.zeros((0, 2)), np.zeros((0, 2)), 0), desk_profile(), SeededRng(5))
+        train_prediction_net(net, OutlierPairs(np.zeros((0, 2)), np.zeros((0, 2))), desk_profile(), SeededRng(5))
     with pytest.raises(ArgumentError):
         merge_pairs([])
 
@@ -232,15 +228,15 @@ def test_rectify_dim_mismatch():
 # -- refinement -------------------------------------------------------------------------
 
 
-def test_refine_with_identity_net_keeps_means_and_scatter():
+def test_refine_with_identity_net_keeps_means():
     rng = np.random.default_rng(13)
     emb = rng.normal(size=(12, 3))
     labels = np.repeat([0, 1], 6)
-    gaussians, scatter = fit_class_stats(emb, labels, session=0)
-    refined, new_scatter = refine_gaussian_stats(PredictionNet.identity(3), emb, labels, gaussians)
-    for g, r in zip(gaussians, refined):
+    gaussians, _ = fit_class_stats(emb, labels, session=0)
+    refined = refine_gaussian_stats(PredictionNet.identity(3), gaussians)
+    for g, r in zip(gaussians, refined, strict=True):
         np.testing.assert_array_equal(g.mean, r.mean)
-    np.testing.assert_allclose(new_scatter, scatter, atol=1e-12)
+        assert (r.class_id, r.session, r.count) == (g.class_id, g.session, g.count)
 
 
 def test_refine_two_point_hand_case():
@@ -250,18 +246,16 @@ def test_refine_two_point_hand_case():
     net = PredictionNet.identity(2)
     net.layers[0].bias.data = np.array([1.0, 0.0])  # P(x) = x + (1, 0)
 
-    refined, scatter = refine_gaussian_stats(net, emb, labels, gaussians)
+    refined = refine_gaussian_stats(net, gaussians)
     # by hand: mu = (1,0); R(mu) = (mu + P(mu))/2 = (1.5, 0)
     np.testing.assert_allclose(refined[0].mean, [1.5, 0.0], atol=1e-10)
-    # P(emb) = {(1,0), (3,0)}; deviations from (1.5,0): (-0.5,0), (1.5,0); pooled over 2
-    expected = (np.array([[0.25, 0], [0, 0]]) + np.array([[2.25, 0], [0, 0]])) / 2.0
-    np.testing.assert_allclose(scatter, expected, atol=1e-10)
+    assert (refined[0].class_id, refined[0].session, refined[0].count) == (0, 1, 2)
 
 
 def test_per_session_net_isolation():
     net_a = PredictionNet(3, 0, SeededRng(14), depth=2)
     frozen = hash_state(net_a)
-    pairs = OutlierPairs(inputs=np.random.default_rng(15).normal(size=(6, 3)), targets=np.zeros((6, 3)), per_class=2)
+    pairs = OutlierPairs(inputs=np.random.default_rng(15).normal(size=(6, 3)), targets=np.zeros((6, 3)))
     net_b = PredictionNet(3, 1, SeededRng(16), depth=2)
     train_prediction_net(net_b, pairs, desk_profile(prednet_epochs=20, prednet_batch_size=6), SeededRng(17))
     assert hash_state(net_a) == frozen
