@@ -269,7 +269,13 @@ class Encoder:
 
     def forward(self, images: Tensor, prefixes=None) -> Tensor:
         """images (B, C, H, W) -> pooled feature z (B, d)."""
-        x = self.tokenize(images)
+        return self.encode(self.tokenize(images), prefixes=prefixes)
+
+    def encode(self, tokens: Tensor, prefixes=None) -> Tensor:
+        """tokens (B, n, d) from `tokenize` -> pooled feature z (B, d): the blocks,
+        with `prefixes` (when given) prepended to each layer's keys and values,
+        then the final BN and the sequence pool."""
+        x = tokens
         for i, block in enumerate(self.blocks):
             kv = prefixes.layer_kv(i) if prefixes is not None else None
             x, _ = block(x, self.mode, prefix_kv=kv)

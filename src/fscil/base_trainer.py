@@ -19,7 +19,7 @@ import numpy as np
 from .backbone import BackboneConfig, Encoder, Linear, hash_state, load_arrays, state_arrays
 from .errors import ArgumentError, UsageError
 from .numerics import SeededRng, Tensor, gelu, log_softmax, log_softmax_nll, no_grad
-from .optim import CosineSchedule, EarlyStopping, ReduceOnPlateau, make_optimizer, run_epochs
+from .optim import CosineSchedule, EarlyStopping, ReduceOnPlateau, backprop_step, make_optimizer, run_epochs
 from .stochastic_classifier import StochasticHead, init_means_from_prototypes
 
 
@@ -295,8 +295,8 @@ def _ssl_phase(encoder, proj, teacher, data_x, config, rng, history, log):
 
     stopper = EarlyStopping(config.ssl_early_stop)
     losses = run_epochs(
-        opt, len(data_x), config.ssl_batch_size, config.ssl_epochs, rng, batch_loss, log, "ssl",
-        stopper=stopper, before_epoch=before_epoch, after_step=after_step,
+        opt, len(data_x), config.ssl_batch_size, config.ssl_epochs, rng, backprop_step(opt, batch_loss, after_step), log, "ssl",
+        stopper=stopper, before_epoch=before_epoch,
     )
     history["ssl_loss"].extend(losses)
     if losses:
@@ -320,7 +320,8 @@ def _supervised_phase(encoder, head, data_x, data_y, config, rng, history, log):
     plateau = ReduceOnPlateau(opt, config.sup_plateau_patience, config.sup_plateau_factor, config.sup_min_lr)
     stopper = EarlyStopping(config.sup_early_stop)
     losses = run_epochs(
-        opt, len(data_x), config.sup_batch_size, config.sup_epochs, rng, batch_loss, log, "supervised", plateau=plateau, stopper=stopper
+        opt, len(data_x), config.sup_batch_size, config.sup_epochs, rng, backprop_step(opt, batch_loss), log, "supervised",
+        plateau=plateau, stopper=stopper,
     )
     history["sup_loss"].extend(losses)
     encoder.eval()
@@ -345,7 +346,7 @@ def linear_probe(teacher: TeacherState, data_x: np.ndarray, data_y: np.ndarray, 
         return log_softmax_nll(probe(Tensor(features[idx])), targets[idx])
 
     stopper = EarlyStopping(config.probe_early_stop)
-    run_epochs(opt, len(features), config.probe_batch_size, config.probe_epochs, rng, batch_loss, log, "linear_probe", stopper=stopper)
+    run_epochs(opt, len(features), config.probe_batch_size, config.probe_epochs, rng, backprop_step(opt, batch_loss), log, "linear_probe", stopper=stopper)
 
     with no_grad():
         preds = np.argmax(probe(Tensor(features)).data, axis=-1)

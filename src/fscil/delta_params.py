@@ -14,8 +14,8 @@ import numpy as np
 
 from .backbone import Encoder, EncoderBlock, hash_state
 from .errors import ArgumentError, ContractViolation
-from .numerics import SeededRng, Tensor
-from .optim import ReduceOnPlateau, make_optimizer, run_epochs
+from .numerics import SeededRng, Tensor, no_grad
+from .optim import ReduceOnPlateau, backprop_step, make_optimizer, run_epochs
 
 PREFIX_INIT_RANGE = 0.02
 
@@ -114,11 +114,16 @@ def train_session(
     epochs = config.inc_epochs_base if session == 0 else config.inc_epochs
     from .base_trainer import cross_entropy_loss  # shared CE through the stochastic head
 
+    # prefixes enter after the tokenizer, and the frozen eval-mode tokenizer
+    # maps each image on its own, so the session's tokens are computed once
+    with no_grad():
+        tokens = encoder.tokenize(Tensor(data_x)).data
+
     def batch_loss(idx, epoch, start):
-        z = encoder.forward(Tensor(data_x[idx]), prefixes=prefixes)
+        z = encoder.encode(Tensor(tokens[idx]), prefixes=prefixes)
         return cross_entropy_loss(head, z, data_y[idx], rng.child("eps", f"e{epoch}", f"b{start}"), noise=config.head_noise_train)
 
-    run_epochs(opt, len(data_x), config.inc_batch_size, epochs, rng, batch_loss, log, "incremental", session, plateau=plateau)
+    run_epochs(opt, len(data_x), config.inc_batch_size, epochs, rng, backprop_step(opt, batch_loss), log, "incremental", session, plateau=plateau)
 
     if hash_state(encoder) != frozen_hash:
         raise ContractViolation("frozen backbone parameters changed during session training")

@@ -20,14 +20,16 @@ in the tests.
   labels;
 - `stochastic_weights`: the stochastic head's (M, d) weight matrix
   mu + eps (*) softplus(sigma - c);
-- `mlp_mse`: a prediction net's loss mean((gelu(x W1 + b1) W2 + b2 - t)^2),
-  or its one-layer form, with a backward that repeats the composed ops'
-  arithmetic, so values and gradients are bitwise the unfused graph's.
+- `cosine_logits`: the head's scaled cosine scores between a (B, d) batch
+  and the (M, d) weight rows, with a backward that replays the composed
+  `l2_normalize` graph's steps, so values and gradients are bitwise its own.
 
-`Tensor.backward` releases the graph as it sweeps: once a non-leaf node has
-passed its gradient on, its gradient, backward closure and parent links are
-dropped, so only leaf gradients survive the call.  Backpropagating through a
-released node again raises `UsageError`; build a new forward pass instead.
+`Tensor.backward` expands only parents that need a gradient (a parent that
+does not is always a leaf, which the sweep would skip), and it releases the
+graph as it sweeps: once a non-leaf node has passed its gradient on, its
+gradient, backward closure and parent links are dropped, so only leaf
+gradients survive the call.  Backpropagating through a released node again
+raises `UsageError`; build a new forward pass instead.
 
 Default precision is float64; float32 can be selected per tensor (gradient
 checks at 32-bit need the relaxed tolerance, see `grad_check`).
@@ -155,7 +157,8 @@ class Tensor:
             else:
                 stack.append((node, True))
                 for p in node._parents:
-                    if id(p) not in seen:
+                    # a parent that needs no gradient is a leaf the sweep would skip
+                    if p.requires_grad and id(p) not in seen:
                         stack.append((p, False))
         self._accumulate(np.asarray(grad, dtype=self.data.dtype).reshape(self.data.shape))
         while topo:
@@ -354,11 +357,13 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-def _gelu_cdf(x: np.ndarray) -> np.ndarray:
+def gelu_cdf(x: np.ndarray) -> np.ndarray:
+    """Phi(x), the standard normal CDF that GELU multiplies its input by."""
     return 0.5 * (1.0 + _special.erf(x * _INV_SQRT2))
 
 
-def _gelu_grad(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+def gelu_grad(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """g * d gelu(x) / dx, given cdf = gelu_cdf(x)."""
     pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
     return g * (cdf + x * pdf)
 
@@ -366,12 +371,12 @@ def _gelu_grad(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
 def gelu(a) -> Tensor:
     """Exact erf-based GELU: x * Phi(x)."""
     a = _as_tensor(a)
-    cdf = _gelu_cdf(a.data)
+    cdf = gelu_cdf(a.data)
     data = a.data * cdf
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(_gelu_grad(g, a.data, cdf))
+            a._accumulate(gelu_grad(g, a.data, cdf))
 
     return _result(data, (a,), backward)
 
@@ -823,51 +828,44 @@ def stochastic_weights(mu, sigma, eps, offset: float) -> Tensor:
     return _result(data, mu + sigma, backward)
 
 
-def mlp_mse(x, target, w1, b1, w2=None, b2=None) -> Tensor:
-    """mean((gelu(x @ w1 + b1) @ w2 + b2 - target) ** 2) over a (B, d) batch, as one node.
+def _l2_rows(x: np.ndarray):
+    """(row norms, rows divided by them), computed as `l2_normalize(x)` computes them."""
+    norm = np.sqrt((x * x).sum(axis=-1, keepdims=True) + 1e-12)
+    return norm, x / norm
 
-    Without `w2` and `b2` the net is the single layer x @ w1 + b1.  The
-    backward takes the composed graph's steps in the same order (the mean's
-    1/n, the square's two equal halves, the bias sums over the batch), so
-    the loss and every gradient are bitwise those of the unfused ops.
+
+def _l2_rows_grad(g: np.ndarray, x: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """Gradient reaching `x` from the gradient `g` of x / norm, in the composed
+    graph's order: the division's g / norm, then the norm's sqrt and sum, then
+    the square's two equal halves, added in that order."""
+    g_norm = _unbroadcast(-g * x / (norm * norm), norm.shape)
+    half = np.broadcast_to(g_norm * 0.5 / norm, x.shape).copy() * x
+    return g / norm + half + half
+
+
+def cosine_logits(z, w, scale: float) -> Tensor:
+    """(B, M) matrix scale * cos(z_b, w_m) for a (B, d) batch and (M, d) rows, as one node.
+
+    Rows are normalized as `l2_normalize` does.  Values and gradients are
+    bitwise those of the composed float64 graph
+    `(l2_normalize(z) @ l2_normalize(w).swapaxes(-1, -2)) * scale`: the
+    backward replays its steps in the same order.
     """
-    x, target, w1, b1 = (_as_tensor(t) for t in (x, target, w1, b1))
-    if x.ndim != 2:
-        raise ArgumentError(f"mlp_mse expects a (B, d) batch, got {x.shape}")
-    parents = [x, target, w1, b1]
-    hidden = x.data @ w1.data + b1.data
-    out = hidden
-    if w2 is not None:
-        w2, b2 = _as_tensor(w2), _as_tensor(b2)
-        parents += [w2, b2]
-        cdf = _gelu_cdf(hidden)
-        act = hidden * cdf
-        out = act @ w2.data + b2.data
-    if target.shape != out.shape:
-        raise ArgumentError(f"mlp_mse target shape {target.shape} does not match the output {out.shape}")
-    diff = out - target.data
-    inv_n = 1.0 / diff.size
-    data = np.asarray((diff * diff).sum() * inv_n)
+    z, w = _as_tensor(z), _as_tensor(w)
+    if z.ndim != 2 or w.ndim != 2 or z.shape[1] != w.shape[1]:
+        raise ArgumentError(f"cosine_logits expects (B, d) and (M, d) operands, got {z.shape} and {w.shape}")
+    z_norm, zn = _l2_rows(z.data)
+    w_norm, wn = _l2_rows(w.data)
+    data = (zn @ wn.swapaxes(-1, -2)) * scale
 
     def backward(g):
-        half = (g * inv_n) * diff
-        g_out = half + half
-        if target.requires_grad:
-            target._accumulate(-g_out)
-        if w2 is not None:
-            if b2.requires_grad:
-                b2._accumulate(_unbroadcast(g_out, b2.data.shape))
-            if w2.requires_grad:
-                w2._accumulate(act.swapaxes(-1, -2) @ g_out)
-            g_out = _gelu_grad(g_out @ w2.data.swapaxes(-1, -2), hidden, cdf)
-        if b1.requires_grad:
-            b1._accumulate(_unbroadcast(g_out, b1.data.shape))
-        if w1.requires_grad:
-            w1._accumulate(x.data.swapaxes(-1, -2) @ g_out)
-        if x.requires_grad:
-            x._accumulate(g_out @ w1.data.swapaxes(-1, -2))
+        g_cos = g * scale
+        if z.requires_grad:
+            z._accumulate(_l2_rows_grad(g_cos @ wn, z.data, z_norm))
+        if w.requires_grad:
+            w._accumulate(_l2_rows_grad((zn.T @ g_cos).swapaxes(0, 1), w.data, w_norm))
 
-    return _result(data, parents, backward)
+    return _result(data, (z, w), backward)
 
 
 def cosine_similarity(u, v) -> Tensor:

@@ -5,9 +5,12 @@ weight decay) mirror the sensitivity grid; the decoupled variant is the
 default everywhere.  The adaptive variants keep their moments in one flat
 buffer per parameter group, so a step costs a few whole-buffer array ops
 rather than a Python loop of them per parameter.  `run_epochs` is the one
-shuffle/batch/step loop that distillation, supervised training, prefix
+shuffle/batch/log loop that distillation, supervised training, prefix
 sessions, the backbone-finetune ablation, prediction nets and the linear
-probe all run.
+probe all run.  It calls a per-batch `step(idx, epoch, start) -> float`
+that makes one optimizer step and returns the batch's mean loss: the five
+autodiff phases pass `backprop_step(opt, batch_loss)`, and prediction nets
+pass a closed-form step that writes its gradient without building a graph.
 """
 
 from __future__ import annotations
@@ -196,34 +199,54 @@ class ReduceOnPlateau(EarlyStopping):
             self.bad_epochs = 0
 
 
+def backprop_step(opt: Optimizer, batch_loss, after_step=None):
+    """The `run_epochs` step of a phase whose loss is an autodiff graph.
+
+    `batch_loss(idx, epoch, start)` returns the graph-carrying mean loss of the
+    samples `idx`; the step clears the gradients, backpropagates that loss,
+    steps `opt`, calls `after_step()` (when given) and returns the loss value.
+    """
+
+    def step(idx, epoch, start):
+        loss = batch_loss(idx, epoch, start)
+        opt.zero_grad()
+        loss.backward()
+        opt.step()
+        if after_step is not None:
+            after_step()
+        return loss.item()
+
+    return step
+
+
 def run_epochs(
     opt: Optimizer,
     n: int,
     batch_size: int,
     epochs: int,
     rng,
-    batch_loss,
+    step,
     log=None,
     phase: str = "",
     session: int = 0,
     plateau: ReduceOnPlateau | None = None,
     stopper: EarlyStopping | None = None,
     before_epoch=None,
-    after_step=None,
 ) -> list:
     """Train for up to `epochs` passes over `n` samples; returns per-epoch mean losses.
 
     Epoch `e` visits the samples in the order `rng.child("shuffle", f"epoch{e}")`
     permutes them, in batches of `min(batch_size, n)` (the last may be short).
-    `batch_loss(idx, epoch, start)` returns the graph-carrying mean loss of the
-    samples `idx`, which start at offset `start` of the epoch's order.  The
-    epoch's mean weights each batch loss by its length.  After every epoch the
-    plateau (when given) steps on that mean, `loss` and `lr` (the first
-    group's, after the plateau step) are logged under `phase` and `session`,
-    and the stopper (when given) may end training.  `before_epoch(epoch)` runs
-    before an epoch's first batch and `after_step()` after every optimizer step.
-    The last step's gradients are released on return, so the trained
-    parameters hold no `.grad` arrays.
+    `step(idx, epoch, start)` makes one optimizer step of `opt` on the samples
+    `idx`, which start at offset `start` of the epoch's order, and returns
+    their mean loss as a float (`backprop_step` builds it from a graph-carrying
+    loss).  The epoch's mean weights each batch loss by its length.  After
+    every epoch the plateau (when given) steps on that mean, `loss` and `lr`
+    (the first group's, after the plateau step) are logged under `phase` and
+    `session`, and the stopper (when given) may end training.
+    `before_epoch(epoch)` runs before an epoch's first batch.  The last step's
+    gradients are released on return, so the trained parameters hold no
+    `.grad` arrays.
     """
     batch = min(batch_size, n)
     means = []
@@ -234,13 +257,7 @@ def run_epochs(
         total = 0.0
         for start in range(0, n, batch):
             idx = order[start : start + batch]
-            loss = batch_loss(idx, epoch, start)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            if after_step is not None:
-                after_step()
-            total += loss.item() * len(idx)
+            total += step(idx, epoch, start) * len(idx)
         mean_loss = total / n
         means.append(mean_loss)
         if plateau is not None:

@@ -42,7 +42,7 @@ from .harness import (
     load_idx_dataset,
 )
 from .numerics import SeededRng, Tensor
-from .optim import make_optimizer, run_epochs
+from .optim import backprop_step, make_optimizer, run_epochs
 from .prototype_rectification import (
     OutlierPairs,
     PredictionNet,
@@ -200,7 +200,7 @@ def _finetune_backbone_session(view, remapped, encoder, head, new_rows, tc, rng,
         z = encoder.forward(Tensor(view.images[idx]))
         return cross_entropy_loss(head, z, remapped[idx], rng.child("eps", f"e{epoch}", f"b{start}"), noise=tc.head_noise_train)
 
-    run_epochs(opt, len(view.images), tc.inc_batch_size, tc.inc_epochs, rng, batch_loss, log, "incremental", session)
+    run_epochs(opt, len(view.images), tc.inc_batch_size, tc.inc_epochs, rng, backprop_step(opt, batch_loss), log, "incremental", session)
     encoder.set_requires_grad(False)
 
 

@@ -6,6 +6,12 @@ the most distant members of each class, enriched with pseudo-labeled
 test-pool embeddings - onto their class prototype.  The rectified prototype
 averages the network's output with the raw one; it initializes the
 session's new classifier rows, while routing keeps the raw statistics.
+
+Training builds no autodiff graph: the net's weights and biases lie end to
+end in one flat parameter vector, and each step writes the closed-form MSE
+gradient into one flat buffer before an ordinary optimizer step.  The
+gradient repeats the composed graph's arithmetic in its order, so trained
+weights are bitwise those of backpropagating `PredictionNet.__call__`.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import numpy as np
 
 from .backbone import Linear
 from .errors import ArgumentError
-from .numerics import SeededRng, Tensor, gelu, mlp_mse, no_grad
+from .numerics import SeededRng, Tensor, gelu, gelu_cdf, gelu_grad, no_grad
 from .optim import make_optimizer, run_epochs
 from .task_inference import select_class_batch
 
@@ -51,7 +57,7 @@ class PredictionNet:
             ]
 
     def __call__(self, x: Tensor) -> Tensor:
-        """The composed forward graph; training uses the fused `mlp_mse` loss."""
+        """The composed forward graph; training uses the closed-form step of `train_prediction_net`."""
         out = self.layers[0](x)
         if self.depth == 2:
             out = self.layers[1](gelu(out))
@@ -127,18 +133,72 @@ def pseudo_label(pool_embeddings: np.ndarray, gaussians: list, covariance, metri
     return class_ids
 
 
+def mse_gradients(x: np.ndarray, target: np.ndarray, params: list, grads: list) -> float:
+    """Loss mean((net(x) - target)^2) of the net whose `params` are (w1, b1) or
+    (w1, b1, w2, b2), as `PredictionNet.__call__` applies them; writes the
+    loss's gradient with respect to each parameter into the matching array of
+    `grads`.
+
+    The backward takes the composed graph's steps in the same order (the
+    mean's 1/n, the square's two equal halves, the bias sums over the batch),
+    so the loss and every gradient are bitwise those of backpropagating the
+    composed ops.
+    """
+    w1, b1 = params[:2]
+    hidden = x @ w1 + b1
+    out = hidden
+    if len(params) == 4:
+        w2, b2 = params[2:]
+        cdf = gelu_cdf(hidden)
+        act = hidden * cdf
+        out = act @ w2 + b2
+    diff = out - target
+    inv_n = 1.0 / diff.size
+    half = inv_n * diff
+    g_out = half + half
+    if len(params) == 4:
+        grads[3][...] = g_out.sum(axis=0)
+        grads[2][...] = act.T @ g_out
+        g_out = gelu_grad(g_out @ w2.T, hidden, cdf)
+    grads[1][...] = g_out.sum(axis=0)
+    grads[0][...] = x.T @ g_out
+    return float((diff * diff).sum() * inv_n)
+
+
+def _views(flat: np.ndarray, tensors: list) -> list:
+    """Consecutive slices of `flat`, shaped like `tensors`."""
+    ends = np.cumsum([t.size for t in tensors])
+    return [flat[end - t.size : end].reshape(t.shape) for t, end in zip(tensors, ends)]
+
+
 def train_prediction_net(net: PredictionNet, pairs: OutlierPairs, config, rng: SeededRng, log=None, session: int = 0) -> PredictionNet:
-    """Fit the net with MSE onto the (input, prototype) pairs."""
+    """Fit the net with MSE onto the (input, prototype) pairs.
+
+    The layers' weights and biases train as one flat parameter vector (see
+    the module docstring) and hold its trained values on return.
+    """
     if len(pairs) == 0:
         raise ArgumentError("prediction net needs at least one pair")
-    opt = make_optimizer(config.optimizer, [{"params": list(net.params().values()), "lr": config.prednet_lr, "weight_decay": config.prednet_weight_decay}])
+    inputs = np.asarray(pairs.inputs, dtype=float)
+    targets = np.asarray(pairs.targets, dtype=float)
+    if inputs.ndim != 2 or inputs.shape[1] != net.dim or targets.shape != inputs.shape:
+        raise ArgumentError(f"prediction net of dim {net.dim} needs (N, {net.dim}) inputs and targets, got {inputs.shape} and {targets.shape}")
+    tensors = [t for layer in net.layers for t in (layer.weight, layer.bias)]
+    flat = np.concatenate([t.data.reshape(-1) for t in tensors])
+    theta = Tensor(flat, requires_grad=True, dtype=flat.dtype)
+    grad = np.empty_like(theta.data)
+    params, grads = _views(theta.data, tensors), _views(grad, tensors)
+    opt = make_optimizer(config.optimizer, [{"params": [theta], "lr": config.prednet_lr, "weight_decay": config.prednet_weight_decay}])
 
-    weights = [t for layer in net.layers for t in (layer.weight, layer.bias)]
+    def step(idx, epoch, start):
+        loss = mse_gradients(inputs[idx], targets[idx], params, grads)
+        theta.grad = grad
+        opt.step()
+        return loss
 
-    def batch_loss(idx, epoch, start):
-        return mlp_mse(pairs.inputs[idx], pairs.targets[idx], *weights)
-
-    run_epochs(opt, len(pairs), config.prednet_batch_size, config.prednet_epochs, rng, batch_loss, log, "prediction_net", session)
+    run_epochs(opt, len(pairs), config.prednet_batch_size, config.prednet_epochs, rng, step, log, "prediction_net", session)
+    for t, trained in zip(tensors, params):
+        t.data = trained.copy()
     return net
 
 

@@ -5,8 +5,8 @@ is drawn with the reparameterization phi = mu + eps (*) softplus(sigma - c),
 eps ~ N(0, 1), so gradients flow into both mu and sigma.  One (M, d) draw
 from the batch's rng gives eps for every class, and the whole (M, d) weight
 matrix is one graph node.  Scores are temperature-scaled cosine similarities
-between the sampled weight and the feature, turned into class probabilities
-by a softmax.
+between the sampled weight and the feature (for a batch, one `cosine_logits`
+node), turned into class probabilities by a softmax.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ArgumentError, DomainError
-from .numerics import SeededRng, Tensor, l2_normalize, reshape, softmax, stochastic_weights
+from .numerics import SeededRng, Tensor, cosine_logits, l2_normalize, reshape, softmax, stochastic_weights
 
 SOFTPLUS_OFFSET = 4.0  # hyper-parameter c; sigma starts at c so the initial noise scale is ln 2
 
@@ -84,6 +84,8 @@ class StochasticHead:
             raise DomainError("class probabilities undefined for zero feature vectors")
         z = z if isinstance(z, Tensor) else Tensor(z)
         weights = self._weight_matrix(rng, noise, frozen_eps)
+        if z.ndim == 2:
+            return cosine_logits(z, weights, self.temperature)
         cos = l2_normalize(z, axis=-1) @ l2_normalize(weights, axis=-1).swapaxes(-1, -2)
         return cos * self.temperature
 

@@ -16,6 +16,7 @@ from scipy.linalg import solve_triangular
 from .errors import ArgumentError, NumericError
 
 COV_REG_SCALE = 1e-6  # epsilon = scale * trace(A) / D added before inversion
+EUCLIDEAN_BLOCK = 64  # query rows per (rows, C, D) difference array
 
 
 @dataclass
@@ -94,8 +95,12 @@ def class_distances(queries: np.ndarray, gaussians: list, covariance: SharedCova
         raise ArgumentError("no class statistics available")
     means = np.stack([g.mean for g in gaussians])
     if metric == "euclidean":
-        diff = queries[:, None, :] - means[None, :, :]
-        return np.einsum("qcd,qcd->qc", diff, diff)
+        # a block of queries at a time bounds the (Q, C, D) difference array
+        dists = np.empty((len(queries), len(means)))
+        for start in range(0, len(queries), EUCLIDEAN_BLOCK):
+            diff = queries[start : start + EUCLIDEAN_BLOCK, None, :] - means[None, :, :]
+            dists[start : start + EUCLIDEAN_BLOCK] = np.einsum("qcd,qcd->qc", diff, diff)
+        return dists
     if metric != "mahalanobis":
         raise ArgumentError(f"unknown metric {metric!r}")
     if covariance is None:

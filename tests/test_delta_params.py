@@ -8,7 +8,7 @@ from fscil.backbone import BackboneConfig, Encoder, hash_state
 from fscil.config import TrainingConfig, desk_profile
 from fscil.delta_params import PrefixSet, prefix_mhsa, train_session, trainable_fraction
 from fscil.errors import ArgumentError, ContractViolation
-from fscil.numerics import SeededRng, Tensor, grad_check
+from fscil.numerics import SeededRng, Tensor, grad_check, no_grad
 
 
 def make_block(d=8, heads=2, seed=0):
@@ -121,6 +121,26 @@ def test_train_session_keeps_backbone_and_old_rows_frozen():
     assert all(p.grad is None for model in (encoder, head, prefixes) for p in model.params().values())
     for m, old in zip((0, 1), before_old):
         assert np.array_equal(head.mu[m].data, old)
+
+
+def test_eval_tokens_of_a_batch_are_rows_of_the_whole_sets_tokens():
+    _, encoder, _, x, _ = _session_setup(4)
+    with no_grad():
+        whole = encoder.tokenize(Tensor(x)).data
+        for idx in (np.array([3, 0, 7]), np.array([9]), np.arange(10)[::-1]):
+            assert np.array_equal(encoder.tokenize(Tensor(x[idx])).data, whole[idx])
+            np.testing.assert_array_equal(encoder.encode(Tensor(whole[idx])).data, encoder.forward(Tensor(x[idx])).data)
+
+
+def test_train_session_tokenizes_the_session_once(monkeypatch):
+    _, encoder, head, x, y = _session_setup(5)
+    calls = []
+    for name in ("tokenize", "forward"):
+        real = getattr(Encoder, name)
+        monkeypatch.setattr(Encoder, name, lambda self, *a, _real=real, _name=name, **k: calls.append(_name) or _real(self, *a, **k))
+    prefixes = PrefixSet(session=1, layers=1, prefix_len=4, dim=8, rng=SeededRng(14))
+    train_session(x, y, encoder, head, prefixes, new_rows=[2, 3], config=desk_profile(inc_epochs=2, inc_batch_size=4), rng=SeededRng(15), session=1)
+    assert calls == ["tokenize"]
 
 
 @pytest.mark.parametrize("part", ["mu", "sigma"])

@@ -16,10 +16,11 @@ from fscil.numerics import (
     attention,
     batch_norm,
     broadcast_to,
+    cosine_logits,
     grad_check,
     log_softmax,
+    l2_normalize,
     log_softmax_nll,
-    mlp_mse,
     reshape,
     softmax,
     softplus,
@@ -27,7 +28,6 @@ from fscil.numerics import (
     stochastic_weights,
     tensor_mean,
 )
-from fscil.prototype_rectification import PredictionNet
 from fscil.stochastic_classifier import StochasticHead
 
 D, HEADS, DK = 6, 2, 3
@@ -203,30 +203,19 @@ def test_float32_fused_grad_checks_at_relaxed_tolerance():
     assert probe.grad.dtype == np.float32
 
 
-def _mlp_arrays(depth, dtype=np.float64, batch=5, dim=4, hidden=6):
-    """(x, target, w1, b1[, w2, b2]) with nonzero biases, for `mlp_mse`."""
-    rng = np.random.default_rng(20 + depth)
-    widths = [(dim, dim)] if depth == 1 else [(dim, hidden), (hidden, dim)]
-    arrays = [rng.normal(size=(batch, dim)), rng.normal(size=(batch, dim))]
-    for fan_in, fan_out in widths:
-        arrays += [rng.normal(size=(fan_in, fan_out)) / np.sqrt(fan_in), rng.normal(size=fan_out) * 0.5]
-    return [a.astype(dtype) for a in arrays]
-
-
-MLP_ARGS = ("x", "target", "w1", "b1", "w2", "b2")
-
-
-@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("target", ["z", "w"])
 @pytest.mark.parametrize("dtype, tol, step", [(np.float64, 1e-4, 1e-5), (np.float32, 5e-2, 1e-2)])
-def test_mlp_mse_passes_grad_check(depth, dtype, tol, step):
-    arrays = _mlp_arrays(depth, dtype)
-    for i, name in enumerate(MLP_ARGS[: len(arrays)]):
+def test_cosine_logits_passes_grad_check(target, dtype, tol, step):
+    rng = np.random.default_rng(12)
+    arrays = {"z": rng.normal(size=(4, 5)), "w": rng.normal(size=(3, 5))}
+    weights = rng.normal(size=(4, 3))
 
-        def f(t, i=i):
-            return mlp_mse(*(t if j == i else Tensor(a, dtype=dtype) for j, a in enumerate(arrays)))
+    def f(t):
+        args = {name: Tensor(a, dtype=dtype) for name, a in arrays.items()}
+        args[target] = t
+        return (cosine_logits(args["z"], args["w"], 3.0) ** 2 * weights).sum()
 
-        report = grad_check(f, Tensor(arrays[i], dtype=dtype), tol=tol, step=step)
-        assert report.passed, f"depth {depth} {name}: {report}"
+    _check(f, Tensor(arrays[target], dtype=dtype), tol=tol, step=step)
 
 
 # -- equality with the composed oracles ------------------------------------------------
@@ -335,35 +324,34 @@ def test_stochastic_weights_match_composed_oracle():
     assert np.array_equal(plain.data, mu0)
 
 
-@pytest.mark.parametrize("depth", [1, 2])
-def test_mlp_mse_matches_the_composed_prediction_net_bitwise(depth):
-    arrays = _mlp_arrays(depth)
-    nets = [PredictionNet(4, 0, SeededRng(0), depth=depth, hidden=6) for _ in range(2)]
-    for net in nets:
-        for layer, (w, b) in zip(net.layers, zip(arrays[2::2], arrays[3::2])):
-            layer.weight.data, layer.bias.data = w.copy(), b.copy()
-    leaves = [[Tensor(a, requires_grad=True) for a in arrays[:2]] for _ in range(2)]
-    fused = mlp_mse(*leaves[0], *(t for layer in nets[0].layers for t in (layer.weight, layer.bias)))
-    diff = nets[1](leaves[1][0]) - leaves[1][1]
-    expected = (diff * diff).mean()
-    assert _graph_size(fused) == 1 + len(arrays)
-    assert np.array_equal(fused.data, expected.data)
+@pytest.mark.parametrize("noise", [False, True])
+def test_cosine_logits_match_the_composed_l2_normalize_graph_bitwise(noise):
+    rng = np.random.default_rng(13)
+    z0, mu0, sigma0 = rng.normal(size=(6, 5)), rng.normal(size=(4, 5)), 4.0 + rng.normal(size=(4, 5))
+    eps = rng.normal(size=(4, 5)) if noise else None
+    labels = np.array([0, 3, 1, 1, 2, 0])
+    sides = []
+    for fused in (True, False):
+        z = Tensor(z0.copy(), requires_grad=True)
+        mu = [Tensor(row.copy(), requires_grad=True) for row in mu0]
+        sigma = [Tensor(row.copy(), requires_grad=True) for row in sigma0]
+        w = stochastic_weights(mu, sigma, eps, 4.0)
+        if fused:
+            logits = cosine_logits(z, w, 16.0)
+            assert _graph_size(logits) == 1 + _graph_size(w) + 1
+        else:  # the composed graph the fused node stands for (the oracle)
+            logits = (l2_normalize(z, axis=-1) @ l2_normalize(w, axis=-1).swapaxes(-1, -2)) * 16.0
+        log_softmax_nll(logits, labels).backward()
+        sides.append([logits.data, z.grad, *(t.grad for t in mu), *(t.grad for t in sigma if noise)])
+    for fused, oracle in zip(*sides):
+        assert np.array_equal(fused, oracle)
 
-    fused.backward()
-    expected.backward()
-    for fused_leaf, oracle_leaf in zip(*leaves):
-        assert np.array_equal(fused_leaf.grad, oracle_leaf.grad)
-    for fused_layer, oracle_layer in zip(*(net.layers for net in nets)):
-        assert np.array_equal(fused_layer.weight.grad, oracle_layer.weight.grad)
-        assert np.array_equal(fused_layer.bias.grad, oracle_layer.bias.grad)
 
-
-def test_mlp_mse_rejects_bad_shapes():
-    x, target, w, b = _mlp_arrays(1)
+def test_cosine_logits_rejects_mismatched_operands():
     with pytest.raises(ArgumentError):
-        mlp_mse(x[0], target[0], w, b)
+        cosine_logits(Tensor(np.ones(3)), Tensor(np.ones((2, 3))), 1.0)
     with pytest.raises(ArgumentError):
-        mlp_mse(x, target[:, :2], w, b)
+        cosine_logits(Tensor(np.ones((4, 3))), Tensor(np.ones((2, 5))), 1.0)
 
 
 # -- gradient routing --------------------------------------------------------------------
@@ -426,6 +414,28 @@ def test_backward_through_a_released_graph_raises():
         (z * 2.0).sum().backward()
 
 
+class _Unexpandable(Tensor):
+    """A leaf whose parent links fail the test when read."""
+
+    __slots__ = ()
+
+    @property
+    def _parents(self):
+        raise AssertionError("backward expanded a tensor that needs no gradient")
+
+    @_parents.setter
+    def _parents(self, value):
+        pass
+
+
+def test_backward_never_expands_a_parent_that_needs_no_gradient():
+    x = Tensor([1.0, -2.0], requires_grad=True)
+    frozen = _Unexpandable([3.0, 4.0])
+    (x * frozen).sum().backward()
+    np.testing.assert_array_equal(x.grad, [3.0, 4.0])
+    assert frozen.grad is None
+
+
 # -- head eps stream and graph size --------------------------------------------------------
 
 
@@ -467,5 +477,5 @@ def _toy_step_nodes(classes: int) -> int:
 
 def test_toy_training_step_graph_size():
     small, large = _toy_step_nodes(10), _toy_step_nodes(74)
-    assert small <= 110
+    assert small <= 90  # one cosine_logits node in place of the 16-node composed cosine
     assert large - small <= 2 * (74 - 10)  # only the mu and sigma leaves per class

@@ -6,7 +6,7 @@ import pytest
 
 from fscil.events import EventLog
 from fscil.numerics import SeededRng, Tensor
-from fscil.optim import SGD, Adam, AdamW, EarlyStopping, Optimizer, ReduceOnPlateau, run_epochs
+from fscil.optim import SGD, Adam, AdamW, EarlyStopping, Optimizer, ReduceOnPlateau, backprop_step, run_epochs
 
 
 class PerParameterAdam(Optimizer):
@@ -92,7 +92,8 @@ def test_batch_order_follows_the_epoch_shuffle_stream():
         seen.append((epoch, start, idx.copy()))
         return (w * 0.0).sum()
 
-    run_epochs(opt, 10, 4, 3, rng, batch_loss, before_epoch=lambda e: calls.append(("epoch", e)), after_step=lambda: calls.append("step"))
+    step = backprop_step(opt, batch_loss, after_step=lambda: calls.append("step"))
+    run_epochs(opt, 10, 4, 3, rng, step, before_epoch=lambda e: calls.append(("epoch", e)))
     for epoch in range(3):
         batches = [(start, idx) for e, start, idx in seen if e == epoch]
         assert [start for start, _ in batches] == [0, 4, 8]
@@ -109,19 +110,19 @@ def test_last_batch_is_short_when_batch_does_not_divide_n(n, batch_size, lengths
         got.append(len(idx))
         return (w * 0.0).sum()
 
-    run_epochs(opt, n, batch_size, 1, SeededRng(0), batch_loss)
+    run_epochs(opt, n, batch_size, 1, SeededRng(0), backprop_step(opt, batch_loss))
     assert got == lengths
 
 
 def test_early_stopping_halts_after_patience_flat_epochs():
     w, opt = _setup()
-    means = run_epochs(opt, 6, 4, 20, SeededRng(1), _flat_loss(w), stopper=EarlyStopping(3))
+    means = run_epochs(opt, 6, 4, 20, SeededRng(1), backprop_step(opt, _flat_loss(w)), stopper=EarlyStopping(3))
     assert means == [1.0] * 4  # the first epoch sets the best, then 3 flat epochs
 
 
 def test_no_stopper_runs_every_epoch():
     w, opt = _setup()
-    means = run_epochs(opt, 6, 4, 7, SeededRng(1), _flat_loss(w), stopper=None)
+    means = run_epochs(opt, 6, 4, 7, SeededRng(1), backprop_step(opt, _flat_loss(w)), stopper=None)
     assert len(means) == 7
 
 
@@ -129,7 +130,7 @@ def test_plateau_lowers_the_logged_lr():
     w, opt = _setup(lr=1.0)
     log = EventLog(None)
     plateau = ReduceOnPlateau(opt, patience=1, factor=0.5)
-    run_epochs(opt, 6, 4, 5, SeededRng(2), _flat_loss(w), log, "supervised", plateau=plateau)
+    run_epochs(opt, 6, 4, 5, SeededRng(2), backprop_step(opt, _flat_loss(w)), log, "supervised", plateau=plateau)
     assert log.series("supervised", "lr") == [1.0, 1.0, 0.5, 0.5, 0.25]
     assert opt.groups[0]["lr"] == 0.25
 
@@ -137,7 +138,7 @@ def test_plateau_lowers_the_logged_lr():
 def test_one_loss_and_one_lr_event_per_epoch_with_phase_and_session():
     w, opt = _setup()
     log = EventLog(None)
-    means = run_epochs(opt, 6, 4, 3, SeededRng(4), _flat_loss(w), log, "prediction_net", 5)
+    means = run_epochs(opt, 6, 4, 3, SeededRng(4), backprop_step(opt, _flat_loss(w)), log, "prediction_net", 5)
     expected = [(e, key) for e in range(3) for key in ("loss", "lr")]
     assert [(r["epoch"], r["key"]) for r in log.records] == expected
     assert {(r["phase"], r["session"]) for r in log.records} == {("prediction_net", 5)}
@@ -155,8 +156,35 @@ def test_returned_means_weight_batch_losses_by_length():
         batches.append((epoch, loss.item(), len(idx)))
         return loss
 
-    means = run_epochs(opt, 10, 4, 3, SeededRng(6), batch_loss)
+    means = run_epochs(opt, 10, 4, 3, SeededRng(6), backprop_step(opt, batch_loss))
     for epoch, mean in enumerate(means):
         parts = [(value, size) for e, value, size in batches if e == epoch]
         assert mean == pytest.approx(sum(v * s for v, s in parts) / 10, abs=1e-15)
     assert means[-1] < means[0]  # the optimizer steps between batches
+
+
+def test_a_plain_step_drives_the_loop_as_backprop_step_does():
+    # per-batch losses improve for two epochs, then stay flat: the plateau
+    # halves the lr and the stopper ends training before the last epoch
+    levels = [3.0, 2.0, 2.5, 2.5, 2.5, 2.5, 2.5, 2.5]
+    runs = []
+    for plain in (True, False):
+        w, opt = _setup(lr=1.0)
+        log, steps = EventLog(None), []
+        if plain:
+
+            def step(idx, epoch, start):
+                w.grad = np.zeros(3)
+                opt.step()
+                steps.append(start)
+                return levels[epoch] + 0.01 * start
+
+        else:
+            step = backprop_step(opt, lambda idx, epoch, start: (w * 0.0).sum() + (levels[epoch] + 0.01 * start), after_step=lambda: steps.append(None))
+        plateau = ReduceOnPlateau(opt, patience=1, factor=0.5)
+        means = run_epochs(opt, 10, 4, len(levels), SeededRng(8), step, log, "prediction_net", 2, plateau=plateau, stopper=EarlyStopping(3))
+        assert w.grad is None
+        runs.append((means, log.records, opt.groups[0]["lr"], len(steps)))
+    assert runs[0] == runs[1]
+    means, _, lr, steps = runs[0]
+    assert len(means) == 5 and lr == 0.5 and steps == 15

@@ -6,12 +6,15 @@ import pytest
 from fscil.backbone import hash_state
 from fscil.config import TrainingConfig, desk_profile
 from fscil.errors import ArgumentError
-from fscil.numerics import SeededRng, Tensor, grad_check
+from fscil.events import EventLog
+from fscil.numerics import SeededRng, Tensor, _result, grad_check
+from fscil.optim import backprop_step, make_optimizer, run_epochs
 from fscil.prototype_rectification import (
     OutlierPairs,
     PredictionNet,
     estimate_intra_class_bias,
     merge_pairs,
+    mse_gradients,
     pseudo_label,
     rectify_prototype,
     refine_gaussian_stats,
@@ -190,6 +193,101 @@ def test_prediction_net_gradients():
 
     start = PredictionNet(3, 0, SeededRng(9), depth=2).layers[0].weight.data
     assert grad_check(f, Tensor(start.copy()), tol=1e-4).passed
+
+
+def _mlp_arrays(depth, dtype=np.float64, batch=5, dim=4, hidden=6):
+    """(x, target, w1, b1[, w2, b2]) with nonzero biases."""
+    rng = np.random.default_rng(20 + depth)
+    widths = [(dim, dim)] if depth == 1 else [(dim, hidden), (hidden, dim)]
+    arrays = [rng.normal(size=(batch, dim)), rng.normal(size=(batch, dim))]
+    for fan_in, fan_out in widths:
+        arrays += [rng.normal(size=(fan_in, fan_out)) / np.sqrt(fan_in), rng.normal(size=fan_out) * 0.5]
+    return [a.astype(dtype) for a in arrays]
+
+
+def _split(flat, shapes):
+    ends = np.cumsum([int(np.prod(shape)) for shape in shapes])
+    return [flat[end - int(np.prod(shape)) : end].reshape(shape) for shape, end in zip(shapes, ends)]
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("dtype, tol, step", [(np.float64, 1e-4, 1e-5), (np.float32, 5e-2, 1e-2)])
+def test_mse_gradients_pass_grad_check(depth, dtype, tol, step):
+    x, target, *params = _mlp_arrays(depth, dtype)
+    shapes = [p.shape for p in params]
+
+    def f(theta):  # the closed-form loss as a one-node graph over the flat parameters
+        flat = theta.data.astype(dtype)
+        grad = np.empty_like(flat)
+        loss = mse_gradients(x, target, _split(flat, shapes), _split(grad, shapes))
+        return _result(np.asarray(loss), (theta,), lambda g: theta._accumulate(g * grad))
+
+    report = grad_check(f, Tensor(np.concatenate([p.reshape(-1) for p in params]), dtype=dtype), tol=tol, step=step)
+    assert report.passed, f"depth {depth}: {report}"
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_mse_gradients_match_the_composed_prediction_net_bitwise(depth):
+    x, target, *params = _mlp_arrays(depth)
+    net = PredictionNet(4, 0, SeededRng(0), depth=depth, hidden=6)
+    tensors = [t for layer in net.layers for t in (layer.weight, layer.bias)]
+    for t, a in zip(tensors, params):
+        t.data = a.copy()
+    diff = net(Tensor(x)) - Tensor(target)
+    expected = (diff * diff).mean()
+    expected.backward()
+    grads = [np.empty_like(a) for a in params]
+    assert mse_gradients(x, target, params, grads) == expected.item()
+    for grad, t in zip(grads, tensors):
+        assert np.array_equal(grad, t.grad)
+
+
+def _backprop_trained(net, pairs, config, rng, log):
+    """The graph path the closed-form step replaced (the oracle): the composed
+    forward and MSE, backpropagated, with one optimizer entry per layer tensor."""
+    opt = make_optimizer(config.optimizer, [{"params": list(net.params().values()), "lr": config.prednet_lr, "weight_decay": config.prednet_weight_decay}])
+
+    def batch_loss(idx, epoch, start):
+        diff = net(Tensor(pairs.inputs[idx])) - Tensor(pairs.targets[idx])
+        return (diff * diff).mean()
+
+    run_epochs(opt, len(pairs), config.prednet_batch_size, config.prednet_epochs, rng, backprop_step(opt, batch_loss), log, "prediction_net", 3)
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("optimizer", ["sgd", "adam", "adamw"])
+@pytest.mark.parametrize("n, batch", [(7, 3), (12, 5)])
+def test_closed_form_training_matches_backprop_bitwise(depth, optimizer, n, batch):
+    rng = np.random.default_rng(30)
+    pairs = OutlierPairs(inputs=rng.normal(size=(n, 5)), targets=rng.normal(size=(n, 5)))
+    cfg = desk_profile(optimizer=optimizer, prednet_epochs=12, prednet_batch_size=batch, prednet_lr=3e-2, prednet_weight_decay=0.05)
+    nets = [PredictionNet(5, 3, SeededRng(31), depth=depth, hidden=7) for _ in range(2)]
+    logs = [EventLog(None), EventLog(None)]
+    train_prediction_net(nets[0], pairs, cfg, SeededRng(32), log=logs[0], session=3)
+    _backprop_trained(nets[1], pairs, cfg, SeededRng(32), logs[1])
+    assert logs[0].records == logs[1].records
+    closed, oracle = (net.params() for net in nets)
+    assert list(closed) == list(oracle)
+    for name in closed:
+        assert np.array_equal(closed[name].data, oracle[name].data), name
+        assert closed[name].grad is None
+
+
+def test_prediction_net_training_builds_no_graph(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("prediction-net training backpropagated a graph")
+
+    monkeypatch.setattr(Tensor, "backward", refuse)
+    pairs = OutlierPairs(inputs=np.eye(3), targets=np.ones((3, 3)))
+    train_prediction_net(PredictionNet(3, 0, SeededRng(33)), pairs, desk_profile(prednet_epochs=2), SeededRng(34))
+
+
+def test_train_prediction_net_rejects_bad_shapes():
+    net = PredictionNet(3, 0, SeededRng(35))
+    cfg = desk_profile(prednet_epochs=1)
+    for inputs, targets in [(np.zeros(3), np.zeros(3)), (np.zeros((4, 3)), np.zeros((4, 2))), (np.zeros((4, 2)), np.zeros((4, 2)))]:
+        with pytest.raises(ArgumentError):
+            train_prediction_net(net, OutlierPairs(inputs, targets), cfg, SeededRng(36))
 
 
 # -- rectification --------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from fscil.errors import ArgumentError, NumericError
 from fscil.task_inference import (
+    ClassGaussian,
     SharedCovariance,
     accumulate_covariance,
     class_distances,
@@ -185,3 +186,12 @@ def test_tie_breaks_to_lowest_class_id():
     gaussians, _ = fit_class_stats(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1, 0]), session=0)
     cls, _ = select_class_batch(np.array([[0.0, 0.0]]), gaussians, None, metric="euclidean")
     assert cls[0] == 0
+
+
+@pytest.mark.parametrize("queries", [1, 63, 64, 65, 200])
+def test_blocked_euclidean_distances_equal_the_one_array_oracle_bitwise(queries):
+    rng = np.random.default_rng(40)
+    q, means = rng.normal(size=(queries, 7)), rng.normal(size=(5, 7))
+    gaussians = [ClassGaussian(class_id=c, session=0, mean=m, count=1) for c, m in enumerate(means)]
+    diff = q[:, None, :] - means[None, :, :]
+    assert np.array_equal(class_distances(q, gaussians, None, "euclidean"), np.einsum("qcd,qcd->qc", diff, diff))
