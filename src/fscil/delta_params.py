@@ -101,7 +101,11 @@ def train_session(
         raise ContractViolation("backbone must be frozen before a session is trained")
     frozen_hash = hash_state(encoder)
     old_rows = [m for m in range(head.num_classes) if m not in new_rows]
-    frozen_rows = [(head.mu[m].data.copy(), head.sigma[m].data.copy()) for m in old_rows]
+
+    def old_row_values():  # (M_old, 2, d) copy of the frozen (mu, sigma) rows
+        return np.array([(head.mu[m].data, head.sigma[m].data) for m in old_rows])
+
+    frozen_rows = old_row_values()
 
     head.set_requires_grad(False)
     head.set_requires_grad(True, classes=new_rows)
@@ -127,9 +131,6 @@ def train_session(
 
     if hash_state(encoder) != frozen_hash:
         raise ContractViolation("frozen backbone parameters changed during session training")
-    if not all(
-        np.array_equal(head.mu[m].data, mu, equal_nan=True) and np.array_equal(head.sigma[m].data, sigma, equal_nan=True)
-        for m, (mu, sigma) in zip(old_rows, frozen_rows)
-    ):
+    if not np.array_equal(old_row_values(), frozen_rows, equal_nan=True):
         raise ContractViolation("frozen classifier rows changed during session training")
     return prefixes, head

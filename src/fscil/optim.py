@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, NumericError
 
 
 class Optimizer:
@@ -240,10 +240,12 @@ def run_epochs(
     `step(idx, epoch, start)` makes one optimizer step of `opt` on the samples
     `idx`, which start at offset `start` of the epoch's order, and returns
     their mean loss as a float (`backprop_step` builds it from a graph-carrying
-    loss).  The epoch's mean weights each batch loss by its length.  After
-    every epoch the plateau (when given) steps on that mean, `loss` and `lr`
-    (the first group's, after the plateau step) are logged under `phase` and
-    `session`, and the stopper (when given) may end training.
+    loss).  The epoch's mean weights each batch loss by its length; a mean
+    that is not finite raises `NumericError` naming the phase, session and
+    epoch, checked once per epoch rather than per step.  After every epoch
+    the plateau (when given) steps on that mean, `loss` and `lr` (the first
+    group's, after the plateau step) are logged under `phase` and `session`,
+    and the stopper (when given) may end training.
     `before_epoch(epoch)` runs before an epoch's first batch.  The last step's
     gradients are released on return, so the trained parameters hold no
     `.grad` arrays.
@@ -259,6 +261,8 @@ def run_epochs(
             idx = order[start : start + batch]
             total += step(idx, epoch, start) * len(idx)
         mean_loss = total / n
+        if not math.isfinite(mean_loss):
+            raise NumericError(f"non-finite mean loss {mean_loss} in phase {phase!r}, session {session}, epoch {epoch}")
         means.append(mean_loss)
         if plateau is not None:
             plateau.step(mean_loss)

@@ -206,16 +206,15 @@ def _finetune_backbone_session(view, remapped, encoder, head, new_rows, tc, rng,
 
 def _evaluate(encoder, head, state, pool, pool_idx, pool_emb, metric):
     """Route every pool sample (dataset test indices `pool_idx`) by its
-    prefix-free embedding `pool_emb` to a session, then predict with that
-    session's prefixes and the noise-free head."""
+    prefix-free embedding `pool_emb` to a session, gather each sample's
+    embedding under that session's prefixes, and predict all of them with
+    one call of the noise-free head."""
     _, routed_sessions = select_class_batch(pool_emb, state.all_gaussians(), state.covariance, metric)
-    predictions = np.full(len(pool_idx), -1, dtype=int)
-    for sess in sorted(set(routed_sessions.tolist())):
+    z = np.empty_like(pool_emb)
+    for sess in np.unique(routed_sessions):
         idx = np.flatnonzero(routed_sessions == sess)
-        z = pool.embed(encoder, pool_idx[idx], state.prefixes.get(sess))
-        preds = head.predict_label(Tensor(z))
-        predictions[idx] = np.atleast_1d(preds)
-    return predictions
+        z[idx] = pool.embed(encoder, pool_idx[idx], state.prefixes.get(sess))
+    return head.predict_label(Tensor(z))
 
 
 def run_protocol(

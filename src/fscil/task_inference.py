@@ -3,7 +3,9 @@
 Each session fits a mean per class plus one pooled within-class scatter
 matrix; scatters accumulate across sessions into a single shared covariance
 used for Mahalanobis ranking at test time.  The winning class decides which
-session's delta parameters handle the sample.
+session's delta parameters handle the sample.  A ranking factors the shared
+covariance once and whitens queries and class means, so Mahalanobis and
+Euclidean distances share one blocked kernel and no step loops over classes.
 """
 
 from __future__ import annotations
@@ -76,6 +78,8 @@ def accumulate_covariance(existing: SharedCovariance | None, new_matrix: np.ndar
 
 
 def _regularized_cholesky(matrix: np.ndarray):
+    if not np.isfinite(matrix).all():
+        raise NumericError("shared covariance is not finite")
     dim = matrix.shape[0]
     eps = COV_REG_SCALE * float(np.trace(matrix)) / dim
     reg = matrix + eps * np.eye(dim)
@@ -89,28 +93,37 @@ def _regularized_cholesky(matrix: np.ndarray):
 
 
 def class_distances(queries: np.ndarray, gaussians: list, covariance: SharedCovariance | None, metric: str) -> np.ndarray:
-    """(Q, C) matrix of squared distances to every class mean."""
+    """(Q, C) matrix of squared distances to every class mean.
+
+    Mahalanobis distances are Euclidean distances in whitened coordinates:
+    with the regularized covariance factored as A = L L^T,
+    (q - mu)^T A^-1 (q - mu) = ||L^-1 q - L^-1 mu||^2, so one triangular
+    solve whitens every query and one more every mean.  Both metrics then
+    run the same kernel, a block of `EUCLIDEAN_BLOCK` queries at a time, so
+    the cost does not grow with a per-class loop.  A non-finite query or
+    mean raises `NumericError` rather than routing silently.
+    """
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     if not gaussians:
         raise ArgumentError("no class statistics available")
-    means = np.stack([g.mean for g in gaussians])
-    if metric == "euclidean":
-        # a block of queries at a time bounds the (Q, C, D) difference array
-        dists = np.empty((len(queries), len(means)))
-        for start in range(0, len(queries), EUCLIDEAN_BLOCK):
-            diff = queries[start : start + EUCLIDEAN_BLOCK, None, :] - means[None, :, :]
-            dists[start : start + EUCLIDEAN_BLOCK] = np.einsum("qcd,qcd->qc", diff, diff)
-        return dists
-    if metric != "mahalanobis":
+    if metric not in ("euclidean", "mahalanobis"):
         raise ArgumentError(f"unknown metric {metric!r}")
-    if covariance is None:
-        raise ArgumentError("mahalanobis metric needs an accumulated covariance")
-    chol = _regularized_cholesky(covariance.matrix)
+    means = np.stack([g.mean for g in gaussians])
+    if not np.isfinite(queries).all():
+        raise NumericError("a query embedding is not finite and cannot be routed")
+    if not np.isfinite(means).all():
+        raise NumericError("a class mean is not finite; no query can be routed against it")
+    if metric == "mahalanobis":
+        if covariance is None:
+            raise ArgumentError("mahalanobis metric needs an accumulated covariance")
+        chol = _regularized_cholesky(covariance.matrix)
+        queries = solve_triangular(chol, queries.T, lower=True, check_finite=False).T
+        means = solve_triangular(chol, means.T, lower=True, check_finite=False).T
+    # a block of queries at a time bounds the (Q, C, D) difference array
     dists = np.empty((len(queries), len(means)))
-    for c, mean in enumerate(means):
-        diff = (queries - mean).T
-        solved = solve_triangular(chol, diff, lower=True)
-        dists[:, c] = np.einsum("dq,dq->q", solved, solved)
+    for start in range(0, len(queries), EUCLIDEAN_BLOCK):
+        diff = queries[start : start + EUCLIDEAN_BLOCK, None, :] - means[None, :, :]
+        dists[start : start + EUCLIDEAN_BLOCK] = np.einsum("qcd,qcd->qc", diff, diff)
     return dists
 
 

@@ -1,9 +1,11 @@
 """Optimizers and the shared epoch loop: the one-buffer Adam against the
-per-parameter loop, batch order, loss means, plateau, early stop, events."""
+per-parameter loop, batch order, loss means, plateau, early stop, events,
+non-finite losses."""
 
 import numpy as np
 import pytest
 
+from fscil.errors import NumericError
 from fscil.events import EventLog
 from fscil.numerics import SeededRng, Tensor
 from fscil.optim import SGD, Adam, AdamW, EarlyStopping, Optimizer, ReduceOnPlateau, backprop_step, run_epochs
@@ -188,3 +190,21 @@ def test_a_plain_step_drives_the_loop_as_backprop_step_does():
     assert runs[0] == runs[1]
     means, _, lr, steps = runs[0]
     assert len(means) == 5 and lr == 0.5 and steps == 15
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_epoch_loss_raises_numeric_error_after_the_epoch(bad):
+    # the second epoch's first batch goes bad; its other batches still run,
+    # because the loss is checked once per epoch, and nothing later runs
+    w, opt = _setup()
+    log, steps = EventLog(None), []
+
+    def step(idx, epoch, start):
+        steps.append((epoch, start))
+        return bad if (epoch, start) == (1, 0) else 1.0
+
+    with pytest.raises(NumericError, match=r"phase 'incremental', session 3, epoch 1") as info:
+        run_epochs(opt, 10, 4, 5, SeededRng(9), step, log, "incremental", 3)
+    assert info.value.exit_code == 5
+    assert steps == [(e, start) for e in (0, 1) for start in (0, 4, 8)]
+    assert [r["epoch"] for r in log.records if r["key"] == "loss"] == [0]

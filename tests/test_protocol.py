@@ -89,28 +89,44 @@ def test_determinism_same_seed_same_hash():
 def counted_runs():
     """Full and `delta_params`-ablated runs of `small_config()`, seed 11, with
     every `protocol.embed_all` call of a test-pool sample recorded as
-    (prefix set or None, dataset test index)."""
+    (prefix set or None, dataset test index), and every evaluation as
+    (sessions routed to, `StochasticHead.logits` calls)."""
     runs = {}
     for arm in ("full", "delta_params"):
         cfg = small_config() if arm == "full" else ablated(small_config(), arm)
         dataset = build_dataset(cfg, 11)
         specs = build_fscil_splits(dataset.train_y, dataset.test_y, cfg.split.base_classes, cfg.split.ways, cfg.split.shots, 11)
         test_index = {row.tobytes(): i for i, row in enumerate(dataset.test_x)}
-        calls = []
+        calls, evaluations, logits_calls = [], [], []
 
         def counting(encoder, data_x, prefixes=None, **kw):
             calls.extend((prefixes, test_index[row.tobytes()]) for row in data_x if row.tobytes() in test_index)
             return embed_all(encoder, data_x, prefixes=prefixes, **kw)
 
+        real_logits, real_evaluate = StochasticHead.logits, protocol._evaluate
+
+        def counting_logits(head, *args, **kw):
+            logits_calls.append(head)
+            return real_logits(head, *args, **kw)
+
+        def counting_evaluate(encoder, head, state, pool, pool_idx, pool_emb, metric):
+            before = len(logits_calls)
+            predictions = real_evaluate(encoder, head, state, pool, pool_idx, pool_emb, metric)
+            _, routed = select_class_batch(pool_emb, state.all_gaussians(), state.covariance, metric)
+            evaluations.append((len(set(routed.tolist())), len(logits_calls) - before))
+            return predictions
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(protocol, "embed_all", counting)
+            mp.setattr(StochasticHead, "logits", counting_logits)
+            mp.setattr(protocol, "_evaluate", counting_evaluate)
             record, artifacts = protocol.run_protocol(dataset, specs, cfg, 11)
-        runs[arm] = (cfg, dataset, specs, record, artifacts, calls)
+        runs[arm] = (cfg, dataset, specs, record, artifacts, calls, evaluations)
     return runs
 
 
 def test_each_pool_sample_is_embedded_once_per_prefix_set(counted_runs):
-    _, _, specs, _, artifacts, calls = counted_runs["full"]
+    _, _, specs, _, artifacts, calls, _ = counted_runs["full"]
     counts = Counter(calls)
     assert max(counts.values()) == 1
     assert {i for prefixes, i in counts if prefixes is None} == set(specs[-1].test_indices.tolist())
@@ -118,7 +134,7 @@ def test_each_pool_sample_is_embedded_once_per_prefix_set(counted_runs):
 
 
 def test_backbone_finetune_arm_reembeds_the_pool_after_each_session(counted_runs):
-    _, _, specs, _, _, calls = counted_runs["delta_params"]
+    _, _, specs, _, _, calls, _ = counted_runs["delta_params"]
     assert {prefixes for prefixes, _ in calls} == {None}
     first_session = {}
     for spec in reversed(specs):
@@ -143,7 +159,7 @@ def test_pool_embeddings_serve_each_prefix_sets_own_rows():
 
 
 def test_last_session_predictions_match_a_cache_free_recomputation(counted_runs):
-    cfg, dataset, specs, record, artifacts, _ = counted_runs["full"]
+    cfg, dataset, specs, record, artifacts, _, _ = counted_runs["full"]
     order = [c for spec in specs for c in spec.label_set]
     pool_x = dataset.test_x[specs[-1].test_indices]
     encoder, head = artifacts["encoder"], artifacts["head"]
@@ -155,6 +171,13 @@ def test_last_session_predictions_match_a_cache_free_recomputation(counted_runs)
         labels = head.predict_label(Tensor(embed_all(encoder, pool_x[idx], prefixes=artifacts["prefixes"][sess])))
         expected[idx] = [order[int(c)] for c in np.atleast_1d(labels)]
     assert record.session_results[-1]["predictions"] == expected.tolist()
+
+
+def test_each_evaluation_calls_the_head_once_however_many_sessions_it_routes_to(counted_runs):
+    evaluations = counted_runs["full"][-1]
+    assert len(evaluations) == 3
+    assert [head_calls for _, head_calls in evaluations] == [1, 1, 1]
+    assert evaluations[-1][0] == 3  # the last pool is routed to all three sessions
 
 
 def test_unknown_toggle_rejected():

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
+from fscil import task_inference
 from fscil.errors import ArgumentError, NumericError
 from fscil.task_inference import (
     ClassGaussian,
@@ -195,3 +197,64 @@ def test_blocked_euclidean_distances_equal_the_one_array_oracle_bitwise(queries)
     gaussians = [ClassGaussian(class_id=c, session=0, mean=m, count=1) for c, m in enumerate(means)]
     diff = q[:, None, :] - means[None, :, :]
     assert np.array_equal(class_distances(q, gaussians, None, "euclidean"), np.einsum("qcd,qcd->qc", diff, diff))
+
+
+def _per_class_solve_distances(queries, gaussians, covariance):
+    """Mahalanobis oracle: one triangular solve of (q - mu) per class."""
+    dim = covariance.matrix.shape[0]
+    reg = covariance.matrix + task_inference.COV_REG_SCALE * np.trace(covariance.matrix) / dim * np.eye(dim)
+    chol = np.linalg.cholesky(reg)
+    dists = np.empty((len(queries), len(gaussians)))
+    for c, g in enumerate(gaussians):
+        solved = solve_triangular(chol, (queries - g.mean).T, lower=True)
+        dists[:, c] = np.einsum("dq,dq->q", solved, solved)
+    return dists
+
+
+@pytest.mark.parametrize("queries, classes, dim", [(1, 1, 1), (1, 5, 3), (7, 1, 4), (9, 6, 1), (130, 74, 16)] + np.random.default_rng(41).integers(1, 40, size=(20, 3)).tolist())
+def test_whitened_mahalanobis_distances_match_the_per_class_solve_oracle(queries, classes, dim):
+    rng = np.random.default_rng([queries, classes, dim])
+    gaussians, shared = _random_instance(rng, classes, dim)
+    q = rng.normal(size=(queries, dim)) * 2
+    got = class_distances(q, gaussians, shared, "mahalanobis")
+    want = _per_class_solve_distances(q, gaussians, shared)
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+    np.testing.assert_array_equal(np.argmin(got, axis=1), np.argmin(want, axis=1))
+
+
+@pytest.mark.parametrize("classes", [1, 74])
+def test_mahalanobis_distances_take_at_most_two_triangular_solves(monkeypatch, classes):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve_triangular(*args, **kwargs)
+
+    monkeypatch.setattr(task_inference, "solve_triangular", counting)
+    rng = np.random.default_rng(42)
+    gaussians, shared = _random_instance(rng, classes, 8)
+    class_distances(rng.normal(size=(296, 8)), gaussians, shared, "mahalanobis")
+    assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "mahalanobis"])
+@pytest.mark.parametrize("where", ["query", "mean"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_routing_inputs_raise_numeric_error(metric, where, bad):
+    rng = np.random.default_rng(43)
+    gaussians, shared = _random_instance(rng, 4, 3)
+    queries = rng.normal(size=(5, 3))
+    if where == "query":
+        queries[2, 1] = bad
+    else:
+        gaussians[1].mean[0] = bad
+    with pytest.raises(NumericError, match=where):
+        select_class_batch(queries, gaussians, shared, metric)
+
+
+def test_non_finite_covariance_raises_numeric_error():
+    rng = np.random.default_rng(44)
+    gaussians, shared = _random_instance(rng, 4, 3)
+    shared.matrix[1, 1] = np.nan
+    with pytest.raises(NumericError, match="covariance is not finite"):
+        select_class_batch(rng.normal(size=(5, 3)), gaussians, shared, "mahalanobis")
