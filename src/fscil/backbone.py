@@ -11,7 +11,10 @@ two linear layers, the default, or "before" the first one); only that BN is
 built.  A learned scalar
 score pools the final token sequence into a single feature vector.
 
-No projection carries a bias; the batch-norm shifts play that role.
+No projection carries a bias; the batch-norm shifts play that role.  In eval
+mode every batch-norm is a fixed scale and shift, so `FoldedEncoder` folds
+each one into its neighbouring projection (or past the pool); an eval-mode
+`Encoder.encode` that needs no graph runs that folded forward.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, FormatError
-from .numerics import SeededRng, Tensor, batch_norm, conv2d, gelu, maxpool2d, relu, reshape, softmax
+from .numerics import SeededRng, Tensor, batch_norm, bn_scale_shift, conv2d, gelu, gelu_cdf, gelu_grad, maxpool2d, merge_heads, needs_graph, relu, reshape, softmax, split_heads
 from .numerics import attention as attention_node
 
 BN_EPS = 1e-5
@@ -103,6 +106,10 @@ class BatchNorm:
 
     def __call__(self, x: Tensor, mode: str) -> Tensor:
         return batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var, mode, eps=BN_EPS, momentum=BN_MOMENTUM)
+
+    def scale_shift(self):
+        """(s, t) of the eval-mode map x -> x * s + t."""
+        return bn_scale_shift(self.gamma.data, self.beta.data, self.running_mean, self.running_var, BN_EPS)
 
     def params(self, prefix: str) -> dict:
         return {f"{prefix}.gamma": self.gamma, f"{prefix}.beta": self.beta}
@@ -274,10 +281,17 @@ class Encoder:
     def encode(self, tokens: Tensor, prefixes=None) -> Tensor:
         """tokens (B, n, d) from `tokenize` -> pooled feature z (B, d): the blocks,
         with `prefixes` (when given) prepended to each layer's keys and values,
-        then the final BN and the sequence pool."""
+        then the final BN and the sequence pool.
+
+        An eval-mode forward that builds no graph (no gradient is enabled
+        and needed for the tokens, a parameter or a prefix) runs
+        `FoldedEncoder` instead of the composed ops.
+        """
+        kvs = [prefixes.layer_kv(i) if prefixes is not None else None for i in range(len(self.blocks))]
+        if self.mode == "eval" and not needs_graph([tokens, *self.params().values(), *(t for kv in kvs if kv for t in kv)]):
+            return Tensor(FoldedEncoder(self).forward(tokens.data, [kv and (kv[0].data, kv[1].data) for kv in kvs]))
         x = tokens
-        for i, block in enumerate(self.blocks):
-            kv = prefixes.layer_kv(i) if prefixes is not None else None
+        for block, kv in zip(self.blocks, kvs):
             x, _ = block(x, self.mode, prefix_kv=kv)
         if self.final_bn is not None:
             x = self.final_bn(x, self.mode)
@@ -312,6 +326,103 @@ class Encoder:
         load_arrays(clone, state_arrays(self))
         clone.mode = self.mode
         return clone
+
+
+class FoldedEncoder:
+    """The eval-mode `Encoder.encode` with every batch-norm folded into its neighbour.
+
+    Each block's `attn_bn` folds into one (d, 3 H d_k) QKV projection plus a
+    bias, with the attention scale 1/sqrt(d_k) in its query columns;
+    `ffn_bn` and the inner BN fold into `theta1` plus a bias.  Prefixes are
+    not normalized, so they keep the raw key and value weights.  The final
+    BN moves after the sequence pool: the pool weights sum to 1 over the
+    tokens, so pooling x * s + t gives pool(x) * s + t, and the scores'
+    shift t @ pool_score is the same for every token, so the softmax drops it.
+    The weights are a snapshot: fold again after the encoder changes.
+    """
+
+    def __init__(self, encoder: Encoder):
+        cfg = encoder.cfg
+        self.heads, self.dk = cfg.heads, cfg.head_dim
+        self.blocks = []
+        for block in encoder.blocks:
+            w_q, w_k, w_v = (np.concatenate([w.data for w in ws], axis=1) for ws in (block.q, block.k, block.v))
+            s, t = block.attn_bn.scale_shift()
+            w_qkv = np.concatenate([w_q / np.sqrt(self.dk), w_k, w_v], axis=1)
+            s_f, t_f = block.ffn_bn.scale_shift()
+            s_i, t_i = block.inner_bn.scale_shift()
+            theta1 = block.theta1.data
+            if cfg.bn_placement == "between":
+                w1, b1 = s_f[:, None] * theta1 * s_i, (t_f @ theta1) * s_i + t_i
+            else:
+                w1, b1 = (s_f * s_i)[:, None] * theta1, (t_f * s_i + t_i) @ theta1
+            self.blocks.append((s[:, None] * w_qkv, t @ w_qkv, w_k, w_v, block.out_proj.data, w1, b1, block.theta2.data))
+        self.final = encoder.final_bn.scale_shift() if encoder.final_bn is not None else (1.0, 0.0)
+        self.pool = encoder.pool_score.data[:, 0] * self.final[0]
+
+    def forward(self, tokens: np.ndarray, prefix_kv: list, cache: list | None = None) -> np.ndarray:
+        """tokens (B, n, d) -> z (B, d); `prefix_kv[i]` is layer i's (p_K, p_V)
+        arrays or None.  With a `cache` list, keeps what `backward` needs."""
+        b, n, d = tokens.shape
+
+        def prepend(rows, w, part):  # rows projected by w, before every sample's (B, H, n, dk) part
+            pre = split_heads((rows @ w)[None], self.heads)
+            return np.concatenate([np.broadcast_to(pre, (b,) + pre.shape[1:]), part], axis=2)
+
+        x = tokens.reshape(b * n, d)
+        for (w_qkv, b_qkv, w_k, w_v, w_o, w1, b1, w2), kv in zip(self.blocks, prefix_kv):
+            q, k, v = (x @ w_qkv + b_qkv).reshape(b, n, 3, self.heads, self.dk).transpose(2, 0, 3, 1, 4)
+            if kv is not None:
+                k, v = prepend(kv[0], w_k, k), prepend(kv[1], w_v, v)
+            scores = q @ k.swapaxes(-1, -2)
+            e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            att = e / e.sum(axis=-1, keepdims=True)
+            x = x + merge_heads(att @ v) @ w_o
+            u = x @ w1 + b1
+            cdf = gelu_cdf(u)
+            if cache is not None:
+                cache.append((q, k, v, att, u, cdf))
+            x = x + (u * cdf) @ w2
+        x = x.reshape(b, n, d)
+        scores = x @ self.pool
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        weights = e / e.sum(axis=-1, keepdims=True)
+        if cache is not None:
+            cache.append((x, weights))
+        return (weights[:, None, :] @ x)[:, 0] * self.final[0] + self.final[1]
+
+    def backward(self, g_z: np.ndarray, cache: list) -> list:
+        """Gradients [(g_pK, g_pV) per layer] of the prefixes of the forward
+        that filled `cache` with prefixes in every layer, from the gradient
+        `g_z` of its output.
+
+        Block 0 sends nothing further back (the tokens are constants), so
+        its token Q/K/V gradients are never formed.
+        """
+        x, weights = cache[-1]
+        b, n, d = x.shape
+        g_pool = g_z * self.final[0]
+        g_w = (x @ g_pool[:, :, None])[..., 0]
+        g_scores = weights * (g_w - (g_w * weights).sum(axis=-1, keepdims=True))
+        g = (weights[:, :, None] * g_pool[:, None, :] + g_scores[:, :, None] * self.pool).reshape(b * n, d)
+        out = []
+        for layer in reversed(range(len(self.blocks))):
+            w_qkv, _, w_k, w_v, w_o, w1, _, w2 = self.blocks[layer]
+            q, k, v, att, u, cdf = cache[layer]
+            g = g + gelu_grad(g @ w2.T, u, cdf) @ w1.T
+            g_heads = split_heads((g @ w_o.T).reshape(b, n, -1), self.heads)
+            g_att = g_heads @ v.swapaxes(-1, -2)
+            g_scores = att * (g_att - (g_att * att).sum(axis=-1, keepdims=True))
+            n_pre = k.shape[2] - n
+            keys = slice(None) if layer else slice(n_pre)
+            g_k = g_scores[..., keys].swapaxes(-1, -2) @ q
+            g_v = att[..., keys].swapaxes(-1, -2) @ g_heads
+            # prefix rows are shared by the batch: their gradients sum over it
+            out.append(tuple(merge_heads(gp[:, :, :n_pre].sum(axis=0, keepdims=True)) @ w.T for gp, w in ((g_k, w_k), (g_v, w_v))))
+            if layer:
+                g_qkv = np.stack([g_scores @ k, g_k[:, :, n_pre:], g_v[:, :, n_pre:]])  # (3, B, H, n, dk)
+                g = g + g_qkv.transpose(1, 3, 0, 2, 4).reshape(b * n, -1) @ w_qkv.T
+        return out[::-1]
 
 
 # -- state: copying, hashing, saving and loading all use one name -> ndarray map

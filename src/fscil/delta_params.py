@@ -5,17 +5,22 @@ halves p_K, p_V of L_p/2 rows each, per encoder layer.  During attention the
 halves are prepended to the token keys and values while queries stay intact,
 so the output keeps the plain n x d shape and every attention row spans
 n + L_p/2 columns.  The backbone stays frozen; only prefixes (and the new
-classifier rows) train during a session.
+classifier rows) train during a session, each step a closed-form loss and
+gradient (`session_gradients`) on the batch-norm-folded encoder, with no
+autodiff graph.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
-from .backbone import Encoder, EncoderBlock, hash_state
-from .errors import ArgumentError, ContractViolation
-from .numerics import SeededRng, Tensor, no_grad
-from .optim import ReduceOnPlateau, backprop_step, make_optimizer, run_epochs
+import numpy as np
+from scipy.special import expit
+
+from .backbone import Encoder, EncoderBlock, FoldedEncoder, hash_state
+from .errors import ArgumentError, ContractViolation, DomainError, NumericError
+from .numerics import SeededRng, Tensor, flat_views, l2_rows, l2_rows_grad, no_grad
+from .optim import ReduceOnPlateau, make_optimizer, run_epochs
 
 PREFIX_INIT_RANGE = 0.02
 
@@ -54,10 +59,6 @@ class PrefixSet:
             out[f"p_v.{i}"] = self.p_v[i]
         return out
 
-    def set_requires_grad(self, flag: bool):
-        for p in self.params().values():
-            p.requires_grad = flag
-
 
 def prefix_mhsa(x: Tensor, block: EncoderBlock, prefixes: PrefixSet | None, layer: int = 0):
     """Attention with `prefixes` for `layer` prepended to keys and values.
@@ -79,6 +80,49 @@ def trainable_fraction(prefixes: PrefixSet, head_params: list, encoder: Encoder)
     return trained / total
 
 
+def session_gradients(folded: FoldedEncoder, tokens: np.ndarray, labels: np.ndarray, prefix_kv: list, head, mu: np.ndarray, sigma: np.ndarray, eps, new_rows, grads: list) -> float:
+    """Mean head cross-entropy of a batch of session tokens and its gradient, without a graph.
+
+    `tokens` (B, n, d) run through the folded frozen encoder with each
+    layer's `prefix_kv` (p_K, p_V) arrays (or None); `mu` and `sigma` are all
+    M head rows as (M, d) arrays and `eps` the batch's (M, d) draw, or None
+    when the noise is off.  The loss is `cross_entropy_loss` of the head's
+    cosine logits.  Writes its gradient with respect to each layer's p_K and
+    p_V and to the `new_rows` of `mu` (and of `sigma` when there is noise)
+    into `grads`, laid out in that order; old rows get none.  Returns the loss.
+    """
+    cache = []
+    z = folded.forward(tokens, prefix_kv, cache)
+    if not np.all(np.linalg.norm(z, axis=-1)):
+        raise DomainError("class probabilities undefined for zero feature vectors")
+    if eps is not None:
+        shifted = sigma - head.offset
+        weights = mu + eps * np.logaddexp(0.0, shifted)
+    else:
+        weights = mu
+    z_norm, zn = l2_rows(z)
+    w_norm, wn = l2_rows(weights)
+    logits = (zn @ wn.T) * head.temperature
+    shifted_logits = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted_logits)
+    total = e.sum(axis=-1, keepdims=True)
+    rows = np.arange(len(labels))
+    loss = float((np.log(total[:, 0]) - shifted_logits[rows, labels]).mean())
+    g_logits = e / total
+    g_logits[rows, labels] -= 1.0
+    g_cos = g_logits * (1.0 / len(labels)) * head.temperature
+    g_rows = l2_rows_grad((zn.T @ g_cos[:, new_rows]).T, weights[new_rows], w_norm[new_rows])
+    n_pre = sum(2 for kv in prefix_kv if kv is not None)
+    grads[n_pre][...] = g_rows
+    if eps is not None:
+        grads[n_pre + 1][...] = g_rows * eps[new_rows] * expit(shifted[new_rows])
+    if n_pre:
+        g_kv = folded.backward(l2_rows_grad(g_cos @ wn, z, z_norm), cache)
+        for dst, src in zip(grads, (g for pair in g_kv for g in pair)):
+            dst[...] = src
+    return loss
+
+
 def train_session(
     data_x: np.ndarray,
     data_y: np.ndarray,
@@ -95,7 +139,13 @@ def train_session(
 
     The backbone and all pre-existing head rows must come in frozen; a state
     hash of the backbone and a copy of those rows guard that they leave the
-    function unchanged.
+    function unchanged.  Each batch is one `session_gradients` call on the
+    batch-norm-folded encoder and one optimizer step on a flat vector that
+    lays the prefixes, the new `mu` rows and (with head noise) the new
+    `sigma` rows end to end; the tensors get the trained values on return.
+    Every epoch logs the mean L2 norm of its steps' gradients as
+    `grad_norm`; a non-finite gradient under a finite loss raises
+    `NumericError`.
     """
     if any(p.requires_grad for p in encoder.params().values()):
         raise ContractViolation("backbone must be frozen before a session is trained")
@@ -109,25 +159,53 @@ def train_session(
 
     head.set_requires_grad(False)
     head.set_requires_grad(True, classes=new_rows)
-    prefixes.set_requires_grad(True)
-    trainable = list(prefixes.params().values()) + [head.mu[m] for m in new_rows] + [head.sigma[m] for m in new_rows]
-    opt = make_optimizer(config.optimizer, [{"params": trainable, "lr": config.inc_lr, "weight_decay": config.inc_weight_decay}])
+    noise = config.head_noise_train
+    mu, sigma = np.stack([t.data for t in head.mu]), np.stack([t.data for t in head.sigma])
+    trained = list(prefixes.params().values()) if prefixes.prefix_len else []
+    n_pre = len(trained)
+    init = [t.data for t in trained] + [mu[new_rows]] + ([sigma[new_rows]] if noise else [])
+    theta = Tensor(np.concatenate([a.reshape(-1) for a in init]), requires_grad=True)
+    grad = np.empty_like(theta.data)
+    shapes = [a.shape for a in init]
+    views, grads = flat_views(theta.data, shapes), flat_views(grad, shapes)
+    prefix_kv = [tuple(views[i : i + 2]) if n_pre else None for i in range(0, 2 * len(encoder.blocks), 2)]
+    opt = make_optimizer(config.optimizer, [{"params": [theta], "lr": config.inc_lr, "weight_decay": config.inc_weight_decay}])
     plateau = ReduceOnPlateau(opt, config.inc_plateau_patience, config.inc_plateau_factor, config.inc_min_lr)
 
     encoder.eval()  # frozen backbone: running stats must not move
     epochs = config.inc_epochs_base if session == 0 else config.inc_epochs
-    from .base_trainer import cross_entropy_loss  # shared CE through the stochastic head
-
+    folded = FoldedEncoder(encoder)
     # prefixes enter after the tokenizer, and the frozen eval-mode tokenizer
     # maps each image on its own, so the session's tokens are computed once
     with no_grad():
         tokens = encoder.tokenize(Tensor(data_x)).data
+    grad_norms = {}
 
-    def batch_loss(idx, epoch, start):
-        z = encoder.encode(Tensor(tokens[idx]), prefixes=prefixes)
-        return cross_entropy_loss(head, z, data_y[idx], rng.child("eps", f"e{epoch}", f"b{start}"), noise=config.head_noise_train)
+    def step(idx, epoch, start):
+        eps_rng = rng.child("eps", f"e{epoch}", f"b{start}")
+        eps = eps_rng.normal(size=mu.shape) if noise else None
+        mu[new_rows] = views[n_pre]
+        if noise:
+            sigma[new_rows] = views[n_pre + 1]
+        loss = session_gradients(folded, tokens[idx], data_y[idx], prefix_kv, head, mu, sigma, eps, new_rows, grads)
+        norm = math.sqrt(grad @ grad)
+        if not math.isfinite(norm) and math.isfinite(loss):
+            raise NumericError(f"non-finite gradient in phase 'incremental', session {session}, epoch {epoch}")
+        grad_norms.setdefault(epoch, []).append(norm)
+        theta.grad = grad
+        opt.step()
+        return loss
 
-    run_epochs(opt, len(data_x), config.inc_batch_size, epochs, rng, backprop_step(opt, batch_loss), log, "incremental", session, plateau=plateau)
+    run_epochs(opt, len(data_x), config.inc_batch_size, epochs, rng, step, log, "incremental", session, plateau=plateau)
+    for t, value in zip(trained, views):
+        t.data = value.copy()
+    for i, m in enumerate(new_rows):
+        head.mu[m].data = views[n_pre][i].copy()
+        if noise:
+            head.sigma[m].data = views[n_pre + 1][i].copy()
+    if log is not None:
+        for epoch, norms in grad_norms.items():
+            log.emit(phase="incremental", session=session, epoch=epoch, key="grad_norm", value=float(np.mean(norms)))
 
     if hash_state(encoder) != frozen_hash:
         raise ContractViolation("frozen backbone parameters changed during session training")

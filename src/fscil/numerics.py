@@ -10,7 +10,8 @@ in the tests.
 
 - `batch_norm`: the last axis of a 2-d (rows, C) view, in train mode
   (closed-form backward from the two row sums sum(g) and sum(g * xn)) and
-  eval mode; a sum whose gradient no parameter needs is skipped;
+  eval mode (one scale and shift from `bn_scale_shift`); a sum whose
+  gradient no parameter needs is skipped;
 - `conv2d` and `maxpool2d`: channels-last (B, H, W, C) maps; the
   convolution is one im2col matrix product each way, the pooling a running
   maximum over the window taps;
@@ -235,10 +236,16 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def needs_graph(tensors) -> bool:
+    """Whether an op on `tensors` would build a graph: gradients are enabled
+    and one of them requires a gradient."""
+    return _grad_enabled and any(t.requires_grad for t in tensors)
+
+
 def _result(data, parents, backward) -> Tensor:
     """Build an op result, wiring the graph only when gradients are live."""
     out = Tensor(data, dtype=data.dtype)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if needs_graph(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -607,6 +614,13 @@ def maxpool2d(x, size: int, stride: int | None = None) -> Tensor:
     return _result(data, (x,), backward)
 
 
+def bn_scale_shift(gamma: np.ndarray, beta: np.ndarray, running_mean: np.ndarray, running_var: np.ndarray, eps: float = 1e-5):
+    """(s, t) such that eval-mode batch-norm maps x to x * s + t:
+    s = gamma / sqrt(max(running_var, eps)) and t = beta - running_mean * s."""
+    s = gamma / np.sqrt(np.maximum(running_var, eps))
+    return s, beta - running_mean * s
+
+
 def batch_norm(
     x,
     gamma,
@@ -623,11 +637,13 @@ def batch_norm(
     statistics (one sum for the mean, one row-dot of the centered rows for
     the variance) with `eps` inside the square root and updates the running
     stats in place with `momentum` (new = (1-m) old + m batch).  Eval mode
-    normalizes by sqrt(max(running_var, eps)) so calibrated (0, 1) stats act
-    as an exact identity.  The backward needs only sum(g) and sum(g * xn)
-    over the rows (Ioffe & Szegedy 2015):
+    is one scale and shift x * s + t from `bn_scale_shift`, which divides by
+    sqrt(max(running_var, eps)) so calibrated (0, 1) stats act as an exact
+    identity.  The backward needs only sum(g) and sum(g * xn) over the rows
+    (Ioffe & Szegedy 2015):
     dx = gamma * inv * (g - mean(g) - xn * mean(g * xn)) in train mode and
-    gamma * inv * g in eval mode; a reduction that no gradient needs is skipped.
+    g * s in eval mode, where the normalized rows xn are rebuilt only when
+    gamma needs a gradient; a reduction that no gradient needs is skipped.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     if mode not in ("train", "eval"):
@@ -647,18 +663,21 @@ def batch_norm(
         running_mean += momentum * mu
         running_var *= 1.0 - momentum
         running_var += momentum * var
+        xn *= inv
+        out = xn * gamma.data
+        out += beta.data
     else:
-        xn = x2 - running_mean
-        inv = 1.0 / np.sqrt(np.maximum(running_var, eps))
-    xn *= inv
-    out = xn * gamma.data
-    out += beta.data
+        s, t = bn_scale_shift(gamma.data, beta.data, running_mean, running_var, eps)
+        out = x2 * s
+        out += t
 
     def backward(g):
         g2 = g.reshape(-1, c)
         x_train = x.requires_grad and train
         g_sum = g2.sum(axis=0) if beta.requires_grad or x_train else None
-        g_xn = np.einsum("ij,ij->j", g2, xn) if gamma.requires_grad or x_train else None
+        if gamma.requires_grad or x_train:
+            normed = xn if train else (x2 - running_mean) / np.sqrt(np.maximum(running_var, eps))
+            g_xn = np.einsum("ij,ij->j", g2, normed)
         if gamma.requires_grad:
             gamma._accumulate(g_xn)
         if beta.requires_grad:
@@ -669,10 +688,20 @@ def batch_norm(
                 gx -= xn * (g_xn / rows)
                 gx *= gamma.data * inv
             else:
-                gx = g2 * (gamma.data * inv)
+                gx = g2 * s
             x._accumulate(gx.reshape(x.data.shape))
 
     return _result(out.reshape(x.data.shape), (x, gamma, beta), backward)
+
+
+def split_heads(a: np.ndarray, heads: int) -> np.ndarray:
+    """(B, m, H*dk) -> (B, H, m, dk)."""
+    return a.reshape(a.shape[0], a.shape[1], heads, -1).transpose(0, 2, 1, 3)
+
+
+def merge_heads(a: np.ndarray) -> np.ndarray:
+    """(B, H, m, dk) -> (B*m, H*dk)."""
+    return a.transpose(0, 2, 1, 3).reshape(a.shape[0] * a.shape[2], a.shape[1] * a.shape[3])
 
 
 def attention(x, wq, wk, wv, wo, prefix_kv=None):
@@ -698,52 +727,46 @@ def attention(x, wq, wk, wv, wo, prefix_kv=None):
     b, n, d = xb.shape
     xf = xb.reshape(b * n, d)
 
-    def split(a):  # (B, n, H*dk) -> (B, H, n, dk)
-        return a.reshape(a.shape[0], a.shape[1], heads, dk).transpose(0, 2, 1, 3)
-
-    def merge(a):  # (B, H, n, dk) -> (B*n, H*dk)
-        return a.transpose(0, 2, 1, 3).reshape(a.shape[0] * a.shape[2], width)
-
     w_q, w_k, w_v = (np.concatenate([w.data for w in ws], axis=1) for ws in (wq, wk, wv))
-    q = split((xf @ w_q).reshape(b, n, width))
-    k = split((xf @ w_k).reshape(b, n, width))
-    v = split((xf @ w_v).reshape(b, n, width))
+    q = split_heads((xf @ w_q).reshape(b, n, width), heads)
+    k = split_heads((xf @ w_k).reshape(b, n, width), heads)
+    v = split_heads((xf @ w_v).reshape(b, n, width), heads)
     parents = [x, *wq, *wk, *wv, wo]
     n_pre = 0
     if prefix_kv is not None:
         pk, pv = _as_tensor(prefix_kv[0]), _as_tensor(prefix_kv[1])
         parents += [pk, pv]
         n_pre = pk.data.shape[0]
-        k_pre = split((pk.data @ w_k)[None])
-        v_pre = split((pv.data @ w_v)[None])
+        k_pre = split_heads((pk.data @ w_k)[None], heads)
+        v_pre = split_heads((pv.data @ w_v)[None], heads)
         k = np.concatenate([np.broadcast_to(k_pre, (b, heads, n_pre, dk)), k], axis=2)
         v = np.concatenate([np.broadcast_to(v_pre, (b, heads, n_pre, dk)), v], axis=2)
     scale = 1.0 / np.sqrt(dk)
     scores = (q @ k.swapaxes(-1, -2)) * scale
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     att = e / e.sum(axis=-1, keepdims=True)
-    heads_out = merge(att @ v)
+    heads_out = merge_heads(att @ v)
     out = (heads_out @ wo.data).reshape(xb.shape)
 
     def backward(g):
         gf = g.reshape(b * n, d)
         if wo.requires_grad:
             wo._accumulate(heads_out.T @ gf)
-        g_heads = split((gf @ wo.data.T).reshape(b, n, width))
+        g_heads = split_heads((gf @ wo.data.T).reshape(b, n, width), heads)
         g_att = g_heads @ v.swapaxes(-1, -2)
         g_scores = att * (g_att - (g_att * att).sum(axis=-1, keepdims=True)) * scale
         g_k = g_scores.swapaxes(-1, -2) @ q
         g_v = att.swapaxes(-1, -2) @ g_heads
         pre_k = pre_v = None
         if n_pre:  # prefix rows are shared by the batch: their gradients sum over it
-            pre_k = (pk, merge(g_k[:, :, :n_pre].sum(axis=0, keepdims=True)))
-            pre_v = (pv, merge(g_v[:, :, :n_pre].sum(axis=0, keepdims=True)))
-        g_q = merge(g_scores @ k) if x.requires_grad or any(t.requires_grad for t in wq) else None
+            pre_k = (pk, merge_heads(g_k[:, :, :n_pre].sum(axis=0, keepdims=True)))
+            pre_v = (pv, merge_heads(g_v[:, :, :n_pre].sum(axis=0, keepdims=True)))
+        g_q = merge_heads(g_scores @ k) if x.requires_grad or any(t.requires_grad for t in wq) else None
         gx = None
         for ws, w, g_tok, pre in (
             (wq, w_q, g_q, None),
-            (wk, w_k, merge(g_k[:, :, n_pre:]), pre_k),
-            (wv, w_v, merge(g_v[:, :, n_pre:]), pre_v),
+            (wk, w_k, merge_heads(g_k[:, :, n_pre:]), pre_k),
+            (wv, w_v, merge_heads(g_v[:, :, n_pre:]), pre_v),
         ):
             if any(t.requires_grad for t in ws):
                 gw = xf.T @ g_tok
@@ -828,13 +851,13 @@ def stochastic_weights(mu, sigma, eps, offset: float) -> Tensor:
     return _result(data, mu + sigma, backward)
 
 
-def _l2_rows(x: np.ndarray):
+def l2_rows(x: np.ndarray):
     """(row norms, rows divided by them), computed as `l2_normalize(x)` computes them."""
     norm = np.sqrt((x * x).sum(axis=-1, keepdims=True) + 1e-12)
     return norm, x / norm
 
 
-def _l2_rows_grad(g: np.ndarray, x: np.ndarray, norm: np.ndarray) -> np.ndarray:
+def l2_rows_grad(g: np.ndarray, x: np.ndarray, norm: np.ndarray) -> np.ndarray:
     """Gradient reaching `x` from the gradient `g` of x / norm, in the composed
     graph's order: the division's g / norm, then the norm's sqrt and sum, then
     the square's two equal halves, added in that order."""
@@ -854,16 +877,16 @@ def cosine_logits(z, w, scale: float) -> Tensor:
     z, w = _as_tensor(z), _as_tensor(w)
     if z.ndim != 2 or w.ndim != 2 or z.shape[1] != w.shape[1]:
         raise ArgumentError(f"cosine_logits expects (B, d) and (M, d) operands, got {z.shape} and {w.shape}")
-    z_norm, zn = _l2_rows(z.data)
-    w_norm, wn = _l2_rows(w.data)
+    z_norm, zn = l2_rows(z.data)
+    w_norm, wn = l2_rows(w.data)
     data = (zn @ wn.swapaxes(-1, -2)) * scale
 
     def backward(g):
         g_cos = g * scale
         if z.requires_grad:
-            z._accumulate(_l2_rows_grad(g_cos @ wn, z.data, z_norm))
+            z._accumulate(l2_rows_grad(g_cos @ wn, z.data, z_norm))
         if w.requires_grad:
-            w._accumulate(_l2_rows_grad((zn.T @ g_cos).swapaxes(0, 1), w.data, w_norm))
+            w._accumulate(l2_rows_grad((zn.T @ g_cos).swapaxes(0, 1), w.data, w_norm))
 
     return _result(data, (z, w), backward)
 
@@ -885,6 +908,16 @@ def l2_normalize(x, axis: int = -1, eps: float = 1e-12) -> Tensor:
     x = _as_tensor(x)
     norm = sqrt(tensor_sum(x * x, axis=axis, keepdims=True) + eps)
     return x / norm
+
+
+def flat_views(flat: np.ndarray, shapes) -> list:
+    """Consecutive slices of the 1-d `flat`, one per shape in `shapes`, reshaped to it."""
+    views, start = [], 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        views.append(flat[start : start + size].reshape(shape))
+        start += size
+    return views
 
 
 # -- verification ------------------------------------------------------------

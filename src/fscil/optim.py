@@ -8,9 +8,10 @@ rather than a Python loop of them per parameter.  `run_epochs` is the one
 shuffle/batch/log loop that distillation, supervised training, prefix
 sessions, the backbone-finetune ablation, prediction nets and the linear
 probe all run.  It calls a per-batch `step(idx, epoch, start) -> float`
-that makes one optimizer step and returns the batch's mean loss: the five
-autodiff phases pass `backprop_step(opt, batch_loss)`, and prediction nets
-pass a closed-form step that writes its gradient without building a graph.
+that makes one optimizer step and returns the batch's mean loss: the four
+autodiff phases pass `backprop_step(opt, batch_loss)`, and prefix sessions
+and prediction nets pass closed-form steps that write their gradients
+without building a graph.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ import numpy as np
 
 from .backbone import Linear
 from .errors import ArgumentError
-from .numerics import SeededRng, Tensor, gelu, gelu_cdf, gelu_grad, no_grad
+from .numerics import SeededRng, Tensor, flat_views, gelu, gelu_cdf, gelu_grad, no_grad
 from .optim import make_optimizer, run_epochs
 from .task_inference import select_class_batch
 
@@ -165,12 +165,6 @@ def mse_gradients(x: np.ndarray, target: np.ndarray, params: list, grads: list) 
     return float((diff * diff).sum() * inv_n)
 
 
-def _views(flat: np.ndarray, tensors: list) -> list:
-    """Consecutive slices of `flat`, shaped like `tensors`."""
-    ends = np.cumsum([t.size for t in tensors])
-    return [flat[end - t.size : end].reshape(t.shape) for t, end in zip(tensors, ends)]
-
-
 def train_prediction_net(net: PredictionNet, pairs: OutlierPairs, config, rng: SeededRng, log=None, session: int = 0) -> PredictionNet:
     """Fit the net with MSE onto the (input, prototype) pairs.
 
@@ -187,7 +181,8 @@ def train_prediction_net(net: PredictionNet, pairs: OutlierPairs, config, rng: S
     flat = np.concatenate([t.data.reshape(-1) for t in tensors])
     theta = Tensor(flat, requires_grad=True, dtype=flat.dtype)
     grad = np.empty_like(theta.data)
-    params, grads = _views(theta.data, tensors), _views(grad, tensors)
+    shapes = [t.shape for t in tensors]
+    params, grads = flat_views(theta.data, shapes), flat_views(grad, shapes)
     opt = make_optimizer(config.optimizer, [{"params": [theta], "lr": config.prednet_lr, "weight_decay": config.prednet_weight_decay}])
 
     def step(idx, epoch, start):

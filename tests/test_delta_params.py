@@ -2,13 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fscil import delta_params
-from fscil.backbone import BackboneConfig, Encoder, hash_state
+from fscil.backbone import BackboneConfig, Encoder, FoldedEncoder, hash_state
+from fscil.base_trainer import cross_entropy_loss
 from fscil.config import TrainingConfig, desk_profile
-from fscil.delta_params import PrefixSet, prefix_mhsa, train_session, trainable_fraction
-from fscil.errors import ArgumentError, ContractViolation
+from fscil.delta_params import PrefixSet, prefix_mhsa, session_gradients, train_session, trainable_fraction
+from fscil.errors import ArgumentError, ContractViolation, NumericError
+from fscil.events import EventLog
 from fscil.numerics import SeededRng, Tensor, grad_check, no_grad
+from fscil.stochastic_classifier import StochasticHead
 
 
 def make_block(d=8, heads=2, seed=0):
@@ -195,3 +200,127 @@ def test_trainable_fraction_matches_parameter_count_oracle():
 def test_incremental_epoch_default_is_fifteen():
     assert TrainingConfig().inc_epochs == 15
     assert TrainingConfig().inc_epochs_base == 4
+
+
+def random_eval_encoder(cfg, seed):
+    """Frozen eval-mode encoder whose batch-norms are far from the identity."""
+    encoder = Encoder(cfg, SeededRng(seed))
+    rng = np.random.default_rng(seed)
+    for name, arr in encoder.buffers().items():
+        arr[...] = rng.uniform(0.5, 1.5, arr.shape) if name.endswith("running_var") else rng.normal(0.0, 0.3, arr.shape)
+    for name, p in encoder.params().items():
+        if name.endswith("gamma"):
+            p.data = rng.uniform(0.5, 1.5, p.shape)
+        elif name.endswith("beta"):
+            p.data = rng.normal(0.0, 0.3, p.shape)
+    encoder.set_requires_grad(False)
+    return encoder.eval()
+
+
+@pytest.mark.parametrize("placement", ["between", "before"])
+@pytest.mark.parametrize("final_norm", [True, False])
+@pytest.mark.parametrize("prefix_len", [0, 6])
+def test_folded_no_grad_forward_equals_the_composed_eval_forward(monkeypatch, placement, final_norm, prefix_len):
+    cfg = BackboneConfig(image_size=4, conv_channels=(8,), embed_dim=8, heads=2, layers=2, ffn_hidden=12, pool_size=0, bn_placement=placement, final_norm=final_norm)
+    encoder = random_eval_encoder(cfg, 30 + prefix_len)
+    prefixes = PrefixSet(session=1, layers=2, prefix_len=prefix_len, dim=8, rng=SeededRng(31))
+    tokens = np.random.default_rng(32).normal(size=(5, cfg.token_count(), 8))
+    with no_grad():
+        x = Tensor(tokens)
+        for i, block in enumerate(encoder.blocks):
+            x, _ = block(x, "eval", prefix_kv=prefixes.layer_kv(i))
+        composed = encoder.sequence_pool(encoder.final_bn(x, "eval") if final_norm else x).data
+        folds = []
+        real = FoldedEncoder.forward
+        monkeypatch.setattr(FoldedEncoder, "forward", lambda self, *a: folds.append(1) or real(self, *a))
+        folded = encoder.encode(Tensor(tokens), prefixes=prefixes).data
+    assert folds == [1]  # a no-grad eval encode dispatches to the folded forward
+    np.testing.assert_allclose(folded, composed, rtol=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    layers=st.integers(1, 2),
+    heads=st.sampled_from([1, 2]),
+    prefix_len=st.sampled_from([0, 2, 8]),
+    placement=st.sampled_from(["between", "before"]),
+    final_norm=st.booleans(),
+    noise=st.booleans(),
+    batch=st.integers(1, 6),
+    tail=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_session_gradients_match_the_autodiff_oracle(layers, heads, prefix_len, placement, final_norm, noise, batch, tail, seed):
+    """Closed-form loss and flat gradient vs encode + cross_entropy_loss + backward."""
+    cfg = BackboneConfig(image_size=4, conv_channels=(8,), embed_dim=8, heads=heads, layers=layers, ffn_hidden=12, bn_placement=placement, final_norm=final_norm)
+    encoder = random_eval_encoder(cfg, seed)
+    prefixes = PrefixSet(session=1, layers=layers, prefix_len=prefix_len, dim=8, rng=SeededRng(seed + 1))
+    rng = np.random.default_rng(seed)
+    head = StochasticHead(8)
+    for _ in range(5):
+        head.add_class(rng.normal(size=8))
+    for row in head.sigma:
+        row.data = row.data + rng.normal(0.0, 0.5, 8)
+    new_rows = [3, 4] if tail else list(range(5))
+    head.set_requires_grad(False)
+    head.set_requires_grad(True, classes=new_rows)
+    tokens = rng.normal(size=(batch, cfg.token_count(), 8))
+    labels = rng.integers(0, 5, size=batch)
+
+    # the oracle: tokens that need a gradient keep `encode` on the composed autodiff path
+    z = encoder.encode(Tensor(tokens, requires_grad=True), prefixes=prefixes)
+    loss = cross_entropy_loss(head, z, labels, SeededRng(seed).child("eps"), noise=noise)
+    loss.backward()
+    trained = list(prefixes.params().values()) if prefix_len else []
+    expected = [p.grad for p in trained] + [np.array([head.mu[m].grad for m in new_rows])]
+    if noise:
+        expected.append(np.array([head.sigma[m].grad for m in new_rows]))
+
+    grads = [np.full_like(g, np.nan) for g in expected]
+    kv = [(prefixes.p_k[i].data, prefixes.p_v[i].data) if prefix_len else None for i in range(layers)]
+    mu, sigma = np.stack([t.data for t in head.mu]), np.stack([t.data for t in head.sigma])
+    eps = SeededRng(seed).child("eps").normal(size=mu.shape) if noise else None
+    value = session_gradients(FoldedEncoder(encoder), tokens, labels, kv, head, mu, sigma, eps, new_rows, grads)
+
+    np.testing.assert_allclose(value, loss.item(), rtol=1e-10)
+    flat, oracle = np.concatenate([g.ravel() for g in grads]), np.concatenate([g.ravel() for g in expected])
+    np.testing.assert_allclose(flat, oracle, rtol=1e-10, atol=1e-13 * np.abs(oracle).max())
+
+
+def test_train_session_builds_no_graph_and_never_calls_the_head(monkeypatch):
+    _, encoder, head, x, y = _session_setup(6)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a session step must not build or backpropagate a graph")
+
+    monkeypatch.setattr(Tensor, "backward", forbidden)
+    monkeypatch.setattr(StochasticHead, "logits", forbidden)
+    prefixes = PrefixSet(session=1, layers=1, prefix_len=4, dim=8, rng=SeededRng(16))
+    before = prefixes.p_k[0].data.copy()
+    train_session(x, y, encoder, head, prefixes, new_rows=[2, 3], config=desk_profile(inc_epochs=2, inc_batch_size=4), rng=SeededRng(17), session=1)
+    assert not np.array_equal(prefixes.p_k[0].data, before)
+
+
+def test_train_session_logs_one_finite_grad_norm_per_epoch():
+    _, encoder, head, x, y = _session_setup(7)
+    log = EventLog(None)
+    prefixes = PrefixSet(session=1, layers=1, prefix_len=4, dim=8, rng=SeededRng(18))
+    train_session(x, y, encoder, head, prefixes, new_rows=[2, 3], config=desk_profile(inc_epochs=3, inc_batch_size=4), rng=SeededRng(19), log=log, session=1)
+    norms = [r for r in log.records if r["key"] == "grad_norm"]
+    assert [(r["phase"], r["session"], r["epoch"]) for r in norms] == [("incremental", 1, e) for e in range(3)]
+    assert all(np.isfinite(r["value"]) and r["value"] > 0 for r in norms)
+
+
+def test_train_session_rejects_a_non_finite_gradient_under_a_finite_loss(monkeypatch):
+    _, encoder, head, x, y = _session_setup(8)
+    real = delta_params.session_gradients
+
+    def planted(*args):
+        loss = real(*args)
+        args[-1][0].reshape(-1)[0] = np.nan  # first entry of the first layer's p_K gradient
+        return loss
+
+    monkeypatch.setattr(delta_params, "session_gradients", planted)
+    prefixes = PrefixSet(session=2, layers=1, prefix_len=4, dim=8, rng=SeededRng(20))
+    with pytest.raises(NumericError, match="non-finite gradient .* session 2, epoch 0"):
+        train_session(x, y, encoder, head, prefixes, new_rows=[2, 3], config=desk_profile(inc_epochs=2, inc_batch_size=4), rng=SeededRng(21), session=2)
