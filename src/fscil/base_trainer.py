@@ -158,11 +158,17 @@ def ema_update_teacher(teacher: TeacherState, student_encoder: Encoder, student_
 
 
 def dino_step(student_encoder: Encoder, student_proj: DinoHead, teacher: TeacherState, slots: list, student_temp: float):
-    """Distillation loss over all (teacher global, student other-view) pairs.
+    """Backpropagate the distillation loss over all (teacher global, student
+    other-view) pairs into the student's gradients, one student slot at a time.
 
     `slots` holds per-view batches, the first two being the global views.
-    Returns the (graph-carrying) loss plus a dict with the pair count,
-    teacher probabilities, and their mean entropy.
+    The teacher targets come first; then each slot, in slot order, runs its
+    forward, its pair terms (teacher index ascending) and one `backward()`
+    of their sum, so only one slot's graph is alive at a time.  The loss is
+    a sum of pair terms, so the gradients are those of the one-graph loss;
+    with slots in order they accumulate as its sweep does, bitwise.  Returns
+    the loss value, folded over the pair terms in (teacher, student) order,
+    plus a dict with the pair count, teacher logits, and mean entropy.
     """
     if teacher.encoder.mode != "eval":
         raise UsageError("teacher must be in eval mode for dino_step")
@@ -172,21 +178,24 @@ def dino_step(student_encoder: Encoder, student_proj: DinoHead, teacher: Teacher
         raise ArgumentError("need at least the two global views")
     teacher_logits = [teacher.logits(slots[i]) for i in range(2)]
     teacher_probs = [teacher.probs(lg) for lg in teacher_logits]
-    student_logp = [log_softmax(student_proj(student_encoder.forward(Tensor(s))) * (1.0 / student_temp), axis=-1) for s in slots]
-
-    loss = None
-    n_pairs = 0
-    for t_idx in range(2):
-        target = Tensor(teacher_probs[t_idx])
-        for s_idx in range(len(slots)):
-            if s_idx == t_idx:
+    targets = [Tensor(p) for p in teacher_probs]
+    values = {}
+    for s_idx, s in enumerate(slots):
+        student_logp = log_softmax(student_proj(student_encoder.forward(Tensor(s))) * (1.0 / student_temp), axis=-1)
+        slot_loss = None
+        for t_idx in range(2):
+            if t_idx == s_idx:
                 continue  # a view is never its own distillation target
-            term = -(target * student_logp[s_idx]).sum(axis=-1).mean()
-            loss = term if loss is None else loss + term
-            n_pairs += 1
+            term = -(targets[t_idx] * student_logp).sum(axis=-1).mean()
+            values[t_idx, s_idx] = term.item()
+            slot_loss = term if slot_loss is None else slot_loss + term
+        slot_loss.backward()
+    loss = 0.0
+    for key in sorted(values):  # (teacher, student) order: the one-graph loss's left fold
+        loss += values[key]
     all_teacher = np.concatenate(teacher_probs)
     entropy = float(-(all_teacher * np.log(all_teacher + 1e-12)).sum(axis=-1).mean())
-    info = {"n_pairs": n_pairs, "teacher_outputs": np.concatenate(teacher_logits), "teacher_entropy": entropy}
+    info = {"n_pairs": len(values), "teacher_outputs": np.concatenate(teacher_logits), "teacher_entropy": entropy}
     return loss, info
 
 
@@ -259,7 +268,7 @@ def _ssl_phase(encoder, proj, teacher, data_x, config, rng, history, log):
     lr_schedule = CosineSchedule(config.ssl_lr, config.ssl_lr * 1e-2, config.ssl_epochs)
     wd_schedule = CosineSchedule(config.ssl_weight_decay, config.ssl_weight_decay_end, config.ssl_epochs)
     warmup_epochs = max(1, int(config.warmup_fraction * config.ssl_epochs))
-    entropies, step_info = [], {}
+    entropies = []
 
     def record_entropy(epoch):
         mean_entropy = float(np.mean(entropies))
@@ -280,22 +289,21 @@ def _ssl_phase(encoder, proj, teacher, data_x, config, rng, history, log):
             group["lr"] = lr_schedule.value(epoch)
             group["weight_decay"] = wd_schedule.value(epoch)
 
-    def batch_loss(idx, epoch, start):
+    def step(idx, epoch, start):
         slots = crop_slots(
             data_x[idx], rng.child("crops", f"e{epoch}", f"b{start}"), config.n_local_crops, config.global_crop_scale, config.local_crop_scale
         )
+        opt.zero_grad()
         loss, info = dino_step(encoder, proj, teacher, slots, config.student_temp)
-        step_info.update(info)
+        opt.step()
+        ema_update_teacher(teacher, encoder, proj)
+        update_center(teacher, info["teacher_outputs"], momentum=config.center_momentum)
         entropies.append(info["teacher_entropy"])
         return loss
 
-    def after_step():
-        ema_update_teacher(teacher, encoder, proj)
-        update_center(teacher, step_info["teacher_outputs"], momentum=config.center_momentum)
-
     stopper = EarlyStopping(config.ssl_early_stop)
     losses = run_epochs(
-        opt, len(data_x), config.ssl_batch_size, config.ssl_epochs, rng, backprop_step(opt, batch_loss, after_step), log, "ssl",
+        opt, len(data_x), config.ssl_batch_size, config.ssl_epochs, rng, step, log, "ssl",
         stopper=stopper, before_epoch=before_epoch,
     )
     history["ssl_loss"].extend(losses)

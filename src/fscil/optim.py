@@ -8,10 +8,11 @@ rather than a Python loop of them per parameter.  `run_epochs` is the one
 shuffle/batch/log loop that distillation, supervised training, prefix
 sessions, the backbone-finetune ablation, prediction nets and the linear
 probe all run.  It calls a per-batch `step(idx, epoch, start) -> float`
-that makes one optimizer step and returns the batch's mean loss: the four
-autodiff phases pass `backprop_step(opt, batch_loss)`, and prefix sessions
-and prediction nets pass closed-form steps that write their gradients
-without building a graph.
+that makes one optimizer step and returns the batch's mean loss: the
+supervised, backbone-finetune and linear-probe phases pass
+`backprop_step(opt, batch_loss)`, distillation a step whose `dino_step`
+backpropagates one crop slot at a time, and prefix sessions and prediction
+nets closed-form steps that write their gradients without building a graph.
 """
 
 from __future__ import annotations
@@ -200,12 +201,12 @@ class ReduceOnPlateau(EarlyStopping):
             self.bad_epochs = 0
 
 
-def backprop_step(opt: Optimizer, batch_loss, after_step=None):
+def backprop_step(opt: Optimizer, batch_loss):
     """The `run_epochs` step of a phase whose loss is an autodiff graph.
 
     `batch_loss(idx, epoch, start)` returns the graph-carrying mean loss of the
     samples `idx`; the step clears the gradients, backpropagates that loss,
-    steps `opt`, calls `after_step()` (when given) and returns the loss value.
+    steps `opt` and returns the loss value.
     """
 
     def step(idx, epoch, start):
@@ -213,8 +214,6 @@ def backprop_step(opt: Optimizer, batch_loss, after_step=None):
         opt.zero_grad()
         loss.backward()
         opt.step()
-        if after_step is not None:
-            after_step()
         return loss.item()
 
     return step

@@ -43,7 +43,8 @@ def fit_class_stats(embeddings: np.ndarray, labels: np.ndarray, session: int):
     """Per-class means and the pooled within-class scatter for one session.
 
     The scatter is normalized by the total sample count over all classes
-    (the maximum-likelihood pooled estimate).
+    (the maximum-likelihood pooled estimate).  A class whose rows, mean or
+    scatter are not finite raises `NumericError` naming the session and class.
     """
     embeddings = np.asarray(embeddings, dtype=float)
     labels = np.asarray(labels)
@@ -59,9 +60,12 @@ def fit_class_stats(embeddings: np.ndarray, labels: np.ndarray, session: int):
         if len(rows) == 0:
             raise ArgumentError(f"class {cls} has no samples")
         mean = rows.mean(axis=0)
-        gaussians.append(ClassGaussian(class_id=cls, session=session, mean=mean, count=len(rows)))
         centered = rows - mean
-        scatter += centered.T @ centered
+        class_scatter = centered.T @ centered
+        if not (np.isfinite(mean).all() and np.isfinite(class_scatter).all()):  # a non-finite row makes the mean so
+            raise NumericError(f"session {session}, class {cls}: embedding statistics are not finite")
+        gaussians.append(ClassGaussian(class_id=cls, session=session, mean=mean, count=len(rows)))
+        scatter += class_scatter
     return gaussians, scatter / len(embeddings)
 
 

@@ -1,5 +1,7 @@
 """Base training tests: crops, distillation identities, EMA, phase ordering."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,10 +16,10 @@ from fscil.base_trainer import (
     train_base,
     update_center,
 )
-from fscil.config import TrainingConfig, desk_profile
+from fscil.config import TrainingConfig, desk_profile, toy_fscil_config
 from fscil.errors import ArgumentError, UsageError
 from fscil.events import EventLog
-from fscil.numerics import SeededRng
+from fscil.numerics import SeededRng, Tensor, log_softmax
 
 
 def blob_images(seed=0, classes=4, per_class=20, spread=4.0):
@@ -156,7 +158,7 @@ def test_teacher_equals_student_loss_is_summed_entropy():
     probs = teacher.probs(teacher.logits(batch))
     entropy = float(-(probs * np.log(probs)).sum(axis=-1).mean())
     assert info["n_pairs"] == 2 * (len(slots) - 1)
-    assert abs(loss.item() - info["n_pairs"] * entropy) < 1e-9
+    assert isinstance(loss, float) and abs(loss - info["n_pairs"] * entropy) < 1e-9
 
 
 def test_pair_count_two_global_two_local():
@@ -165,6 +167,7 @@ def test_pair_count_two_global_two_local():
     slots = [batch, batch * 0.9, batch * 0.8, batch * 0.7]
     loss, info = dino_step(encoder, proj, teacher, slots, student_temp=tc.student_temp)
     assert info["n_pairs"] == 6  # 2 * (|V| - 1)
+    assert isinstance(loss, float)
 
 
 def test_sharpening_limit_approaches_argmax_ce():
@@ -187,17 +190,92 @@ def test_sharpening_limit_approaches_argmax_ce():
                 continue
             row = s_logits[s_idx][0]
             expected += -(row[hot[0]] - np.log(np.exp(row - row.max()).sum()) - row.max())
-    assert abs(loss.item() - expected) < 1e-6
+    assert abs(loss - expected) < 1e-6
 
 
 def test_teacher_receives_no_gradient():
     encoder, proj, teacher, tc = _student_teacher(6)
     before = teacher.state_hash()
     batch = np.random.default_rng(6).normal(size=(2, 1, 4, 4))
-    loss, _ = dino_step(encoder, proj, teacher, [batch, batch * 0.5, batch * 0.2], student_temp=tc.student_temp)
-    loss.backward()
+    dino_step(encoder, proj, teacher, [batch, batch * 0.5, batch * 0.2], student_temp=tc.student_temp)
+    # dino_step backpropagates by itself: the student holds gradients, the teacher none
+    assert all(p.grad is not None for p in proj.params().values())
     assert teacher.state_hash() == before
     assert all(p.grad is None for p in teacher.proj.params().values())
+    assert all(p.grad is None for p in teacher.encoder.params().values())
+
+
+def one_graph_dino_loss(encoder, proj, teacher, slots, student_temp):
+    """The distillation loss as one graph over every slot, forwards in slot
+    order: the oracle of `dino_step`'s slot-at-a-time backward."""
+    targets = [Tensor(teacher.probs(teacher.logits(slots[i]))) for i in range(2)]
+    logp = [log_softmax(proj(encoder.forward(Tensor(s))) * (1.0 / student_temp), axis=-1) for s in slots]
+    loss = None
+    for t_idx in range(2):
+        for s_idx in range(len(slots)):
+            if s_idx != t_idx:
+                term = -(targets[t_idx] * logp[s_idx]).sum(axis=-1).mean()
+                loss = term if loss is None else loss + term
+    return loss
+
+
+def _toy_distillation(seed):
+    """Toy-config student and teacher plus a 64-image batch's 2 global and 4 local slots."""
+    cfg = toy_fscil_config().model
+    tc = desk_profile(n_local_crops=4)
+    encoder = Encoder(cfg, SeededRng(seed)).train()
+    proj = DinoHead(SeededRng(seed).child("proj"), cfg.embed_dim, tc.proj_hidden_dim, tc.proj_dim)
+    teacher = make_teacher(encoder, proj, tc)
+    teacher.center = SeededRng(seed).child("center").normal(size=tc.proj_dim)
+    for i, p in enumerate(list(encoder.params().values()) + list(proj.params().values())):
+        p.data = p.data + 0.05 * SeededRng(seed).child("drift", str(i)).normal(size=p.data.shape)
+    images = SeededRng(seed).child("images").normal(size=(64, 1, cfg.image_size, cfg.image_size), scale=3.0)
+    slots = crop_slots(images, SeededRng(seed).child("crops"), tc.n_local_crops, tc.global_crop_scale, tc.local_crop_scale)
+    assert len(slots) == 6
+    return encoder, proj, teacher, tc, slots
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_slot_at_a_time_backward_is_bitwise_the_one_graph_backward(seed):
+    runs = []
+    for one_graph in (True, False):
+        encoder, proj, teacher, tc, slots = _toy_distillation(seed)
+        if one_graph:
+            loss = one_graph_dino_loss(encoder, proj, teacher, slots, tc.student_temp)
+            loss.backward()
+            value = loss.item()
+        else:
+            value, info = dino_step(encoder, proj, teacher, slots, tc.student_temp)
+            assert info["n_pairs"] == 10
+        grads = {f"encoder.{n}": p.grad for n, p in encoder.params().items()}
+        grads.update({f"proj.{n}": p.grad for n, p in proj.params().items()})
+        buffers = {n: b.copy() for n, b in encoder.buffers().items()}
+        runs.append((value, grads, buffers))
+    (oracle_loss, oracle_grads, oracle_buffers), (loss, grads, buffers) = runs
+    assert loss == oracle_loss
+    assert grads.keys() == oracle_grads.keys() and all(g is not None for g in grads.values())
+    for name, grad in grads.items():
+        assert np.array_equal(grad, oracle_grads[name]), name
+    assert buffers.keys() == oracle_buffers.keys() and buffers
+    for name, buf in buffers.items():
+        assert np.array_equal(buf, oracle_buffers[name]), name
+
+
+def test_dino_step_peak_memory_is_one_slot_working_set():
+    peaks = []
+    for one_graph in (True, False):
+        encoder, proj, teacher, tc, slots = _toy_distillation(13)
+        tracemalloc.start()
+        try:
+            if one_graph:
+                one_graph_dino_loss(encoder, proj, teacher, slots, tc.student_temp).backward()
+            else:
+                dino_step(encoder, proj, teacher, slots, tc.student_temp)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    oracle_peak, peak = peaks
+    assert peak <= 0.4 * oracle_peak, (peak, oracle_peak)
 
 
 def test_dino_step_mode_contracts():

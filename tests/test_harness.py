@@ -1,10 +1,13 @@
 """Harness tests: split patterns, blob generation, IDX files, guard, metrics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fscil.errors import ArgumentError, ContractViolation, FormatError
 from fscil.harness import (
+    BAYES_BLOCK,
     SessionDataVault,
     build_fscil_splits,
     check_disjoint,
@@ -16,6 +19,7 @@ from fscil.harness import (
     write_idx_images,
     write_idx_labels,
 )
+from fscil.numerics import SeededRng
 
 CUB_CUMULATIVE = [2864, 3143, 3430, 3728, 4028, 4326, 4614, 4911, 5206, 5494, 5794]
 
@@ -112,6 +116,31 @@ def test_blob_separation_holds():
 def test_blob_bayes_accuracy_near_one_at_high_separation():
     ds = generate_blobs(classes=6, dim=16, samples_per_class=2, separation=10.0, seed=2)
     assert ds.bayes_accuracy >= 0.999
+
+
+def test_blocked_bayes_accuracy_equals_the_unblocked_estimate():
+    # 7 * 111 probe rows: the last block is short; weak separation keeps errors
+    classes, draws, dim, seed = 7, 111, 16, 4
+    assert (classes * draws) % BAYES_BLOCK
+    ds = generate_blobs(classes, dim, 2, separation=1.0, seed=seed, bayes_draws=draws)
+    means = ds.true_means
+    probe = SeededRng(seed).child("blobs").child("bayes").normal(size=(classes, draws, dim)) + means[:, None, :]
+    flat = probe.reshape(-1, dim)
+    dists = ((flat[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+    expected = float((dists.argmin(axis=1) == np.repeat(np.arange(classes), draws)).mean())
+    assert 0.5 < expected < 1.0
+    assert ds.bayes_accuracy == expected
+
+
+def test_bayes_estimate_peak_memory_is_bounded_by_the_block():
+    # 74 classes x 200 draws: one (14,800, 74, 16) difference array would be 140 MB
+    tracemalloc.start()
+    try:
+        generate_blobs(classes=74, dim=16, samples_per_class=20, separation=8.0, seed=0, test_per_class=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_blob_dataset_hash_deterministic():

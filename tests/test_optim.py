@@ -92,10 +92,10 @@ def test_batch_order_follows_the_epoch_shuffle_stream():
 
     def batch_loss(idx, epoch, start):
         seen.append((epoch, start, idx.copy()))
+        calls.append("step")
         return (w * 0.0).sum()
 
-    step = backprop_step(opt, batch_loss, after_step=lambda: calls.append("step"))
-    run_epochs(opt, 10, 4, 3, rng, step, before_epoch=lambda e: calls.append(("epoch", e)))
+    run_epochs(opt, 10, 4, 3, rng, backprop_step(opt, batch_loss), before_epoch=lambda e: calls.append(("epoch", e)))
     for epoch in range(3):
         batches = [(start, idx) for e, start, idx in seen if e == epoch]
         assert [start for start, _ in batches] == [0, 4, 8]
@@ -182,7 +182,12 @@ def test_a_plain_step_drives_the_loop_as_backprop_step_does():
                 return levels[epoch] + 0.01 * start
 
         else:
-            step = backprop_step(opt, lambda idx, epoch, start: (w * 0.0).sum() + (levels[epoch] + 0.01 * start), after_step=lambda: steps.append(None))
+
+            def batch_loss(idx, epoch, start):
+                steps.append(start)
+                return (w * 0.0).sum() + (levels[epoch] + 0.01 * start)
+
+            step = backprop_step(opt, batch_loss)
         plateau = ReduceOnPlateau(opt, patience=1, factor=0.5)
         means = run_epochs(opt, 10, 4, len(levels), SeededRng(8), step, log, "prediction_net", 2, plateau=plateau, stopper=EarlyStopping(3))
         assert w.grad is None

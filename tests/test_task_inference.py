@@ -52,6 +52,25 @@ def test_five_shot_matches_brute_force_mle():
     assert all(g.session == 2 for g in gaussians)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_embedding_row_raises_naming_session_and_class(bad):
+    # one planted row in class 7: before the check, a NaN scatter was summed
+    # into the shared covariance with no error (the Euclidean metric never factors it)
+    emb = np.random.default_rng(3).normal(size=(12, 4))
+    labels = np.repeat([2, 7, 9], 4)
+    emb[5, 1] = bad
+    with pytest.raises(NumericError, match="session 3, class 7") as info:
+        fit_class_stats(emb, labels, session=3)
+    assert info.value.exit_code == 5
+
+
+def test_an_overflowing_scatter_raises():
+    # finite rows and mean whose squared deviations overflow
+    emb = np.array([[1e200, 0.0], [-1e200, 0.0], [0.0, 0.0], [1.0, 1.0]])
+    with pytest.raises(NumericError, match="session 1, class 0"):
+        fit_class_stats(emb, np.array([0, 0, 1, 1]), session=1)
+
+
 def test_empty_or_mismatched_inputs_rejected():
     with pytest.raises(ArgumentError):
         fit_class_stats(np.zeros((0, 3)), np.array([]), session=0)
