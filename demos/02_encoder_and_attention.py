@@ -5,8 +5,6 @@ Convolutional tokenization (no class token, no positional embedding),
 batch-norm encoder blocks, prefix-augmented attention, and sequence pooling.
 """
 
-from dataclasses import replace
-
 from fscil.backbone import BackboneConfig, Encoder
 from fscil.delta_params import PrefixSet, prefix_mhsa
 from fscil.numerics import SeededRng, Tensor
@@ -38,12 +36,3 @@ print("with prefixes: output", pre_out.shape, "- attention rows now span", pre_m
 # The pooled feature is a score-weighted mixture of tokens.
 z = encoder.forward(images)
 print("pooled feature:", z.shape)
-
-# `bn_placement` picks where the FFN's one inner norm sits; "between" is the
-# default wiring.  Only that norm is built, under its placement's name.
-before_encoder = Encoder(replace(cfg, bn_placement="before"), rng).eval()
-x = Tensor(rng.child("ffn").normal(size=(5, cfg.embed_dim)))
-between = encoder.blocks[0].ffn(x, "eval")
-before = before_encoder.blocks[0].ffn(x, "eval")
-print("FFN placements agree in shape:", between.shape == before.shape)
-print("inner norms built:", [name for name, _ in encoder.blocks[0].norms()][-1], "/", [name for name, _ in before_encoder.blocks[0].norms()][-1])

@@ -6,10 +6,9 @@ max-pool) to (B, H, W, C) maps and reshapes the final grid into a token
 sequence; no class token and no positional embedding are added.  Every
 batch-norm normalizes the last axis.  Encoder blocks are
 pre-norm residual blocks whose norms are batch-norm layers, and the FFN
-carries one internal BN whose position `bn_placement` selects ("between" the
-two linear layers, the default, or "before" the first one); only that BN is
-built.  A learned scalar
-score pools the final token sequence into a single feature vector.
+carries one more BN between its two linear layers.  A final BN normalizes
+the last block's tokens, and a learned scalar score pools them into a
+single feature vector.
 
 No projection carries a bias; the batch-norm shifts play that role.  In eval
 mode every batch-norm is a fixed scale and shift, so `FoldedEncoder` folds
@@ -52,8 +51,6 @@ class BackboneConfig:
     layers: int = 2
     heads: int = 2
     ffn_hidden: int = 64
-    bn_placement: str = "between"
-    final_norm: bool = True
 
     def __post_init__(self):
         if not self.conv_channels:
@@ -65,8 +62,6 @@ class BackboneConfig:
             raise ArgumentError("last tokenizer channel count must equal embed_dim")
         if self.embed_dim % self.heads != 0:
             raise ArgumentError(f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
-        if self.bn_placement not in ("between", "before"):
-            raise ArgumentError(f"bn_placement must be 'between' or 'before', got {self.bn_placement!r}")
 
     @property
     def head_dim(self) -> int:
@@ -194,7 +189,7 @@ class EncoderBlock:
         self.theta2 = Tensor(trunc_normal(rng.child("ffn2"), (cfg.ffn_hidden, d)), requires_grad=True)
         self.attn_bn = BatchNorm(d)
         self.ffn_bn = BatchNorm(d)
-        self.inner_bn = BatchNorm(cfg.ffn_hidden if cfg.bn_placement == "between" else d)
+        self.inner_bn = BatchNorm(cfg.ffn_hidden)
 
     def attention(self, x: Tensor, prefix_kv=None):
         """MHSA over tokens; keys/values optionally get prepended prefixes.
@@ -206,15 +201,12 @@ class EncoderBlock:
         return attention_node(x, self.q, self.k, self.v, self.out_proj, prefix_kv)
 
     def ffn(self, x: Tensor, mode: str) -> Tensor:
-        """theta2(gelu(theta1 x)) with the inner BN where `bn_placement` puts it."""
-        if self.cfg.bn_placement == "between":
-            return gelu(self.inner_bn(x @ self.theta1, mode)) @ self.theta2
-        return gelu(self.inner_bn(x, mode) @ self.theta1) @ self.theta2
+        """theta2(gelu(BN(theta1 x)))."""
+        return gelu(self.inner_bn(x @ self.theta1, mode)) @ self.theta2
 
     def norms(self) -> tuple:
-        """(checkpoint name, BatchNorm) pairs; the inner BN keeps its placement's name."""
-        inner = "ffn_bn_mid" if self.cfg.bn_placement == "between" else "ffn_bn_in"
-        return (("attn_bn", self.attn_bn), ("ffn_bn", self.ffn_bn), (inner, self.inner_bn))
+        """(checkpoint name, BatchNorm) pairs."""
+        return (("attn_bn", self.attn_bn), ("ffn_bn", self.ffn_bn), ("ffn_bn_mid", self.inner_bn))
 
     def __call__(self, x: Tensor, mode: str, prefix_kv=None):
         attn_out, maps = self.attention(self.attn_bn(x, mode), prefix_kv=prefix_kv)
@@ -250,7 +242,7 @@ class Encoder:
         self.mode = "train"
         self.tokenizer = ConvTokenizer(rng.child("tokenizer"), cfg)
         self.blocks = [EncoderBlock(rng.child(f"block{i}"), cfg) for i in range(cfg.layers)]
-        self.final_bn = BatchNorm(cfg.embed_dim) if cfg.final_norm else None
+        self.final_bn = BatchNorm(cfg.embed_dim)
         self.pool_score = Tensor(trunc_normal(rng.child("pool"), (cfg.embed_dim, 1)), requires_grad=True)
 
     def train(self):
@@ -293,9 +285,7 @@ class Encoder:
         x = tokens
         for block, kv in zip(self.blocks, kvs):
             x, _ = block(x, self.mode, prefix_kv=kv)
-        if self.final_bn is not None:
-            x = self.final_bn(x, self.mode)
-        return self.sequence_pool(x)
+        return self.sequence_pool(self.final_bn(x, self.mode))
 
     def __call__(self, images: Tensor, prefixes=None) -> Tensor:
         return self.forward(images, prefixes=prefixes)
@@ -304,8 +294,7 @@ class Encoder:
         out = self.tokenizer.params("tokenizer")
         for i, block in enumerate(self.blocks):
             out.update(block.params(f"blocks.{i}"))
-        if self.final_bn is not None:
-            out.update(self.final_bn.params("final_bn"))
+        out.update(self.final_bn.params("final_bn"))
         out["pool_score"] = self.pool_score
         return out
 
@@ -313,8 +302,7 @@ class Encoder:
         out = self.tokenizer.buffers("tokenizer")
         for i, block in enumerate(self.blocks):
             out.update(block.buffers(f"blocks.{i}"))
-        if self.final_bn is not None:
-            out.update(self.final_bn.buffers("final_bn"))
+        out.update(self.final_bn.buffers("final_bn"))
         return out
 
     def set_requires_grad(self, flag: bool):
@@ -352,12 +340,9 @@ class FoldedEncoder:
             s_f, t_f = block.ffn_bn.scale_shift()
             s_i, t_i = block.inner_bn.scale_shift()
             theta1 = block.theta1.data
-            if cfg.bn_placement == "between":
-                w1, b1 = s_f[:, None] * theta1 * s_i, (t_f @ theta1) * s_i + t_i
-            else:
-                w1, b1 = (s_f * s_i)[:, None] * theta1, (t_f * s_i + t_i) @ theta1
+            w1, b1 = s_f[:, None] * theta1 * s_i, (t_f @ theta1) * s_i + t_i
             self.blocks.append((s[:, None] * w_qkv, t @ w_qkv, w_k, w_v, block.out_proj.data, w1, b1, block.theta2.data))
-        self.final = encoder.final_bn.scale_shift() if encoder.final_bn is not None else (1.0, 0.0)
+        self.final = encoder.final_bn.scale_shift()
         self.pool = encoder.pool_score.data[:, 0] * self.final[0]
 
     def forward(self, tokens: np.ndarray, prefix_kv: list, cache: list | None = None) -> np.ndarray:

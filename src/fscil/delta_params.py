@@ -12,13 +12,11 @@ autodiff graph.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy.special import expit
 
 from .backbone import Encoder, EncoderBlock, FoldedEncoder, hash_state
-from .errors import ArgumentError, ContractViolation, DomainError, NumericError
+from .errors import ArgumentError, ContractViolation, DomainError
 from .numerics import SeededRng, Tensor, flat_views, l2_rows, l2_rows_grad, no_grad
 from .optim import ReduceOnPlateau, make_optimizer, run_epochs
 
@@ -143,9 +141,7 @@ def train_session(
     batch-norm-folded encoder and one optimizer step on a flat vector that
     lays the prefixes, the new `mu` rows and (with head noise) the new
     `sigma` rows end to end; the tensors get the trained values on return.
-    Every epoch logs the mean L2 norm of its steps' gradients as
-    `grad_norm`; a non-finite gradient under a finite loss raises
-    `NumericError`.
+    `run_epochs` checks and logs each step's gradient norm.
     """
     if any(p.requires_grad for p in encoder.params().values()):
         raise ContractViolation("backbone must be frozen before a session is trained")
@@ -179,7 +175,6 @@ def train_session(
     # maps each image on its own, so the session's tokens are computed once
     with no_grad():
         tokens = encoder.tokenize(Tensor(data_x)).data
-    grad_norms = {}
 
     def step(idx, epoch, start):
         eps_rng = rng.child("eps", f"e{epoch}", f"b{start}")
@@ -188,10 +183,6 @@ def train_session(
         if noise:
             sigma[new_rows] = views[n_pre + 1]
         loss = session_gradients(folded, tokens[idx], data_y[idx], prefix_kv, head, mu, sigma, eps, new_rows, grads)
-        norm = math.sqrt(grad @ grad)
-        if not math.isfinite(norm) and math.isfinite(loss):
-            raise NumericError(f"non-finite gradient in phase 'incremental', session {session}, epoch {epoch}")
-        grad_norms.setdefault(epoch, []).append(norm)
         theta.grad = grad
         opt.step()
         return loss
@@ -203,9 +194,6 @@ def train_session(
         head.mu[m].data = views[n_pre][i].copy()
         if noise:
             head.sigma[m].data = views[n_pre + 1][i].copy()
-    if log is not None:
-        for epoch, norms in grad_norms.items():
-            log.emit(phase="incremental", session=session, epoch=epoch, key="grad_norm", value=float(np.mean(norms)))
 
     if hash_state(encoder) != frozen_hash:
         raise ContractViolation("frozen backbone parameters changed during session training")

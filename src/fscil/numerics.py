@@ -43,9 +43,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy import special as _special
 
-from .errors import ArgumentError, DomainError, UsageError
+from .errors import ArgumentError, ContractViolation, DomainError, UsageError
 
 DEFAULT_DTYPE = np.float64
 
@@ -458,7 +459,7 @@ def tensor_mean(a, axis=None, keepdims: bool = False) -> Tensor:
     else:
         axes = axis if isinstance(axis, tuple) else (axis,)
         n = int(np.prod([a.data.shape[ax] for ax in axes]))
-    return tensor_sum(a, axis=axis, keepdims=keepdims) * (1.0 / n)
+    return tensor_sum(a, axis=axis, keepdims=keepdims) * Tensor(1.0 / n, dtype=a.data.dtype)  # a float32 mean stays float32
 
 
 # -- shape primitives -------------------------------------------------------
@@ -980,6 +981,19 @@ def grad_check(f, x: Tensor, tol: float = 1e-4, step: float = 1e-5) -> GradCheck
 # -- seeded randomness -------------------------------------------------------
 
 
+class _PhiloxKey(ISeedSequence):
+    """A 128-bit key as the seed sequence Philox reads its key words from: `Philox(_PhiloxKey(k))`
+    has the key, counter and buffer of `Philox(key=k)`, which also builds an unused OS-entropy `SeedSequence()`."""
+
+    def __init__(self, key: int):
+        self.words = np.array([key & 0xFFFFFFFFFFFFFFFF, key >> 64], dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ContractViolation(f"Philox key words requested as ({n_words}, {np.dtype(dtype)}), not (2, uint64)")
+        return self.words.copy()
+
+
 class SeededRng:
     """Deterministic, splittable random stream (Philox counter generator).
 
@@ -993,7 +1007,7 @@ class SeededRng:
         self._path = tuple(str(p) for p in _path)
         material = ("%d/" % self.seed + "/".join(self._path)).encode()
         key = int.from_bytes(hashlib.sha256(material).digest()[:16], "big")
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        self._gen = np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
     def child(self, *labels) -> "SeededRng":
         return SeededRng(self.seed, self._path + tuple(labels))

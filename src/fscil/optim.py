@@ -245,21 +245,32 @@ def run_epochs(
     epoch, checked once per epoch rather than per step.  After every epoch
     the plateau (when given) steps on that mean, `loss` and `lr` (the first
     group's, after the plateau step) are logged under `phase` and `session`,
-    and the stopper (when given) may end training.
+    and the stopper (when given) may end training.  The L2 norm of the
+    gradients that `opt`'s parameters hold after each step is taken: one
+    that is not finite under a finite batch loss raises `NumericError`
+    naming the phase, session and epoch, and each epoch's mean norm is
+    logged as `grad_norm` after its `lr`.
     `before_epoch(epoch)` runs before an epoch's first batch.  The last step's
     gradients are released on return, so the trained parameters hold no
     `.grad` arrays.
     """
     batch = min(batch_size, n)
+    params = [p for g in opt.groups for p in g["params"]]
     means = []
     for epoch in range(epochs):
         if before_epoch is not None:
             before_epoch(epoch)
         order = rng.child("shuffle", f"epoch{epoch}").permutation(n)
         total = 0.0
+        norms = []
         for start in range(0, n, batch):
             idx = order[start : start + batch]
-            total += step(idx, epoch, start) * len(idx)
+            loss = step(idx, epoch, start)
+            total += loss * len(idx)
+            flat = np.concatenate([p.grad.reshape(-1) for p in params if p.grad is not None] + [np.zeros(0)])  # one dot, not one per tensor
+            norms.append(math.sqrt(float(flat @ flat)))
+            if not math.isfinite(norms[-1]) and math.isfinite(loss):
+                raise NumericError(f"non-finite gradient in phase {phase!r}, session {session}, epoch {epoch}")
         mean_loss = total / n
         if not math.isfinite(mean_loss):
             raise NumericError(f"non-finite mean loss {mean_loss} in phase {phase!r}, session {session}, epoch {epoch}")
@@ -269,6 +280,7 @@ def run_epochs(
         if log is not None:
             log.emit(phase=phase, session=session, epoch=epoch, key="loss", value=mean_loss)
             log.emit(phase=phase, session=session, epoch=epoch, key="lr", value=opt.groups[0]["lr"])
+            log.emit(phase=phase, session=session, epoch=epoch, key="grad_norm", value=sum(norms) / len(norms))
         if stopper is not None and stopper.update(mean_loss):
             break
     opt.zero_grad()

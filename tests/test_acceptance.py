@@ -6,7 +6,6 @@ across criteria.
 """
 
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -86,21 +85,19 @@ def test_criterion_1_gradient_integrity():
         check(f, Tensor(getter().data.copy()))
     check(lambda t: (block.attention(t)[0] ** 2).sum(), Tensor(tokens.copy()))
 
-    # FFN, both internal BN placements (same weights), train-mode BN with batch >= 8
+    # FFN, train-mode BN with batch >= 8
     flat = rng.child("flat").normal(size=(8, 8))
-    before_block = Encoder(replace(cfg, bn_placement="before"), rng.child("enc")).train().blocks[0]
-    for ffn_block in (block, before_block):
 
-        def f_theta(t, ffn_block=ffn_block):
-            old = ffn_block.theta1
-            ffn_block.theta1 = t
-            try:
-                return (ffn_block.ffn(Tensor(flat), "train") ** 2).sum()
-            finally:
-                ffn_block.theta1 = old
+    def f_theta(t):
+        old = block.theta1
+        block.theta1 = t
+        try:
+            return (block.ffn(Tensor(flat), "train") ** 2).sum()
+        finally:
+            block.theta1 = old
 
-        check(f_theta, Tensor(ffn_block.theta1.data.copy()))
-        check(lambda t, b=ffn_block: (b.ffn(t, "train") ** 2).sum(), Tensor(flat.copy()))
+    check(f_theta, Tensor(block.theta1.data.copy()))
+    check(lambda t: (block.ffn(t, "train") ** 2).sum(), Tensor(flat.copy()))
 
     # sequence pooling
     def f_pool(t):

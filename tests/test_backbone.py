@@ -124,11 +124,10 @@ def test_paper_scale_heads_divide_embed_dim():
 
 def test_ffn_zero_projections_give_zero():
     x = Tensor(np.random.default_rng(5).normal(size=(3, 8)))
-    for placement in ("between", "before"):
-        block = Encoder(small_cfg(bn_placement=placement), SeededRng(7)).blocks[0]
-        block.theta1.data = np.zeros_like(block.theta1.data)
-        block.theta2.data = np.zeros_like(block.theta2.data)
-        np.testing.assert_allclose(block.ffn(x, "eval").data, np.zeros((3, 8)), atol=1e-15)
+    block = Encoder(small_cfg(), SeededRng(7)).blocks[0]
+    block.theta1.data = np.zeros_like(block.theta1.data)
+    block.theta2.data = np.zeros_like(block.theta2.data)
+    np.testing.assert_allclose(block.ffn(x, "eval").data, np.zeros((3, 8)), atol=1e-15)
 
 
 def test_ffn_between_with_identity_bn_matches_mlp_oracle():
@@ -138,21 +137,6 @@ def test_ffn_between_with_identity_bn_matches_mlp_oracle():
     out = block.ffn(Tensor(x), "eval")  # fresh running stats: BN is identity in eval
     oracle = gelu(Tensor(x @ block.theta1.data)).data @ block.theta2.data
     np.testing.assert_allclose(out.data, oracle, atol=1e-12)
-
-
-def test_ffn_placement_default_is_between():
-    assert BackboneConfig(image_size=4, embed_dim=8, heads=2, conv_channels=(8,)).bn_placement == "between"
-
-
-def test_ffn_before_normalizes_input_first():
-    enc = Encoder(small_cfg(bn_placement="before"), SeededRng(9))
-    block = enc.blocks[0]
-    x = np.random.default_rng(7).normal(size=(4, 8))
-    out = block.ffn(Tensor(x), "eval")
-    oracle = gelu(Tensor(x @ block.theta1.data)).data @ block.theta2.data  # eval BN is identity here too
-    np.testing.assert_allclose(out.data, oracle, atol=1e-12)
-    with pytest.raises(ArgumentError):
-        small_cfg(bn_placement="sideways")
 
 
 # -- sequence pool -------------------------------------------------------------------
@@ -185,8 +169,8 @@ def test_sequence_pool_matches_weighted_sum_oracle():
 
 
 def test_encoder_zero_blocks_is_pooled_tokenizer():
-    cfg = small_cfg(layers=0, final_norm=False)
-    enc = Encoder(cfg, SeededRng(13)).eval()
+    # the final BN has fresh (0, 1) statistics, so in eval mode it is an exact identity
+    enc = Encoder(small_cfg(layers=0), SeededRng(13)).eval()
     x = Tensor(np.random.default_rng(11).normal(size=(2, 1, 4, 4)))
     z = enc.forward(x)
     np.testing.assert_array_equal(z.data, enc.sequence_pool(enc.tokenize(x)).data)
@@ -249,11 +233,10 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 def test_ffn_builds_only_the_selected_bn():
-    for placement, name, width in (("between", "ffn_bn_mid", 12), ("before", "ffn_bn_in", 8)):
-        params = Encoder(small_cfg(bn_placement=placement), SeededRng(17)).params()
-        inner = [key for key in params if ".ffn_bn_" in key]
-        assert inner == [f"blocks.0.{name}.gamma", f"blocks.0.{name}.beta"]
-        assert params[inner[0]].shape == (width,)
+    params = Encoder(small_cfg(), SeededRng(17)).params()
+    inner = [key for key in params if ".ffn_bn_" in key]
+    assert inner == ["blocks.0.ffn_bn_mid.gamma", "blocks.0.ffn_bn_mid.beta"]
+    assert params[inner[0]].shape == (12,)
 
 
 def test_checkpoint_with_both_ffn_bns_still_loads(tmp_path):

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fscil import base_trainer
 from fscil.backbone import BackboneConfig, Encoder, hash_state
 from fscil.base_trainer import (
     DinoHead,
@@ -17,7 +18,7 @@ from fscil.base_trainer import (
     update_center,
 )
 from fscil.config import TrainingConfig, desk_profile, toy_fscil_config
-from fscil.errors import ArgumentError, UsageError
+from fscil.errors import ArgumentError, NumericError, UsageError
 from fscil.events import EventLog
 from fscil.numerics import SeededRng, Tensor, log_softmax
 
@@ -128,8 +129,7 @@ def _iter_bns(encoder):
         yield bn
     for block in encoder.blocks:
         yield from (bn for _, bn in block.norms())
-    if encoder.final_bn is not None:
-        yield encoder.final_bn
+    yield encoder.final_bn
 
 
 def _calibrate_teacher_bn(student, teacher_encoder, batch):
@@ -409,3 +409,49 @@ def test_crop_slots_shapes():
     assert len(slots) == 5
     for s in slots:
         assert s.shape == (6, 1, 4, 4)
+
+
+# -- gradient guard ----------------------------------------------------------------
+
+
+def nan_backward(fn):
+    """`fn` whose result sends a NaN gradient back; its forward value stays finite."""
+
+    def planted(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        inner = out._backward
+        out._backward = lambda g: inner(g * np.nan)
+        return out
+
+    return planted
+
+
+def test_autodiff_phases_log_one_finite_grad_norm_per_epoch():
+    x, y = blob_images(seed=30, classes=3, per_class=10)
+    tc = desk_profile(ssl_epochs=2, sup_epochs=3, probe_epochs=2, ssl_batch_size=16, sup_batch_size=16)
+    log = EventLog(None)
+    _, _, teacher, _ = train_base(x, y, tiny_model(), tc, SeededRng(31), log=log)
+    linear_probe(teacher, x, y, tc, SeededRng(32), log=log)
+    for phase in ("ssl", "supervised", "linear_probe"):
+        norms = [r for r in log.records if r["phase"] == phase and r["key"] == "grad_norm"]
+        assert [r["epoch"] for r in norms] == list(range(len(log.series(phase, "loss")))) and norms
+        assert all(np.isfinite(r["value"]) and r["value"] > 0 for r in norms)
+
+
+@pytest.mark.parametrize("phase, primitive", [("ssl", "log_softmax"), ("supervised", "log_softmax_nll")])
+def test_a_non_finite_base_gradient_under_a_finite_loss_raises(monkeypatch, phase, primitive):
+    x, y = blob_images(seed=33, classes=3, per_class=10)
+    tc = desk_profile(ssl_epochs=2 if phase == "ssl" else 0, sup_epochs=2, ssl_batch_size=16, sup_batch_size=16)
+    monkeypatch.setattr(base_trainer, primitive, nan_backward(getattr(base_trainer, primitive)))
+    with pytest.raises(NumericError, match=f"non-finite gradient in phase '{phase}', session 0, epoch 0") as info:
+        train_base(x, y, tiny_model(), tc, SeededRng(34))
+    assert info.value.exit_code == 5
+
+
+def test_a_non_finite_probe_gradient_under_a_finite_loss_raises(monkeypatch):
+    x, y = blob_images(seed=35, classes=3, per_class=10)
+    tc = desk_profile(ssl_epochs=1, sup_epochs=1, probe_epochs=2)
+    _, _, teacher, _ = train_base(x, y, tiny_model(), tc, SeededRng(36))
+    monkeypatch.setattr(base_trainer, "log_softmax_nll", nan_backward(base_trainer.log_softmax_nll))
+    with pytest.raises(NumericError, match="non-finite gradient in phase 'linear_probe', session 0, epoch 0"):
+        linear_probe(teacher, x, y, tc, SeededRng(37))

@@ -68,7 +68,10 @@ def test_cli_rejects_unknown_ablation_choice(config_path):
         main(["ablate", "--config", str(config_path), "--without", "nonsense"])
 
 
-@pytest.mark.parametrize("section, key, value", [("training", "pseudo_stats", "all"), ("model", "prefix_capable", True)])
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("training", "pseudo_stats", "all"), ("model", "prefix_capable", True), ("model", "bn_placement", "between"), ("model", "final_norm", True)],
+)
 def test_run_rejects_removed_config_key(tmp_path, capsys, section, key, value):
     data = small_config().to_dict()
     data[section][key] = value

@@ -217,11 +217,9 @@ def random_eval_encoder(cfg, seed):
     return encoder.eval()
 
 
-@pytest.mark.parametrize("placement", ["between", "before"])
-@pytest.mark.parametrize("final_norm", [True, False])
 @pytest.mark.parametrize("prefix_len", [0, 6])
-def test_folded_no_grad_forward_equals_the_composed_eval_forward(monkeypatch, placement, final_norm, prefix_len):
-    cfg = BackboneConfig(image_size=4, conv_channels=(8,), embed_dim=8, heads=2, layers=2, ffn_hidden=12, pool_size=0, bn_placement=placement, final_norm=final_norm)
+def test_folded_no_grad_forward_equals_the_composed_eval_forward(monkeypatch, prefix_len):
+    cfg = BackboneConfig(image_size=4, conv_channels=(8,), embed_dim=8, heads=2, layers=2, ffn_hidden=12, pool_size=0)
     encoder = random_eval_encoder(cfg, 30 + prefix_len)
     prefixes = PrefixSet(session=1, layers=2, prefix_len=prefix_len, dim=8, rng=SeededRng(31))
     tokens = np.random.default_rng(32).normal(size=(5, cfg.token_count(), 8))
@@ -229,7 +227,7 @@ def test_folded_no_grad_forward_equals_the_composed_eval_forward(monkeypatch, pl
         x = Tensor(tokens)
         for i, block in enumerate(encoder.blocks):
             x, _ = block(x, "eval", prefix_kv=prefixes.layer_kv(i))
-        composed = encoder.sequence_pool(encoder.final_bn(x, "eval") if final_norm else x).data
+        composed = encoder.sequence_pool(encoder.final_bn(x, "eval")).data
         folds = []
         real = FoldedEncoder.forward
         monkeypatch.setattr(FoldedEncoder, "forward", lambda self, *a: folds.append(1) or real(self, *a))
@@ -243,16 +241,14 @@ def test_folded_no_grad_forward_equals_the_composed_eval_forward(monkeypatch, pl
     layers=st.integers(1, 2),
     heads=st.sampled_from([1, 2]),
     prefix_len=st.sampled_from([0, 2, 8]),
-    placement=st.sampled_from(["between", "before"]),
-    final_norm=st.booleans(),
     noise=st.booleans(),
     batch=st.integers(1, 6),
     tail=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-def test_session_gradients_match_the_autodiff_oracle(layers, heads, prefix_len, placement, final_norm, noise, batch, tail, seed):
+def test_session_gradients_match_the_autodiff_oracle(layers, heads, prefix_len, noise, batch, tail, seed):
     """Closed-form loss and flat gradient vs encode + cross_entropy_loss + backward."""
-    cfg = BackboneConfig(image_size=4, conv_channels=(8,), embed_dim=8, heads=heads, layers=layers, ffn_hidden=12, bn_placement=placement, final_norm=final_norm)
+    cfg = BackboneConfig(image_size=4, conv_channels=(8,), embed_dim=8, heads=heads, layers=layers, ffn_hidden=12)
     encoder = random_eval_encoder(cfg, seed)
     prefixes = PrefixSet(session=1, layers=layers, prefix_len=prefix_len, dim=8, rng=SeededRng(seed + 1))
     rng = np.random.default_rng(seed)

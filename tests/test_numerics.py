@@ -1,13 +1,16 @@
 """Kernel tests: each op against a naive independent oracle, plus grad checks."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import special
 
-from fscil.errors import ArgumentError, DomainError, UsageError
+from fscil.errors import ArgumentError, ContractViolation, DomainError, UsageError
 from fscil.numerics import (
     SeededRng,
     Tensor,
+    _PhiloxKey,
     _as_tensor,
     _result,
     batch_norm,
@@ -448,3 +451,25 @@ def test_seeded_rng_children_independent_of_call_order():
 def test_seeded_rng_distinct_labels_differ():
     r = SeededRng(5)
     assert not np.array_equal(r.child("x").normal(size=4), r.child("y").normal(size=4))
+
+
+@pytest.mark.parametrize("seed, path", [(0, ()), (7, ("init",)), (12345, ("session3", "eps", "e2", "b64")), (2**40 + 3, ("shuffle", "epoch9"))])
+def test_seeded_rng_draws_equal_a_philox_keyed_by_the_path_digest(seed, path):
+    material = ("%d/" % seed + "/".join(path)).encode()
+    oracle = np.random.Generator(np.random.Philox(key=int.from_bytes(hashlib.sha256(material).digest()[:16], "big")))
+    rng = SeededRng(seed).child(*path)
+    np.testing.assert_array_equal(rng.normal(size=(3, 4), scale=2.0), oracle.normal(scale=2.0, size=(3, 4)))
+    np.testing.assert_array_equal(rng.uniform(-1.0, 3.0, size=7), oracle.uniform(-1.0, 3.0, size=7))
+    np.testing.assert_array_equal(rng.integers(0, 1000, size=9), oracle.integers(0, 1000, size=9))
+    np.testing.assert_array_equal(rng.permutation(50), oracle.permutation(50))
+    np.testing.assert_array_equal(rng.choice(40, size=6), oracle.choice(40, size=6, replace=False))
+    np.testing.assert_array_equal(rng.choice(5, size=12, replace=True), oracle.choice(5, size=12, replace=True))
+    assert rng.child("next").normal() != oracle.normal()  # a child is a new stream, not a continuation
+
+
+def test_philox_key_refuses_any_request_but_two_uint64_words():
+    key = _PhiloxKey(2**64 + 5)
+    np.testing.assert_array_equal(key.generate_state(2, np.uint64), np.array([5, 1], dtype=np.uint64))
+    for n_words, dtype in [(4, np.uint32), (2, np.uint32), (3, np.uint64)]:
+        with pytest.raises(ContractViolation, match="not \\(2, uint64\\)"):
+            key.generate_state(n_words, dtype)

@@ -141,7 +141,7 @@ def test_one_loss_and_one_lr_event_per_epoch_with_phase_and_session():
     w, opt = _setup()
     log = EventLog(None)
     means = run_epochs(opt, 6, 4, 3, SeededRng(4), backprop_step(opt, _flat_loss(w)), log, "prediction_net", 5)
-    expected = [(e, key) for e in range(3) for key in ("loss", "lr")]
+    expected = [(e, key) for e in range(3) for key in ("loss", "lr", "grad_norm")]
     assert [(r["epoch"], r["key"]) for r in log.records] == expected
     assert {(r["phase"], r["session"]) for r in log.records} == {("prediction_net", 5)}
     assert log.series("prediction_net", "loss", session=5) == means
@@ -213,3 +213,41 @@ def test_a_non_finite_epoch_loss_raises_numeric_error_after_the_epoch(bad):
     assert info.value.exit_code == 5
     assert steps == [(e, start) for e in (0, 1) for start in (0, 4, 8)]
     assert [r["epoch"] for r in log.records if r["key"] == "loss"] == [0]
+
+
+def test_run_epochs_logs_each_epochs_mean_step_gradient_norm_after_its_lr():
+    # a second, gradient-free parameter is skipped; the steps' norms are 3, 4 and 5
+    w, frozen = Tensor(np.zeros(2), requires_grad=True), Tensor(np.zeros(2), requires_grad=True)
+    opt = SGD([{"params": [w, frozen], "lr": 0.0}], momentum=0.0)
+    grads = [np.array([3.0, 0.0]), np.array([0.0, -4.0]), np.array([3.0, 4.0])]
+    log = EventLog(None)
+
+    def step(idx, epoch, start):
+        opt.zero_grad()
+        w.grad = grads[start // 4]
+        opt.step()
+        return 1.0
+
+    run_epochs(opt, 10, 4, 2, SeededRng(10), step, log, "supervised", 0)
+    assert [(r["epoch"], r["key"]) for r in log.records] == [(e, key) for e in range(2) for key in ("loss", "lr", "grad_norm")]
+    assert log.series("supervised", "grad_norm") == [4.0, 4.0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_run_epochs_rejects_a_non_finite_gradient_under_a_finite_loss(bad):
+    w, opt = _setup()
+    steps = []
+
+    def step(idx, epoch, start):
+        steps.append((epoch, start))
+        w.grad = np.array([1.0, bad if (epoch, start) == (1, 4) else 0.0, 0.0])
+        return 1.0
+
+    with pytest.raises(NumericError, match=r"non-finite gradient in phase 'ssl', session 0, epoch 1") as info:
+        run_epochs(opt, 10, 4, 3, SeededRng(11), step, None, "ssl")
+    assert info.value.exit_code == 5
+    assert steps[-1] == (1, 4)  # raised at the step, not at the end of the epoch
+    # under a non-finite loss, only the epoch-loss check speaks
+    w, opt = _setup()
+    with pytest.raises(NumericError, match="non-finite mean loss .* epoch 1"):
+        run_epochs(opt, 10, 4, 3, SeededRng(11), lambda idx, e, s: step(idx, e, s) * (bad if (e, s) == (1, 4) else 1.0), None, "ssl")

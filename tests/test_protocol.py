@@ -6,18 +6,19 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from fscil import protocol
+from fscil import base_trainer, protocol
 from fscil.backbone import Encoder, hash_state, load_state, state_arrays
 from fscil.base_trainer import embed_all
 from fscil.config import ABLATION_TOGGLES, BackboneConfig, DatasetConfig, RunConfig, SplitConfig, ablated, desk_profile
 from fscil.delta_params import PrefixSet
-from fscil.errors import ArgumentError
+from fscil.errors import ArgumentError, NumericError
 from fscil.harness import build_fscil_splits
 from fscil.numerics import SeededRng, Tensor
 from fscil.protocol import build_dataset, run_ablation, run_from_config
 from fscil.prototype_rectification import PredictionNet, rectify_prototype
 from fscil.stochastic_classifier import StochasticHead, init_means_from_prototypes
 from fscil.task_inference import select_class_batch
+from test_base_trainer import nan_backward
 
 
 def small_config(**dataset_kw) -> RunConfig:
@@ -365,3 +366,18 @@ def test_auto_metric_resolution():
     assert cfg.resolved_metric() == "mahalanobis"
     cfg.split = SplitConfig(base_classes=4, ways=2, shots=1)
     assert cfg.resolved_metric() == "euclidean"  # 1-shot falls back to euclidean
+
+
+def test_a_non_finite_finetune_gradient_under_a_finite_loss_raises(monkeypatch):
+    # the backbone-finetune arm's sessions, and only they, get a NaN cross-entropy gradient
+    real = protocol._finetune_backbone_session
+
+    def planted(*args):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(base_trainer, "log_softmax_nll", nan_backward(base_trainer.log_softmax_nll))
+            real(*args)
+
+    monkeypatch.setattr(protocol, "_finetune_backbone_session", planted)
+    with pytest.raises(NumericError, match="non-finite gradient in phase 'incremental', session 1, epoch 0") as info:
+        run_from_config(ablated(small_config(), "delta_params"), seed=12)
+    assert info.value.exit_code == 5

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from fscil import prototype_rectification
 from fscil.backbone import hash_state
 from fscil.config import TrainingConfig, desk_profile
-from fscil.errors import ArgumentError
+from fscil.errors import ArgumentError, NumericError
 from fscil.events import EventLog
 from fscil.numerics import SeededRng, Tensor, _result, grad_check
 from fscil.optim import backprop_step, make_optimizer, run_epochs
@@ -367,3 +368,21 @@ def test_planted_bias_debiasing_smoke():
 
     wins = sum(planted_bias_trial(seed) for seed in range(60))
     assert wins >= 0.8 * 60, f"only {wins}/60 trials improved"
+
+
+def test_prediction_net_logs_its_gradient_norm_and_rejects_a_non_finite_one(monkeypatch):
+    pairs = OutlierPairs(inputs=np.eye(3), targets=np.ones((3, 3)))
+    log = EventLog(None)
+    train_prediction_net(PredictionNet(3, 0, SeededRng(37)), pairs, desk_profile(prednet_epochs=2), SeededRng(38), log=log, session=2)
+    assert [r["epoch"] for r in log.records if r["key"] == "grad_norm"] == [0, 1]
+    assert all(np.isfinite(v) and v > 0 for v in log.series("prediction_net", "grad_norm", session=2))
+
+    def planted(inputs, targets, params, grads):
+        loss = mse_gradients(inputs, targets, params, grads)
+        grads[0][0, 0] = np.nan
+        return loss
+
+    monkeypatch.setattr(prototype_rectification, "mse_gradients", planted)
+    with pytest.raises(NumericError, match="non-finite gradient in phase 'prediction_net', session 2, epoch 0") as info:
+        train_prediction_net(PredictionNet(3, 0, SeededRng(37)), pairs, desk_profile(prednet_epochs=2), SeededRng(38), session=2)
+    assert info.value.exit_code == 5
