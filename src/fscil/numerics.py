@@ -179,10 +179,10 @@ class Tensor:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return add(self, -_as_tensor(other))
+        return add(self, -_as_tensor(other, like=self))
 
     def __rsub__(self, other):
-        return add(_as_tensor(other), -self)
+        return add(_as_tensor(other, like=self), -self)
 
     def __neg__(self):
         return neg(self)
@@ -196,7 +196,7 @@ class Tensor:
         return div(self, other)
 
     def __rtruediv__(self, other):
-        return div(_as_tensor(other), self)
+        return div(_as_tensor(other, like=self), self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -233,8 +233,14 @@ def _released(grad):
     raise UsageError("backward through a graph that an earlier backward() released; build the forward pass again")
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def _as_tensor(x, like=None) -> Tensor:
+    """`x` as a `Tensor`; a Python or numpy scalar takes the dtype of the
+    `Tensor` `like`, so a float32 operand stays float32."""
+    if isinstance(x, Tensor):
+        return x
+    if isinstance(like, Tensor) and np.ndim(x) == 0:
+        return Tensor(x, dtype=like.data.dtype)
+    return Tensor(x)
 
 
 def needs_graph(tensors) -> bool:
@@ -257,7 +263,7 @@ def _result(data, parents, backward) -> Tensor:
 
 
 def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensor(a, like=b), _as_tensor(b, like=a)
     data = a.data + b.data
 
     def backward(g):
@@ -280,7 +286,7 @@ def neg(a) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensor(a, like=b), _as_tensor(b, like=a)
     data = a.data * b.data
 
     def backward(g):
@@ -293,7 +299,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensor(a, like=b), _as_tensor(b, like=a)
     data = a.data / b.data
 
     def backward(g):
@@ -361,8 +367,9 @@ def relu(a) -> Tensor:
     return _result(a.data * mask, (a,), backward)
 
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats, so float32 inputs stay float32 (a numpy float64 scalar would promote them)
+_INV_SQRT2 = float(1.0 / np.sqrt(2.0))
+_INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
 
 def gelu_cdf(x: np.ndarray) -> np.ndarray:

@@ -5,7 +5,8 @@ matrix; scatters accumulate across sessions into a single shared covariance
 used for Mahalanobis ranking at test time.  The winning class decides which
 session's delta parameters handle the sample.  A ranking factors the shared
 covariance once and whitens queries and class means, so Mahalanobis and
-Euclidean distances share one blocked kernel and no step loops over classes.
+Euclidean distances share one matrix-product kernel and no step loops over
+queries or classes.
 """
 
 from __future__ import annotations
@@ -13,12 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import ArgumentError, NumericError
 
 COV_REG_SCALE = 1e-6  # epsilon = scale * trace(A) / D added before inversion
-EUCLIDEAN_BLOCK = 64  # query rows per (rows, C, D) difference array
 
 
 @dataclass
@@ -101,10 +100,12 @@ def class_distances(queries: np.ndarray, gaussians: list, covariance: SharedCova
 
     Mahalanobis distances are Euclidean distances in whitened coordinates:
     with the regularized covariance factored as A = L L^T,
-    (q - mu)^T A^-1 (q - mu) = ||L^-1 q - L^-1 mu||^2, so one triangular
-    solve whitens every query and one more every mean.  Both metrics then
-    run the same kernel, a block of `EUCLIDEAN_BLOCK` queries at a time, so
-    the cost does not grow with a per-class loop.  A non-finite query or
+    (q - mu)^T A^-1 (q - mu) = ||L^-1 q - L^-1 mu||^2, so one (D, D) inverse
+    of L whitens queries and means by a matrix product.  Both metrics then
+    shift queries and means by the mean of the means (a shared shift leaves
+    every distance unchanged and keeps the expanded terms small) and expand
+    ||q - mu||^2 = ||q||^2 - 2 q.mu + ||mu||^2: one matrix product and two
+    row norms, clamped at 0 against cancellation.  A non-finite query or
     mean raises `NumericError` rather than routing silently.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
@@ -121,14 +122,14 @@ def class_distances(queries: np.ndarray, gaussians: list, covariance: SharedCova
         if covariance is None:
             raise ArgumentError("mahalanobis metric needs an accumulated covariance")
         chol = _regularized_cholesky(covariance.matrix)
-        queries = solve_triangular(chol, queries.T, lower=True, check_finite=False).T
-        means = solve_triangular(chol, means.T, lower=True, check_finite=False).T
-    # a block of queries at a time bounds the (Q, C, D) difference array
-    dists = np.empty((len(queries), len(means)))
-    for start in range(0, len(queries), EUCLIDEAN_BLOCK):
-        diff = queries[start : start + EUCLIDEAN_BLOCK, None, :] - means[None, :, :]
-        dists[start : start + EUCLIDEAN_BLOCK] = np.einsum("qcd,qcd->qc", diff, diff)
-    return dists
+        whiten = np.linalg.inv(chol).T  # rows @ L^-T are the rows of L^-1 x
+        queries, means = queries @ whiten, means @ whiten
+    centre = means.mean(axis=0)
+    queries, means = queries - centre, means - centre
+    dists = queries @ (-2.0 * means.T)
+    dists += np.einsum("qd,qd->q", queries, queries)[:, None]
+    dists += np.einsum("cd,cd->c", means, means)
+    return np.maximum(dists, 0.0, out=dists)
 
 
 def select_class_batch(queries: np.ndarray, gaussians: list, covariance: SharedCovariance | None, metric: str = "mahalanobis"):
@@ -138,8 +139,5 @@ def select_class_batch(queries: np.ndarray, gaussians: list, covariance: SharedC
     the lowest class id (statistics are ranked in class-id order).
     """
     ordered = sorted(gaussians, key=lambda g: g.class_id)
-    dists = class_distances(queries, ordered, covariance, metric)
-    best = np.argmin(dists, axis=1)
-    class_ids = np.array([ordered[b].class_id for b in best])
-    sessions = np.array([ordered[b].session for b in best])
-    return class_ids, sessions
+    best = np.argmin(class_distances(queries, ordered, covariance, metric), axis=1)
+    return np.array([g.class_id for g in ordered])[best], np.array([g.session for g in ordered])[best]

@@ -80,3 +80,16 @@ def test_run_rejects_removed_config_key(tmp_path, capsys, section, key, value):
     assert main(["run", "--config", str(path), "--seed", "0", "--out", str(tmp_path / "run")]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("train_per_class, code", [(1, 5), (2, 0)])
+def test_forced_mahalanobis_with_one_sample_per_class_exits_with_a_numeric_error(tmp_path, capsys, train_per_class, code):
+    # one sample per class leaves a zero scatter, so the regularized covariance is singular
+    data = small_config(train_per_class=train_per_class).to_dict()
+    data["split"]["shots"] = 1
+    data["metric"] = "mahalanobis"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--config", str(path), "--seed", "0", "--out", str(tmp_path / "run")]) == code
+    err = capsys.readouterr().err
+    assert ("use the euclidean metric" in err) == (code == 5)

@@ -1,6 +1,10 @@
-"""Every name a module of `src/fscil`, `tests` or `demos` imports is used in that module."""
+"""Every name a module of `src/fscil`, `tests` or `demos` imports is used in that
+module, and importing the protocol loads no more of scipy than `scipy.special`."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -39,3 +43,11 @@ def test_unused_import_check_flags_dead_names_only():
     source = "from __future__ import annotations\nimport time\nimport os.path\nfrom x import a, b as c\nc(os.sep)\n"
     assert unused_imports(source) == ["line 2: time", "line 4: a"]
     assert unused_imports("from os import path\n__all__ = ['path']\n") == []
+
+
+def test_importing_the_protocol_leaves_scipy_linalg_unloaded():
+    # a fresh interpreter: this one may already hold scipy.linalg from another test
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    code = "import sys, fscil.protocol; print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -4,15 +4,17 @@ Hypothesis draws the shapes, broadcasts, axes and a value seed; each case
 checks the forward value against numpy and the gradient of every input
 against `grad_check`.  float64 runs at the default tolerance, float32 at
 the relaxed `tol=5e-2, step=1e-2`.  The tests are derandomized with a fixed
-example count, so every run checks the same cases.
+example count, so every run checks the same cases.  A Python or numpy scalar
+operand, and GELU, keep a tensor's dtype.
 """
 
 import numpy as np
+from scipy import special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fscil.numerics import Tensor, add, broadcast_to, div, grad_check, mul, power, tensor_mean, tensor_sum
+from fscil.numerics import Tensor, add, broadcast_to, div, gelu, gelu_cdf, gelu_grad, grad_check, mul, power, tensor_mean, tensor_sum
 
 PRECISION = {np.float64: {}, np.float32: {"tol": 5e-2, "step": 1e-2}}
 FORWARD_RTOL = {np.float64: 1e-12, np.float32: 1e-5}
@@ -120,3 +122,44 @@ def test_broadcast_to_passes_grad_check(pair, dtype, seed):
     assert out.dtype == dtype
     np.testing.assert_array_equal(out.data, np.broadcast_to(np.asarray(a, dtype), target))
     check(lambda t: broadcast_to(t, target), [a], target, dtype, rng)
+
+
+# name -> (the Tensor expression, the same expression on a numpy array);
+# numpy keeps an array's dtype against a Python or numpy scalar
+SCALAR_OPS = {
+    "x * 2.0": (lambda x: x * 2.0, lambda a: a * 2.0),
+    "0.5 * x": (lambda x: 0.5 * x, lambda a: 0.5 * a),
+    "x + 1.0": (lambda x: x + 1.0, lambda a: a + 1.0),
+    "1.0 - x": (lambda x: 1.0 - x, lambda a: 1.0 - a),
+    "x - 1.5": (lambda x: x - 1.5, lambda a: a - 1.5),
+    "x / 2.0": (lambda x: x / 2.0, lambda a: a / 2.0),
+    "3.0 / x": (lambda x: 3.0 / x, lambda a: 3.0 / a),
+    "x * np.float64(0.1)": (lambda x: x * np.float64(0.1), lambda a: a * a.dtype.type(0.1)),
+    "add(x, 2)": (lambda x: add(x, 2), lambda a: a + 2),
+}
+
+
+@PROPERTY
+@given(name=st.sampled_from(sorted(SCALAR_OPS)), shape=shapes, dtype=dtypes, seed=seeds)
+def test_a_scalar_operand_keeps_the_tensor_dtype(name, shape, dtype, seed):
+    op, oracle = SCALAR_OPS[name]
+    a = np.asarray(away_from_zero(np.random.default_rng(seed), shape), dtype)
+    out = op(Tensor(a, dtype=dtype))
+    assert out.dtype == dtype and out.shape == shape
+    np.testing.assert_array_equal(out.data, oracle(a))
+
+
+@PROPERTY
+@given(shape=shapes, dtype=dtypes, seed=seeds)
+def test_gelu_keeps_the_input_dtype(shape, dtype, seed):
+    rng = np.random.default_rng(seed)
+    a = np.asarray(rng.normal(size=shape) * 3, dtype)
+    out = gelu(Tensor(a, dtype=dtype))
+    cdf = gelu_cdf(a)
+    assert out.dtype == cdf.dtype == gelu_grad(a, a, cdf).dtype == dtype
+    # float64 stays bitwise the formula with numpy float64 constants
+    want = a * (0.5 * (1.0 + special.erf(a * (1.0 / np.sqrt(np.float64(2.0))))))
+    if dtype == np.float64:
+        np.testing.assert_array_equal(out.data, want)
+    else:
+        np.testing.assert_allclose(out.data, want, rtol=FORWARD_RTOL[dtype], atol=FORWARD_RTOL[dtype])

@@ -209,13 +209,55 @@ def test_tie_breaks_to_lowest_class_id():
     assert cls[0] == 0
 
 
+def _one_array_distances(queries, means):
+    """Euclidean oracle: one (Q, C, D) difference array."""
+    diff = queries[:, None, :] - means[None, :, :]
+    return np.einsum("qcd,qcd->qc", diff, diff)
+
+
 @pytest.mark.parametrize("queries", [1, 63, 64, 65, 200])
-def test_blocked_euclidean_distances_equal_the_one_array_oracle_bitwise(queries):
+def test_expanded_euclidean_distances_match_the_one_array_oracle(queries):
     rng = np.random.default_rng(40)
     q, means = rng.normal(size=(queries, 7)), rng.normal(size=(5, 7))
-    gaussians = [ClassGaussian(class_id=c, session=0, mean=m, count=1) for c, m in enumerate(means)]
-    diff = q[:, None, :] - means[None, :, :]
-    assert np.array_equal(class_distances(q, gaussians, None, "euclidean"), np.einsum("qcd,qcd->qc", diff, diff))
+    # a common offset far above the spread: the rows are centred before the product
+    for offset in (0.0, 1e3, 1e8):
+        gaussians = [ClassGaussian(class_id=c, session=0, mean=m + offset, count=1) for c, m in enumerate(means)]
+        got = class_distances(q + offset, gaussians, None, "euclidean")
+        want = _one_array_distances(q + offset, means + offset)
+        centre = (means + offset).mean(axis=0)
+        scale = np.sum((q + offset - centre) ** 2, axis=1)[:, None] + np.sum((means + offset - centre) ** 2, axis=1)
+        assert np.all(np.abs(got - want) <= 1e-14 * scale), offset
+        np.testing.assert_array_equal(np.argmin(got, axis=1), np.argmin(want, axis=1))
+        assert np.all(got >= 0)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+def test_exact_ties_break_to_the_lowest_class_id(offset):
+    # integer means whose mean is exact and half-integer midpoints: every
+    # distance is exact, so each midpoint ties between its two endpoints
+    points = np.array([[0, 0, 0], [2, 0, 0], [0, 2, 0], [2, 2, 2]], dtype=float)
+    class_ids = [7, 3, 9, 5]
+    gaussians = [ClassGaussian(class_id=c, session=c % 2, mean=p + offset, count=1) for c, p in zip(class_ids, points)]
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    midpoints = np.array([(points[i] + points[j]) / 2 for i, j in pairs]) + offset
+    ids, sessions = select_class_batch(midpoints, gaussians, None, "euclidean")
+    want = _one_array_distances(midpoints - offset, points)
+    for row in range(len(pairs)):
+        tied = [class_ids[c] for c in np.flatnonzero(want[row] == want[row].min())]
+        assert ids[row] == min(tied) and sessions[row] == min(tied) % 2
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "mahalanobis"])
+def test_a_query_on_a_mean_routes_to_it_at_distance_zero(metric):
+    rng = np.random.default_rng(45)
+    gaussians, shared = _random_instance(rng, 6, 5)
+    for g in gaussians:
+        g.mean = g.mean + 1e3
+    means = np.stack([g.mean for g in gaussians])
+    dists = class_distances(means, gaussians, shared, metric)
+    assert np.all(dists >= 0)
+    np.testing.assert_array_equal(np.argmin(dists, axis=1), np.arange(6))
+    np.testing.assert_allclose(np.diag(dists), 0.0, atol=1e-9 * dists.max())
 
 
 def _per_class_solve_distances(queries, gaussians, covariance):
@@ -242,18 +284,19 @@ def test_whitened_mahalanobis_distances_match_the_per_class_solve_oracle(queries
 
 
 @pytest.mark.parametrize("classes", [1, 74])
-def test_mahalanobis_distances_take_at_most_two_triangular_solves(monkeypatch, classes):
+def test_mahalanobis_distances_take_one_whitening_inverse(monkeypatch, classes):
     calls = []
+    inv = np.linalg.inv
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return solve_triangular(*args, **kwargs)
+        return inv(*args, **kwargs)
 
-    monkeypatch.setattr(task_inference, "solve_triangular", counting)
+    monkeypatch.setattr(np.linalg, "inv", counting)
     rng = np.random.default_rng(42)
     gaussians, shared = _random_instance(rng, classes, 8)
     class_distances(rng.normal(size=(296, 8)), gaussians, shared, "mahalanobis")
-    assert len(calls) <= 2
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "mahalanobis"])
