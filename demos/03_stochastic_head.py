@@ -21,7 +21,7 @@ print("classes:", head.num_classes)
 
 # with sigma at its initialization the per-coordinate noise scale is ln 2
 draws = np.stack([head.sample_weights(0, rng.child(f"d{i}"), noise=True).data for i in range(20000)])
-print("sample mean vs mu (first 3 coords):", np.round(draws.mean(axis=0)[:3], 3), "vs", np.round(head.mu[0].data[:3], 3))
+print("sample mean vs mu (first 3 coords):", np.round(draws.mean(axis=0)[:3], 3), "vs", np.round(head.mu.data[0][:3], 3))
 print("sample std per coord ~ ln 2:", np.round(draws.std(axis=0).mean(), 3))
 
 # probabilities are softmaxed, temperature-scaled cosine similarities
@@ -35,6 +35,6 @@ noisy_votes = [head.predict_label(Tensor(z), rng=rng.child(f"vote{i}"), noise=Tr
 print("ten noisy votes:", noisy_votes)
 
 # extending the head never touches existing rows
-before = head.mu[0].data.copy()
+before = head.mu.data[0].copy()
 init_means_from_prototypes(head, {3: rng.child("proto3").normal(size=8)})
-print("old row unchanged after extension:", np.array_equal(before, head.mu[0].data))
+print("old row unchanged after extension:", np.array_equal(before, head.mu.data[0]))

@@ -181,9 +181,10 @@ class EncoderBlock:
     def __init__(self, rng: SeededRng, cfg: BackboneConfig):
         self.cfg = cfg
         d, dk, h = cfg.embed_dim, cfg.head_dim, cfg.heads
-        self.q = [Tensor(trunc_normal(rng.child(f"q{i}"), (d, dk)), requires_grad=True) for i in range(h)]
-        self.k = [Tensor(trunc_normal(rng.child(f"k{i}"), (d, dk)), requires_grad=True) for i in range(h)]
-        self.v = [Tensor(trunc_normal(rng.child(f"v{i}"), (d, dk)), requires_grad=True) for i in range(h)]
+        # (d, H, d_k): head i's (d, d_k) projection, drawn from its own stream, at [:, i]
+        self.q, self.k, self.v = (
+            Tensor(np.stack([trunc_normal(rng.child(f"{role}{i}"), (d, dk)) for i in range(h)], axis=1), requires_grad=True) for role in "qkv"
+        )
         self.out_proj = Tensor(trunc_normal(rng.child("out"), (d, d)), requires_grad=True)
         self.theta1 = Tensor(trunc_normal(rng.child("ffn1"), (d, cfg.ffn_hidden)), requires_grad=True)
         self.theta2 = Tensor(trunc_normal(rng.child("ffn2"), (cfg.ffn_hidden, d)), requires_grad=True)
@@ -215,11 +216,7 @@ class EncoderBlock:
         return x, maps
 
     def params(self, prefix: str) -> dict:
-        out = {}
-        for i in range(self.cfg.heads):
-            out[f"{prefix}.q{i}"] = self.q[i]
-            out[f"{prefix}.k{i}"] = self.k[i]
-            out[f"{prefix}.v{i}"] = self.v[i]
+        out = {f"{prefix}.q": self.q, f"{prefix}.k": self.k, f"{prefix}.v": self.v}
         out[f"{prefix}.out_proj"] = self.out_proj
         out[f"{prefix}.theta1"] = self.theta1
         out[f"{prefix}.theta2"] = self.theta2
@@ -334,7 +331,7 @@ class FoldedEncoder:
         self.heads, self.dk = cfg.heads, cfg.head_dim
         self.blocks = []
         for block in encoder.blocks:
-            w_q, w_k, w_v = (np.concatenate([w.data for w in ws], axis=1) for ws in (block.q, block.k, block.v))
+            w_q, w_k, w_v = (w.data.reshape(cfg.embed_dim, -1) for w in (block.q, block.k, block.v))
             s, t = block.attn_bn.scale_shift()
             w_qkv = np.concatenate([w_q / np.sqrt(self.dk), w_k, w_v], axis=1)
             s_f, t_f = block.ffn_bn.scale_shift()

@@ -135,9 +135,8 @@ def train_session(
 ):
     """Train the session's prefixes and the newly added head rows only.
 
-    The backbone and all pre-existing head rows must come in frozen; a state
-    hash of the backbone and a copy of those rows guard that they leave the
-    function unchanged.  Each batch is one `session_gradients` call on the
+    The backbone must come in frozen; a state hash of it and a copy of the
+    pre-existing head rows guard that both leave the function unchanged.  Each batch is one `session_gradients` call on the
     batch-norm-folded encoder and one optimizer step on a flat vector that
     lays the prefixes, the new `mu` rows and (with head noise) the new
     `sigma` rows end to end; the tensors get the trained values on return.
@@ -146,17 +145,11 @@ def train_session(
     if any(p.requires_grad for p in encoder.params().values()):
         raise ContractViolation("backbone must be frozen before a session is trained")
     frozen_hash = hash_state(encoder)
-    old_rows = [m for m in range(head.num_classes) if m not in new_rows]
+    old_rows = np.setdiff1d(np.arange(head.num_classes), new_rows)
+    frozen_rows = [(t, t.data[old_rows]) for t in (head.mu, head.sigma)]
 
-    def old_row_values():  # (M_old, 2, d) copy of the frozen (mu, sigma) rows
-        return np.array([(head.mu[m].data, head.sigma[m].data) for m in old_rows])
-
-    frozen_rows = old_row_values()
-
-    head.set_requires_grad(False)
-    head.set_requires_grad(True, classes=new_rows)
     noise = config.head_noise_train
-    mu, sigma = np.stack([t.data for t in head.mu]), np.stack([t.data for t in head.sigma])
+    mu, sigma = head.mu.data.copy(), head.sigma.data.copy()
     trained = list(prefixes.params().values()) if prefixes.prefix_len else []
     n_pre = len(trained)
     init = [t.data for t in trained] + [mu[new_rows]] + ([sigma[new_rows]] if noise else [])
@@ -190,13 +183,12 @@ def train_session(
     run_epochs(opt, len(data_x), config.inc_batch_size, epochs, rng, step, log, "incremental", session, plateau=plateau)
     for t, value in zip(trained, views):
         t.data = value.copy()
-    for i, m in enumerate(new_rows):
-        head.mu[m].data = views[n_pre][i].copy()
-        if noise:
-            head.sigma[m].data = views[n_pre + 1][i].copy()
+    head.mu.data[new_rows] = views[n_pre]
+    if noise:
+        head.sigma.data[new_rows] = views[n_pre + 1]
 
     if hash_state(encoder) != frozen_hash:
         raise ContractViolation("frozen backbone parameters changed during session training")
-    if not np.array_equal(old_row_values(), frozen_rows, equal_nan=True):
+    if not all(np.array_equal(t.data[old_rows], rows, equal_nan=True) for t, rows in frozen_rows):
         raise ContractViolation("frozen classifier rows changed during session training")
     return prefixes, head

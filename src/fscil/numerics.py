@@ -235,11 +235,14 @@ def _released(grad):
 
 def _as_tensor(x, like=None) -> Tensor:
     """`x` as a `Tensor`; a Python or numpy scalar takes the dtype of the
-    `Tensor` `like`, so a float32 operand stays float32."""
+    `Tensor` `like` and a float ndarray keeps its own, so a float32 operand
+    stays float32."""
     if isinstance(x, Tensor):
         return x
     if isinstance(like, Tensor) and np.ndim(x) == 0:
         return Tensor(x, dtype=like.data.dtype)
+    if isinstance(x, np.ndarray) and x.dtype in (np.float32, np.float64):
+        return Tensor(x, dtype=x.dtype)
     return Tensor(x)
 
 
@@ -315,6 +318,7 @@ def power(a, exponent: float) -> Tensor:
     a = _as_tensor(a)
     if isinstance(exponent, Tensor):
         raise ArgumentError("power() supports scalar exponents only")
+    exponent = float(exponent)  # a numpy float64 exponent would promote a float32 base
     data = a.data ** exponent
 
     def backward(g):
@@ -715,31 +719,30 @@ def merge_heads(a: np.ndarray) -> np.ndarray:
 def attention(x, wq, wk, wv, wo, prefix_kv=None):
     """Multi-head scaled dot-product attention as one graph node.
 
-    `wq`, `wk` and `wv` hold one (d, d_k) projection per head; their data are
-    concatenated here so all heads run as one batched (B, H, n, d_k) product.
-    `wo` is the (d, d) output projection.  `prefix_kv` = (p_K, p_V), each
-    (L, d), is projected by the key and value weights and prepended to every
-    sample's keys and values.  `x` is (n, d) or (B, n, d).
+    `wq`, `wk` and `wv` are (d, H, d_k) projections, head h's columns at
+    [:, h]; each is read as one (d, H d_k) matrix, so all heads run as one
+    batched (B, H, n, d_k) product.  `wo` is the (d, d) output projection.
+    `prefix_kv` = (p_K, p_V), each (L, d), is projected by the key and value
+    weights and prepended to every sample's keys and values.  `x` is (n, d)
+    or (B, n, d).
 
     Returns (output shaped like `x`, attention maps as a detached
     (H, [B,] n, L + n) array whose rows sum to 1).
     """
-    x, wo = _as_tensor(x), _as_tensor(wo)
-    # snapshot the per-head lists: a caller may swap an entry before backward
-    wq, wk, wv = tuple(wq), tuple(wk), tuple(wv)
+    x, wq, wk, wv, wo = (_as_tensor(t) for t in (x, wq, wk, wv, wo))
     if x.ndim not in (2, 3):
         raise ArgumentError(f"attention expects (n, d) or (B, n, d) input, got {x.shape}")
-    heads, dk = len(wq), wq[0].data.shape[1]
+    d, heads, dk = wq.data.shape
     width = heads * dk
     xb = x.data if x.ndim == 3 else x.data[None]
-    b, n, d = xb.shape
+    b, n, _ = xb.shape
     xf = xb.reshape(b * n, d)
 
-    w_q, w_k, w_v = (np.concatenate([w.data for w in ws], axis=1) for ws in (wq, wk, wv))
+    w_q, w_k, w_v = (w.data.reshape(d, width) for w in (wq, wk, wv))
     q = split_heads((xf @ w_q).reshape(b, n, width), heads)
     k = split_heads((xf @ w_k).reshape(b, n, width), heads)
     v = split_heads((xf @ w_v).reshape(b, n, width), heads)
-    parents = [x, *wq, *wk, *wv, wo]
+    parents = [x, wq, wk, wv, wo]
     n_pre = 0
     if prefix_kv is not None:
         pk, pv = _as_tensor(prefix_kv[0]), _as_tensor(prefix_kv[1])
@@ -749,7 +752,7 @@ def attention(x, wq, wk, wv, wo, prefix_kv=None):
         v_pre = split_heads((pv.data @ w_v)[None], heads)
         k = np.concatenate([np.broadcast_to(k_pre, (b, heads, n_pre, dk)), k], axis=2)
         v = np.concatenate([np.broadcast_to(v_pre, (b, heads, n_pre, dk)), v], axis=2)
-    scale = 1.0 / np.sqrt(dk)
+    scale = float(1.0 / np.sqrt(dk))  # a Python float keeps float32 operands float32
     scores = (q @ k.swapaxes(-1, -2)) * scale
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     att = e / e.sum(axis=-1, keepdims=True)
@@ -769,20 +772,18 @@ def attention(x, wq, wk, wv, wo, prefix_kv=None):
         if n_pre:  # prefix rows are shared by the batch: their gradients sum over it
             pre_k = (pk, merge_heads(g_k[:, :, :n_pre].sum(axis=0, keepdims=True)))
             pre_v = (pv, merge_heads(g_v[:, :, :n_pre].sum(axis=0, keepdims=True)))
-        g_q = merge_heads(g_scores @ k) if x.requires_grad or any(t.requires_grad for t in wq) else None
+        g_q = merge_heads(g_scores @ k) if x.requires_grad or wq.requires_grad else None
         gx = None
-        for ws, w, g_tok, pre in (
+        for t, w, g_tok, pre in (
             (wq, w_q, g_q, None),
             (wk, w_k, merge_heads(g_k[:, :, n_pre:]), pre_k),
             (wv, w_v, merge_heads(g_v[:, :, n_pre:]), pre_v),
         ):
-            if any(t.requires_grad for t in ws):
+            if t.requires_grad:
                 gw = xf.T @ g_tok
                 if pre is not None:
                     gw = gw + pre[0].data.T @ pre[1]
-                for i, t in enumerate(ws):
-                    if t.requires_grad:
-                        t._accumulate(gw[:, i * dk : (i + 1) * dk])
+                t._accumulate(gw.reshape(t.data.shape))
             if pre is not None and pre[0].requires_grad:
                 pre[0]._accumulate(pre[1] @ w.T)
             if x.requires_grad:
@@ -824,39 +825,29 @@ def log_softmax_nll(logits, labels) -> Tensor:
 
 
 def stochastic_weights(mu, sigma, eps, offset: float) -> Tensor:
-    """(M, d) matrix with rows mu_m + eps_m (*) softplus(sigma_m - offset), as one node.
+    """mu + eps (*) softplus(sigma - offset), elementwise, as one node.
 
-    `mu` and `sigma` are sequences of M (d,) tensors and `eps` an (M, d)
-    array; `eps=None` gives the stacked means (noise off) and leaves `sigma`
-    out of the graph.
+    `mu` and `sigma` are the head's (M, d) rows (or any pair of equal
+    shapes) and `eps` an array of that shape; `eps=None` returns `mu`
+    itself (noise off), leaving `sigma` out of the graph.
     """
-    # snapshot the per-class lists: a caller may swap an entry before backward
-    mu = tuple(mu)
-    data = np.stack([m.data for m in mu])
+    mu = _as_tensor(mu)
     if eps is None:
-
-        def backward_mean(g):
-            for i, m in enumerate(mu):
-                if m.requires_grad:
-                    m._accumulate(g[i])
-
-        return _result(data, mu, backward_mean)
-    sigma = tuple(sigma)
-    eps = np.asarray(eps, dtype=float)
-    if eps.shape != data.shape:
-        raise ArgumentError(f"eps shape {eps.shape} does not match the weight matrix {data.shape}")
-    shifted = np.stack([s.data for s in sigma]) - offset
-    data = data + eps * np.logaddexp(0.0, shifted)
+        return mu
+    sigma = _as_tensor(sigma)
+    eps = np.asarray(eps, dtype=mu.data.dtype)
+    if eps.shape != mu.data.shape or sigma.data.shape != mu.data.shape:
+        raise ArgumentError(f"eps {eps.shape} and sigma {sigma.data.shape} must match mu {mu.data.shape}")
+    shifted = sigma.data - offset
+    data = mu.data + eps * np.logaddexp(0.0, shifted)
 
     def backward(g):
-        g_sigma = g * eps * _special.expit(shifted)
-        for i, (m, s) in enumerate(zip(mu, sigma)):
-            if m.requires_grad:
-                m._accumulate(g[i])
-            if s.requires_grad:
-                s._accumulate(g_sigma[i])
+        if mu.requires_grad:
+            mu._accumulate(g)
+        if sigma.requires_grad:
+            sigma._accumulate(g * eps * _special.expit(shifted))
 
-    return _result(data, mu + sigma, backward)
+    return _result(data, (mu, sigma), backward)
 
 
 def l2_rows(x: np.ndarray):

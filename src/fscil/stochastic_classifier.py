@@ -1,12 +1,13 @@
 """Stochastic cosine classifier.
 
-Each class owns a weight distribution (mu, sigma); a concrete weight vector
-is drawn with the reparameterization phi = mu + eps (*) softplus(sigma - c),
-eps ~ N(0, 1), so gradients flow into both mu and sigma.  One (M, d) draw
-from the batch's rng gives eps for every class, and the whole (M, d) weight
-matrix is one graph node.  Scores are temperature-scaled cosine similarities
-between the sampled weight and the feature (for a batch, one `cosine_logits`
-node), turned into class probabilities by a softmax.
+Each class owns a weight distribution, row m of the (M, d) `mu` and `sigma`
+tensors; a concrete weight vector is drawn with the reparameterization
+phi = mu + eps (*) softplus(sigma - c), eps ~ N(0, 1), so gradients flow into
+both mu and sigma.  One (M, d) draw from the batch's rng gives eps for every
+class, and the whole (M, d) weight matrix is one graph node (with the noise
+off it is the `mu` leaf itself).  Scores are temperature-scaled cosine
+similarities between the sampled weight and the feature (for a batch, one
+`cosine_logits` node), turned into class probabilities by a softmax.
 """
 
 from __future__ import annotations
@@ -14,13 +15,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ArgumentError, DomainError
-from .numerics import SeededRng, Tensor, cosine_logits, l2_normalize, reshape, softmax, stochastic_weights
+from .numerics import SeededRng, Tensor, cosine_logits, l2_normalize, softmax, stochastic_weights
 
 SOFTPLUS_OFFSET = 4.0  # hyper-parameter c; sigma starts at c so the initial noise scale is ln 2
 
 
 class StochasticHead:
-    """Per-class (mu, sigma) rows over features of dimension `dim`."""
+    """(M, dim) `mu` and `sigma` matrices: row m is class m's distribution."""
 
     def __init__(self, dim: int, temperature: float = 16.0, offset: float = SOFTPLUS_OFFSET):
         if temperature <= 0:
@@ -28,20 +29,21 @@ class StochasticHead:
         self.dim = dim
         self.temperature = temperature
         self.offset = offset
-        self.mu: list[Tensor] = []
-        self.sigma: list[Tensor] = []
+        self.mu = Tensor(np.empty((0, dim)), requires_grad=True)
+        self.sigma = Tensor(np.empty((0, dim)), requires_grad=True)
 
     @property
     def num_classes(self) -> int:
-        return len(self.mu)
+        return self.mu.shape[0]
 
     def add_class(self, mean: np.ndarray) -> int:
-        """Append one class row; existing rows are untouched."""
+        """Append one row to `mu` (the mean) and `sigma` (c); existing rows are untouched."""
         mean = np.asarray(mean, dtype=float)
         if mean.shape != (self.dim,):
             raise ArgumentError(f"prototype shape {mean.shape} does not match head dim {self.dim}")
-        self.mu.append(Tensor(mean.copy(), requires_grad=True))
-        self.sigma.append(Tensor(np.full(self.dim, self.offset), requires_grad=True))
+        self.mu.data = np.concatenate([self.mu.data, mean[None]])
+        self.sigma.data = np.concatenate([self.sigma.data, np.full((1, self.dim), self.offset)])
+        self.mu.grad = self.sigma.grad = None
         return self.num_classes - 1
 
     def _eps(self, rows: int, rng: SeededRng | None, noise: bool, frozen_eps) -> np.ndarray | None:
@@ -68,12 +70,8 @@ class StochasticHead:
         """
         if not 0 <= class_index < self.num_classes:
             raise ArgumentError(f"class index {class_index} out of range (M={self.num_classes})")
-        row = slice(class_index, class_index + 1)
-        weights = stochastic_weights(self.mu[row], self.sigma[row], self._eps(1, rng, noise, frozen_eps), self.offset)
-        return reshape(weights, (self.dim,))
-
-    def _weight_matrix(self, rng, noise, frozen_eps) -> Tensor:
-        return stochastic_weights(self.mu, self.sigma, self._eps(self.num_classes, rng, noise, frozen_eps), self.offset)
+        eps = self._eps(1, rng, noise, frozen_eps)
+        return stochastic_weights(self.mu[class_index], self.sigma[class_index], None if eps is None else eps[0], self.offset)
 
     def logits(self, z: Tensor, rng: SeededRng | None = None, noise: bool = False, frozen_eps: np.ndarray | None = None) -> Tensor:
         """eta * <phi_hat_m, z_hat> for every class; z may be (d,) or (B, d)."""
@@ -83,7 +81,7 @@ class StochasticHead:
         if np.any(np.linalg.norm(np.atleast_2d(zdata), axis=-1) == 0.0):
             raise DomainError("class probabilities undefined for zero feature vectors")
         z = z if isinstance(z, Tensor) else Tensor(z)
-        weights = self._weight_matrix(rng, noise, frozen_eps)
+        weights = stochastic_weights(self.mu, self.sigma, self._eps(self.num_classes, rng, noise, frozen_eps), self.offset)
         if z.ndim == 2:
             return cosine_logits(z, weights, self.temperature)
         cos = l2_normalize(z, axis=-1) @ l2_normalize(weights, axis=-1).swapaxes(-1, -2)
@@ -99,17 +97,7 @@ class StochasticHead:
         return int(np.argmax(probs)) if probs.ndim == 1 else np.argmax(probs, axis=-1)
 
     def params(self) -> dict:
-        out = {}
-        for m in range(self.num_classes):
-            out[f"mu.{m}"] = self.mu[m]
-            out[f"sigma.{m}"] = self.sigma[m]
-        return out
-
-    def set_requires_grad(self, flag: bool, classes=None):
-        targets = range(self.num_classes) if classes is None else classes
-        for m in targets:
-            self.mu[m].requires_grad = flag
-            self.sigma[m].requires_grad = flag
+        return {"mu": self.mu, "sigma": self.sigma}
 
 
 def init_means_from_prototypes(head: StochasticHead, prototypes: dict) -> StochasticHead:

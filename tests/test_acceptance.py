@@ -68,9 +68,9 @@ def test_criterion_1_gradient_integrity():
 
     # multi-head self-attention (parameters and input)
     for getter, setter in [
-        (lambda: block.q[0], lambda t: block.q.__setitem__(0, t)),
-        (lambda: block.k[1], lambda t: block.k.__setitem__(1, t)),
-        (lambda: block.v[0], lambda t: block.v.__setitem__(0, t)),
+        (lambda: block.q, lambda t: setattr(block, "q", t)),
+        (lambda: block.k, lambda t: setattr(block, "k", t)),
+        (lambda: block.v, lambda t: setattr(block, "v", t)),
         (lambda: block.out_proj, lambda t: setattr(block, "out_proj", t)),
     ]:
 
@@ -129,10 +129,10 @@ def test_criterion_1_gradient_integrity():
             head = StochasticHead(6)
             for m in means:
                 head.add_class(m)
-            getattr(head, attr)[1] = t
+            setattr(head, attr, t)
             return head_loss(head)
 
-        start_val = means[1] if attr == "mu" else np.full(6, 4.0)
+        start_val = means if attr == "mu" else np.full((3, 6), 4.0)
         check(f_head, Tensor(start_val.copy()))
 
     # prefix attention

@@ -6,6 +6,7 @@ import pytest
 from fscil.backbone import BackboneConfig, Encoder, hash_state, load_arrays, load_state, save_state, state_arrays
 from fscil.errors import ArgumentError, FormatError
 from fscil.numerics import SeededRng, Tensor, gelu, grad_check
+from fscil.stochastic_classifier import StochasticHead
 
 
 def small_cfg(**kw):
@@ -70,7 +71,7 @@ def test_single_token_single_head_attention():
     block = enc.blocks[0]
     x = Tensor(np.random.default_rng(2).normal(size=(1, 8)))
     out, maps = block.attention(x)
-    expected = (x.data @ block.v[0].data) @ block.out_proj.data  # softmax over one token is 1
+    expected = (x.data @ block.v.data[:, 0]) @ block.out_proj.data  # softmax over one token is 1
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
     np.testing.assert_allclose(maps, np.ones((1, 1, 1)), atol=1e-15)
 
@@ -83,7 +84,7 @@ def test_attention_matches_naive_oracle():
     k = np.array([[0.5, 0.1], [-0.7, 0.9]])
     v = np.array([[1.0, 0.0], [0.0, 1.0]])
     o = np.array([[0.2, -0.4], [0.8, 0.3]])
-    block.q[0].data, block.k[0].data, block.v[0].data, block.out_proj.data = q, k, v, o
+    block.q.data, block.k.data, block.v.data, block.out_proj.data = q[:, None], k[:, None], v[:, None], o  # (d, H=1, d_k)
     x = np.array([[0.1, 0.9], [0.5, -0.3]])
 
     # naive oracle, written straight from the definition
@@ -201,7 +202,7 @@ def test_full_block_gradients_through_train_bn():
     block = enc.blocks[0]
     # (name, getter, setter) so the probe tensor itself enters the graph
     checks = [
-        ("q0", lambda: block.q[0], lambda t: block.q.__setitem__(0, t)),
+        ("q", lambda: block.q, lambda t: setattr(block, "q", t)),
         ("theta1", lambda: block.theta1, lambda t: setattr(block, "theta1", t)),
         ("attn_bn.gamma", lambda: block.attn_bn.gamma, lambda t: setattr(block.attn_bn, "gamma", t)),
         ("ffn_bn_mid.beta", lambda: block.inner_bn.beta, lambda t: setattr(block.inner_bn, "beta", t)),
@@ -265,15 +266,40 @@ def test_hash_state_of_several_models_covers_each():
     assert hash_state(a, b) != hash_state(a, a) != hash_state(b, b)
 
 
-@pytest.mark.parametrize("field, value", [("heads", 4), ("ffn_hidden", 16)])
+def per_entry_names(arrays: dict) -> dict:
+    """`state_arrays` entries under the names of the per-head and per-class
+    layout: `….q{h}` for head h of a (d, H, d_k) `….q`, and `mu.{m}` for row m."""
+    out = {}
+    for name, arr in arrays.items():
+        role = name.rsplit(".", 1)[-1]
+        if role in ("q", "k", "v"):
+            out.update({f"{name}{h}": arr[:, h] for h in range(arr.shape[1])})
+        elif role in ("mu", "sigma"):
+            out.update({f"{name}.{m}": row for m, row in enumerate(arr)})
+        else:
+            out[name] = arr
+    return out
+
+
+@pytest.mark.parametrize("field, value", [("heads", 4), ("ffn_hidden", 16), ("names", "per-entry")])
 def test_mismatched_checkpoint_raises_format_error_and_changes_nothing(tmp_path, field, value):
     path = tmp_path / "ckpt.npz"
-    save_state(path, {"encoder": Encoder(small_cfg(**{field: value}), SeededRng(22))})
     target = Encoder(small_cfg(), SeededRng(23))
-    before = hash_state(target)
-    with pytest.raises(FormatError, match="encoder.blocks.0"):
-        load_state(path, {"encoder": target})
-    assert hash_state(target) == before
+    if field == "names":
+        source, head = {"encoder": Encoder(small_cfg(), SeededRng(22)), "head": StochasticHead(8)}, StochasticHead(8)
+        for row in np.random.default_rng(30).normal(size=(3, 8)):
+            source["head"].add_class(row)
+            head.add_class(-row)
+        np.savez(path, **{f"{scope}.{name}": arr for scope, model in source.items() for name, arr in per_entry_names(state_arrays(model)).items()})
+        cases = [({"encoder": target, "head": head}, "'encoder.blocks.0.q'"), ({"head": head}, "'head.mu'")]
+    else:
+        save_state(path, {"encoder": Encoder(small_cfg(**{field: value}), SeededRng(22))})
+        cases = [({"encoder": target}, "encoder.blocks.0")]
+    for models, entry in cases:
+        before = hash_state(*models.values())
+        with pytest.raises(FormatError, match=entry):
+            load_state(path, models)
+        assert hash_state(*models.values()) == before
 
 
 def test_incomplete_state_names_the_missing_entry_and_changes_nothing():

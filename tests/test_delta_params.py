@@ -49,9 +49,9 @@ def test_prefix_matches_concatenate_then_attend_oracle():
     x = np.random.default_rng(2).normal(size=(2, 4))
     pk, pv = prefixes.p_k[0].data, prefixes.p_v[0].data
 
-    q = x @ block.q[0].data
-    k = np.concatenate([pk, x]) @ block.k[0].data
-    v = np.concatenate([pv, x]) @ block.v[0].data
+    q = x @ block.q.data[:, 0]
+    k = np.concatenate([pk, x]) @ block.k.data[:, 0]
+    v = np.concatenate([pv, x]) @ block.v.data[:, 0]
     scores = q @ k.T / np.sqrt(4.0)
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
     att = e / e.sum(axis=1, keepdims=True)
@@ -120,12 +120,11 @@ def test_train_session_keeps_backbone_and_old_rows_frozen():
     tc = desk_profile(inc_epochs=3, inc_batch_size=5)
     prefixes = PrefixSet(session=1, layers=1, prefix_len=4, dim=8, rng=SeededRng(7))
     before_backbone = hash_state(encoder)
-    before_old = [head.mu[m].data.copy() for m in (0, 1)]
+    before_old = head.mu.data[:2].copy(), head.sigma.data[:2].copy()
     train_session(x, y, encoder, head, prefixes, new_rows=[2, 3], config=tc, rng=SeededRng(8), session=1)
     assert hash_state(encoder) == before_backbone
     assert all(p.grad is None for model in (encoder, head, prefixes) for p in model.params().values())
-    for m, old in zip((0, 1), before_old):
-        assert np.array_equal(head.mu[m].data, old)
+    assert np.array_equal(head.mu.data[:2], before_old[0]) and np.array_equal(head.sigma.data[:2], before_old[1])
 
 
 def test_eval_tokens_of_a_batch_are_rows_of_the_whole_sets_tokens():
@@ -155,7 +154,7 @@ def test_train_session_rejects_a_changed_frozen_head_row(monkeypatch, part):
 
     def drifting(*args, **kwargs):
         out = real(*args, **kwargs)
-        getattr(head, part)[1].data[0] += 1e-12  # an old row moves during training
+        getattr(head, part).data[1, 0] += 1e-12  # an old row moves during training
         return out
 
     monkeypatch.setattr(delta_params, "run_epochs", drifting)
@@ -187,11 +186,11 @@ def test_earlier_prefix_sets_untouched_by_later_session():
 def test_trainable_fraction_matches_parameter_count_oracle():
     cfg, encoder, head, x, y = _session_setup(3)
     prefixes = PrefixSet(session=1, layers=1, prefix_len=4, dim=8, rng=SeededRng(15))
-    rows = [head.mu[2], head.sigma[2], head.mu[3], head.sigma[3]]
+    rows = [head.mu.data[2:4], head.sigma.data[2:4]]
     frac = trainable_fraction(prefixes, rows, encoder)
     # oracle: count arrays directly
     n_prefix = sum(p.data.size for p in prefixes.p_k + prefixes.p_v)
-    n_rows = sum(r.data.size for r in rows)
+    n_rows = 2 * 2 * 8  # two new classes, a mu and a sigma row each
     n_backbone = sum(p.data.size for p in encoder.params().values())
     assert frac == (n_prefix + n_rows) / (n_prefix + n_rows + n_backbone)
     assert frac < 0.25  # small next to the backbone
@@ -255,11 +254,8 @@ def test_session_gradients_match_the_autodiff_oracle(layers, heads, prefix_len, 
     head = StochasticHead(8)
     for _ in range(5):
         head.add_class(rng.normal(size=8))
-    for row in head.sigma:
-        row.data = row.data + rng.normal(0.0, 0.5, 8)
+    head.sigma.data = head.sigma.data + rng.normal(0.0, 0.5, (5, 8))
     new_rows = [3, 4] if tail else list(range(5))
-    head.set_requires_grad(False)
-    head.set_requires_grad(True, classes=new_rows)
     tokens = rng.normal(size=(batch, cfg.token_count(), 8))
     labels = rng.integers(0, 5, size=batch)
 
@@ -268,13 +264,13 @@ def test_session_gradients_match_the_autodiff_oracle(layers, heads, prefix_len, 
     loss = cross_entropy_loss(head, z, labels, SeededRng(seed).child("eps"), noise=noise)
     loss.backward()
     trained = list(prefixes.params().values()) if prefix_len else []
-    expected = [p.grad for p in trained] + [np.array([head.mu[m].grad for m in new_rows])]
+    expected = [p.grad for p in trained] + [head.mu.grad[new_rows]]
     if noise:
-        expected.append(np.array([head.sigma[m].grad for m in new_rows]))
+        expected.append(head.sigma.grad[new_rows])
 
     grads = [np.full_like(g, np.nan) for g in expected]
     kv = [(prefixes.p_k[i].data, prefixes.p_v[i].data) if prefix_len else None for i in range(layers)]
-    mu, sigma = np.stack([t.data for t in head.mu]), np.stack([t.data for t in head.sigma])
+    mu, sigma = head.mu.data, head.sigma.data
     eps = SeededRng(seed).child("eps").normal(size=mu.shape) if noise else None
     value = session_gradients(FoldedEncoder(encoder), tokens, labels, kv, head, mu, sigma, eps, new_rows, grads)
 

@@ -4,7 +4,7 @@ gradient routing, graph release and the graph size of one training step."""
 import numpy as np
 import pytest
 
-from fscil.backbone import BackboneConfig, Encoder
+from fscil.backbone import Encoder
 from fscil.base_trainer import cross_entropy_loss
 from fscil.config import toy_fscil_config
 from fscil.errors import ArgumentError, UsageError
@@ -36,9 +36,9 @@ D, HEADS, DK = 6, 2, 3
 def _weights(seed=0):
     rng = np.random.default_rng(seed)
     return {
-        "wq": [Tensor(rng.normal(size=(D, DK)) * 0.5, requires_grad=True) for _ in range(HEADS)],
-        "wk": [Tensor(rng.normal(size=(D, DK)) * 0.5, requires_grad=True) for _ in range(HEADS)],
-        "wv": [Tensor(rng.normal(size=(D, DK)) * 0.5, requires_grad=True) for _ in range(HEADS)],
+        "wq": Tensor(rng.normal(size=(D, HEADS, DK)) * 0.5, requires_grad=True),
+        "wk": Tensor(rng.normal(size=(D, HEADS, DK)) * 0.5, requires_grad=True),
+        "wv": Tensor(rng.normal(size=(D, HEADS, DK)) * 0.5, requires_grad=True),
         "wo": Tensor(rng.normal(size=(D, D)) * 0.5, requires_grad=True),
         "pk": Tensor(rng.normal(size=(2, D)), requires_grad=True),
         "pv": Tensor(rng.normal(size=(2, D)), requires_grad=True),
@@ -69,11 +69,18 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return _result(data, tuple(tensors), backward)
 
 
+def with_head(w: Tensor, index: int, t) -> Tensor:
+    """The (D, H, DK) `w` with head `index`'s (D, DK) slice replaced by `t`, as a graph node."""
+    return concat([w.data[:, :index], reshape(_as_tensor(t), (D, 1, DK)), w.data[:, index + 1 :]], axis=1)
+
+
 def composed_attention(x, wq, wk, wv, wo, prefix_kv=None):
-    """Per-head attention from the elementwise primitives (the unfused oracle)."""
+    """Per-head attention from the elementwise primitives (the unfused oracle);
+    head h reads the (d, d_k) slices [:, h] of the (d, H, d_k) weights."""
     x = x if isinstance(x, Tensor) else Tensor(x)
     heads = []
-    for q_w, k_w, v_w in zip(wq, wk, wv):
+    for h in range(wq.shape[1]):
+        q_w, k_w, v_w = wq[:, h], wk[:, h], wv[:, h]
         q, k, v = x @ q_w, x @ k_w, x @ v_w
         if prefix_kv is not None:
             k_pre, v_pre = prefix_kv[0] @ k_w, prefix_kv[1] @ v_w
@@ -114,8 +121,9 @@ ATTENTION_CASES = [
 
 @pytest.mark.parametrize("ndim,with_prefix,target,index", ATTENTION_CASES)
 def test_attention_passes_grad_check(ndim, with_prefix, target, index):
+    """`index` names the head whose (D, DK) slice of a q/k/v weight is perturbed."""
     tokens = _tokens(ndim)
-    start = tokens if target == "x" else (_weights()[target] if index is None else _weights()[target][index]).data
+    start = tokens if target == "x" else (_weights()[target].data if index is None else _weights()[target].data[:, index])
 
     def f(t):
         w = _weights()
@@ -126,7 +134,7 @@ def test_attention_passes_grad_check(ndim, with_prefix, target, index):
             if index is None:
                 w[target] = t
             else:
-                w[target][index] = t
+                w[target] = with_head(w[target], index, t)
         kv = (w["pk"], w["pv"]) if with_prefix else None
         out, _ = attention(x, w["wq"], w["wk"], w["wv"], w["wo"], kv)
         return (out * out).sum()
@@ -180,12 +188,10 @@ def test_stochastic_weights_passes_grad_check(target, noise):
     weights = Tensor(rng.normal(size=(3, 5)))
 
     def f(t):
-        mu = [Tensor(row) for row in mu0]
-        sigma = [Tensor(row) for row in sigma0]
-        (mu if target == "mu" else sigma)[1] = t
+        mu, sigma = (t, Tensor(sigma0)) if target == "mu" else (Tensor(mu0), t)
         return (stochastic_weights(mu, sigma, eps, 4.0) ** 2 * weights).sum()
 
-    _check(f, Tensor((mu0 if target == "mu" else sigma0)[1].copy()))
+    _check(f, Tensor((mu0 if target == "mu" else sigma0).copy()))
 
 
 def test_float32_fused_grad_checks_at_relaxed_tolerance():
@@ -236,10 +242,8 @@ def test_attention_matches_composed_oracle(ndim, with_prefix):
     out.backward(seed)
     expected.backward(seed)
     np.testing.assert_allclose(x_fused.grad, x_oracle.grad, atol=1e-12)
-    for key in ("wq", "wk", "wv"):
-        for fused_t, oracle_t in zip(fused_w[key], oracle_w[key]):
-            np.testing.assert_allclose(fused_t.grad, oracle_t.grad, atol=1e-12)
-    np.testing.assert_allclose(fused_w["wo"].grad, oracle_w["wo"].grad, atol=1e-12)
+    for key in ("wq", "wk", "wv", "wo"):
+        np.testing.assert_allclose(fused_w[key].grad, oracle_w[key].grad, atol=1e-12)
     if with_prefix:
         for key in ("pk", "pv"):
             np.testing.assert_allclose(fused_w[key].grad, oracle_w[key].grad, atol=1e-12)
@@ -316,12 +320,11 @@ def test_log_softmax_nll_rejects_bad_labels():
 def test_stochastic_weights_match_composed_oracle():
     rng = np.random.default_rng(10)
     mu0, sigma0, eps = rng.normal(size=(4, 3)), 4.0 + rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-    fused = stochastic_weights([Tensor(r) for r in mu0], [Tensor(r) for r in sigma0], eps, 4.0)
-    for m in range(4):
-        row = Tensor(mu0[m]) + Tensor(eps[m]) * softplus(Tensor(sigma0[m]) - 4.0)
-        np.testing.assert_allclose(fused.data[m], row.data, atol=1e-12)
-    plain = stochastic_weights([Tensor(r) for r in mu0], [Tensor(r) for r in sigma0], None, 4.0)
-    assert np.array_equal(plain.data, mu0)
+    mu, sigma = Tensor(mu0), Tensor(sigma0)
+    fused = stochastic_weights(mu, sigma, eps, 4.0)
+    composed = mu + Tensor(eps) * softplus(sigma - 4.0)
+    np.testing.assert_allclose(fused.data, composed.data, atol=1e-12)
+    assert stochastic_weights(mu, sigma, None, 4.0) is mu  # noise off: the means themselves, no node
 
 
 @pytest.mark.parametrize("noise", [False, True])
@@ -333,8 +336,7 @@ def test_cosine_logits_match_the_composed_l2_normalize_graph_bitwise(noise):
     sides = []
     for fused in (True, False):
         z = Tensor(z0.copy(), requires_grad=True)
-        mu = [Tensor(row.copy(), requires_grad=True) for row in mu0]
-        sigma = [Tensor(row.copy(), requires_grad=True) for row in sigma0]
+        mu, sigma = Tensor(mu0.copy(), requires_grad=True), Tensor(sigma0.copy(), requires_grad=True)
         w = stochastic_weights(mu, sigma, eps, 4.0)
         if fused:
             logits = cosine_logits(z, w, 16.0)
@@ -342,7 +344,7 @@ def test_cosine_logits_match_the_composed_l2_normalize_graph_bitwise(noise):
         else:  # the composed graph the fused node stands for (the oracle)
             logits = (l2_normalize(z, axis=-1) @ l2_normalize(w, axis=-1).swapaxes(-1, -2)) * 16.0
         log_softmax_nll(logits, labels).backward()
-        sides.append([logits.data, z.grad, *(t.grad for t in mu), *(t.grad for t in sigma if noise)])
+        sides.append([logits.data, z.grad, mu.grad] + ([sigma.grad] if noise else []))
     for fused, oracle in zip(*sides):
         assert np.array_equal(fused, oracle)
 
@@ -367,26 +369,6 @@ def test_shared_gradient_array_is_not_mutated():
     np.testing.assert_array_equal(a.grad, [2.0, 2.0])
     np.testing.assert_array_equal(b.grad, [1.0, 1.0])
     np.testing.assert_array_equal(seed, [1.0, 1.0])
-
-
-def test_swapped_head_weight_keeps_gradient_on_forward_tensor():
-    cfg = BackboneConfig(image_size=4, conv_channels=(D,), embed_dim=D, heads=HEADS, layers=1, ffn_hidden=8)
-    block = Encoder(cfg, SeededRng(1)).blocks[0]
-    used, swapped_in = block.q[0], Tensor(block.q[0].data.copy(), requires_grad=True)
-    out, _ = block.attention(Tensor(_tokens(3)))
-    block.q[0] = swapped_in
-    (out * out).sum().backward()
-    assert used.grad is not None and np.any(used.grad != 0.0)
-    assert swapped_in.grad is None
-
-    head = StochasticHead(3)
-    for row in np.eye(3):
-        head.add_class(row)
-    used_mu, swapped_mu = head.mu[1], Tensor(head.mu[1].data.copy(), requires_grad=True)
-    loss = log_softmax_nll(head.logits(Tensor(np.ones((2, 3))), noise=True, frozen_eps=np.ones((3, 3))), np.array([1, 2]))
-    head.mu[1] = swapped_mu
-    loss.backward()
-    assert used_mu.grad is not None and swapped_mu.grad is None
 
 
 # -- graph release -----------------------------------------------------------------------
@@ -447,9 +429,7 @@ def test_head_eps_row_independent_of_class_count():
         small.add_class(m)
     for m in means:
         large.add_class(m)
-    batch_rng = SeededRng(3).child("eps", "e0", "b0")
-    few = small._weight_matrix(batch_rng, True, None).data
-    many = large._weight_matrix(SeededRng(3).child("eps", "e0", "b0"), True, None).data
+    few, many = (stochastic_weights(h.mu, h.sigma, h._eps(h.num_classes, SeededRng(3).child("eps", "e0", "b0"), True, None), h.offset).data for h in (small, large))
     assert np.array_equal(few, many[:6])
 
 
@@ -476,6 +456,5 @@ def _toy_step_nodes(classes: int) -> int:
 
 
 def test_toy_training_step_graph_size():
-    small, large = _toy_step_nodes(10), _toy_step_nodes(74)
-    assert small <= 90  # one cosine_logits node in place of the 16-node composed cosine
-    assert large - small <= 2 * (74 - 10)  # only the mu and sigma leaves per class
+    # one (d, H, d_k) leaf per q/k/v role and one (M, d) mu and sigma leaf, whatever M is
+    assert _toy_step_nodes(10) == _toy_step_nodes(74) == 64

@@ -1,20 +1,37 @@
-"""Property tests of the elementwise, reduction and broadcast primitives.
+"""Property tests of the elementwise, reduction and broadcast primitives and
+of the fused `attention` and `stochastic_weights` nodes.
 
 Hypothesis draws the shapes, broadcasts, axes and a value seed; each case
 checks the forward value against numpy and the gradient of every input
 against `grad_check`.  float64 runs at the default tolerance, float32 at
 the relaxed `tol=5e-2, step=1e-2`.  The tests are derandomized with a fixed
 example count, so every run checks the same cases.  A Python or numpy scalar
-operand, and GELU, keep a tensor's dtype.
+operand, a float array operand, a numpy exponent, and GELU keep a tensor's
+dtype.
 """
 
 import numpy as np
 from scipy import special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fscil.numerics import Tensor, add, broadcast_to, div, gelu, gelu_cdf, gelu_grad, grad_check, mul, power, tensor_mean, tensor_sum
+from fscil.numerics import (
+    Tensor,
+    add,
+    attention,
+    broadcast_to,
+    div,
+    gelu,
+    gelu_cdf,
+    gelu_grad,
+    grad_check,
+    mul,
+    power,
+    stochastic_weights,
+    tensor_mean,
+    tensor_sum,
+)
 
 PRECISION = {np.float64: {}, np.float32: {"tol": 5e-2, "step": 1e-2}}
 FORWARD_RTOL = {np.float64: 1e-12, np.float32: 1e-5}
@@ -125,7 +142,8 @@ def test_broadcast_to_passes_grad_check(pair, dtype, seed):
 
 
 # name -> (the Tensor expression, the same expression on a numpy array);
-# numpy keeps an array's dtype against a Python or numpy scalar
+# numpy keeps an array's dtype against a Python or numpy scalar, and against
+# an array operand of the same dtype
 SCALAR_OPS = {
     "x * 2.0": (lambda x: x * 2.0, lambda a: a * 2.0),
     "0.5 * x": (lambda x: 0.5 * x, lambda a: 0.5 * a),
@@ -136,11 +154,17 @@ SCALAR_OPS = {
     "3.0 / x": (lambda x: 3.0 / x, lambda a: 3.0 / a),
     "x * np.float64(0.1)": (lambda x: x * np.float64(0.1), lambda a: a * a.dtype.type(0.1)),
     "add(x, 2)": (lambda x: add(x, 2), lambda a: a + 2),
+    "x * array": (lambda x: x * np.full(x.shape, 0.5, x.dtype), lambda a: a * np.full(a.shape, 0.5, a.dtype)),
+    "x - array": (lambda x: x - np.full(x.shape, 2.0, x.dtype), lambda a: a - np.full(a.shape, 2.0, a.dtype)),
+    "x ** np.float64(2.0)": (lambda x: x ** np.float64(2.0), lambda a: a**2.0),
 }
 
 
 @PROPERTY
 @given(name=st.sampled_from(sorted(SCALAR_OPS)), shape=shapes, dtype=dtypes, seed=seeds)
+@example(name="x * array", shape=(2, 3), dtype=np.float32, seed=0)
+@example(name="x - array", shape=(3,), dtype=np.float32, seed=1)
+@example(name="x ** np.float64(2.0)", shape=(2, 2), dtype=np.float32, seed=2)
 def test_a_scalar_operand_keeps_the_tensor_dtype(name, shape, dtype, seed):
     op, oracle = SCALAR_OPS[name]
     a = np.asarray(away_from_zero(np.random.default_rng(seed), shape), dtype)
@@ -163,3 +187,65 @@ def test_gelu_keeps_the_input_dtype(shape, dtype, seed):
         np.testing.assert_array_equal(out.data, want)
     else:
         np.testing.assert_allclose(out.data, want, rtol=FORWARD_RTOL[dtype], atol=FORWARD_RTOL[dtype])
+
+
+def attention_oracle(x, wq, wk, wv, wo, pk, pv):
+    """Per-head attention on numpy arrays; head h uses the [:, h] slices."""
+    xb = x if x.ndim == 3 else x[None]
+    outs = []
+    for h in range(wq.shape[1]):
+        q, k, v = xb @ wq[:, h], xb @ wk[:, h], xb @ wv[:, h]
+        if pk is not None:
+            k = np.concatenate([np.broadcast_to(pk @ wk[:, h], (len(xb),) + (len(pk), k.shape[-1])), k], axis=1)
+            v = np.concatenate([np.broadcast_to(pv @ wv[:, h], (len(xb),) + (len(pv), v.shape[-1])), v], axis=1)
+        scores = q @ k.swapaxes(-1, -2) / np.sqrt(wq.shape[2])
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        outs.append((e / e.sum(axis=-1, keepdims=True)) @ v)
+    out = np.concatenate(outs, axis=-1) @ wo
+    return out if x.ndim == 3 else out[0]
+
+
+@PROPERTY
+@given(
+    heads=st.integers(1, 3),
+    dk=st.integers(1, 3),
+    batch=st.none() | st.integers(1, 3),
+    n=st.integers(1, 4),
+    prefix=st.integers(0, 3),
+    dtype=dtypes,
+    seed=seeds,
+)
+def test_attention_passes_grad_check_over_shapes(heads, dk, batch, n, prefix, dtype, seed):
+    """(d, H, d_k) q/k/v weights; `batch` None is a 2-d (n, d) input; a prefix of length 0 is none."""
+    rng = np.random.default_rng(seed)
+    d = heads * dk
+    x = rng.normal(size=(n, d) if batch is None else (batch, n, d))
+    weights = [rng.normal(size=(d, heads, dk)) * 0.5 for _ in range(3)] + [rng.normal(size=(d, d)) * 0.5]
+    kv = [rng.normal(size=(prefix, d)) for _ in range(2)] if prefix else []
+    inputs = [x, *weights, *kv]
+
+    def f(x, wq, wk, wv, wo, *kv):
+        return attention(x, wq, wk, wv, wo, tuple(kv) or None)[0]
+
+    out = f(*(Tensor(a, dtype=dtype) for a in inputs))
+    assert out.shape == x.shape and out.dtype == dtype
+    cast = [np.asarray(a, dtype) for a in inputs] + ([None, None] if not prefix else [])
+    np.testing.assert_allclose(out.data, attention_oracle(*cast), rtol=FORWARD_RTOL[dtype], atol=FORWARD_RTOL[dtype])
+    check(f, inputs, x.shape, dtype, rng)
+
+
+@PROPERTY
+@given(classes=st.integers(1, 5), dim=st.integers(1, 4), noise=st.booleans(), dtype=dtypes, seed=seeds)
+def test_stochastic_weights_pass_grad_check_over_shapes(classes, dim, noise, dtype, seed):
+    rng = np.random.default_rng(seed)
+    mu, sigma = rng.normal(size=(classes, dim)), 4.0 + rng.normal(size=(classes, dim))
+    eps = rng.normal(size=(classes, dim)) if noise else None
+    means = Tensor(mu, dtype=dtype)
+    out = stochastic_weights(means, Tensor(sigma, dtype=dtype), eps, 4.0)
+    if not noise:
+        assert out is means  # the means themselves: no node, and sigma is out of the graph
+        return
+    assert out.shape == (classes, dim) and out.dtype == dtype
+    want = mu + eps * np.log1p(np.exp(sigma - 4.0))
+    np.testing.assert_allclose(out.data, want, rtol=FORWARD_RTOL[dtype] * 10, atol=FORWARD_RTOL[dtype] * 10)
+    check(lambda m, s: stochastic_weights(m, s, eps, 4.0), [mu, sigma], (classes, dim), dtype, rng)

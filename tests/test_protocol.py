@@ -2,6 +2,7 @@
 
 import json
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -303,8 +304,7 @@ def test_stochastic_head_toggle_disables_noise():
     record, artifacts = run_from_config(ablated(cfg, "stochastic_head"), seed=9)
     # sigma rows stay at the initialization: no gradient ever reaches them
     head = artifacts["head"]
-    for sig in head.sigma:
-        assert np.allclose(sig.data, head.offset)
+    assert np.allclose(head.sigma.data, head.offset)
 
 
 @pytest.fixture(scope="module")
@@ -366,6 +366,23 @@ def test_auto_metric_resolution():
     assert cfg.resolved_metric() == "mahalanobis"
     cfg.split = SplitConfig(base_classes=4, ways=2, shots=1)
     assert cfg.resolved_metric() == "euclidean"  # 1-shot falls back to euclidean
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam", "adamw"])
+def test_finetune_arm_keeps_earlier_head_rows_bitwise_under_weight_decay(optimizer):
+    # the optimizer steps whole (M, d) mu and sigma matrices; rows 0-1 belong to earlier sessions
+    cfg = small_config().model
+    rng = np.random.default_rng(40)
+    encoder, head = Encoder(cfg, SeededRng(40)).eval(), StochasticHead(cfg.embed_dim)
+    for row in rng.normal(size=(4, cfg.embed_dim)):
+        head.add_class(row)
+    before = head.mu.data.copy(), head.sigma.data.copy()
+    tc = desk_profile(optimizer=optimizer, inc_weight_decay=0.05, inc_epochs=2, inc_batch_size=4, head_noise_train=True)
+    images, labels = rng.normal(size=(12, 1, 4, 4)), np.array([2, 3] * 6)
+    protocol._finetune_backbone_session(SimpleNamespace(images=images), labels, encoder, head, [2, 3], tc, SeededRng(41), None, 1)
+    for now, then in zip((head.mu.data, head.sigma.data), before):
+        assert np.array_equal(now[:2], then[:2])
+        assert not np.array_equal(now[2:], then[2:])
 
 
 def test_a_non_finite_finetune_gradient_under_a_finite_loss_raises(monkeypatch):

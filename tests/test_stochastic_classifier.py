@@ -126,7 +126,7 @@ def test_init_single_sample_class():
     head = StochasticHead(3)
     emb = np.array([0.1, 0.2, 0.3])
     init_means_from_prototypes(head, {0: emb})
-    np.testing.assert_array_equal(head.mu[0].data, emb)
+    np.testing.assert_array_equal(head.mu.data[0], emb)
 
 
 def test_init_five_shot_mean_matches_oracle():
@@ -135,17 +135,16 @@ def test_init_five_shot_mean_matches_oracle():
     oracle = shots.sum(axis=0) / 5.0
     head = StochasticHead(4)
     init_means_from_prototypes(head, {0: shots.mean(axis=0)})
-    np.testing.assert_allclose(head.mu[0].data, oracle, atol=1e-12)
+    np.testing.assert_allclose(head.mu.data[0], oracle, atol=1e-12)
 
 
 def test_incremental_extension_preserves_old_rows_bitwise():
     rng = np.random.default_rng(6)
     head = make_head(rng.normal(size=(3, 4)))
-    before = [m.data.copy() for m in head.mu]
+    before = head.mu.data.copy(), head.sigma.data.copy()
     init_means_from_prototypes(head, {3: rng.normal(size=4), 4: rng.normal(size=4)})
-    assert head.num_classes == 5
-    for old, now in zip(before, head.mu):
-        assert np.array_equal(old, now.data)
+    assert head.num_classes == 5 and head.mu.shape == head.sigma.shape == (5, 4)
+    assert np.array_equal(head.mu.data[:3], before[0]) and np.array_equal(head.sigma.data[:3], before[1])
 
 
 def test_init_dimension_mismatch_rejected():
@@ -172,16 +171,15 @@ def test_ce_gradient_with_frozen_eps_passes_grad_check():
         return -(Tensor(onehot) * logp).sum() * 0.5
 
     for attr in ("mu", "sigma"):
-        for idx in range(3):
 
-            def f(t, attr=attr, idx=idx):
-                head = make_head(means)
-                getattr(head, attr)[idx] = t
-                return loss_from(head)
+        def f(t, attr=attr):
+            head = make_head(means)
+            setattr(head, attr, t)
+            return loss_from(head)
 
-            start = means[idx] if attr == "mu" else np.full(5, 4.0)
-            report = grad_check(f, Tensor(start.copy()), tol=1e-4)
-            assert report.passed, f"{attr}[{idx}]: {report.max_rel_error}"
+        start = means if attr == "mu" else np.full((3, 5), 4.0)
+        report = grad_check(f, Tensor(start.copy()), tol=1e-4)
+        assert report.passed, f"{attr}: {report.max_rel_error}"
 
 
 def test_feature_gradient_passes_grad_check():
