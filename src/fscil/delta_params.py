@@ -13,11 +13,10 @@ autodiff graph.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from .backbone import Encoder, EncoderBlock, FoldedEncoder, hash_state
 from .errors import ArgumentError, ContractViolation, DomainError
-from .numerics import SeededRng, Tensor, flat_views, l2_rows, l2_rows_grad, no_grad
+from .numerics import SeededRng, Tensor, expit, flat_views, l2_rows, l2_rows_grad, no_grad
 from .optim import ReduceOnPlateau, make_optimizer, run_epochs
 
 PREFIX_INIT_RANGE = 0.02

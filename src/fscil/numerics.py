@@ -34,17 +34,30 @@ raises `UsageError`; build a new forward pass instead.
 
 Default precision is float64; float32 can be selected per tensor (gradient
 checks at 32-bit need the relaxed tolerance, see `grad_check`).
+
+The module needs numpy only.  GELU's Phi (`gelu_cdf`) is a table of cubics:
+an input is clipped to [-8.5, 8.5] and rounded to the nearest multiple x0 of
+2**-11, and Phi(x0 + h) is a cubic in the exact remainder h (|h| <= 2**-12)
+whose four coefficients are gathered from a 34,817-point table (1.1 MB,
+built at import in about 10 ms): Taylor's, with the quartic term folded
+into the quadratic, so the truncation error is below 2.1e-17.  Each Phi(x0)
+is rounded once from `math.erfc` of the lower tail, and the two end points
+hold exactly 0 and 1 with zero slope (Phi(-8.5) = 9.5e-18).  The maximum
+absolute error against `math.erfc` is 2.2e-16 (1.7e-16 against the exact
+value), as for scipy's 0.5 * (1 + erf(x / sqrt 2)).  `expit` is the logistic
+sigmoid from exp(-|x|), within 1.5 ulp of an extended-precision reference
+and free of overflow.  Both keep a float32 input float32.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
-from scipy import special as _special
 
 from .errors import ArgumentError, ContractViolation, DomainError, UsageError
 
@@ -82,6 +95,8 @@ class Tensor:
     """Dense n-d array with an optional gradient buffer and graph links."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
+    # an ndarray on the left of an operator defers to the reflected Tensor method
+    __array_ufunc__ = None
 
     def __init__(self, data, requires_grad: bool = False, dtype=None, name: str | None = None):
         arr = np.asarray(data, dtype=dtype or DEFAULT_DTYPE)
@@ -375,10 +390,64 @@ def relu(a) -> Tensor:
 _INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
+# Phi as a table of cubics at the grid points x0 = k * 2**-_PHI_BITS, |x0| <= 8.5.
+_PHI_BITS = 11
+_PHI_HALF = int(8.5 * 2**_PHI_BITS)
+# 0-d arrays, because a ufunc converts a Python scalar operand on every call.  Adding
+# _PHI_SHIFT to |x| < 2**(51 - _PHI_BITS) rounds x to the grid, and the sum's low
+# bits count grid steps: bits(x + _PHI_SHIFT) - _PHI_START = k + _PHI_HALF.
+_PHI_LO, _PHI_HI = np.array(-8.5), np.array(8.5)  # Phi(-8.5) = 9.5e-18
+_PHI_SHIFT = np.array(1.5 * 2.0 ** (52 - _PHI_BITS))
+_PHI_START = np.array(_PHI_SHIFT.view(np.int64) - _PHI_HALF)
+
+
+def _phi_table() -> list:
+    """Columns (c3, c2, c1, Phi(x0)) of Phi(x0 + h) ~ Phi(x0) + c1 h + c2 h^2 + c3 h^3.
+
+    c1 = pdf, c2 = -x0 pdf / 2 and c3 = (x0^2 - 1) pdf / 6 are Taylor's; the
+    quartic term c4 h^4, c4 = -(x0^3 - 3 x0) pdf / 24, is folded into c2 by
+    Chebyshev economization over |h| <= a = 2**-(_PHI_BITS + 1): h^4 ~ a^2 h^2,
+    off by at most a^4 / 4.
+    """
+    x0 = np.arange(-_PHI_HALF, _PHI_HALF + 1) * 2.0**-_PHI_BITS
+    cdf = np.array([0.5 * math.erfc(-v * _INV_SQRT2) if v <= 0 else 1.0 - 0.5 * math.erfc(v * _INV_SQRT2) for v in x0])
+    pdf = np.exp(-0.5 * x0 * x0) * _INV_SQRT_2PI
+    a2 = 4.0 ** -(_PHI_BITS + 1)
+    columns = [(x0 * x0 - 1) * pdf / 6, -x0 * pdf / 2 - (x0**3 - 3 * x0) * pdf / 24 * a2, pdf, cdf]
+    for col in columns:
+        col[[0, -1]] = 0.0
+    cdf[-1] = 1.0
+    return columns
+
+
+_PHI_COLUMNS = _phi_table()
+
 
 def gelu_cdf(x: np.ndarray) -> np.ndarray:
-    """Phi(x), the standard normal CDF that GELU multiplies its input by."""
-    return 0.5 * (1.0 + _special.erf(x * _INV_SQRT2))
+    """Phi(x), the standard normal CDF that GELU multiplies its input by,
+    evaluated in float64 from the table of cubics (see the module docstring);
+    keeps the dtype of `x`."""
+    if x.ndim == 0:
+        return gelu_cdf(x[None])[0]
+    h = np.minimum(np.maximum(x, _PHI_LO), _PHI_HI)  # a float64 0-d operand: float32 input is promoted
+    t = h + _PHI_SHIFT
+    buf = t - _PHI_SHIFT  # x0, the grid point
+    h -= buf  # x - x0, exact
+    k = t.view(np.int64)
+    k -= _PHI_START
+    out = _PHI_COLUMNS[0].take(k, mode="clip")  # a NaN's index is clipped; h carries the NaN
+    for col in _PHI_COLUMNS[1:]:
+        out *= h
+        out += col.take(k, out=buf, mode="clip")
+    return out.astype(x.dtype, copy=False)
+
+
+def expit(x: np.ndarray) -> np.ndarray:
+    """The logistic sigmoid 1 / (1 + e^-x), from e^-|x| so that nothing
+    overflows; keeps the dtype of `x`."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x < 0, e / d, 1.0 / d)
 
 
 def gelu_grad(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
@@ -407,7 +476,7 @@ def softplus(a) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g * _special.expit(a.data))
+            a._accumulate(g * expit(a.data))
 
     return _result(data, (a,), backward)
 
@@ -845,7 +914,7 @@ def stochastic_weights(mu, sigma, eps, offset: float) -> Tensor:
         if mu.requires_grad:
             mu._accumulate(g)
         if sigma.requires_grad:
-            sigma._accumulate(g * eps * _special.expit(shifted))
+            sigma._accumulate(g * eps * expit(shifted))
 
     return _result(data, (mu, sigma), backward)
 

@@ -74,11 +74,14 @@ class Adam(Optimizer):
 
     Each group keeps its first and second moments in one flat buffer apiece,
     the group's parameters laid end to end in order (in the group's common
-    dtype).  A step concatenates the gradients that exist, updates the
-    moments with whole-buffer array ops and subtracts one slice from each
-    parameter.  A parameter whose `grad` is None keeps its data and moments
-    untouched; moments start at zero, as on a parameter's first step.  Every
-    op is elementwise, so the result is bitwise a per-parameter update's.
+    dtype).  A step concatenates the gradients that exist (a group with one
+    live parameter reads its `grad` in place), updates the moments with
+    whole-buffer array ops written into two scratch buffers of the group's
+    size, and subtracts one slice from each parameter.  A parameter whose
+    `grad` is None keeps its data and moments untouched; moments start at
+    zero, as on a parameter's first step.  Gradients are read in the moments'
+    dtype.  Every op is elementwise, so the result is bitwise a per-parameter
+    update's.
     """
 
     decoupled = False
@@ -88,11 +91,14 @@ class Adam(Optimizer):
         self.b1, self.b2 = betas
         self.eps = eps
         self._t = 0
-        self._moments = []
+        self._moments, self._constants = [], []
         for g in self.groups:
             size = sum(p.data.size for p in g["params"])
             dtype = np.result_type(*(p.data.dtype for p in g["params"])) if g["params"] else np.float64
-            self._moments.append((np.zeros(size, dtype), np.zeros(size, dtype)))
+            self._moments.append(tuple(np.zeros(size, dtype) for _ in range(4)))  # m, v and two scratch buffers
+            # b1, 1 - b1, b2, 1 - b2 and eps as 0-d arrays of the moments' dtype, the values a
+            # Python scalar operand would take; a ufunc converts a Python scalar on every call
+            self._constants.append(tuple(np.array(c, dtype) for c in (self.b1, 1 - self.b1, self.b2, 1 - self.b2, eps)))
         self._layouts = [{} for _ in self.groups]
 
     @staticmethod
@@ -114,29 +120,45 @@ class Adam(Optimizer):
         self._t += 1
         b1t = 1.0 - self.b1**self._t
         b2t = 1.0 - self.b2**self._t
-        for g, (m_all, v_all), layouts in zip(self.groups, self._moments, self._layouts):
-            live = tuple(p.grad is not None for p in g["params"])
-            if live not in layouts:
-                layouts[live] = self._layout(g["params"], live)
-            params, rows, bounds = layouts[live]
+        for g, (m_all, v_all, update, tmp), (b1, c1, b2, c2, eps), layouts in zip(self.groups, self._moments, self._constants, self._layouts):
+            live = tuple([p.grad is not None for p in g["params"]])
+            layout = layouts.get(live)
+            if layout is None:
+                layout = layouts[live] = self._layout(g["params"], live)
+            params, rows, bounds = layout
             if not params:
                 continue
-            grad = np.concatenate([p.grad.reshape(-1) for p in params])
             decay = g["weight_decay"]
-            data = np.concatenate([p.data.reshape(-1) for p in params]) if decay else None
+            if len(params) == 1:
+                grad = params[0].grad.reshape(-1).astype(m_all.dtype, copy=False)
+                data = params[0].data.reshape(-1) if decay else None
+            else:
+                grad = np.concatenate([p.grad.reshape(-1) for p in params]).astype(m_all.dtype, copy=False)
+                data = np.concatenate([p.data.reshape(-1) for p in params]) if decay else None
             if decay and not self.decoupled:
                 grad = grad + decay * data
-            m = m_all if rows is None else m_all[rows]
-            v = v_all if rows is None else v_all[rows]
-            m *= self.b1
-            m += (1 - self.b1) * grad
-            v *= self.b2
-            v += (1 - self.b2) * grad * grad
+            if rows is None:
+                m, v = m_all, v_all
+            else:
+                m, v = m_all[rows], v_all[rows]
+                update, tmp = update[: grad.size], tmp[: grad.size]
+            # the ops and their order of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
+            # update = lr ((m / b1t) / (sqrt(v / b2t) + eps) [+ decay data]), written into scratch
+            m *= b1
+            m += np.multiply(grad, c1, tmp)
+            v *= b2
+            np.multiply(grad, c2, tmp)
+            tmp *= grad
+            v += tmp
             if rows is not None:
                 m_all[rows], v_all[rows] = m, v
-            update = (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            np.divide(v, b2t, tmp)
+            np.sqrt(tmp, tmp)
+            tmp += eps
+            np.divide(m, b1t, update)
+            update /= tmp
             if decay and self.decoupled:
-                update += decay * data
+                update += np.multiply(data, decay, tmp)
             update *= g["lr"]
             for p, (start, end) in zip(params, bounds):
                 p.data -= update[start:end].reshape(p.data.shape)
@@ -267,7 +289,9 @@ def run_epochs(
             idx = order[start : start + batch]
             loss = step(idx, epoch, start)
             total += loss * len(idx)
-            flat = np.concatenate([p.grad.reshape(-1) for p in params if p.grad is not None] + [np.zeros(0)])  # one dot, not one per tensor
+            grads = [p.grad for p in params if p.grad is not None]
+            # one float64 dot, not one per tensor
+            flat = grads[0].reshape(-1).astype(np.float64, copy=False) if len(grads) == 1 else np.concatenate([g.reshape(-1) for g in grads] + [np.zeros(0)])
             norms.append(math.sqrt(float(flat @ flat)))
             if not math.isfinite(norms[-1]) and math.isfinite(loss):
                 raise NumericError(f"non-finite gradient in phase {phase!r}, session {session}, epoch {epoch}")

@@ -157,11 +157,11 @@ def mse_gradients(x: np.ndarray, target: np.ndarray, params: list, grads: list) 
     half = inv_n * diff
     g_out = half + half
     if len(params) == 4:
-        grads[3][...] = g_out.sum(axis=0)
-        grads[2][...] = act.T @ g_out
+        g_out.sum(axis=0, out=grads[3])
+        np.matmul(act.T, g_out, out=grads[2])
         g_out = gelu_grad(g_out @ w2.T, hidden, cdf)
-    grads[1][...] = g_out.sum(axis=0)
-    grads[0][...] = x.T @ g_out
+    g_out.sum(axis=0, out=grads[1])
+    np.matmul(x.T, g_out, out=grads[0])
     return float((diff * diff).sum() * inv_n)
 
 

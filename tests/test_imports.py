@@ -1,5 +1,6 @@
 """Every name a module of `src/fscil`, `tests` or `demos` imports is used in that
-module, and importing the protocol loads no more of scipy than `scipy.special`."""
+module, and importing the protocol or the command-line interface loads no scipy
+module (scipy is a test-only dependency)."""
 
 import ast
 import os
@@ -45,9 +46,10 @@ def test_unused_import_check_flags_dead_names_only():
     assert unused_imports("from os import path\n__all__ = ['path']\n") == []
 
 
-def test_importing_the_protocol_leaves_scipy_linalg_unloaded():
-    # a fresh interpreter: this one may already hold scipy.linalg from another test
+def test_importing_the_protocol_or_the_cli_loads_no_scipy_module():
+    # fresh interpreters: this one may already hold scipy from another test
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    code = "import sys, fscil.protocol; print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
+    for module in ("fscil.protocol", "fscil.cli"):
+        code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "[]", (module, out)

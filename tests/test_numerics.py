@@ -430,6 +430,29 @@ def test_no_grad_blocks_graph():
     assert not y.requires_grad and y._backward is None
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize(
+    "op,grad",
+    [
+        (lambda a, x: a + x, lambda a, x: np.ones_like(x)),
+        (lambda a, x: a - x, lambda a, x: -np.ones_like(x)),
+        (lambda a, x: a * x, lambda a, x: a),
+        (lambda a, x: a / x, lambda a, x: -a / (x * x)),
+    ],
+    ids=["add", "sub", "mul", "div"],
+)
+def test_an_ndarray_on_the_left_of_a_tensor_operator_gives_a_graph_tensor(op, grad, dtype):
+    a = np.full((2, 2), 2.0, dtype)
+    x0 = np.array([[1.0, -2.0], [0.5, 4.0]], dtype)
+    x = Tensor(x0, requires_grad=True, dtype=dtype)
+    y = op(a, x)
+    assert isinstance(y, Tensor) and y.dtype == dtype and y.requires_grad
+    np.testing.assert_array_equal(y.data, op(a, x0))
+    y.sum().backward()
+    assert x.grad.dtype == dtype
+    np.testing.assert_array_equal(x.grad, grad(a, x0))
+
+
 # -- seeded rng ------------------------------------------------------------------------
 
 

@@ -50,12 +50,14 @@ class PerParameterAdam(Optimizer):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_adam_matches_the_per_parameter_loop_bitwise(cls, dtype):
     rng = np.random.default_rng(0)
-    shapes = [[(3, 4), (4,)], [(2,), (5, 2), (1,)]]
+    # group 2 holds one parameter, whose gradient the step reads in place
+    shapes = [[(3, 4), (4,)], [(2,), (5, 2), (1,)], [(33, 64)]]
     init = [[rng.normal(size=shape).astype(dtype) for shape in group] for group in shapes]
     sides = []
     for make in (lambda groups: cls(groups), lambda groups: PerParameterAdam(groups, cls.decoupled)):
         params = [[Tensor(a.copy(), requires_grad=True, dtype=dtype) for a in group] for group in init]
-        sides.append((make([{"params": params[0], "lr": 0.05, "weight_decay": 0.1}, {"params": params[1], "lr": 0.01}]), params))
+        groups = [{"params": params[0], "lr": 0.05, "weight_decay": 0.1}, {"params": params[1], "lr": 0.01}, {"params": params[2], "lr": 0.03, "weight_decay": 0.05}]
+        sides.append((make(groups), params))
     for step in range(20):
         grads = [[rng.normal(size=shape).astype(dtype) for shape in group] for group in shapes]
         for opt, params in sides:
@@ -66,8 +68,9 @@ def test_adam_matches_the_per_parameter_loop_bitwise(cls, dtype):
             for group, group_grads in zip(params, grads):
                 for i, (p, grad) in enumerate(zip(group, group_grads)):
                     # group 1's second parameter first gets a gradient at step 3; at step 7
-                    # no parameter of group 1 has one
+                    # no parameter of group 1 has one; every third step group 0 has one
                     skip = group is params[1] and ((i == 1 and (step < 3 or step % 4 == 1)) or step == 7)
+                    skip = skip or (group is params[0] and i == 0 and step % 3 == 0)
                     p.grad = None if skip else grad.copy()
             opt.step()
         for fused, oracle in zip(*(params for _, params in sides)):
@@ -231,6 +234,25 @@ def test_run_epochs_logs_each_epochs_mean_step_gradient_norm_after_its_lr():
     run_epochs(opt, 10, 4, 2, SeededRng(10), step, log, "supervised", 0)
     assert [(r["epoch"], r["key"]) for r in log.records] == [(e, key) for e in range(2) for key in ("loss", "lr", "grad_norm")]
     assert log.series("supervised", "grad_norm") == [4.0, 4.0]
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_the_logged_gradient_norm_is_a_float64_sum_of_squares(count):
+    # one float32 gradient is read in place but summed in float64, as two are
+    rng = np.random.default_rng(6)
+    params = [Tensor(np.zeros(50, np.float32), requires_grad=True, dtype=np.float32) for _ in range(count)]
+    grads = [rng.normal(size=50).astype(np.float32) * 1e3 for _ in range(count)]
+    opt = SGD([{"params": params, "lr": 0.0}], momentum=0.0)
+    log = EventLog(None)
+
+    def step(idx, epoch, start):
+        for p, g in zip(params, grads):
+            p.grad = g
+        return 1.0
+
+    run_epochs(opt, 4, 4, 1, SeededRng(0), step, log, "supervised", 0)
+    flat = np.concatenate([g.astype(np.float64) for g in grads])
+    assert log.series("supervised", "grad_norm") == [float(np.sqrt(flat @ flat))]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

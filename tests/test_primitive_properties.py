@@ -11,7 +11,6 @@ dtype.
 """
 
 import numpy as np
-from scipy import special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -32,6 +31,7 @@ from fscil.numerics import (
     tensor_mean,
     tensor_sum,
 )
+from test_phi_and_expit import phi_oracle
 
 PRECISION = {np.float64: {}, np.float32: {"tol": 5e-2, "step": 1e-2}}
 FORWARD_RTOL = {np.float64: 1e-12, np.float32: 1e-5}
@@ -181,12 +181,13 @@ def test_gelu_keeps_the_input_dtype(shape, dtype, seed):
     out = gelu(Tensor(a, dtype=dtype))
     cdf = gelu_cdf(a)
     assert out.dtype == cdf.dtype == gelu_grad(a, a, cdf).dtype == dtype
-    # float64 stays bitwise the formula with numpy float64 constants
-    want = a * (0.5 * (1.0 + special.erf(a * (1.0 / np.sqrt(np.float64(2.0))))))
+    # float64 Phi is within the scipy formula's own error (2.2e-16) of math.erfc, and gelu is a * Phi(a)
+    want_cdf = phi_oracle(a.astype(np.float64))
     if dtype == np.float64:
-        np.testing.assert_array_equal(out.data, want)
+        assert np.all(np.abs(cdf - want_cdf) <= np.finfo(np.float64).eps)
+        np.testing.assert_array_equal(out.data, a * cdf)
     else:
-        np.testing.assert_allclose(out.data, want, rtol=FORWARD_RTOL[dtype], atol=FORWARD_RTOL[dtype])
+        np.testing.assert_allclose(out.data, a * want_cdf, rtol=FORWARD_RTOL[dtype], atol=FORWARD_RTOL[dtype])
 
 
 def attention_oracle(x, wq, wk, wv, wo, pk, pv):
