@@ -20,7 +20,7 @@ from .backbone import BackboneConfig, Encoder, Linear, hash_state, load_arrays, 
 from .errors import ArgumentError, UsageError
 from .numerics import SeededRng, Tensor, gelu, log_softmax, log_softmax_nll, no_grad
 from .optim import CosineSchedule, EarlyStopping, ReduceOnPlateau, backprop_step, make_optimizer, run_epochs
-from .stochastic_classifier import StochasticHead, init_means_from_prototypes
+from .stochastic_classifier import StochasticHead, cross_entropy_loss, init_means_from_prototypes
 
 
 # -- multi-crop views ---------------------------------------------------------
@@ -199,11 +199,6 @@ def dino_step(student_encoder: Encoder, student_proj: DinoHead, teacher: Teacher
     return loss, info
 
 
-def cross_entropy_loss(head: StochasticHead, z: Tensor, labels: np.ndarray, rng: SeededRng, noise: bool = True) -> Tensor:
-    """Mean CE of the stochastic head's class probabilities at `labels`."""
-    return log_softmax_nll(head.logits(z, rng=rng, noise=noise), labels)
-
-
 # -- phases -------------------------------------------------------------------
 
 
@@ -317,7 +312,7 @@ def _supervised_phase(encoder, head, data_x, data_y, config, rng, history, log):
         config.optimizer,
         [
             {"params": list(encoder.params().values()), "lr": config.sup_lr, "weight_decay": config.sup_weight_decay},
-            {"params": list(head.params().values()), "lr": config.sup_classifier_lr, "weight_decay": config.sup_weight_decay},
+            {"params": head.trained_params(config.head_noise_train), "lr": config.sup_classifier_lr, "weight_decay": config.sup_weight_decay},
         ],
     )
 

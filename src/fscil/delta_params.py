@@ -15,9 +15,10 @@ from __future__ import annotations
 import numpy as np
 
 from .backbone import Encoder, EncoderBlock, FoldedEncoder, hash_state
-from .errors import ArgumentError, ContractViolation, DomainError
-from .numerics import SeededRng, Tensor, expit, flat_views, l2_rows, l2_rows_grad, no_grad
+from .errors import ArgumentError, ContractViolation
+from .numerics import SeededRng, Tensor, flat_views, no_grad
 from .optim import ReduceOnPlateau, make_optimizer, run_epochs
+from .stochastic_classifier import head_loss
 
 PREFIX_INIT_RANGE = 0.02
 
@@ -83,41 +84,23 @@ def session_gradients(folded: FoldedEncoder, tokens: np.ndarray, labels: np.ndar
     `tokens` (B, n, d) run through the folded frozen encoder with each
     layer's `prefix_kv` (p_K, p_V) arrays (or None); `mu` and `sigma` are all
     M head rows as (M, d) arrays and `eps` the batch's (M, d) draw, or None
-    when the noise is off.  The loss is `cross_entropy_loss` of the head's
-    cosine logits.  Writes its gradient with respect to each layer's p_K and
-    p_V and to the `new_rows` of `mu` (and of `sigma` when there is noise)
-    into `grads`, laid out in that order; old rows get none.  Returns the loss.
+    when the noise is off.  The loss is the head's `head_loss`.  Writes its
+    gradient with respect to each layer's p_K and p_V and to the `new_rows`
+    of `mu` (and of `sigma` when there is noise) into `grads`, laid out in
+    that order; old rows get none.  Returns the loss.
     """
     cache = []
     z = folded.forward(tokens, prefix_kv, cache)
-    if not np.all(np.linalg.norm(z, axis=-1)):
-        raise DomainError("class probabilities undefined for zero feature vectors")
-    if eps is not None:
-        shifted = sigma - head.offset
-        weights = mu + eps * np.logaddexp(0.0, shifted)
-    else:
-        weights = mu
-    z_norm, zn = l2_rows(z)
-    w_norm, wn = l2_rows(weights)
-    logits = (zn @ wn.T) * head.temperature
-    shifted_logits = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted_logits)
-    total = e.sum(axis=-1, keepdims=True)
-    rows = np.arange(len(labels))
-    loss = float((np.log(total[:, 0]) - shifted_logits[rows, labels]).mean())
-    g_logits = e / total
-    g_logits[rows, labels] -= 1.0
-    g_cos = g_logits * (1.0 / len(labels)) * head.temperature
-    g_rows = l2_rows_grad((zn.T @ g_cos[:, new_rows]).T, weights[new_rows], w_norm[new_rows])
+    loss, grad = head_loss(z, mu, sigma, eps, labels, head.offset, head.temperature)
     n_pre = sum(2 for kv in prefix_kv if kv is not None)
-    grads[n_pre][...] = g_rows
-    if eps is not None:
-        grads[n_pre + 1][...] = g_rows * eps[new_rows] * expit(shifted[new_rows])
+    g_z, g_mu, g_sigma = grad(1.0, new_rows, want_z=n_pre > 0)
+    grads[n_pre][...] = g_mu
+    if g_sigma is not None:
+        grads[n_pre + 1][...] = g_sigma
     if n_pre:
-        g_kv = folded.backward(l2_rows_grad(g_cos @ wn, z, z_norm), cache)
-        for dst, src in zip(grads, (g for pair in g_kv for g in pair)):
+        for dst, src in zip(grads, (g for pair in folded.backward(g_z, cache) for g in pair)):
             dst[...] = src
-    return loss
+    return float(loss)
 
 
 def train_session(

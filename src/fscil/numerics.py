@@ -1,8 +1,16 @@
 """Differentiable numeric kernel: reverse-mode autodiff over numpy arrays.
 
-Every forward pass in this package is built from the `Tensor` operations in
-this module, so there is exactly one gradient code path and it can be
-verified centrally with `grad_check` against central finite differences.
+Graph forward passes are built from the `Tensor` operations in this module,
+each `grad_check`-verified against central finite differences.  Three
+closed-form gradients live elsewhere, each with its own oracle in the tests:
+
+- `stochastic_classifier.head_loss`, the head's loss (`cross_entropy_loss`
+  runs it as a graph node): `grad_check`, and the composed graph bitwise;
+- `backbone.FoldedEncoder`: its forward against the composed eval forward,
+  its backward (in `delta_params.session_gradients`) against `encode` +
+  `cross_entropy_loss` + `backward`;
+- `prototype_rectification.mse_gradients`: `grad_check`, and the composed
+  prediction net bitwise.
 
 The layers that dominate a training step are fused primitives: each is one
 graph node with a hand-written backward, and each is `grad_check`-verified
@@ -18,12 +26,7 @@ in the tests.
 - `attention`: all heads as one batched (B, H, n, d_k) product, with
   optional key/value prefixes projected and prepended inside the node;
 - `log_softmax_nll`: log-softmax plus negative log-likelihood of integer
-  labels;
-- `stochastic_weights`: the stochastic head's (M, d) weight matrix
-  mu + eps (*) softplus(sigma - c);
-- `cosine_logits`: the head's scaled cosine scores between a (B, d) batch
-  and the (M, d) weight rows, with a backward that replays the composed
-  `l2_normalize` graph's steps, so values and gradients are bitwise its own.
+  labels (the linear probe's loss).
 
 `Tensor.backward` expands only parents that need a gradient (a parent that
 does not is always a leaf, which the sweep would skip), and it releases the
@@ -891,72 +894,6 @@ def log_softmax_nll(logits, labels) -> Tensor:
             logits._accumulate(grad * (g / batch))
 
     return _result(data, (logits,), backward)
-
-
-def stochastic_weights(mu, sigma, eps, offset: float) -> Tensor:
-    """mu + eps (*) softplus(sigma - offset), elementwise, as one node.
-
-    `mu` and `sigma` are the head's (M, d) rows (or any pair of equal
-    shapes) and `eps` an array of that shape; `eps=None` returns `mu`
-    itself (noise off), leaving `sigma` out of the graph.
-    """
-    mu = _as_tensor(mu)
-    if eps is None:
-        return mu
-    sigma = _as_tensor(sigma)
-    eps = np.asarray(eps, dtype=mu.data.dtype)
-    if eps.shape != mu.data.shape or sigma.data.shape != mu.data.shape:
-        raise ArgumentError(f"eps {eps.shape} and sigma {sigma.data.shape} must match mu {mu.data.shape}")
-    shifted = sigma.data - offset
-    data = mu.data + eps * np.logaddexp(0.0, shifted)
-
-    def backward(g):
-        if mu.requires_grad:
-            mu._accumulate(g)
-        if sigma.requires_grad:
-            sigma._accumulate(g * eps * expit(shifted))
-
-    return _result(data, (mu, sigma), backward)
-
-
-def l2_rows(x: np.ndarray):
-    """(row norms, rows divided by them), computed as `l2_normalize(x)` computes them."""
-    norm = np.sqrt((x * x).sum(axis=-1, keepdims=True) + 1e-12)
-    return norm, x / norm
-
-
-def l2_rows_grad(g: np.ndarray, x: np.ndarray, norm: np.ndarray) -> np.ndarray:
-    """Gradient reaching `x` from the gradient `g` of x / norm, in the composed
-    graph's order: the division's g / norm, then the norm's sqrt and sum, then
-    the square's two equal halves, added in that order."""
-    g_norm = _unbroadcast(-g * x / (norm * norm), norm.shape)
-    half = np.broadcast_to(g_norm * 0.5 / norm, x.shape).copy() * x
-    return g / norm + half + half
-
-
-def cosine_logits(z, w, scale: float) -> Tensor:
-    """(B, M) matrix scale * cos(z_b, w_m) for a (B, d) batch and (M, d) rows, as one node.
-
-    Rows are normalized as `l2_normalize` does.  Values and gradients are
-    bitwise those of the composed float64 graph
-    `(l2_normalize(z) @ l2_normalize(w).swapaxes(-1, -2)) * scale`: the
-    backward replays its steps in the same order.
-    """
-    z, w = _as_tensor(z), _as_tensor(w)
-    if z.ndim != 2 or w.ndim != 2 or z.shape[1] != w.shape[1]:
-        raise ArgumentError(f"cosine_logits expects (B, d) and (M, d) operands, got {z.shape} and {w.shape}")
-    z_norm, zn = l2_rows(z.data)
-    w_norm, wn = l2_rows(w.data)
-    data = (zn @ wn.swapaxes(-1, -2)) * scale
-
-    def backward(g):
-        g_cos = g * scale
-        if z.requires_grad:
-            z._accumulate(l2_rows_grad(g_cos @ wn, z.data, z_norm))
-        if w.requires_grad:
-            w._accumulate(l2_rows_grad((zn.T @ g_cos).swapaxes(0, 1), w.data, w_norm))
-
-    return _result(data, (z, w), backward)
 
 
 def cosine_similarity(u, v) -> Tensor:

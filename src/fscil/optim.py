@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import ArgumentError, NumericError
+from .errors import ArgumentError, NumericError, UsageError
 
 
 class Optimizer:
@@ -74,14 +74,14 @@ class Adam(Optimizer):
 
     Each group keeps its first and second moments in one flat buffer apiece,
     the group's parameters laid end to end in order (in the group's common
-    dtype).  A step concatenates the gradients that exist (a group with one
-    live parameter reads its `grad` in place), updates the moments with
+    dtype).  A step concatenates the group's gradients (a group with one
+    parameter reads its `grad` in place), updates the moments with
     whole-buffer array ops written into two scratch buffers of the group's
-    size, and subtracts one slice from each parameter.  A parameter whose
-    `grad` is None keeps its data and moments untouched; moments start at
-    zero, as on a parameter's first step.  Gradients are read in the moments'
-    dtype.  Every op is elementwise, so the result is bitwise a per-parameter
-    update's.
+    size, and subtracts one slice from each parameter.  A group in which no
+    parameter has a `grad` is skipped; one in which some but not all have
+    one raises `UsageError`, so an optimizer is given only the tensors that
+    train.  Gradients are read in the moments' dtype.  Every op is
+    elementwise, so the result is bitwise a per-parameter update's.
     """
 
     decoupled = False
@@ -99,49 +99,27 @@ class Adam(Optimizer):
             # b1, 1 - b1, b2, 1 - b2 and eps as 0-d arrays of the moments' dtype, the values a
             # Python scalar operand would take; a ufunc converts a Python scalar on every call
             self._constants.append(tuple(np.array(c, dtype) for c in (self.b1, 1 - self.b1, self.b2, 1 - self.b2, eps)))
-        self._layouts = [{} for _ in self.groups]
-
-    @staticmethod
-    def _layout(params, live):
-        """(live params, their entries of the group's buffers or None for all,
-        each live param's (start, end) in the concatenated gradient)."""
-        chosen, rows, bounds = [], [], []
-        offset = start = 0
-        for p, has_grad in zip(params, live):
-            if has_grad:
-                chosen.append(p)
-                rows.append(np.arange(offset, offset + p.data.size))
-                bounds.append((start, start + p.data.size))
-                start += p.data.size
-            offset += p.data.size
-        return chosen, (None if all(live) or not chosen else np.concatenate(rows)), bounds
 
     def step(self):
         self._t += 1
         b1t = 1.0 - self.b1**self._t
         b2t = 1.0 - self.b2**self._t
-        for g, (m_all, v_all, update, tmp), (b1, c1, b2, c2, eps), layouts in zip(self.groups, self._moments, self._constants, self._layouts):
-            live = tuple([p.grad is not None for p in g["params"]])
-            layout = layouts.get(live)
-            if layout is None:
-                layout = layouts[live] = self._layout(g["params"], live)
-            params, rows, bounds = layout
-            if not params:
+        for g, (m, v, update, tmp), (b1, c1, b2, c2, eps) in zip(self.groups, self._moments, self._constants):
+            params = g["params"]
+            live = sum(p.grad is not None for p in params)
+            if not live:
                 continue
+            if live < len(params):
+                raise UsageError(f"{live} of a group's {len(params)} parameters have a gradient; give the optimizer only the tensors that train")
             decay = g["weight_decay"]
             if len(params) == 1:
-                grad = params[0].grad.reshape(-1).astype(m_all.dtype, copy=False)
+                grad = params[0].grad.reshape(-1).astype(m.dtype, copy=False)
                 data = params[0].data.reshape(-1) if decay else None
             else:
-                grad = np.concatenate([p.grad.reshape(-1) for p in params]).astype(m_all.dtype, copy=False)
+                grad = np.concatenate([p.grad.reshape(-1) for p in params]).astype(m.dtype, copy=False)
                 data = np.concatenate([p.data.reshape(-1) for p in params]) if decay else None
             if decay and not self.decoupled:
                 grad = grad + decay * data
-            if rows is None:
-                m, v = m_all, v_all
-            else:
-                m, v = m_all[rows], v_all[rows]
-                update, tmp = update[: grad.size], tmp[: grad.size]
             # the ops and their order of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
             # update = lr ((m / b1t) / (sqrt(v / b2t) + eps) [+ decay data]), written into scratch
             m *= b1
@@ -150,8 +128,6 @@ class Adam(Optimizer):
             np.multiply(grad, c2, tmp)
             tmp *= grad
             v += tmp
-            if rows is not None:
-                m_all[rows], v_all[rows] = m, v
             np.divide(v, b2t, tmp)
             np.sqrt(tmp, tmp)
             tmp += eps
@@ -160,8 +136,10 @@ class Adam(Optimizer):
             if decay and self.decoupled:
                 update += np.multiply(data, decay, tmp)
             update *= g["lr"]
-            for p, (start, end) in zip(params, bounds):
-                p.data -= update[start:end].reshape(p.data.shape)
+            start = 0
+            for p in params:
+                p.data -= update[start : start + p.data.size].reshape(p.data.shape)
+                start += p.data.size
 
 
 class AdamW(Adam):

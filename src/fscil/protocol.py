@@ -188,16 +188,17 @@ def _rectified_prototypes(state, embeddings, remapped_labels, pseudo_x, pseudo_y
 def _finetune_backbone_session(view, remapped, encoder, head, new_rows, tc, rng, log, session):
     """Delta-parameter ablation path: no prefixes, the backbone itself trains.
 
-    The optimizer steps the whole `mu` and `sigma` matrices; every step then
-    writes the rows of earlier sessions back from a snapshot, which keeps
-    them bitwise frozen under any optimizer and weight decay.
+    The optimizer steps the whole `mu` matrix and, with head noise, the
+    whole `sigma` matrix; every step then writes the rows of earlier
+    sessions back from a snapshot, which keeps them bitwise frozen under any
+    optimizer and weight decay.
     """
     from .base_trainer import cross_entropy_loss
 
     encoder.set_requires_grad(True)
     old_rows = np.setdiff1d(np.arange(head.num_classes), new_rows)
     frozen = [(t, t.data[old_rows]) for t in (head.mu, head.sigma)]
-    opt = make_optimizer(tc.optimizer, [{"params": [*encoder.params().values(), head.mu, head.sigma], "lr": tc.inc_lr, "weight_decay": tc.inc_weight_decay}])
+    opt = make_optimizer(tc.optimizer, [{"params": [*encoder.params().values(), *head.trained_params(tc.head_noise_train)], "lr": tc.inc_lr, "weight_decay": tc.inc_weight_decay}])
     encoder.eval()  # keep running stats frozen; gradients still flow
 
     def batch_loss(idx, epoch, start):
@@ -287,7 +288,7 @@ def run_protocol(
             prefixes = PrefixSet(k, config.model.layers, tc.prefix_len, config.model.embed_dim, rng.child(f"prefix{k}"))
             state.prefixes[k] = prefixes
             train_session(view.images, remapped, encoder, head, prefixes, new_rows, tc, rng.child(f"session{k}"), log=log, session=k)
-            trainable_fractions.append(trainable_fraction(prefixes, [head.mu.data[new_rows], head.sigma.data[new_rows]], encoder))
+            trainable_fractions.append(trainable_fraction(prefixes, [t.data[new_rows] for t in head.trained_params(tc.head_noise_train)], encoder))
         elif k:
             _finetune_backbone_session(view, remapped, encoder, head, new_rows, tc, rng.child(f"session{k}"), log, k)
             pool.clear()  # the backbone moved since the statistics were fitted

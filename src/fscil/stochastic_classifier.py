@@ -4,10 +4,10 @@ Each class owns a weight distribution, row m of the (M, d) `mu` and `sigma`
 tensors; a concrete weight vector is drawn with the reparameterization
 phi = mu + eps (*) softplus(sigma - c), eps ~ N(0, 1), so gradients flow into
 both mu and sigma.  One (M, d) draw from the batch's rng gives eps for every
-class, and the whole (M, d) weight matrix is one graph node (with the noise
-off it is the `mu` leaf itself).  Scores are temperature-scaled cosine
-similarities between the sampled weight and the feature (for a batch, one
-`cosine_logits` node), turned into class probabilities by a softmax.
+class.  Scores are temperature-scaled cosine similarities between the
+sampled weight and the feature, turned into class probabilities by a
+softmax.  The training loss is written once, as `head_loss`; the graph node
+`cross_entropy_loss` and prefix sessions both call it.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ArgumentError, DomainError
-from .numerics import SeededRng, Tensor, cosine_logits, l2_normalize, softmax, stochastic_weights
+from .numerics import SeededRng, Tensor, _result, expit, l2_normalize, softmax, softplus
 
 SOFTPLUS_OFFSET = 4.0  # hyper-parameter c; sigma starts at c so the initial noise scale is ln 2
 
@@ -47,7 +47,7 @@ class StochasticHead:
         return self.num_classes - 1
 
     def _eps(self, rows: int, rng: SeededRng | None, noise: bool, frozen_eps) -> np.ndarray | None:
-        """(rows, dim) standard-normal draw, or None when noise is off.
+        """(rows, dim) standard-normal draw in `mu`'s dtype, or None when noise is off.
 
         One `rng.normal(size=(rows, dim))` call fills the rows in order, so
         row m is the same for a given rng whatever the number of classes.
@@ -55,37 +55,40 @@ class StochasticHead:
         if not noise:
             return None
         if frozen_eps is not None:
-            return np.asarray(frozen_eps, dtype=float).reshape(rows, self.dim)
+            return np.asarray(frozen_eps, dtype=self.mu.dtype).reshape(rows, self.dim)
         if rng is None:
             raise ArgumentError("noise=True needs an rng or a frozen eps")
-        return rng.normal(size=(rows, self.dim))
+        return rng.normal(size=(rows, self.dim)).astype(self.mu.dtype, copy=False)
+
+    def _weights(self, mu: Tensor, sigma: Tensor, eps) -> Tensor:
+        """mu + eps (*) softplus(sigma - c) of generic ops; `mu` itself when `eps` is None."""
+        return mu if eps is None else mu + eps * softplus(sigma - self.offset)
 
     def sample_weights(self, class_index: int, rng: SeededRng | None = None, noise: bool = True, frozen_eps: np.ndarray | None = None) -> Tensor:
         """phi_m = mu_m + eps (*) softplus(sigma_m - c); phi = mu when noise is off.
 
         `frozen_eps` fixes the draw so the sampling path stays deterministic
-        for gradient checking.  Training draws all rows at once through
-        `logits`; this one-row draw is what the Monte-Carlo moment tests and
-        demos/03 sample the reparameterization with.
+        for gradient checking.  This one-row draw is what the Monte-Carlo
+        moment tests and demos/03 sample the reparameterization with.
         """
         if not 0 <= class_index < self.num_classes:
             raise ArgumentError(f"class index {class_index} out of range (M={self.num_classes})")
         eps = self._eps(1, rng, noise, frozen_eps)
-        return stochastic_weights(self.mu[class_index], self.sigma[class_index], None if eps is None else eps[0], self.offset)
+        return self._weights(self.mu[class_index], self.sigma[class_index], None if eps is None else eps[0])
 
     def logits(self, z: Tensor, rng: SeededRng | None = None, noise: bool = False, frozen_eps: np.ndarray | None = None) -> Tensor:
-        """eta * <phi_hat_m, z_hat> for every class; z may be (d,) or (B, d)."""
+        """eta * <phi_hat_m, z_hat> for every class; z may be (d,) or (B, d).
+
+        Composed of generic ops (`softplus`, `l2_normalize`, matmul); the
+        logits are bitwise those that `head_loss` scores a batch with.
+        """
         if self.num_classes == 0:
             raise ArgumentError("head has no classes")
-        zdata = z.data if isinstance(z, Tensor) else np.asarray(z, dtype=float)
-        if np.any(np.linalg.norm(np.atleast_2d(zdata), axis=-1) == 0.0):
-            raise DomainError("class probabilities undefined for zero feature vectors")
         z = z if isinstance(z, Tensor) else Tensor(z)
-        weights = stochastic_weights(self.mu, self.sigma, self._eps(self.num_classes, rng, noise, frozen_eps), self.offset)
-        if z.ndim == 2:
-            return cosine_logits(z, weights, self.temperature)
-        cos = l2_normalize(z, axis=-1) @ l2_normalize(weights, axis=-1).swapaxes(-1, -2)
-        return cos * self.temperature
+        if np.any(np.linalg.norm(z.data, axis=-1) == 0.0):
+            raise DomainError("class probabilities undefined for zero feature vectors")
+        weights = self._weights(self.mu, self.sigma, self._eps(self.num_classes, rng, noise, frozen_eps))
+        return (l2_normalize(z) @ l2_normalize(weights).swapaxes(-1, -2)) * self.temperature
 
     def class_probs(self, z: Tensor, rng: SeededRng | None = None, noise: bool = False, frozen_eps: np.ndarray | None = None) -> Tensor:
         """P(Y=m | x): softmax over temperature-scaled cosine scores."""
@@ -98,6 +101,83 @@ class StochasticHead:
 
     def params(self) -> dict:
         return {"mu": self.mu, "sigma": self.sigma}
+
+    def trained_params(self, noise: bool) -> list:
+        """The tensors a loss gives gradients: `mu`, and `sigma` only with the noise on."""
+        return [self.mu, self.sigma] if noise else [self.mu]
+
+
+def _l2_rows(x: np.ndarray):
+    """(row norms, rows divided by them), computed as `l2_normalize(x)` computes them."""
+    norm = np.sqrt((x * x).sum(axis=-1, keepdims=True) + 1e-12)
+    return norm, x / norm
+
+
+def _l2_rows_grad(g: np.ndarray, x: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """Gradient reaching `x` from the gradient `g` of x / norm, in the composed
+    graph's order: the division's g / norm, then the norm's sqrt and sum, then
+    the square's two equal halves, added in that order."""
+    g_norm = (-g * x / (norm * norm)).sum(axis=-1, keepdims=True)
+    half = np.broadcast_to(g_norm * 0.5 / norm, x.shape).copy() * x
+    return g / norm + half + half
+
+
+def head_loss(z: np.ndarray, mu: np.ndarray, sigma: np.ndarray, eps, labels: np.ndarray, offset: float, temperature: float):
+    """Mean cross-entropy of the head's cosine logits for the (B, d) batch `z` at `labels`.
+
+    The (M, d) weights are mu + eps (*) softplus(sigma - offset), or `mu`
+    when `eps` is None (noise off).  Returns `(loss, grad)`, where
+    `grad(g, rows, want_z)` maps the loss's upstream gradient `g` to
+    `(z's gradient or None, mu[rows]'s, sigma[rows]'s or None without
+    noise)`.  The loss and, over all rows, the gradients are bitwise those of
+    the composed graph `log_softmax_nll(head.logits(z))`, whose steps the
+    backward replays in order.
+    """
+    if not np.all(np.linalg.norm(z, axis=-1)):
+        raise DomainError("class probabilities undefined for zero feature vectors")
+    if eps is None:
+        weights = mu
+    else:
+        shifted = sigma - offset
+        weights = mu + eps * np.logaddexp(0.0, shifted)
+    z_norm, zn = _l2_rows(z)
+    w_norm, wn = _l2_rows(weights)
+    logits = (zn @ wn.swapaxes(-1, -2)) * temperature
+    logits -= logits.max(axis=-1, keepdims=True)
+    e = np.exp(logits)
+    total = e.sum(axis=-1, keepdims=True)
+    batch = np.arange(len(labels))
+    loss = (np.log(total[:, 0]) - logits[batch, labels]).mean()
+
+    def grad(g, rows=slice(None), want_z: bool = True):
+        g_cos = e / total
+        g_cos[batch, labels] -= 1.0
+        g_cos = g_cos * (g / len(labels)) * temperature
+        g_z = _l2_rows_grad(g_cos @ wn, z, z_norm) if want_z else None
+        g_mu = _l2_rows_grad((zn.T @ g_cos[:, rows]).swapaxes(0, 1), weights[rows], w_norm[rows])
+        return g_z, g_mu, None if eps is None else g_mu * eps[rows] * expit(shifted[rows])
+
+    return loss, grad
+
+
+def cross_entropy_loss(head: StochasticHead, z: Tensor, labels: np.ndarray, rng: SeededRng, noise: bool = True) -> Tensor:
+    """`head_loss` of the (B, d) batch `z` under one (M, d) draw from `rng`, as one
+    graph node whose parents are `z`, `head.mu` and, with noise, `head.sigma`."""
+    z = z if isinstance(z, Tensor) else Tensor(z)
+    labels = np.asarray(labels)
+    shapes_ok = z.shape[1:] == (head.dim,) and labels.shape == z.shape[:1] and labels.size and np.issubdtype(labels.dtype, np.integer)
+    if not (shapes_ok and 0 <= labels.min() <= labels.max() < head.num_classes):
+        raise ArgumentError(f"cross_entropy_loss expects (B, {head.dim}) features and B > 0 labels in [0, {head.num_classes}), got {z.shape} and {labels.shape} {labels.dtype}")
+    eps = head._eps(head.num_classes, rng, noise, None)
+    loss, grad = head_loss(z.data, head.mu.data, head.sigma.data, eps, labels, head.offset, head.temperature)
+    parents = (z, head.mu) if eps is None else (z, head.mu, head.sigma)
+
+    def backward(g):
+        for t, g_t in zip(parents, grad(g, want_z=z.requires_grad)):
+            if t.requires_grad:
+                t._accumulate(g_t)
+
+    return _result(np.asarray(loss), parents, backward)
 
 
 def init_means_from_prototypes(head: StochasticHead, prototypes: dict) -> StochasticHead:

@@ -58,11 +58,15 @@ def fit_class_stats(embeddings: np.ndarray, labels: np.ndarray, session: int):
         rows = embeddings[labels == cls]
         if len(rows) == 0:
             raise ArgumentError(f"class {cls} has no samples")
-        mean = rows.mean(axis=0)
-        centered = rows - mean
-        class_scatter = centered.T @ centered
-        if not (np.isfinite(mean).all() and np.isfinite(class_scatter).all()):  # a non-finite row makes the mean so
-            raise NumericError(f"session {session}, class {cls}: embedding statistics are not finite")
+        not_finite = f"session {session}, class {cls}: embedding statistics are not finite"
+        if not np.isfinite(rows).all():
+            raise NumericError(not_finite)
+        with np.errstate(over="ignore", invalid="ignore"):  # finite rows can still overflow, checked below
+            mean = rows.mean(axis=0)
+            centered = rows - mean
+            class_scatter = centered.T @ centered
+        if not (np.isfinite(mean).all() and np.isfinite(class_scatter).all()):
+            raise NumericError(not_finite)
         gaussians.append(ClassGaussian(class_id=cls, session=session, mean=mean, count=len(rows)))
         scatter += class_scatter
     return gaussians, scatter / len(embeddings)

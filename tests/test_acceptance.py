@@ -19,7 +19,7 @@ from fscil.harness import SessionDataVault, build_fscil_splits, compute_metrics,
 from fscil.numerics import SeededRng, Tensor, grad_check, log_softmax
 from fscil.prototype_rectification import PredictionNet, rectify_prototype
 from fscil.protocol import run_from_config
-from fscil.stochastic_classifier import StochasticHead
+from fscil.stochastic_classifier import StochasticHead, cross_entropy_loss
 from fscil.task_inference import SharedCovariance, fit_class_stats, select_class_batch
 
 from mc_helpers import planted_bias_trial
@@ -134,6 +134,20 @@ def test_criterion_1_gradient_integrity():
 
         start_val = means if attr == "mu" else np.full((3, 6), 4.0)
         check(f_head, Tensor(start_val.copy()))
+
+    # the head's training loss, one fused node, under a fixed draw
+    for attr in ("z", "mu", "sigma"):
+
+        def f_ce(t, attr=attr):
+            head = StochasticHead(6)
+            for m in means:
+                head.add_class(m)
+            if attr != "z":
+                setattr(head, attr, t)
+            return cross_entropy_loss(head, t if attr == "z" else Tensor(z), labels, SeededRng(101), noise=True)
+
+        start_val = {"z": z, "mu": means, "sigma": np.full((3, 6), 4.0)}[attr]
+        check(f_ce, Tensor(start_val.copy()))
 
     # prefix attention
     base_prefix = PrefixSet(0, 1, 4, 8, rng.child("prefix"))

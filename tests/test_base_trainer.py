@@ -438,7 +438,7 @@ def test_autodiff_phases_log_one_finite_grad_norm_per_epoch():
         assert all(np.isfinite(r["value"]) and r["value"] > 0 for r in norms)
 
 
-@pytest.mark.parametrize("phase, primitive", [("ssl", "log_softmax"), ("supervised", "log_softmax_nll")])
+@pytest.mark.parametrize("phase, primitive", [("ssl", "log_softmax"), ("supervised", "cross_entropy_loss")])
 def test_a_non_finite_base_gradient_under_a_finite_loss_raises(monkeypatch, phase, primitive):
     x, y = blob_images(seed=33, classes=3, per_class=10)
     tc = desk_profile(ssl_epochs=2 if phase == "ssl" else 0, sup_epochs=2, ssl_batch_size=16, sup_batch_size=16)

@@ -16,16 +16,12 @@ from fscil.numerics import (
     attention,
     batch_norm,
     broadcast_to,
-    cosine_logits,
     grad_check,
     log_softmax,
-    l2_normalize,
     log_softmax_nll,
     reshape,
     softmax,
-    softplus,
     sqrt,
-    stochastic_weights,
     tensor_mean,
 )
 from fscil.stochastic_classifier import StochasticHead
@@ -106,6 +102,7 @@ def composed_batch_norm(x, gamma, beta, feature_axis):
 def _check(f, x, tol=1e-4, step=1e-5):
     report = grad_check(f, x, tol=tol, step=step)
     assert report.passed, report
+    return report
 
 
 # -- gradient checks -------------------------------------------------------------------
@@ -180,18 +177,48 @@ def test_log_softmax_nll_passes_grad_check():
     _check(lambda t: log_softmax_nll(t * 2.0, labels), Tensor(rng.normal(size=(5, 4))))
 
 
+def _head(mu, sigma=None):
+    head = StochasticHead(mu.shape[1])
+    for m in mu:
+        head.add_class(m)
+    if sigma is not None:
+        head.sigma.data = np.asarray(sigma, dtype=float)
+    return head
+
+
 @pytest.mark.parametrize("target,noise", [("mu", True), ("sigma", True), ("mu", False)])
 def test_stochastic_weights_passes_grad_check(target, noise):
+    # `StochasticHead.sample_weights`: mu + eps (*) softplus(sigma - c) of one class, composed of generic ops
     rng = np.random.default_rng(4)
     mu0, sigma0 = rng.normal(size=(3, 5)), 4.0 + rng.normal(size=(3, 5))
-    eps = rng.normal(size=(3, 5)) if noise else None
-    weights = Tensor(rng.normal(size=(3, 5)))
+    eps = rng.normal(size=5) if noise else None
+    weights = Tensor(rng.normal(size=5))
 
     def f(t):
-        mu, sigma = (t, Tensor(sigma0)) if target == "mu" else (Tensor(mu0), t)
-        return (stochastic_weights(mu, sigma, eps, 4.0) ** 2 * weights).sum()
+        head = _head(mu0, sigma0)
+        setattr(head, target, t)
+        return (head.sample_weights(1, noise=noise, frozen_eps=eps) ** 2 * weights).sum()
 
     _check(f, Tensor((mu0 if target == "mu" else sigma0).copy()))
+
+
+@pytest.mark.parametrize("target", ["z", "mu", "sigma"])
+@pytest.mark.parametrize("noise", [True, False])
+@pytest.mark.parametrize("dtype, tol, step", [(np.float64, 1e-4, 1e-5), (np.float32, 5e-2, 1e-2)])
+def test_head_loss_passes_grad_check(target, noise, dtype, tol, step):
+    rng = np.random.default_rng(4)
+    arrays = {"z": rng.normal(size=(5, 4)), "mu": rng.normal(size=(3, 4)), "sigma": 4.0 + rng.normal(size=(3, 4))}
+    labels = np.array([0, 2, 2, 1, 0])
+
+    def f(t):
+        args = {name: Tensor(a, dtype=dtype) for name, a in arrays.items()}
+        args[target] = t
+        head = _head(arrays["mu"])
+        head.mu, head.sigma = args["mu"], args["sigma"]
+        return cross_entropy_loss(head, args["z"], labels, SeededRng(9), noise=noise)
+
+    report = _check(f, Tensor(arrays[target], dtype=dtype), tol=tol, step=step)
+    assert noise or target != "sigma" or report.max_rel_error == 0.0  # noise off: sigma is out of the loss
 
 
 def test_float32_fused_grad_checks_at_relaxed_tolerance():
@@ -212,6 +239,7 @@ def test_float32_fused_grad_checks_at_relaxed_tolerance():
 @pytest.mark.parametrize("target", ["z", "w"])
 @pytest.mark.parametrize("dtype, tol, step", [(np.float64, 1e-4, 1e-5), (np.float32, 5e-2, 1e-2)])
 def test_cosine_logits_passes_grad_check(target, dtype, tol, step):
+    # `StochasticHead.logits`, the head's cosine scores of a batch, composed of generic ops
     rng = np.random.default_rng(12)
     arrays = {"z": rng.normal(size=(4, 5)), "w": rng.normal(size=(3, 5))}
     weights = rng.normal(size=(4, 3))
@@ -219,7 +247,9 @@ def test_cosine_logits_passes_grad_check(target, dtype, tol, step):
     def f(t):
         args = {name: Tensor(a, dtype=dtype) for name, a in arrays.items()}
         args[target] = t
-        return (cosine_logits(args["z"], args["w"], 3.0) ** 2 * weights).sum()
+        head = _head(arrays["w"])
+        head.mu = args["w"]
+        return (head.logits(args["z"]) ** 2 * weights).sum()
 
     _check(f, Tensor(arrays[target], dtype=dtype), tol=tol, step=step)
 
@@ -317,43 +347,40 @@ def test_log_softmax_nll_rejects_bad_labels():
             log_softmax_nll(logits, labels)
 
 
-def test_stochastic_weights_match_composed_oracle():
-    rng = np.random.default_rng(10)
-    mu0, sigma0, eps = rng.normal(size=(4, 3)), 4.0 + rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-    mu, sigma = Tensor(mu0), Tensor(sigma0)
-    fused = stochastic_weights(mu, sigma, eps, 4.0)
-    composed = mu + Tensor(eps) * softplus(sigma - 4.0)
-    np.testing.assert_allclose(fused.data, composed.data, atol=1e-12)
-    assert stochastic_weights(mu, sigma, None, 4.0) is mu  # noise off: the means themselves, no node
-
-
 @pytest.mark.parametrize("noise", [False, True])
-def test_cosine_logits_match_the_composed_l2_normalize_graph_bitwise(noise):
+def test_head_loss_matches_the_composed_graph_bitwise(noise):
+    # the oracle: the head's composed `logits` graph (softplus, l2_normalize, matmul) under log_softmax_nll
     rng = np.random.default_rng(13)
     z0, mu0, sigma0 = rng.normal(size=(6, 5)), rng.normal(size=(4, 5)), 4.0 + rng.normal(size=(4, 5))
-    eps = rng.normal(size=(4, 5)) if noise else None
+    eps = SeededRng(14).normal(size=(4, 5)) if noise else None
     labels = np.array([0, 3, 1, 1, 2, 0])
     sides = []
     for fused in (True, False):
-        z = Tensor(z0.copy(), requires_grad=True)
-        mu, sigma = Tensor(mu0.copy(), requires_grad=True), Tensor(sigma0.copy(), requires_grad=True)
-        w = stochastic_weights(mu, sigma, eps, 4.0)
+        z, head = Tensor(z0.copy(), requires_grad=True), _head(mu0, sigma0)
         if fused:
-            logits = cosine_logits(z, w, 16.0)
-            assert _graph_size(logits) == 1 + _graph_size(w) + 1
-        else:  # the composed graph the fused node stands for (the oracle)
-            logits = (l2_normalize(z, axis=-1) @ l2_normalize(w, axis=-1).swapaxes(-1, -2)) * 16.0
-        log_softmax_nll(logits, labels).backward()
-        sides.append([logits.data, z.grad, mu.grad] + ([sigma.grad] if noise else []))
+            loss = cross_entropy_loss(head, z, labels, SeededRng(14), noise=noise)
+            assert _graph_size(loss) == 3 + noise  # the node, z, mu and (with noise) sigma
+        else:
+            loss = log_softmax_nll(head.logits(z, noise=noise, frozen_eps=eps), labels)
+        loss.backward()
+        sides.append([loss.data, z.grad, head.mu.grad] + ([head.sigma.grad] if noise else [head.sigma.grad is None]))
     for fused, oracle in zip(*sides):
         assert np.array_equal(fused, oracle)
 
 
-def test_cosine_logits_rejects_mismatched_operands():
-    with pytest.raises(ArgumentError):
-        cosine_logits(Tensor(np.ones(3)), Tensor(np.ones((2, 3))), 1.0)
-    with pytest.raises(ArgumentError):
-        cosine_logits(Tensor(np.ones((4, 3))), Tensor(np.ones((2, 5))), 1.0)
+def test_head_loss_rejects_mismatched_operands():
+    head = _head(np.ones((3, 4)))
+    rng = SeededRng(0)
+    for z, labels in [
+        (np.ones(4), np.array([0])),  # a single feature, not a batch
+        (np.ones((2, 5)), np.array([0, 1])),  # features wider than the head
+        (np.ones((2, 4)), np.array([0])),  # one label for two features
+        (np.ones((2, 4)), np.array([0.0, 1.0])),  # float labels
+        (np.ones((2, 4)), np.array([0, 3])),  # a label past the last class
+        (np.ones((0, 4)), np.zeros(0, dtype=int)),  # an empty batch
+    ]:
+        with pytest.raises(ArgumentError):
+            cross_entropy_loss(head, Tensor(z), labels, rng)
 
 
 # -- gradient routing --------------------------------------------------------------------
@@ -429,8 +456,8 @@ def test_head_eps_row_independent_of_class_count():
         small.add_class(m)
     for m in means:
         large.add_class(m)
-    few, many = (stochastic_weights(h.mu, h.sigma, h._eps(h.num_classes, SeededRng(3).child("eps", "e0", "b0"), True, None), h.offset).data for h in (small, large))
-    assert np.array_equal(few, many[:6])
+    few, many = (h._eps(h.num_classes, SeededRng(3).child("eps", "e0", "b0"), True, None) for h in (small, large))
+    assert few.shape == (6, 5) and np.array_equal(few, many[:6])
 
 
 def _graph_size(root) -> int:
@@ -456,5 +483,6 @@ def _toy_step_nodes(classes: int) -> int:
 
 
 def test_toy_training_step_graph_size():
-    # one (d, H, d_k) leaf per q/k/v role and one (M, d) mu and sigma leaf, whatever M is
-    assert _toy_step_nodes(10) == _toy_step_nodes(74) == 64
+    # one (d, H, d_k) leaf per q/k/v role, one (M, d) mu and sigma leaf whatever M is,
+    # and one node for the head's loss
+    assert _toy_step_nodes(10) == _toy_step_nodes(74) == 62

@@ -5,7 +5,7 @@ non-finite losses."""
 import numpy as np
 import pytest
 
-from fscil.errors import NumericError
+from fscil.errors import NumericError, UsageError
 from fscil.events import EventLog
 from fscil.numerics import SeededRng, Tensor
 from fscil.optim import SGD, Adam, AdamW, EarlyStopping, Optimizer, ReduceOnPlateau, backprop_step, run_epochs
@@ -66,16 +66,24 @@ def test_adam_matches_the_per_parameter_loop_bitwise(cls, dtype):
             if step % 5 == 4:
                 opt.scale_lr(0.5)
             for group, group_grads in zip(params, grads):
-                for i, (p, grad) in enumerate(zip(group, group_grads)):
-                    # group 1's second parameter first gets a gradient at step 3; at step 7
-                    # no parameter of group 1 has one; every third step group 0 has one
-                    skip = group is params[1] and ((i == 1 and (step < 3 or step % 4 == 1)) or step == 7)
-                    skip = skip or (group is params[0] and i == 0 and step % 3 == 0)
+                # a group without gradients is skipped: group 1 at step 7, group 0 every third step
+                skip = (group is params[1] and step == 7) or (group is params[0] and step % 3 == 0)
+                for p, grad in zip(group, group_grads):
                     p.grad = None if skip else grad.copy()
             opt.step()
         for fused, oracle in zip(*(params for _, params in sides)):
             for a, b in zip(fused, oracle):
                 assert a.data.dtype == dtype and np.array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("cls", [Adam, AdamW])
+def test_adam_rejects_a_group_with_gradients_for_only_some_parameters(cls):
+    a, b = Tensor(np.ones(3), requires_grad=True), Tensor(np.ones(2), requires_grad=True)
+    opt = cls([{"params": [a, b], "lr": 0.1, "weight_decay": 0.01}])
+    a.grad = np.ones(3)
+    with pytest.raises(UsageError, match="1 of a group's 2 parameters"):
+        opt.step()
+    assert np.array_equal(a.data, np.ones(3)) and np.array_equal(b.data, np.ones(2))
 
 
 def _setup(lr: float = 0.1):

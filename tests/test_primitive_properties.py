@@ -1,5 +1,5 @@
-"""Property tests of the elementwise, reduction and broadcast primitives and
-of the fused `attention` and `stochastic_weights` nodes.
+"""Property tests of the elementwise, reduction and broadcast primitives, of
+the fused `attention` node, and of the stochastic head's weights and loss node.
 
 Hypothesis draws the shapes, broadcasts, axes and a value seed; each case
 checks the forward value against numpy and the gradient of every input
@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fscil.numerics import (
+    SeededRng,
     Tensor,
     add,
     attention,
@@ -27,10 +28,10 @@ from fscil.numerics import (
     grad_check,
     mul,
     power,
-    stochastic_weights,
     tensor_mean,
     tensor_sum,
 )
+from fscil.stochastic_classifier import StochasticHead, cross_entropy_loss
 from test_phi_and_expit import phi_oracle
 
 PRECISION = {np.float64: {}, np.float32: {"tol": 5e-2, "step": 1e-2}}
@@ -235,18 +236,50 @@ def test_attention_passes_grad_check_over_shapes(heads, dk, batch, n, prefix, dt
     check(f, inputs, x.shape, dtype, rng)
 
 
+def head_loss_oracle(z, mu, sigma, eps, labels, offset=4.0, temperature=16.0):
+    """The head's mean cross-entropy from its definition, one sample at a time."""
+    w = mu if eps is None else mu + eps * np.log1p(np.exp(sigma - offset))
+    total = 0.0
+    for zb, label in zip(z, labels):
+        logits = temperature * (w @ zb) / (np.linalg.norm(w, axis=1) * np.linalg.norm(zb))
+        total += np.log(np.exp(logits - logits.max()).sum()) + logits.max() - logits[label]
+    return total / len(labels)
+
+
 @PROPERTY
 @given(classes=st.integers(1, 5), dim=st.integers(1, 4), noise=st.booleans(), dtype=dtypes, seed=seeds)
 def test_stochastic_weights_pass_grad_check_over_shapes(classes, dim, noise, dtype, seed):
+    # the head's (M, d) weights mu + eps (*) softplus(sigma - c), composed of generic ops
     rng = np.random.default_rng(seed)
     mu, sigma = rng.normal(size=(classes, dim)), 4.0 + rng.normal(size=(classes, dim))
-    eps = rng.normal(size=(classes, dim)) if noise else None
+    eps = rng.normal(size=(classes, dim)).astype(dtype) if noise else None  # `StochasticHead._eps` draws in mu's dtype
+    head = StochasticHead(dim)
     means = Tensor(mu, dtype=dtype)
-    out = stochastic_weights(means, Tensor(sigma, dtype=dtype), eps, 4.0)
+    out = head._weights(means, Tensor(sigma, dtype=dtype), eps)
     if not noise:
         assert out is means  # the means themselves: no node, and sigma is out of the graph
         return
     assert out.shape == (classes, dim) and out.dtype == dtype
     want = mu + eps * np.log1p(np.exp(sigma - 4.0))
     np.testing.assert_allclose(out.data, want, rtol=FORWARD_RTOL[dtype] * 10, atol=FORWARD_RTOL[dtype] * 10)
-    check(lambda m, s: stochastic_weights(m, s, eps, 4.0), [mu, sigma], (classes, dim), dtype, rng)
+    check(lambda m, s: head._weights(m, s, eps), [mu, sigma], (classes, dim), dtype, rng)
+
+
+@PROPERTY
+@given(batch=st.integers(1, 4), classes=st.integers(1, 5), dim=st.integers(1, 4), noise=st.booleans(), dtype=dtypes, seed=seeds)
+def test_head_loss_passes_grad_check_over_shapes(batch, classes, dim, noise, dtype, seed):
+    rng = np.random.default_rng(seed)
+    z, mu, sigma = away_from_zero(rng, (batch, dim)), away_from_zero(rng, (classes, dim)), 4.0 + rng.normal(size=(classes, dim))
+    labels = rng.integers(0, classes, size=batch)
+
+    def f(z, mu, sigma):
+        head = StochasticHead(dim)
+        head.mu, head.sigma = mu, sigma
+        return cross_entropy_loss(head, z, labels, SeededRng(seed), noise=noise)
+
+    out = f(*(Tensor(a, dtype=dtype) for a in (z, mu, sigma)))
+    assert out.shape == () and out.dtype == dtype
+    eps = SeededRng(seed).normal(size=(classes, dim)) if noise else None
+    want = head_loss_oracle(z, mu, sigma, eps, labels)
+    np.testing.assert_allclose(out.data, want, rtol=FORWARD_RTOL[dtype] * 100, atol=FORWARD_RTOL[dtype] * 100)
+    check(f, [z, mu, sigma], (), dtype, rng)

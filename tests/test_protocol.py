@@ -209,6 +209,18 @@ def test_ablated_run_records_its_arm(ablated_run_dirs, name):
     assert rerun.content_hash() == record.content_hash() == stored["content_hash"]
 
 
+@pytest.mark.parametrize("name, sigma_trains", [("stochastic_head", False), ("prediction_net", True)])
+def test_trainable_fraction_counts_only_the_tensors_that_train(ablated_run_dirs, name, sigma_trains):
+    # the new sigma rows train, and count, only with the head noise on
+    model, tc, split = small_config().model, small_config().training, small_config().split
+    n_prefix = model.layers * tc.prefix_len * model.embed_dim
+    n_backbone = sum(p.size for p in Encoder(model, SeededRng(0)).params().values())
+    per_row = model.embed_dim * (2 if sigma_trains else 1)
+    rows = [split.base_classes, split.ways, split.ways]
+    want = [(n_prefix + r * per_row) / (n_prefix + r * per_row + n_backbone) for r in rows]
+    assert ablated_run_dirs[name][1].trainable_fractions == want
+
+
 def test_ssl_arm_emits_no_ssl_event(ablated_run_dirs):
     with open(ablated_run_dirs["ssl"][2] / "events.jsonl") as fh:
         phases = {json.loads(line)["phase"] for line in fh}
@@ -391,7 +403,7 @@ def test_a_non_finite_finetune_gradient_under_a_finite_loss_raises(monkeypatch):
 
     def planted(*args):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(base_trainer, "log_softmax_nll", nan_backward(base_trainer.log_softmax_nll))
+            patch.setattr(base_trainer, "cross_entropy_loss", nan_backward(base_trainer.cross_entropy_loss))
             real(*args)
 
     monkeypatch.setattr(protocol, "_finetune_backbone_session", planted)

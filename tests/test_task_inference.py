@@ -1,5 +1,7 @@
 """Gaussian routing tests: MLE stats, covariance accumulation, distance ranking."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
@@ -69,6 +71,20 @@ def test_an_overflowing_scatter_raises():
     emb = np.array([[1e200, 0.0], [-1e200, 0.0], [0.0, 0.0], [1.0, 1.0]])
     with pytest.raises(NumericError, match="session 1, class 0"):
         fit_class_stats(emb, np.array([0, 0, 1, 1]), session=1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "overflow"])
+def test_non_finite_statistics_raise_without_a_floating_point_warning(bad):
+    # the rows are checked before any arithmetic on them; an overflowing scatter is caught after it
+    emb = np.random.default_rng(4).normal(size=(8, 3))
+    if bad == "overflow":
+        emb[4:6] = [[1e200, 0.0, 0.0], [-1e200, 0.0, 0.0]]
+    else:
+        emb[5] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="session 2, class 1"):
+            fit_class_stats(emb, np.repeat([0, 1], 4), session=2)
 
 
 def test_empty_or_mismatched_inputs_rejected():
