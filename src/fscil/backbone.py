@@ -7,12 +7,14 @@ sequence; no class token and no positional embedding are added.  Every
 batch-norm normalizes the last axis.  Encoder blocks are
 pre-norm residual blocks whose norms are batch-norm layers, and the FFN
 carries one more BN between its two linear layers.  A final BN normalizes
-the last block's tokens, and a learned scalar score pools them into a
-single feature vector.
+the last block's tokens, and one learned (n d, d) projection of the
+flattened tokens pools them into a single feature vector; it keeps where
+each token sits in the grid, which an average over the tokens would lose.
 
 No projection carries a bias; the batch-norm shifts play that role.  In eval
 mode every batch-norm is a fixed scale and shift, so `FoldedEncoder` folds
-each one into its neighbouring projection (or past the pool); an eval-mode
+each one into its neighbouring projection (or, for the final BN, one scale
+and shift of the tokens before the pool); an eval-mode
 `Encoder.encode` that needs no graph runs that folded forward.
 """
 
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, FormatError
-from .numerics import SeededRng, Tensor, batch_norm, bn_scale_shift, conv2d, gelu, gelu_cdf, gelu_grad, maxpool2d, merge_heads, needs_graph, relu, reshape, softmax, split_heads
+from .numerics import SeededRng, Tensor, batch_norm, bn_scale_shift, conv2d, gelu, gelu_cdf, gelu_grad, maxpool2d, merge_heads, needs_graph, relu, reshape, split_heads
 from .numerics import attention as attention_node
 
 BN_EPS = 1e-5
@@ -87,7 +89,7 @@ class BackboneConfig:
         """Leading-order multiply count for one image forward pass."""
         n, d, dp = self.token_count(), self.embed_dim, self.ffn_hidden
         per_block = 4 * n * d * d + 2 * n * n * d + 2 * n * d * dp
-        return self.layers * per_block + 2 * n * d
+        return self.layers * per_block + n * d * d
 
 
 class BatchNorm:
@@ -240,7 +242,9 @@ class Encoder:
         self.tokenizer = ConvTokenizer(rng.child("tokenizer"), cfg)
         self.blocks = [EncoderBlock(rng.child(f"block{i}"), cfg) for i in range(cfg.layers)]
         self.final_bn = BatchNorm(cfg.embed_dim)
-        self.pool_score = Tensor(trunc_normal(rng.child("pool"), (cfg.embed_dim, 1)), requires_grad=True)
+        n_d = cfg.token_count() * cfg.embed_dim
+        # fan-in scaled, as the tokenizer convs are, so z starts at a mean pool's scale
+        self.pool_proj = Tensor(trunc_normal(rng.child("pool"), (n_d, cfg.embed_dim), std=1 / np.sqrt(n_d)), requires_grad=True)
 
     def train(self):
         self.mode = "train"
@@ -257,11 +261,16 @@ class Encoder:
             raise ArgumentError(f"expected {self.cfg.image_size}x{self.cfg.image_size} images, got {images.shape}")
         return self.tokenizer(images, self.mode)
 
+    def _flat_width(self, tokens) -> int:
+        """n d for (..., n, d) tokens; any other grid raises `ArgumentError`, as `pool_proj` cannot take it."""
+        n, d = self.cfg.token_count(), self.cfg.embed_dim
+        if tokens.shape[-2:] != (n, d):
+            raise ArgumentError(f"sequence_pool expects (..., {n}, {d}) tokens, got shape {tokens.shape}")
+        return n * d
+
     def sequence_pool(self, tokens: Tensor) -> Tensor:
-        if tokens.shape[-2] < 1:
-            raise ArgumentError("sequence_pool needs at least one token")
-        weights = softmax(tokens @ self.pool_score, axis=-2)
-        return (tokens * weights).sum(axis=-2)
+        """tokens (..., n, d) -> z (..., d): the flattened tokens times `pool_proj`."""
+        return reshape(tokens, tokens.shape[:-2] + (self._flat_width(tokens),)) @ self.pool_proj
 
     def forward(self, images: Tensor, prefixes=None) -> Tensor:
         """images (B, C, H, W) -> pooled feature z (B, d)."""
@@ -276,6 +285,7 @@ class Encoder:
         and needed for the tokens, a parameter or a prefix) runs
         `FoldedEncoder` instead of the composed ops.
         """
+        self._flat_width(tokens)  # the folded forward has no check of its own
         kvs = [prefixes.layer_kv(i) if prefixes is not None else None for i in range(len(self.blocks))]
         if self.mode == "eval" and not needs_graph([tokens, *self.params().values(), *(t for kv in kvs if kv for t in kv)]):
             return Tensor(FoldedEncoder(self).forward(tokens.data, [kv and (kv[0].data, kv[1].data) for kv in kvs]))
@@ -292,7 +302,7 @@ class Encoder:
         for i, block in enumerate(self.blocks):
             out.update(block.params(f"blocks.{i}"))
         out.update(self.final_bn.params("final_bn"))
-        out["pool_score"] = self.pool_score
+        out["pool_proj"] = self.pool_proj
         return out
 
     def buffers(self) -> dict:
@@ -320,10 +330,10 @@ class FoldedEncoder:
     bias, with the attention scale 1/sqrt(d_k) in its query columns;
     `ffn_bn` and the inner BN fold into `theta1` plus a bias.  Prefixes are
     not normalized, so they keep the raw key and value weights.  The final
-    BN moves after the sequence pool: the pool weights sum to 1 over the
-    tokens, so pooling x * s + t gives pool(x) * s + t, and the scores'
-    shift t @ pool_score is the same for every token, so the softmax drops it.
-    The weights are a snapshot: fold again after the encoder changes.
+    BN is the eval-mode scale and shift x * s + t of the tokens, with the
+    composed op's arithmetic, and the pool is one product of the flattened
+    tokens with `pool_proj`.  The weights are a snapshot: fold again after
+    the encoder changes.
     """
 
     def __init__(self, encoder: Encoder):
@@ -340,7 +350,7 @@ class FoldedEncoder:
             w1, b1 = s_f[:, None] * theta1 * s_i, (t_f @ theta1) * s_i + t_i
             self.blocks.append((s[:, None] * w_qkv, t @ w_qkv, w_k, w_v, block.out_proj.data, w1, b1, block.theta2.data))
         self.final = encoder.final_bn.scale_shift()
-        self.pool = encoder.pool_score.data[:, 0] * self.final[0]
+        self.pool = encoder.pool_proj.data
 
     def forward(self, tokens: np.ndarray, prefix_kv: list, cache: list | None = None) -> np.ndarray:
         """tokens (B, n, d) -> z (B, d); `prefix_kv[i]` is layer i's (p_K, p_V)
@@ -365,13 +375,9 @@ class FoldedEncoder:
             if cache is not None:
                 cache.append((q, k, v, att, u, cdf))
             x = x + (u * cdf) @ w2
-        x = x.reshape(b, n, d)
-        scores = x @ self.pool
-        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        weights = e / e.sum(axis=-1, keepdims=True)
-        if cache is not None:
-            cache.append((x, weights))
-        return (weights[:, None, :] @ x)[:, 0] * self.final[0] + self.final[1]
+        x = x * self.final[0]
+        x += self.final[1]
+        return x.reshape(b, n * d) @ self.pool
 
     def backward(self, g_z: np.ndarray, cache: list) -> list:
         """Gradients [(g_pK, g_pV) per layer] of the prefixes of the forward
@@ -381,12 +387,9 @@ class FoldedEncoder:
         Block 0 sends nothing further back (the tokens are constants), so
         its token Q/K/V gradients are never formed.
         """
-        x, weights = cache[-1]
-        b, n, d = x.shape
-        g_pool = g_z * self.final[0]
-        g_w = (x @ g_pool[:, :, None])[..., 0]
-        g_scores = weights * (g_w - (g_w * weights).sum(axis=-1, keepdims=True))
-        g = (weights[:, :, None] * g_pool[:, None, :] + g_scores[:, :, None] * self.pool).reshape(b * n, d)
+        s = self.final[0]
+        b, n = len(g_z), len(self.pool) // len(s)
+        g = (g_z @ self.pool.T).reshape(b * n, -1) * s
         out = []
         for layer in reversed(range(len(self.blocks))):
             w_qkv, _, w_k, w_v, w_o, w1, _, w2 = self.blocks[layer]

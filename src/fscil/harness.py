@@ -10,6 +10,7 @@ implementation exactly.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -107,7 +108,9 @@ def generate_blobs(
 
 
 def _read_exact(fh, count: int, path, offset: int) -> bytes:
-    data = fh.read(count)
+    """The `count` bytes at `offset`; a garbled header's huge `count` is checked
+    against the file size first, so it is never asked of `read`."""
+    data = fh.read(min(count, max(os.fstat(fh.fileno()).st_size - offset, 0)))
     if len(data) != count:
         raise FormatError(f"{path}: truncated at byte {offset + len(data)} (wanted {count} more bytes)")
     return data
@@ -126,7 +129,10 @@ def load_idx_images(path) -> np.ndarray:
         payload = _read_exact(fh, count * rows * cols, path, 16)
         if fh.read(1):
             raise FormatError(f"{path}: trailing bytes after {16 + count * rows * cols}")
-    images = np.frombuffer(payload, dtype=np.uint8).reshape(count, 1, rows, cols)
+    try:
+        images = np.frombuffer(payload, dtype=np.uint8).reshape(count, 1, rows, cols)
+    except ValueError as exc:  # zero images of a size numpy cannot index
+        raise FormatError(f"{path}: {count} images of {rows}x{cols} pixels: {exc}") from exc
     return images.astype(float) / 255.0
 
 

@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import ArgumentError, ContractViolation, DomainError, UsageError
+from .errors import ArgumentError, ContractViolation, UsageError
 
 DEFAULT_DTYPE = np.float64
 
@@ -894,18 +894,6 @@ def log_softmax_nll(logits, labels) -> Tensor:
             logits._accumulate(grad * (g / batch))
 
     return _result(data, (logits,), backward)
-
-
-def cosine_similarity(u, v) -> Tensor:
-    """cos angle between two 1-d tensors; differentiable; in [-1, 1]."""
-    u, v = _as_tensor(u), _as_tensor(v)
-    if u.data.ndim != 1 or v.data.ndim != 1 or u.data.shape != v.data.shape:
-        raise ArgumentError(f"cosine_similarity expects equal-length vectors, got {u.shape} and {v.shape}")
-    nu = float(np.linalg.norm(u.data))
-    nv = float(np.linalg.norm(v.data))
-    if nu == 0.0 or nv == 0.0:
-        raise DomainError("cosine_similarity undefined for zero vectors")
-    return tensor_sum(u * v) / (sqrt(tensor_sum(u * u)) * sqrt(tensor_sum(v * v)))
 
 
 def l2_normalize(x, axis: int = -1, eps: float = 1e-12) -> Tensor:

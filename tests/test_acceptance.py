@@ -99,16 +99,19 @@ def test_criterion_1_gradient_integrity():
     check(f_theta, Tensor(block.theta1.data.copy()))
     check(lambda t: (block.ffn(t, "train") ** 2).sum(), Tensor(flat.copy()))
 
-    # sequence pooling
-    def f_pool(t):
-        old = enc.pool_score
-        enc.pool_score = t
-        try:
-            return (enc.sequence_pool(Tensor(tokens)) ** 2).sum()
-        finally:
-            enc.pool_score = old
+    # sequence pooling (parameters and input)
+    grid = rng.child("grid").normal(size=(2, cfg.token_count(), 8))
 
-    check(f_pool, Tensor(enc.pool_score.data.copy()))
+    def f_pool(t):
+        old = enc.pool_proj
+        enc.pool_proj = t
+        try:
+            return (enc.sequence_pool(Tensor(grid)) ** 2).sum()
+        finally:
+            enc.pool_proj = old
+
+    check(f_pool, Tensor(enc.pool_proj.data.copy()))
+    check(lambda t: (enc.sequence_pool(t) ** 2).sum(), Tensor(grid.copy()))
 
     # stochastic head with frozen epsilon
     means = rng.child("means").normal(size=(3, 6))

@@ -5,7 +5,7 @@ import pytest
 
 from fscil.backbone import BackboneConfig, Encoder, hash_state, load_arrays, load_state, save_state, state_arrays
 from fscil.errors import ArgumentError, FormatError
-from fscil.numerics import SeededRng, Tensor, gelu, grad_check
+from fscil.numerics import SeededRng, Tensor, gelu, grad_check, no_grad
 from fscil.stochastic_classifier import StochasticHead
 
 
@@ -143,27 +143,22 @@ def test_ffn_between_with_identity_bn_matches_mlp_oracle():
 # -- sequence pool -------------------------------------------------------------------
 
 
-def test_sequence_pool_single_token_identity():
+def test_sequence_pool_is_the_flattened_tokens_times_pool_proj():
     enc = Encoder(small_cfg(), SeededRng(10))
-    x = np.random.default_rng(8).normal(size=(1, 1, 8))
-    np.testing.assert_array_equal(enc.sequence_pool(Tensor(x)).data, x[:, 0, :])
+    assert enc.pool_proj.shape == (16 * 8, 8)
+    assert np.abs(enc.pool_proj.data).max() <= 2 / np.sqrt(16 * 8)  # fan-in scaled, clipped at two std
+    x = np.random.default_rng(8).normal(size=(3, 16, 8))
+    np.testing.assert_array_equal(enc.sequence_pool(Tensor(x)).data, x.reshape(3, 128) @ enc.pool_proj.data)
+    np.testing.assert_array_equal(enc.sequence_pool(Tensor(x[0])).data, x[0].reshape(128) @ enc.pool_proj.data)
 
 
-def test_sequence_pool_zero_scores_mean():
-    enc = Encoder(small_cfg(), SeededRng(11))
-    enc.pool_score.data = np.zeros_like(enc.pool_score.data)
-    x = np.random.default_rng(9).normal(size=(2, 5, 8))
-    np.testing.assert_allclose(enc.sequence_pool(Tensor(x)).data, x.mean(axis=1), atol=1e-12)
-
-
-def test_sequence_pool_matches_weighted_sum_oracle():
-    enc = Encoder(small_cfg(), SeededRng(12))
-    x = np.random.default_rng(10).normal(size=(3, 8))
-    scores = x @ enc.pool_score.data
-    e = np.exp(scores - scores.max())
-    w = e / e.sum()
-    oracle = (w * x).sum(axis=0)
-    np.testing.assert_allclose(enc.sequence_pool(Tensor(x)).data, oracle, atol=1e-12)
+@pytest.mark.parametrize("shape", [(2, 15, 8), (2, 16, 7), (2, 8, 16), (128,)])
+def test_sequence_pool_rejects_a_token_grid_pool_proj_does_not_fit(shape):
+    enc = Encoder(small_cfg(), SeededRng(11)).eval()
+    with pytest.raises(ArgumentError, match=r"\(\.\.\., 16, 8\) tokens"):
+        enc.sequence_pool(Tensor(np.zeros(shape)))
+    with no_grad(), pytest.raises(ArgumentError, match=r"\(\.\.\., 16, 8\) tokens"):
+        enc.encode(Tensor(np.zeros(shape)))  # the folded forward
 
 
 # -- encoder ---------------------------------------------------------------------------
@@ -189,7 +184,7 @@ def test_flop_estimate_scales_with_depth_and_width():
     base = small_cfg(layers=2)
     deep = small_cfg(layers=4)
     n, d = base.token_count(), base.embed_dim
-    pool = 2 * n * d
+    pool = n * d * d
     assert deep.flop_estimate() - pool == 2 * (base.flop_estimate() - pool)
     wide = small_cfg(layers=2, ffn_hidden=24)
     assert wide.flop_estimate() - base.flop_estimate() == base.layers * 2 * n * d * 12  # linear in ffn width
@@ -206,7 +201,7 @@ def test_full_block_gradients_through_train_bn():
         ("theta1", lambda: block.theta1, lambda t: setattr(block, "theta1", t)),
         ("attn_bn.gamma", lambda: block.attn_bn.gamma, lambda t: setattr(block.attn_bn, "gamma", t)),
         ("ffn_bn_mid.beta", lambda: block.inner_bn.beta, lambda t: setattr(block.inner_bn, "beta", t)),
-        ("pool_score", lambda: enc.pool_score, lambda t: setattr(enc, "pool_score", t)),
+        ("pool_proj", lambda: enc.pool_proj, lambda t: setattr(enc, "pool_proj", t)),
         ("conv0", lambda: enc.tokenizer.weights[0], lambda t: enc.tokenizer.weights.__setitem__(0, t)),
     ]
     for name, getter, setter in checks:
@@ -305,10 +300,22 @@ def test_mismatched_checkpoint_raises_format_error_and_changes_nothing(tmp_path,
 def test_incomplete_state_names_the_missing_entry_and_changes_nothing():
     source, target = Encoder(small_cfg(), SeededRng(24)), Encoder(small_cfg(), SeededRng(25))
     arrays = dict(state_arrays(source))
-    del arrays["pool_score"]
+    del arrays["final_bn.running_var"]
     before = hash_state(target)
-    with pytest.raises(FormatError, match="'pool_score'"):
+    with pytest.raises(FormatError, match="'final_bn.running_var'"):
         load_arrays(target, arrays)
+    assert hash_state(target) == before
+
+
+def test_checkpoint_of_the_softmax_pool_raises_format_error_and_changes_nothing(tmp_path):
+    # the old layout: a (d, 1) `pool_score` scored the tokens and no `pool_proj` existed
+    arrays = {f"encoder.{name}": arr for name, arr in state_arrays(Encoder(small_cfg(), SeededRng(31))).items() if name != "pool_proj"}
+    path = tmp_path / "ckpt.npz"
+    np.savez(path, **arrays, **{"encoder.pool_score": np.zeros((8, 1))})
+    target = Encoder(small_cfg(), SeededRng(32))
+    before = hash_state(target)
+    with pytest.raises(FormatError, match="'encoder.pool_proj'"):
+        load_state(path, {"encoder": target})
     assert hash_state(target) == before
 
 

@@ -174,13 +174,17 @@ def test_sharpening_limit_approaches_argmax_ce():
     encoder, proj, teacher, tc = _student_teacher(5)
     batch = np.random.default_rng(5).normal(size=(1, 1, 4, 4))
     slots = [batch, batch * 0.5]
-    teacher.current_temp = 1e-4  # tau_t -> 0+: teacher target approaches one-hot
-    loss, info = dino_step(encoder, proj, teacher, slots, student_temp=tc.student_temp)
-
     import fscil.numerics as num
 
+    t_logits = [teacher.logits(s) for s in slots]  # the eval-mode teacher: no state changes
+    top2 = np.sort(np.concatenate(t_logits), axis=-1)[:, -2:]
+    gap = (top2[:, 1] - top2[:, 0]).min()
+    assert gap > 0 and not teacher.center.any()  # premise: a unique argmax of the uncentred logits
+    # tau_t -> 0+: the target is one-hot up to weights below exp(-40)
+    teacher.current_temp = gap / 40
+    loss, info = dino_step(encoder, proj, teacher, slots, student_temp=tc.student_temp)
+
     with num.no_grad():
-        t_logits = [teacher.logits(s) for s in slots[:2]]
         s_logits = [proj(encoder.forward(num.Tensor(s))).data / tc.student_temp for s in slots]
     expected = 0.0
     for t_idx in range(2):

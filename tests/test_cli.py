@@ -1,6 +1,7 @@
 """CLI tests: subcommands, persistence, exit codes."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -93,3 +94,16 @@ def test_forced_mahalanobis_with_one_sample_per_class_exits_with_a_numeric_error
     assert main(["run", "--config", str(path), "--seed", "0", "--out", str(tmp_path / "run")]) == code
     err = capsys.readouterr().err
     assert ("use the euclidean metric" in err) == (code == 5)
+
+
+def test_run_on_an_idx_file_with_an_overflowing_header_exits_with_a_format_error(tmp_path, capsys):
+    out = tmp_path / "blobs"
+    assert main(["gen-blobs", "--classes", "4", "--dim", "16", "--shots", "6", "--out", str(out), "--seed", "2", "--test-per-class", "3"]) == 0
+    (out / "train-images.idx").write_bytes(struct.pack(">IIII", 0x00000803, *[0xFFFFFFFF] * 3) + bytes(16))
+    data = small_config().to_dict()
+    data["dataset"] = {"kind": "idx", **{key: str(out / f"{key.replace('_', '-')}.idx") for key in ("train_images", "train_labels", "test_images", "test_labels")}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["run", "--config", str(path), "--seed", "0", "--out", str(tmp_path / "run")]) == 3
+    assert "truncated at byte 32" in capsys.readouterr().err

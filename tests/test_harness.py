@@ -204,6 +204,17 @@ def test_idx_truncation_reports_offset(tmp_path):
         load_idx_images(path)
 
 
+@pytest.mark.parametrize("count, match", [(0xFFFFFFFF, "truncated at byte 32"), (0, "0 images of 4294967295x4294967295")])
+def test_idx_garbled_header_dims_raise_format_error(tmp_path, count, match):
+    import struct
+
+    path = tmp_path / "garbled.idx"
+    payload = b"\x01" * 16 if count else b""
+    path.write_bytes(struct.pack(">IIII", 0x00000803, count, 0xFFFFFFFF, 0xFFFFFFFF) + payload)  # ~7.9e28 bytes, or none
+    with pytest.raises(FormatError, match=match):
+        load_idx_images(path)
+
+
 def test_idx_scaling_range(tmp_path):
     path = tmp_path / "scale.idx"
     write_idx_images(path, np.array([[[0, 255], [128, 64]]], dtype=np.uint8))

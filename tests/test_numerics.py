@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from fscil.errors import ArgumentError, ContractViolation, DomainError, UsageError
+from fscil.errors import ArgumentError, ContractViolation, UsageError
 from fscil.numerics import (
     SeededRng,
     Tensor,
@@ -16,7 +16,6 @@ from fscil.numerics import (
     batch_norm,
     broadcast_to,
     conv2d,
-    cosine_similarity,
     gelu,
     grad_check,
     log_softmax,
@@ -164,41 +163,6 @@ def test_batch_norm_running_stats_update():
     batch_norm(Tensor(x), g, b, rm, rv, "train")
     np.testing.assert_allclose(rm, [0.1 * 1.0], atol=1e-12)  # momentum 0.1, batch mean 1
     np.testing.assert_allclose(rv, [0.9 * 1.0 + 0.1 * 1.0], atol=1e-12)  # biased batch var 1
-
-
-# -- cosine similarity ------------------------------------------------------------------
-
-
-def test_cosine_parallel():
-    u = np.array([1.0, 2.0, -1.0])
-    assert abs(cosine_similarity(Tensor(u), Tensor(3 * u)).item() - 1.0) < 1e-12
-
-
-def test_cosine_orthogonal():
-    assert abs(cosine_similarity(Tensor([1.0, 0.0]), Tensor([0.0, 1.0])).item()) < 1e-15
-
-
-def test_cosine_matches_direct_formula():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        u, v = rng.normal(size=6), rng.normal(size=6)
-        oracle = u @ v / (np.linalg.norm(u) * np.linalg.norm(v))
-        assert abs(cosine_similarity(Tensor(u), Tensor(v)).item() - oracle) < 1e-12
-
-
-def test_cosine_scale_invariance_property():
-    rng = np.random.default_rng(6)
-    for _ in range(50):
-        u, v = rng.normal(size=5), rng.normal(size=5)
-        a, b = rng.uniform(0.01, 100, size=2)
-        base = cosine_similarity(Tensor(u), Tensor(v)).item()
-        scaled = cosine_similarity(Tensor(a * u), Tensor(b * v)).item()
-        assert abs(base - scaled) < 1e-12
-
-
-def test_cosine_zero_vector_rejected():
-    with pytest.raises(DomainError):
-        cosine_similarity(Tensor([0.0, 0.0]), Tensor([1.0, 0.0]))
 
 
 # -- grad_check ------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Property tests of the elementwise, reduction and broadcast primitives, of
-the fused `attention` node, and of the stochastic head's weights and loss node.
+the fused `attention` node, of the encoder's sequence pool, and of the
+stochastic head's weights and loss node.
 
 Hypothesis draws the shapes, broadcasts, axes and a value seed; each case
 checks the forward value against numpy and the gradient of every input
@@ -15,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fscil.backbone import BackboneConfig, Encoder
 from fscil.numerics import (
     SeededRng,
     Tensor,
@@ -234,6 +236,27 @@ def test_attention_passes_grad_check_over_shapes(heads, dk, batch, n, prefix, dt
     cast = [np.asarray(a, dtype) for a in inputs] + ([None, None] if not prefix else [])
     np.testing.assert_allclose(out.data, attention_oracle(*cast), rtol=FORWARD_RTOL[dtype], atol=FORWARD_RTOL[dtype])
     check(f, inputs, x.shape, dtype, rng)
+
+
+@PROPERTY
+@given(side=st.integers(1, 3), d=st.integers(1, 4), batch=st.none() | st.integers(1, 3), dtype=dtypes, seed=seeds)
+def test_sequence_pool_passes_grad_check_over_shapes(side, d, batch, dtype, seed):
+    """A side x side token grid of width d; `batch` None is a 2-d (n, d) input."""
+    encoder = Encoder(BackboneConfig(image_size=side, conv_channels=(d,), embed_dim=d, heads=1, layers=0, pool_size=0), SeededRng(seed))
+    rng = np.random.default_rng(seed)
+    n = side * side
+    lead = () if batch is None else (batch,)
+    tokens, proj = rng.normal(size=lead + (n, d)), rng.normal(size=(n * d, d))
+
+    def f(tokens, proj):
+        encoder.pool_proj = proj
+        return encoder.sequence_pool(tokens)
+
+    out = f(Tensor(tokens, dtype=dtype), Tensor(proj, dtype=dtype))
+    assert out.shape == lead + (d,) and out.dtype == dtype
+    want = np.asarray(tokens, dtype).reshape(lead + (n * d,)) @ np.asarray(proj, dtype)
+    np.testing.assert_allclose(out.data, want, rtol=FORWARD_RTOL[dtype], atol=FORWARD_RTOL[dtype])
+    check(f, [tokens, proj], lead + (d,), dtype, rng)
 
 
 def head_loss_oracle(z, mu, sigma, eps, labels, offset=4.0, temperature=16.0):

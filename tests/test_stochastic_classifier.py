@@ -35,8 +35,9 @@ def test_softplus_offset_is_four():
 def test_sample_moments_match_monte_carlo_oracle():
     # sigma = c  =>  noise scale = softplus(0) = ln 2 per coordinate
     head = make_head([[2.0, -3.0]])
-    rng = SeededRng(77)
-    draws = np.stack([head.sample_weights(0, rng.child(str(i)), noise=True).data for i in range(100_000)])
+    # one (N, d) draw; its row 0 is the one-row draw `sample_weights` makes from the same rng
+    draws = head._weights(head.mu, head.sigma, head._eps(100_000, SeededRng(77), True, None)).data
+    np.testing.assert_array_equal(head.sample_weights(0, SeededRng(77)).data, draws[0])
     mean = draws.mean(axis=0)
     var = draws.var(axis=0)
     np.testing.assert_allclose(mean, [2.0, -3.0], rtol=0.01)  # E[phi] = mu within 1%
