@@ -6,7 +6,7 @@ batch-norm encoder blocks, prefix-augmented attention, and sequence pooling.
 """
 
 from fscil.backbone import BackboneConfig, Encoder
-from fscil.delta_params import PrefixSet, prefix_mhsa
+from fscil.delta_params import PrefixSet
 from fscil.numerics import SeededRng, Tensor
 
 # Tokenizer geometry is pure convolution arithmetic: a 28x28 image through a
@@ -29,10 +29,11 @@ out, maps = encoder.blocks[0].attention(tokens)
 print("attention maps (heads, batch, n, n):", maps.shape, "row sums ~", maps.sum(axis=-1).round(9).min())
 
 # Prefixes lengthen only the key/value side; the output shape is unchanged.
-prefixes = PrefixSet(session=1, layers=cfg.layers, prefix_len=8, dim=cfg.embed_dim, rng=rng.child("prefix"))
-pre_out, pre_maps = prefix_mhsa(tokens, encoder.blocks[0], prefixes, layer=0)
+prefixes = PrefixSet(layers=cfg.layers, prefix_len=8, dim=cfg.embed_dim, rng=rng.child("prefix"))
+print("prefix tensors p_K, p_V (layers, L_p/2, d):", prefixes.p_k.shape, prefixes.p_v.shape)
+pre_out, pre_maps = encoder.blocks[0].attention(tokens, prefix_kv=prefixes.layer_kv(0))
 print("with prefixes: output", pre_out.shape, "- attention rows now span", pre_maps.shape[-1], "columns")
 
-# The pooled feature is a score-weighted mixture of tokens.
+# The pooled feature is one learned projection of the flattened token grid.
 z = encoder.forward(images)
 print("pooled feature:", z.shape)

@@ -17,7 +17,7 @@ from fscil.prototype_rectification import (
     select_outlier_pairs,
     train_prediction_net,
 )
-from fscil.task_inference import accumulate_covariance, fit_class_stats, select_class_batch
+from fscil.task_inference import SharedCovariance, fit_class_stats, select_class_batch
 
 rng = SeededRng(11)
 dim = 8
@@ -31,9 +31,8 @@ lab1 = np.repeat([4, 5], 5)
 
 g0, a0 = fit_class_stats(emb0, lab0, session=0)
 g1, a1 = fit_class_stats(emb1, lab1, session=1)
-shared = accumulate_covariance(accumulate_covariance(None, a0, 0), a1, 1)
+shared = SharedCovariance(a0 + a1)  # the scatters of both sessions, summed
 gaussians = g0 + g1
-print("covariance accumulated over sessions:", shared.sessions)
 
 # routing: every query lands on its true class and thus its owning session
 queries = np.concatenate([means[c] + rng.child(f"q{c}").normal(size=(20, dim)) for c in range(6)])

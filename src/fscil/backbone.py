@@ -16,6 +16,11 @@ mode every batch-norm is a fixed scale and shift, so `FoldedEncoder` folds
 each one into its neighbouring projection (or, for the final BN, one scale
 and shift of the tokens before the pool); an eval-mode
 `Encoder.encode` that needs no graph runs that folded forward.
+
+A session's prefixes reach `Encoder.encode` as a `delta_params.PrefixSet`,
+two (L, L_p/2, d) tensors p_K and p_V; layer i's attention prepends their
+rows [i] to its keys and values.  `FoldedEncoder.forward` takes the two
+arrays and its backward returns their gradients in the same layout.
 """
 
 from __future__ import annotations
@@ -116,21 +121,17 @@ class BatchNorm:
 
 
 class Linear:
-    """Dense projection; init std defaults to the transformer setting."""
+    """Dense projection plus bias; init std defaults to the transformer setting."""
 
-    def __init__(self, rng: SeededRng, in_dim: int, out_dim: int, bias: bool = True, std: float = 0.02):
+    def __init__(self, rng: SeededRng, in_dim: int, out_dim: int, std: float = 0.02):
         self.weight = Tensor(trunc_normal(rng, (in_dim, out_dim), std=std), requires_grad=True)
-        self.bias = Tensor(np.zeros(out_dim), requires_grad=True) if bias else None
+        self.bias = Tensor(np.zeros(out_dim), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        return out + self.bias if self.bias is not None else out
+        return x @ self.weight + self.bias
 
     def params(self, prefix: str) -> dict:
-        out = {f"{prefix}.weight": self.weight}
-        if self.bias is not None:
-            out[f"{prefix}.bias"] = self.bias
-        return out
+        return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
 
 
 class ConvTokenizer:
@@ -278,20 +279,20 @@ class Encoder:
 
     def encode(self, tokens: Tensor, prefixes=None) -> Tensor:
         """tokens (B, n, d) from `tokenize` -> pooled feature z (B, d): the blocks,
-        with `prefixes` (when given) prepended to each layer's keys and values,
-        then the final BN and the sequence pool.
+        with the `PrefixSet` `prefixes` (when given) prepended to each layer's
+        keys and values, then the final BN and the sequence pool.
 
         An eval-mode forward that builds no graph (no gradient is enabled
         and needed for the tokens, a parameter or a prefix) runs
         `FoldedEncoder` instead of the composed ops.
         """
         self._flat_width(tokens)  # the folded forward has no check of its own
-        kvs = [prefixes.layer_kv(i) if prefixes is not None else None for i in range(len(self.blocks))]
-        if self.mode == "eval" and not needs_graph([tokens, *self.params().values(), *(t for kv in kvs if kv for t in kv)]):
-            return Tensor(FoldedEncoder(self).forward(tokens.data, [kv and (kv[0].data, kv[1].data) for kv in kvs]))
+        kv = [] if prefixes is None else [prefixes.p_k, prefixes.p_v]
+        if self.mode == "eval" and not needs_graph([tokens, *self.params().values(), *kv]):
+            return Tensor(FoldedEncoder(self).forward(tokens.data, [t.data for t in kv] or None))
         x = tokens
-        for block, kv in zip(self.blocks, kvs):
-            x, _ = block(x, self.mode, prefix_kv=kv)
+        for i, block in enumerate(self.blocks):
+            x, _ = block(x, self.mode, prefix_kv=None if prefixes is None else prefixes.layer_kv(i))
         return self.sequence_pool(self.final_bn(x, self.mode))
 
     def __call__(self, images: Tensor, prefixes=None) -> Tensor:
@@ -352,9 +353,10 @@ class FoldedEncoder:
         self.final = encoder.final_bn.scale_shift()
         self.pool = encoder.pool_proj.data
 
-    def forward(self, tokens: np.ndarray, prefix_kv: list, cache: list | None = None) -> np.ndarray:
-        """tokens (B, n, d) -> z (B, d); `prefix_kv[i]` is layer i's (p_K, p_V)
-        arrays or None.  With a `cache` list, keeps what `backward` needs."""
+    def forward(self, tokens: np.ndarray, prefix_kv=None, cache: list | None = None) -> np.ndarray:
+        """tokens (B, n, d) -> z (B, d); `prefix_kv` is the (p_K, p_V) pair of
+        (L, L_p/2, d) arrays, layer i's rows at [i], or None for no prefixes.
+        With a `cache` list, keeps what `backward` needs."""
         b, n, d = tokens.shape
 
         def prepend(rows, w, part):  # rows projected by w, before every sample's (B, H, n, dk) part
@@ -362,10 +364,10 @@ class FoldedEncoder:
             return np.concatenate([np.broadcast_to(pre, (b,) + pre.shape[1:]), part], axis=2)
 
         x = tokens.reshape(b * n, d)
-        for (w_qkv, b_qkv, w_k, w_v, w_o, w1, b1, w2), kv in zip(self.blocks, prefix_kv):
+        for i, (w_qkv, b_qkv, w_k, w_v, w_o, w1, b1, w2) in enumerate(self.blocks):
             q, k, v = (x @ w_qkv + b_qkv).reshape(b, n, 3, self.heads, self.dk).transpose(2, 0, 3, 1, 4)
-            if kv is not None:
-                k, v = prepend(kv[0], w_k, k), prepend(kv[1], w_v, v)
+            if prefix_kv is not None:
+                k, v = prepend(prefix_kv[0][i], w_k, k), prepend(prefix_kv[1][i], w_v, v)
             scores = q @ k.swapaxes(-1, -2)
             e = np.exp(scores - scores.max(axis=-1, keepdims=True))
             att = e / e.sum(axis=-1, keepdims=True)
@@ -379,18 +381,18 @@ class FoldedEncoder:
         x += self.final[1]
         return x.reshape(b, n * d) @ self.pool
 
-    def backward(self, g_z: np.ndarray, cache: list) -> list:
-        """Gradients [(g_pK, g_pV) per layer] of the prefixes of the forward
-        that filled `cache` with prefixes in every layer, from the gradient
-        `g_z` of its output.
+    def backward(self, g_z: np.ndarray, cache: list):
+        """Gradients (g_pK, g_pV), each (L, L_p/2, d), of the prefixes of the
+        forward that filled `cache`, from the gradient `g_z` of its output.
 
         Block 0 sends nothing further back (the tokens are constants), so
         its token Q/K/V gradients are never formed.
         """
         s = self.final[0]
         b, n = len(g_z), len(self.pool) // len(s)
+        n_pre = cache[0][1].shape[2] - n
+        g_pre = np.empty((2, len(self.blocks), n_pre, len(s)))
         g = (g_z @ self.pool.T).reshape(b * n, -1) * s
-        out = []
         for layer in reversed(range(len(self.blocks))):
             w_qkv, _, w_k, w_v, w_o, w1, _, w2 = self.blocks[layer]
             q, k, v, att, u, cdf = cache[layer]
@@ -398,16 +400,15 @@ class FoldedEncoder:
             g_heads = split_heads((g @ w_o.T).reshape(b, n, -1), self.heads)
             g_att = g_heads @ v.swapaxes(-1, -2)
             g_scores = att * (g_att - (g_att * att).sum(axis=-1, keepdims=True))
-            n_pre = k.shape[2] - n
             keys = slice(None) if layer else slice(n_pre)
             g_k = g_scores[..., keys].swapaxes(-1, -2) @ q
             g_v = att[..., keys].swapaxes(-1, -2) @ g_heads
             # prefix rows are shared by the batch: their gradients sum over it
-            out.append(tuple(merge_heads(gp[:, :, :n_pre].sum(axis=0, keepdims=True)) @ w.T for gp, w in ((g_k, w_k), (g_v, w_v))))
+            g_pre[:, layer] = [merge_heads(gp[:, :, :n_pre].sum(axis=0, keepdims=True)) @ w.T for gp, w in ((g_k, w_k), (g_v, w_v))]
             if layer:
                 g_qkv = np.stack([g_scores @ k, g_k[:, :, n_pre:], g_v[:, :, n_pre:]])  # (3, B, H, n, dk)
                 g = g + g_qkv.transpose(1, 3, 0, 2, 4).reshape(b * n, -1) @ w_qkv.T
-        return out[::-1]
+        return g_pre[0], g_pre[1]
 
 
 # -- state: copying, hashing, saving and loading all use one name -> ndarray map

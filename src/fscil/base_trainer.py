@@ -65,8 +65,8 @@ class DinoHead:
     """Two-layer projection from the pooled feature to the distillation space."""
 
     def __init__(self, rng: SeededRng, in_dim: int, hidden: int, out_dim: int):
-        self.l1 = Linear(rng.child("l1"), in_dim, hidden, bias=True)
-        self.l2 = Linear(rng.child("l2"), hidden, out_dim, bias=True)
+        self.l1 = Linear(rng.child("l1"), in_dim, hidden)
+        self.l2 = Linear(rng.child("l2"), hidden, out_dim)
         self.out_dim = out_dim
 
     def __call__(self, z: Tensor) -> Tensor:
@@ -342,7 +342,7 @@ def linear_probe(teacher: TeacherState, data_x: np.ndarray, data_y: np.ndarray, 
     index = {c: i for i, c in enumerate(classes)}
     targets = np.array([index[int(c)] for c in data_y])
 
-    probe = Linear(rng.child("probe"), features.shape[1], len(classes), bias=True)
+    probe = Linear(rng.child("probe"), features.shape[1], len(classes))
     opt = make_optimizer(config.probe_optimizer, [{"params": list(probe.params("p").values()), "lr": config.probe_lr}])
 
     def batch_loss(idx, epoch, start):

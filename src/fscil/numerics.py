@@ -780,7 +780,7 @@ def batch_norm(
 
 def split_heads(a: np.ndarray, heads: int) -> np.ndarray:
     """(B, m, H*dk) -> (B, H, m, dk)."""
-    return a.reshape(a.shape[0], a.shape[1], heads, -1).transpose(0, 2, 1, 3)
+    return a.reshape(a.shape[0], a.shape[1], heads, a.shape[2] // heads).transpose(0, 2, 1, 3)
 
 
 def merge_heads(a: np.ndarray) -> np.ndarray:
@@ -794,9 +794,10 @@ def attention(x, wq, wk, wv, wo, prefix_kv=None):
     `wq`, `wk` and `wv` are (d, H, d_k) projections, head h's columns at
     [:, h]; each is read as one (d, H d_k) matrix, so all heads run as one
     batched (B, H, n, d_k) product.  `wo` is the (d, d) output projection.
-    `prefix_kv` = (p_K, p_V), each (L, d), is projected by the key and value
-    weights and prepended to every sample's keys and values.  `x` is (n, d)
-    or (B, n, d).
+    `prefix_kv` = (p_K, p_V), each (L, d) with L >= 0, is projected by the
+    key and value weights and prepended to every sample's keys and values;
+    a prefix of another width raises `ArgumentError`.  `x` is (n, d) or
+    (B, n, d).
 
     Returns (output shaped like `x`, attention maps as a detached
     (H, [B,] n, L + n) array whose rows sum to 1).
@@ -818,6 +819,8 @@ def attention(x, wq, wk, wv, wo, prefix_kv=None):
     n_pre = 0
     if prefix_kv is not None:
         pk, pv = _as_tensor(prefix_kv[0]), _as_tensor(prefix_kv[1])
+        if pk.shape[-1] != d or pv.shape[-1] != d:
+            raise ArgumentError(f"prefix widths {pk.shape[-1]}, {pv.shape[-1]} do not match the embed dim {d}")
         parents += [pk, pv]
         n_pre = pk.data.shape[0]
         k_pre = split_heads((pk.data @ w_k)[None], heads)

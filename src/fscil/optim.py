@@ -252,8 +252,11 @@ def run_epochs(
     logged as `grad_norm` after its `lr`.
     `before_epoch(epoch)` runs before an epoch's first batch.  The last step's
     gradients are released on return, so the trained parameters hold no
-    `.grad` arrays.
+    `.grad` arrays.  A `batch_size` below 1 raises `ArgumentError` naming
+    the phase.
     """
+    if batch_size < 1:
+        raise ArgumentError(f"batch size of phase {phase!r} must be at least 1, got {batch_size}")
     batch = min(batch_size, n)
     params = [p for g in opt.groups for p in g["params"]]
     means = []

@@ -53,7 +53,7 @@ from .prototype_rectification import (
     train_prediction_net,
 )
 from .stochastic_classifier import init_means_from_prototypes
-from .task_inference import SharedCovariance, accumulate_covariance, fit_class_stats, select_class_batch
+from .task_inference import SharedCovariance, fit_class_stats, select_class_batch
 
 @dataclass
 class RunRecord:
@@ -106,9 +106,7 @@ class _ProtocolState:
         return out
 
     def rebuild_covariance(self):
-        self.covariance = None
-        for k in sorted(self.scatter_by_session):
-            self.covariance = accumulate_covariance(self.covariance, self.scatter_by_session[k], k)
+        self.covariance = SharedCovariance(sum(self.scatter_by_session[k] for k in sorted(self.scatter_by_session)))
 
     def set_session_stats(self, session: int, gaussians: list, scatter: np.ndarray):
         self.gaussians_by_session[session] = gaussians
@@ -285,7 +283,7 @@ def run_protocol(
             new_rows = list(range(head.num_classes, head.num_classes + len(session_classes)))
             init_means_from_prototypes(head, prototypes)
         if tc.delta_params:
-            prefixes = PrefixSet(k, config.model.layers, tc.prefix_len, config.model.embed_dim, rng.child(f"prefix{k}"))
+            prefixes = PrefixSet(config.model.layers, tc.prefix_len, config.model.embed_dim, rng.child(f"prefix{k}"))
             state.prefixes[k] = prefixes
             train_session(view.images, remapped, encoder, head, prefixes, new_rows, tc, rng.child(f"session{k}"), log=log, session=k)
             trainable_fractions.append(trainable_fraction(prefixes, [t.data[new_rows] for t in head.trained_params(tc.head_noise_train)], encoder))

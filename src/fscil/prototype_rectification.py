@@ -49,11 +49,11 @@ class PredictionNet:
         self.depth = depth
         hidden = hidden or dim
         if depth == 1:
-            self.layers = [Linear(rng.child("l0"), dim, dim, bias=True, std=1.0 / np.sqrt(dim))]
+            self.layers = [Linear(rng.child("l0"), dim, dim, std=1.0 / np.sqrt(dim))]
         else:
             self.layers = [
-                Linear(rng.child("l0"), dim, hidden, bias=True, std=1.0 / np.sqrt(dim)),
-                Linear(rng.child("l1"), hidden, dim, bias=True, std=1.0 / np.sqrt(hidden)),
+                Linear(rng.child("l0"), dim, hidden, std=1.0 / np.sqrt(dim)),
+                Linear(rng.child("l1"), hidden, dim, std=1.0 / np.sqrt(hidden)),
             ]
 
     def __call__(self, x: Tensor) -> Tensor:

@@ -11,7 +11,7 @@ queries or classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,12 +30,9 @@ class ClassGaussian:
 
 @dataclass
 class SharedCovariance:
-    matrix: np.ndarray
-    sessions: list = field(default_factory=list)
+    """The sum of every session's pooled scatter."""
 
-    def check(self, tol: float = 1e-10):
-        if not np.allclose(self.matrix, self.matrix.T, atol=tol):
-            raise NumericError("shared covariance lost symmetry")
+    matrix: np.ndarray
 
 
 def fit_class_stats(embeddings: np.ndarray, labels: np.ndarray, session: int):
@@ -70,18 +67,6 @@ def fit_class_stats(embeddings: np.ndarray, labels: np.ndarray, session: int):
         gaussians.append(ClassGaussian(class_id=cls, session=session, mean=mean, count=len(rows)))
         scatter += class_scatter
     return gaussians, scatter / len(embeddings)
-
-
-def accumulate_covariance(existing: SharedCovariance | None, new_matrix: np.ndarray, session: int) -> SharedCovariance:
-    """A <- A + A_k (elementwise sum, symmetry preserved)."""
-    new_matrix = np.asarray(new_matrix, dtype=float)
-    if existing is None:
-        return SharedCovariance(matrix=new_matrix.copy(), sessions=[session])
-    if existing.matrix.shape != new_matrix.shape:
-        raise ArgumentError(f"covariance shape mismatch: {existing.matrix.shape} vs {new_matrix.shape}")
-    existing.matrix = existing.matrix + new_matrix
-    existing.sessions.append(session)
-    return existing
 
 
 def _regularized_cholesky(matrix: np.ndarray):

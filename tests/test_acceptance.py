@@ -13,7 +13,7 @@ import pytest
 from fscil.backbone import BackboneConfig, Encoder
 from fscil.base_trainer import DinoHead, dino_step, ema_update_teacher, make_teacher, train_base
 from fscil.config import ablated, desk_profile, toy_fscil_config
-from fscil.delta_params import PrefixSet, prefix_mhsa
+from fscil.delta_params import PrefixSet
 from fscil.errors import ContractViolation
 from fscil.harness import SessionDataVault, build_fscil_splits, compute_metrics, generate_blobs
 from fscil.numerics import SeededRng, Tensor, grad_check, log_softmax
@@ -153,15 +153,15 @@ def test_criterion_1_gradient_integrity():
         check(f_ce, Tensor(start_val.copy()))
 
     # prefix attention
-    base_prefix = PrefixSet(0, 1, 4, 8, rng.child("prefix"))
+    base_prefix = PrefixSet(1, 4, 8, rng.child("prefix"))
     for attr in ("p_k", "p_v"):
 
         def f_prefix(t, attr=attr):
-            prefixes = PrefixSet(0, 1, 4, 8, rng.child("prefix"))
-            getattr(prefixes, attr)[0] = t
-            return (prefix_mhsa(Tensor(tokens), block, prefixes, layer=0)[0] ** 2).sum()
+            prefixes = PrefixSet(1, 4, 8, rng.child("prefix"))
+            setattr(prefixes, attr, t)
+            return (block.attention(Tensor(tokens), prefix_kv=prefixes.layer_kv(0))[0] ** 2).sum()
 
-        check(f_prefix, Tensor(getattr(base_prefix, attr)[0].data.copy()))
+        check(f_prefix, Tensor(getattr(base_prefix, attr).data.copy()))
 
     # prediction network
     pn_in = rng.child("pnx").normal(size=(4, 5))
@@ -185,16 +185,17 @@ def test_criterion_1_gradient_integrity():
 def test_criterion_2_prefix_equivalence():
     cfg = BackboneConfig(image_size=4, conv_channels=(8,), embed_dim=8, heads=2, layers=1, ffn_hidden=12, conv_kernel=3, conv_padding=1)
     block = Encoder(cfg, SeededRng(300)).blocks[0]
-    empty = PrefixSet(0, 1, 0, 8)
+    empty_kv = PrefixSet(1, 0, 8, SeededRng(302)).layer_kv(0)
+    zero_rows = [t.shape for t in empty_kv] == [(0, 8), (0, 8)]  # the attention node gets rows, not None
     rng = np.random.default_rng(301)
     identical = 0
     for _ in range(1000):
         n = int(rng.integers(1, 6))
         x = Tensor(rng.normal(size=(2, n, 8)))
         plain, _ = block.attention(x)
-        prefixed, _ = prefix_mhsa(x, block, empty, layer=0)
+        prefixed, _ = block.attention(x, prefix_kv=empty_kv)
         identical += int(np.array_equal(plain.data, prefixed.data))
-    _report("criterion 2 (prefix equivalence)", identical == 1000, f"{identical}/1000 bitwise identical")
+    _report("criterion 2 (prefix equivalence)", zero_rows and identical == 1000, f"(0, d) rows: {zero_rows}; {identical}/1000 bitwise identical")
 
 
 # -- criterion 3: routing oracle ------------------------------------------------------
@@ -210,7 +211,7 @@ def test_criterion_3_routing_oracle():
         for i, g in enumerate(gaussians):
             g.session = i % 4
         b = rng.normal(size=(dim, dim))
-        shared = SharedCovariance(matrix=b @ b.T + 0.5 * np.eye(dim), sessions=[0])
+        shared = SharedCovariance(matrix=b @ b.T + 0.5 * np.eye(dim))
         q = rng.normal(size=dim) * 2
 
         eps = 1e-6 * np.trace(shared.matrix) / dim
@@ -225,7 +226,7 @@ def test_criterion_3_routing_oracle():
         n_classes = int(rng.integers(2, 11))
         dim = int(rng.integers(2, 9))
         gaussians, _ = fit_class_stats(rng.normal(size=(n_classes, dim)) * 3, np.arange(n_classes), session=0)
-        identity = SharedCovariance(matrix=np.eye(dim), sessions=[0])
+        identity = SharedCovariance(matrix=np.eye(dim))
         q = rng.normal(size=dim) * 2
         e_cls, _ = select_class_batch(q[None], gaussians, None, metric="euclidean")
         m_cls, _ = select_class_batch(q[None], gaussians, identity, metric="mahalanobis")

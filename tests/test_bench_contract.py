@@ -3,8 +3,11 @@
 `bench/tracing.py` wraps the calls it traces at the place the program looks
 them up (`owner.__dict__[attribute]`), and `bench/run.py` builds each
 workload by `replace()`-ing config fields.  A renamed or deleted name fails
-here in milliseconds rather than in `bench/selfcheck.py`.  The bench files
-are imported, never edited.
+here in milliseconds rather than in `bench/selfcheck.py`.  The traced check
+of each workload also runs here at its tiny settings (about 1 s each), so a
+change to what it reads of a run (the artifacts, `embed_all`,
+`EncoderBlock.attention`, `cross_entropy_loss`) fails here too.  The bench
+files are imported, never edited.
 """
 
 import importlib.util
@@ -38,3 +41,12 @@ def test_every_workload_config_builds(tiny):
     run = bench_module("run")
     for name in run.WORKLOADS:
         assert isinstance(run.workload_config(name, tiny=tiny), RunConfig)  # replace() raises TypeError for a field that is gone
+
+
+@pytest.mark.parametrize("name", sorted(bench_module("run").WORKLOADS))
+def test_the_traced_check_of_every_workload_passes_at_tiny_settings(name, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))  # run.py imports tracing.py by its bare name
+    run = bench_module("run")
+    result = run.measure_traced(name, 0, tiny=True)
+    assert result["failed"] == 0, result["problems"]
+    assert set(result["metrics"]) == set(run.metric_units(1)) and len(result["metrics"]) == 62

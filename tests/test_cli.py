@@ -107,3 +107,23 @@ def test_run_on_an_idx_file_with_an_overflowing_header_exits_with_a_format_error
     capsys.readouterr()
     assert main(["run", "--config", str(path), "--seed", "0", "--out", str(tmp_path / "run")]) == 3
     assert "truncated at byte 32" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value, phase",
+    [
+        ("ssl_batch_size", 0, "ssl"),
+        ("sup_batch_size", 0, "supervised"),
+        ("inc_batch_size", 0, "incremental"),
+        ("prednet_batch_size", 0, "prediction_net"),
+        ("probe_batch_size", 0, "linear_probe"),
+        ("prefix_len", -2, "prefix length"),
+    ],
+)
+def test_run_rejects_a_batch_size_below_one_or_a_negative_prefix_length(tmp_path, capsys, key, value, phase):
+    data = small_config().to_dict()
+    data["training"].update({key: value, "run_probe": True})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--config", str(path), "--seed", "0", "--out", str(tmp_path / "run")]) == 2
+    assert phase in capsys.readouterr().err

@@ -9,7 +9,7 @@ from fscil import delta_params
 from fscil.backbone import BackboneConfig, Encoder, FoldedEncoder, hash_state
 from fscil.base_trainer import cross_entropy_loss
 from fscil.config import TrainingConfig, desk_profile
-from fscil.delta_params import PrefixSet, prefix_mhsa, session_gradients, train_session, trainable_fraction
+from fscil.delta_params import PrefixSet, session_gradients, train_session, trainable_fraction
 from fscil.errors import ArgumentError, ContractViolation, NumericError
 from fscil.events import EventLog
 from fscil.numerics import SeededRng, Tensor, grad_check, no_grad
@@ -23,21 +23,33 @@ def make_block(d=8, heads=2, seed=0):
 
 def test_empty_prefix_equals_plain_attention_bitwise():
     block = make_block()
-    prefixes = PrefixSet(session=0, layers=1, prefix_len=0, dim=8)
+    prefixes = PrefixSet(layers=1, prefix_len=0, dim=8, rng=SeededRng(0))
+    kv = prefixes.layer_kv(0)
+    assert [t.shape for t in kv] == [(0, 8), (0, 8)]  # the node gets zero rows, not None
     rng = np.random.default_rng(0)
     for _ in range(20):
         x = Tensor(rng.normal(size=(2, 3, 8)))
-        plain, _ = block.attention(x)
-        with_prefix, _ = prefix_mhsa(x, block, prefixes, layer=0)
+        plain, plain_maps = block.attention(x)
+        with_prefix, maps = block.attention(x, prefix_kv=kv)
         assert np.array_equal(plain.data, with_prefix.data)
+        assert np.array_equal(plain_maps, maps)
+    # through a whole encoder, on the folded forward and on the composed graph
+    cfg = BackboneConfig(image_size=4, conv_channels=(8,), embed_dim=8, heads=2, layers=2, ffn_hidden=12)
+    encoder = random_eval_encoder(cfg, 33)
+    empty = PrefixSet(layers=2, prefix_len=0, dim=8, rng=SeededRng(34))
+    tokens = rng.normal(size=(3, cfg.token_count(), 8))
+    with no_grad():
+        assert np.array_equal(encoder.encode(Tensor(tokens), prefixes=empty).data, encoder.encode(Tensor(tokens)).data)
+    x = Tensor(tokens, requires_grad=True)
+    assert np.array_equal(encoder.encode(x, prefixes=empty).data, encoder.encode(x).data)
 
 
 def test_prefix_length_sixteen_shapes():
     assert TrainingConfig().prefix_len == 16  # published incremental setting
     block = make_block(d=8)
-    prefixes = PrefixSet(session=1, layers=1, prefix_len=16, dim=8, rng=SeededRng(1))
+    prefixes = PrefixSet(layers=1, prefix_len=16, dim=8, rng=SeededRng(1))
     x = Tensor(np.random.default_rng(1).normal(size=(2, 5, 8)))
-    out, maps = prefix_mhsa(x, block, prefixes, layer=0)
+    out, maps = block.attention(x, prefix_kv=prefixes.layer_kv(0))
     assert out.shape == (2, 5, 8)  # output dimension unchanged
     assert maps.shape[-1] == 5 + 8  # rows span n + L_p/2 columns
     np.testing.assert_allclose(maps.sum(axis=-1), np.ones(maps.shape[:-1]), atol=1e-9)
@@ -45,9 +57,9 @@ def test_prefix_length_sixteen_shapes():
 
 def test_prefix_matches_concatenate_then_attend_oracle():
     block = make_block(d=4, heads=1, seed=2)
-    prefixes = PrefixSet(session=1, layers=1, prefix_len=2, dim=4, rng=SeededRng(3))
+    prefixes = PrefixSet(layers=1, prefix_len=2, dim=4, rng=SeededRng(3))
     x = np.random.default_rng(2).normal(size=(2, 4))
-    pk, pv = prefixes.p_k[0].data, prefixes.p_v[0].data
+    pk, pv = prefixes.p_k.data[0], prefixes.p_v.data[0]
 
     q = x @ block.q.data[:, 0]
     k = np.concatenate([pk, x]) @ block.k.data[:, 0]
@@ -57,7 +69,7 @@ def test_prefix_matches_concatenate_then_attend_oracle():
     att = e / e.sum(axis=1, keepdims=True)
     expected = (att @ v) @ block.out_proj.data
 
-    out, maps = prefix_mhsa(Tensor(x), block, prefixes, layer=0)
+    out, maps = block.attention(Tensor(x), prefix_kv=prefixes.layer_kv(0))
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
     np.testing.assert_allclose(maps[0], att, atol=1e-12)
 
@@ -66,36 +78,42 @@ def test_output_shape_for_any_prefix_length():
     block = make_block()
     x = Tensor(np.random.default_rng(3).normal(size=(3, 6, 8)))
     for lp in (0, 2, 4, 10):
-        prefixes = PrefixSet(session=0, layers=1, prefix_len=lp, dim=8, rng=SeededRng(lp))
-        out, _ = prefix_mhsa(x, block, prefixes, layer=0)
+        prefixes = PrefixSet(layers=1, prefix_len=lp, dim=8, rng=SeededRng(lp))
+        out, _ = block.attention(x, prefix_kv=prefixes.layer_kv(0))
         assert out.shape == (3, 6, 8)
 
 
 def test_odd_prefix_length_rejected():
     with pytest.raises(ArgumentError):
-        PrefixSet(session=0, layers=1, prefix_len=3, dim=8)
+        PrefixSet(layers=1, prefix_len=3, dim=8)
+
+
+def test_negative_prefix_length_rejected():
+    with pytest.raises(ArgumentError, match="non-negative, got -2"):
+        PrefixSet(layers=1, prefix_len=-2, dim=8)
 
 
 def test_prefix_dim_mismatch_rejected():
     block = make_block(d=8)
-    bad = PrefixSet(session=0, layers=1, prefix_len=4, dim=6, rng=SeededRng(4))
+    bad = PrefixSet(layers=1, prefix_len=4, dim=6, rng=SeededRng(4))
     with pytest.raises(ArgumentError):
-        prefix_mhsa(Tensor(np.zeros((1, 2, 8))), block, bad, layer=0)
+        block.attention(Tensor(np.zeros((1, 2, 8))), prefix_kv=bad.layer_kv(0))
 
 
 def test_prefix_gradients_pass_grad_check():
+    """Through `layer_kv`'s row slice of the whole (L, L_p/2, d) tensor, for a middle layer."""
     block = make_block(d=6, heads=2, seed=5)
     x = np.random.default_rng(4).normal(size=(2, 3, 6))
-    base = PrefixSet(session=0, layers=1, prefix_len=4, dim=6, rng=SeededRng(6))
+    base = PrefixSet(layers=3, prefix_len=4, dim=6, rng=SeededRng(6))
     for attr in ("p_k", "p_v"):
 
         def f(t, attr=attr):
-            prefixes = PrefixSet(session=0, layers=1, prefix_len=4, dim=6, rng=SeededRng(6))
-            getattr(prefixes, attr)[0] = t
-            out, _ = prefix_mhsa(Tensor(x), block, prefixes, layer=0)
+            prefixes = PrefixSet(layers=3, prefix_len=4, dim=6, rng=SeededRng(6))
+            setattr(prefixes, attr, t)
+            out, _ = block.attention(Tensor(x), prefix_kv=prefixes.layer_kv(1))
             return (out**2).sum()
 
-        report = grad_check(f, Tensor(getattr(base, attr)[0].data.copy()), tol=1e-4)
+        report = grad_check(f, Tensor(getattr(base, attr).data.copy()), tol=1e-4)
         assert report.passed, f"{attr}: {report.max_rel_error}"
 
 
@@ -118,7 +136,7 @@ def _session_setup(seed=0):
 def test_train_session_keeps_backbone_and_old_rows_frozen():
     cfg, encoder, head, x, y = _session_setup()
     tc = desk_profile(inc_epochs=3, inc_batch_size=5)
-    prefixes = PrefixSet(session=1, layers=1, prefix_len=4, dim=8, rng=SeededRng(7))
+    prefixes = PrefixSet(layers=1, prefix_len=4, dim=8, rng=SeededRng(7))
     before_backbone = hash_state(encoder)
     before_old = head.mu.data[:2].copy(), head.sigma.data[:2].copy()
     train_session(x, y, encoder, head, prefixes, new_rows=[2, 3], config=tc, rng=SeededRng(8), session=1)
@@ -142,7 +160,7 @@ def test_train_session_tokenizes_the_session_once(monkeypatch):
     for name in ("tokenize", "forward"):
         real = getattr(Encoder, name)
         monkeypatch.setattr(Encoder, name, lambda self, *a, _real=real, _name=name, **k: calls.append(_name) or _real(self, *a, **k))
-    prefixes = PrefixSet(session=1, layers=1, prefix_len=4, dim=8, rng=SeededRng(14))
+    prefixes = PrefixSet(layers=1, prefix_len=4, dim=8, rng=SeededRng(14))
     train_session(x, y, encoder, head, prefixes, new_rows=[2, 3], config=desk_profile(inc_epochs=2, inc_batch_size=4), rng=SeededRng(15), session=1)
     assert calls == ["tokenize"]
 
@@ -158,7 +176,7 @@ def test_train_session_rejects_a_changed_frozen_head_row(monkeypatch, part):
         return out
 
     monkeypatch.setattr(delta_params, "run_epochs", drifting)
-    prefixes = PrefixSet(session=1, layers=1, prefix_len=4, dim=8, rng=SeededRng(12))
+    prefixes = PrefixSet(layers=1, prefix_len=4, dim=8, rng=SeededRng(12))
     with pytest.raises(ContractViolation, match="classifier rows"):
         train_session(x, y, encoder, head, prefixes, new_rows=[2, 3], config=desk_profile(inc_epochs=1, inc_batch_size=5), rng=SeededRng(13), session=1)
 
@@ -166,7 +184,7 @@ def test_train_session_rejects_a_changed_frozen_head_row(monkeypatch, part):
 def test_train_session_rejects_unfrozen_backbone():
     cfg, encoder, head, x, y = _session_setup(1)
     encoder.set_requires_grad(True)
-    prefixes = PrefixSet(session=1, layers=1, prefix_len=4, dim=8, rng=SeededRng(9))
+    prefixes = PrefixSet(layers=1, prefix_len=4, dim=8, rng=SeededRng(9))
     with pytest.raises(ContractViolation):
         train_session(x, y, encoder, head, prefixes, new_rows=[2, 3], config=desk_profile(), rng=SeededRng(10), session=1)
 
@@ -174,22 +192,23 @@ def test_train_session_rejects_unfrozen_backbone():
 def test_earlier_prefix_sets_untouched_by_later_session():
     cfg, encoder, head, x, y = _session_setup(2)
     tc = desk_profile(inc_epochs=3, inc_batch_size=5)
-    first = PrefixSet(session=1, layers=1, prefix_len=4, dim=8, rng=SeededRng(11))
+    first = PrefixSet(layers=1, prefix_len=4, dim=8, rng=SeededRng(11))
     train_session(x, y, encoder, head, first, new_rows=[2, 3], config=tc, rng=SeededRng(12), session=1)
     frozen = hash_state(first)
     head.add_class(np.random.default_rng(5).normal(size=8))
-    second = PrefixSet(session=2, layers=1, prefix_len=4, dim=8, rng=SeededRng(13))
+    second = PrefixSet(layers=1, prefix_len=4, dim=8, rng=SeededRng(13))
     train_session(x, np.full(len(x), 4), encoder, head, second, new_rows=[4], config=tc, rng=SeededRng(14), session=2)
     assert hash_state(first) == frozen
 
 
 def test_trainable_fraction_matches_parameter_count_oracle():
     cfg, encoder, head, x, y = _session_setup(3)
-    prefixes = PrefixSet(session=1, layers=1, prefix_len=4, dim=8, rng=SeededRng(15))
+    prefixes = PrefixSet(layers=1, prefix_len=4, dim=8, rng=SeededRng(15))
     rows = [head.mu.data[2:4], head.sigma.data[2:4]]
     frac = trainable_fraction(prefixes, rows, encoder)
     # oracle: count arrays directly
-    n_prefix = sum(p.data.size for p in prefixes.p_k + prefixes.p_v)
+    assert prefixes.p_k.shape == prefixes.p_v.shape == (1, 2, 8)
+    n_prefix = prefixes.p_k.data.size + prefixes.p_v.data.size
     n_rows = 2 * 2 * 8  # two new classes, a mu and a sigma row each
     n_backbone = sum(p.data.size for p in encoder.params().values())
     assert frac == (n_prefix + n_rows) / (n_prefix + n_rows + n_backbone)
@@ -220,7 +239,7 @@ def random_eval_encoder(cfg, seed):
 def test_folded_no_grad_forward_equals_the_composed_eval_forward(monkeypatch, prefix_len):
     cfg = BackboneConfig(image_size=4, conv_channels=(8,), embed_dim=8, heads=2, layers=2, ffn_hidden=12, pool_size=0)
     encoder = random_eval_encoder(cfg, 30 + prefix_len)
-    prefixes = PrefixSet(session=1, layers=2, prefix_len=prefix_len, dim=8, rng=SeededRng(31))
+    prefixes = PrefixSet(layers=2, prefix_len=prefix_len, dim=8, rng=SeededRng(31))
     tokens = np.random.default_rng(32).normal(size=(5, cfg.token_count(), 8))
     with no_grad():
         x = Tensor(tokens)
@@ -249,7 +268,7 @@ def test_session_gradients_match_the_autodiff_oracle(layers, heads, prefix_len, 
     """Closed-form loss and flat gradient vs encode + cross_entropy_loss + backward."""
     cfg = BackboneConfig(image_size=4, conv_channels=(8,), embed_dim=8, heads=heads, layers=layers, ffn_hidden=12)
     encoder = random_eval_encoder(cfg, seed)
-    prefixes = PrefixSet(session=1, layers=layers, prefix_len=prefix_len, dim=8, rng=SeededRng(seed + 1))
+    prefixes = PrefixSet(layers=layers, prefix_len=prefix_len, dim=8, rng=SeededRng(seed + 1))
     rng = np.random.default_rng(seed)
     head = StochasticHead(8)
     for _ in range(5):
@@ -263,16 +282,14 @@ def test_session_gradients_match_the_autodiff_oracle(layers, heads, prefix_len, 
     z = encoder.encode(Tensor(tokens, requires_grad=True), prefixes=prefixes)
     loss = cross_entropy_loss(head, z, labels, SeededRng(seed).child("eps"), noise=noise)
     loss.backward()
-    trained = list(prefixes.params().values()) if prefix_len else []
-    expected = [p.grad for p in trained] + [head.mu.grad[new_rows]]
+    expected = [np.zeros(prefixes.p_k.shape) if p.grad is None else p.grad for p in (prefixes.p_k, prefixes.p_v)] + [head.mu.grad[new_rows]]
     if noise:
         expected.append(head.sigma.grad[new_rows])
 
     grads = [np.full_like(g, np.nan) for g in expected]
-    kv = [(prefixes.p_k[i].data, prefixes.p_v[i].data) if prefix_len else None for i in range(layers)]
     mu, sigma = head.mu.data, head.sigma.data
     eps = SeededRng(seed).child("eps").normal(size=mu.shape) if noise else None
-    value = session_gradients(FoldedEncoder(encoder), tokens, labels, kv, head, mu, sigma, eps, new_rows, grads)
+    value = session_gradients(FoldedEncoder(encoder), tokens, labels, (prefixes.p_k.data, prefixes.p_v.data), head, mu, sigma, eps, new_rows, grads)
 
     np.testing.assert_allclose(value, loss.item(), rtol=1e-10)
     flat, oracle = np.concatenate([g.ravel() for g in grads]), np.concatenate([g.ravel() for g in expected])
@@ -287,16 +304,16 @@ def test_train_session_builds_no_graph_and_never_calls_the_head(monkeypatch):
 
     monkeypatch.setattr(Tensor, "backward", forbidden)
     monkeypatch.setattr(StochasticHead, "logits", forbidden)
-    prefixes = PrefixSet(session=1, layers=1, prefix_len=4, dim=8, rng=SeededRng(16))
-    before = prefixes.p_k[0].data.copy()
+    prefixes = PrefixSet(layers=1, prefix_len=4, dim=8, rng=SeededRng(16))
+    before = prefixes.p_k.data.copy()
     train_session(x, y, encoder, head, prefixes, new_rows=[2, 3], config=desk_profile(inc_epochs=2, inc_batch_size=4), rng=SeededRng(17), session=1)
-    assert not np.array_equal(prefixes.p_k[0].data, before)
+    assert not np.array_equal(prefixes.p_k.data, before)
 
 
 def test_train_session_logs_one_finite_grad_norm_per_epoch():
     _, encoder, head, x, y = _session_setup(7)
     log = EventLog(None)
-    prefixes = PrefixSet(session=1, layers=1, prefix_len=4, dim=8, rng=SeededRng(18))
+    prefixes = PrefixSet(layers=1, prefix_len=4, dim=8, rng=SeededRng(18))
     train_session(x, y, encoder, head, prefixes, new_rows=[2, 3], config=desk_profile(inc_epochs=3, inc_batch_size=4), rng=SeededRng(19), log=log, session=1)
     norms = [r for r in log.records if r["key"] == "grad_norm"]
     assert [(r["phase"], r["session"], r["epoch"]) for r in norms] == [("incremental", 1, e) for e in range(3)]
@@ -309,10 +326,10 @@ def test_train_session_rejects_a_non_finite_gradient_under_a_finite_loss(monkeyp
 
     def planted(*args):
         loss = real(*args)
-        args[-1][0].reshape(-1)[0] = np.nan  # first entry of the first layer's p_K gradient
+        args[-1][0].reshape(-1)[0] = np.nan  # first entry of the p_K gradient
         return loss
 
     monkeypatch.setattr(delta_params, "session_gradients", planted)
-    prefixes = PrefixSet(session=2, layers=1, prefix_len=4, dim=8, rng=SeededRng(20))
+    prefixes = PrefixSet(layers=1, prefix_len=4, dim=8, rng=SeededRng(20))
     with pytest.raises(NumericError, match="non-finite gradient .* session 2, epoch 0"):
         train_session(x, y, encoder, head, prefixes, new_rows=[2, 3], config=desk_profile(inc_epochs=2, inc_batch_size=4), rng=SeededRng(21), session=2)

@@ -215,17 +215,18 @@ def attention_oracle(x, wq, wk, wv, wo, pk, pv):
     dk=st.integers(1, 3),
     batch=st.none() | st.integers(1, 3),
     n=st.integers(1, 4),
-    prefix=st.integers(0, 3),
+    prefix=st.none() | st.integers(0, 3),
     dtype=dtypes,
     seed=seeds,
 )
 def test_attention_passes_grad_check_over_shapes(heads, dk, batch, n, prefix, dtype, seed):
-    """(d, H, d_k) q/k/v weights; `batch` None is a 2-d (n, d) input; a prefix of length 0 is none."""
+    """(d, H, d_k) q/k/v weights; `batch` None is a 2-d (n, d) input; `prefix`
+    None is no prefix, and 0 a prefix of zero rows (an empty `PrefixSet`'s)."""
     rng = np.random.default_rng(seed)
     d = heads * dk
     x = rng.normal(size=(n, d) if batch is None else (batch, n, d))
     weights = [rng.normal(size=(d, heads, dk)) * 0.5 for _ in range(3)] + [rng.normal(size=(d, d)) * 0.5]
-    kv = [rng.normal(size=(prefix, d)) for _ in range(2)] if prefix else []
+    kv = [] if prefix is None else [rng.normal(size=(prefix, d)) for _ in range(2)]
     inputs = [x, *weights, *kv]
 
     def f(x, wq, wk, wv, wo, *kv):
@@ -233,7 +234,7 @@ def test_attention_passes_grad_check_over_shapes(heads, dk, batch, n, prefix, dt
 
     out = f(*(Tensor(a, dtype=dtype) for a in inputs))
     assert out.shape == x.shape and out.dtype == dtype
-    cast = [np.asarray(a, dtype) for a in inputs] + ([None, None] if not prefix else [])
+    cast = [np.asarray(a, dtype) for a in inputs] + ([None, None] if prefix is None else [])
     np.testing.assert_allclose(out.data, attention_oracle(*cast), rtol=FORWARD_RTOL[dtype], atol=FORWARD_RTOL[dtype])
     check(f, inputs, x.shape, dtype, rng)
 

@@ -12,7 +12,7 @@ from fscil.backbone import Encoder, hash_state, load_state, state_arrays
 from fscil.base_trainer import embed_all
 from fscil.config import ABLATION_TOGGLES, BackboneConfig, DatasetConfig, RunConfig, SplitConfig, ablated, desk_profile
 from fscil.delta_params import PrefixSet
-from fscil.errors import ArgumentError, NumericError
+from fscil.errors import ArgumentError, FormatError, NumericError
 from fscil.harness import build_fscil_splits
 from fscil.numerics import SeededRng, Tensor
 from fscil.protocol import build_dataset, run_ablation, run_from_config
@@ -152,7 +152,7 @@ def test_pool_embeddings_serve_each_prefix_sets_own_rows():
     encoder = Encoder(cfg.model, SeededRng(0))
     encoder.set_requires_grad(False)
     test_x = np.random.default_rng(0).normal(size=(12, cfg.model.in_channels, cfg.model.image_size, cfg.model.image_size))
-    prefix_sets = [None] + [PrefixSet(k, cfg.model.layers, cfg.training.prefix_len, cfg.model.embed_dim, SeededRng(k)) for k in (1, 2)]
+    prefix_sets = [None] + [PrefixSet(cfg.model.layers, cfg.training.prefix_len, cfg.model.embed_dim, SeededRng(k)) for k in (1, 2)]
     pool = protocol._PoolEmbeddings(test_x)
     for idx in (np.array([3, 1, 7]), np.arange(12), np.array([11, 3]), np.array([], dtype=int)):
         for prefixes in prefix_sets:
@@ -265,7 +265,7 @@ def test_saved_state_reloads_into_fresh_models(saved_run):
         head.add_class(np.ones(dim))
     models = {"encoder": encoder, "head": head}
     for k in sessions:
-        models[f"session{k}.prefixes"] = PrefixSet(k, cfg.model.layers, cfg.training.prefix_len, dim)
+        models[f"session{k}.prefixes"] = PrefixSet(cfg.model.layers, cfg.training.prefix_len, dim)
     for k in sessions[1:]:
         models[f"session{k}.prediction_net"] = PredictionNet(dim, k, SeededRng(99))
     assert hash_state(encoder) != hash_state(artifacts["encoder"])
@@ -287,6 +287,22 @@ def test_saved_state_reloads_into_fresh_models(saved_run):
     model_arrays = {f"{scope}.{name}" for scope, model in models.items() for name in state_arrays(model)}
     assert set(arrays) == model_arrays | session_arrays | {"covariance"}
     assert not [name for name in arrays if name.startswith("session0.prediction_net.")]
+
+
+def test_a_state_file_with_per_layer_prefix_names_raises_format_error_and_changes_nothing(saved_run, tmp_path):
+    cfg, _, artifacts, out = saved_run
+    with np.load(out / "state.npz") as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    for k in artifacts["prefixes"]:  # the old layout: one `p_k.{i}` / `p_v.{i}` entry per layer
+        for role in ("p_k", "p_v"):
+            arrays.update({f"session{k}.prefixes.{role}.{i}": rows for i, rows in enumerate(arrays.pop(f"session{k}.prefixes.{role}"))})
+    np.savez(tmp_path / "old.npz", **arrays)
+    encoder = Encoder(cfg.model, SeededRng(99))
+    prefixes = PrefixSet(cfg.model.layers, cfg.training.prefix_len, cfg.model.embed_dim, SeededRng(98))
+    before = hash_state(encoder, prefixes)
+    with pytest.raises(FormatError, match=r"'session0\.prefixes\.p_k'.*no entry"):
+        load_state(tmp_path / "old.npz", {"encoder": encoder, "session0.prefixes": prefixes})
+    assert hash_state(encoder, prefixes) == before
 
 
 def test_round_trip_config(tmp_path):

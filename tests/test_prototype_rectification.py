@@ -99,7 +99,7 @@ def _blob_stats(rng, n_classes=4, dim=4, spread=6.0):
     emb = np.concatenate([means[c] + 0.3 * rng.normal(size=(10, dim)) for c in range(n_classes)])
     labels = np.repeat(np.arange(n_classes), 10)
     gaussians, scatter = fit_class_stats(emb, labels, session=0)
-    shared = SharedCovariance(matrix=scatter + np.eye(dim), sessions=[0])
+    shared = SharedCovariance(matrix=scatter + np.eye(dim))
     return means, gaussians, shared
 
 

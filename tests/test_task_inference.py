@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-from fscil import task_inference
+from fscil import protocol, task_inference
 from fscil.errors import ArgumentError, NumericError
 from fscil.task_inference import (
     ClassGaussian,
     SharedCovariance,
-    accumulate_covariance,
     class_distances,
     fit_class_stats,
     select_class_batch,
@@ -97,44 +96,44 @@ def test_empty_or_mismatched_inputs_rejected():
 # -- accumulation -------------------------------------------------------------------
 
 
+def shared_covariance(*scatters):
+    """The protocol's shared covariance after one session's scatter per argument."""
+    state = protocol._ProtocolState()
+    for k, scatter in enumerate(scatters):
+        state.set_session_stats(k, [], scatter)
+    return state.covariance.matrix
+
+
 def test_first_accumulation_copies():
     a1 = np.array([[2.0, 0.5], [0.5, 1.0]])
-    shared = accumulate_covariance(None, a1, session=0)
-    np.testing.assert_array_equal(shared.matrix, a1)
-    assert shared.sessions == [0]
+    shared = shared_covariance(a1)
+    np.testing.assert_array_equal(shared, a1)
+    assert not np.shares_memory(shared, a1)
 
 
 def test_accumulation_matches_matrix_sum_oracle():
     rng = np.random.default_rng(1)
     b1, b2 = rng.normal(size=(2, 3, 3))
     a1, a2 = b1 @ b1.T, b2 @ b2.T
-    shared = accumulate_covariance(accumulate_covariance(None, a1, 0), a2, 1)
-    np.testing.assert_array_equal(shared.matrix, a1 + a2)
-    shared.check()
+    shared = shared_covariance(a1, a2)
+    np.testing.assert_array_equal(shared, a1 + a2)
+    np.testing.assert_array_equal(shared, shared.T)
 
 
 def test_accumulating_zero_is_identity():
-    a1 = np.eye(3)
-    shared = accumulate_covariance(None, a1, 0)
-    shared = accumulate_covariance(shared, np.zeros((3, 3)), 1)
-    np.testing.assert_array_equal(shared.matrix, np.eye(3))
-
-
-def test_accumulation_shape_mismatch_rejected():
-    with pytest.raises(ArgumentError):
-        accumulate_covariance(accumulate_covariance(None, np.eye(2), 0), np.eye(3), 1)
+    np.testing.assert_array_equal(shared_covariance(np.eye(3), np.zeros((3, 3))), np.eye(3))
 
 
 def test_covariance_stays_psd_property():
     rng = np.random.default_rng(2)
-    shared = None
+    scatters = []
     for k in range(5):
         pts = rng.normal(size=(12, 4)) @ np.diag(rng.uniform(0.1, 2.0, size=4))
         labels = np.repeat([0, 1, 2], 4)
-        _, scatter = fit_class_stats(pts, labels, session=k)
-        shared = accumulate_covariance(shared, scatter, k)
-        np.testing.assert_allclose(shared.matrix, shared.matrix.T, atol=1e-10)
-        assert np.linalg.eigvalsh(shared.matrix).min() >= -1e-8
+        scatters.append(fit_class_stats(pts, labels, session=k)[1])
+        shared = shared_covariance(*scatters)
+        np.testing.assert_allclose(shared, shared.T, atol=1e-10)
+        assert np.linalg.eigvalsh(shared).min() >= -1e-8
 
 
 # -- selection ------------------------------------------------------------------------
@@ -145,14 +144,14 @@ def _random_instance(rng, n_classes, dim):
     for i, g in enumerate(gaussians):
         g.session = i % 3
     b = rng.normal(size=(dim, dim))
-    shared = SharedCovariance(matrix=b @ b.T + 0.5 * np.eye(dim), sessions=[0])
+    shared = SharedCovariance(matrix=b @ b.T + 0.5 * np.eye(dim))
     return gaussians, shared
 
 
 def test_identity_covariance_ranks_like_euclidean():
     rng = np.random.default_rng(3)
     gaussians, _ = fit_class_stats(rng.normal(size=(6, 4)), np.arange(6), session=0)
-    shared = SharedCovariance(matrix=np.eye(4), sessions=[0])
+    shared = SharedCovariance(matrix=np.eye(4))
     for _ in range(100):
         q = rng.normal(size=4) * 2
         m_cls, _ = select_class_batch(q[None], gaussians, shared, metric="mahalanobis")
@@ -201,14 +200,14 @@ def test_affine_equivariance_of_mahalanobis_argmin():
 
         m = rng.normal(size=(4, 4)) + 2 * np.eye(4)  # invertible w.h.p.
         mapped = [type(g)(class_id=g.class_id, session=g.session, mean=m @ g.mean, count=g.count) for g in gaussians]
-        mapped_cov = SharedCovariance(matrix=m @ shared.matrix @ m.T, sessions=list(shared.sessions))
+        mapped_cov = SharedCovariance(matrix=m @ shared.matrix @ m.T)
         got, _ = select_class_batch((m @ q)[None], mapped, mapped_cov, metric="mahalanobis")
         assert got[0] == base[0]
 
 
 def test_singular_regularized_matrix_raises_numeric_error():
     gaussians, _ = fit_class_stats(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 1]), session=0)
-    zero_cov = SharedCovariance(matrix=np.zeros((2, 2)), sessions=[0])  # trace 0 -> eps 0 -> singular
+    zero_cov = SharedCovariance(matrix=np.zeros((2, 2)))  # trace 0 -> eps 0 -> singular
     with pytest.raises(NumericError, match="euclidean"):
         select_class_batch(np.array([[0.5, 0.5]]), gaussians, zero_cov, metric="mahalanobis")
 
