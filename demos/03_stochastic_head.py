@@ -19,8 +19,9 @@ prototypes = {c: rng.child(f"proto{c}").normal(size=8, scale=3.0) for c in range
 init_means_from_prototypes(head, prototypes)
 print("classes:", head.num_classes)
 
-# with sigma at its initialization the per-coordinate noise scale is ln 2
-draws = np.stack([head.sample_weights(0, rng.child(f"d{i}"), noise=True).data for i in range(20000)])
+# with sigma at its initialization the per-coordinate noise scale is ln 2;
+# one draw gives eps for every class, and class 0's sample is row 0
+draws = np.stack([head.weights(head.draw(rng.child(f"d{i}"))).data[0] for i in range(20000)])
 print("sample mean vs mu (first 3 coords):", np.round(draws.mean(axis=0)[:3], 3), "vs", np.round(head.mu.data[0][:3], 3))
 print("sample std per coord ~ ln 2:", np.round(draws.std(axis=0).mean(), 3))
 
@@ -31,7 +32,7 @@ print("probs for a scaled class-1 prototype:", np.round(probs, 4))
 print("prediction:", head.predict_label(Tensor(z)))
 
 # sampling weights at prediction time adds controlled diversity
-noisy_votes = [head.predict_label(Tensor(z), rng=rng.child(f"vote{i}"), noise=True) for i in range(10)]
+noisy_votes = [head.predict_label(Tensor(z), head.draw(rng.child(f"vote{i}"))) for i in range(10)]
 print("ten noisy votes:", noisy_votes)
 
 # extending the head never touches existing rows

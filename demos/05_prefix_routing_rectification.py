@@ -47,7 +47,7 @@ one_sided = means[0] + np.abs(rng.child("bias").normal(size=(5, dim)))  # all sh
 print("\nintra-class bias of the one-sided subset:", np.round(np.linalg.norm(estimate_intra_class_bias(full_class, one_sided)), 3))
 
 pairs = merge_pairs([select_outlier_pairs(emb0[lab0 == c], emb0[lab0 == c].mean(axis=0), 15) for c in range(4)])
-net = PredictionNet(dim, session=0, rng=rng.child("net"), depth=2)
+net = PredictionNet(dim, rng=rng.child("net"), depth=2)
 train_prediction_net(net, pairs, desk_profile(prednet_epochs=300, prednet_batch_size=64, prednet_lr=1e-2), rng.child("fit"))
 
 mu_few = one_sided.mean(axis=0)

@@ -284,10 +284,14 @@ class Encoder:
 
         An eval-mode forward that builds no graph (no gradient is enabled
         and needed for the tokens, a parameter or a prefix) runs
-        `FoldedEncoder` instead of the composed ops.
+        `FoldedEncoder` instead of the composed ops.  Prefixes other than
+        two (L, m, d) tensors of this encoder's L and d raise `ArgumentError`
+        on either path.
         """
         self._flat_width(tokens)  # the folded forward has no check of its own
         kv = [] if prefixes is None else [prefixes.p_k, prefixes.p_v]
+        if kv and not (kv[0].shape == kv[1].shape and kv[0].ndim == 3 and kv[0].shape[::2] == (self.cfg.layers, self.cfg.embed_dim)):
+            raise ArgumentError(f"prefixes must be two ({self.cfg.layers}, m, {self.cfg.embed_dim}) tensors, got {kv[0].shape} and {kv[1].shape}")
         if self.mode == "eval" and not needs_graph([tokens, *self.params().values(), *kv]):
             return Tensor(FoldedEncoder(self).forward(tokens.data, [t.data for t in kv] or None))
         x = tokens
@@ -316,12 +320,6 @@ class Encoder:
     def set_requires_grad(self, flag: bool):
         for p in self.params().values():
             p.requires_grad = flag
-
-    def copy(self) -> "Encoder":
-        clone = Encoder(self.cfg, SeededRng(0))
-        load_arrays(clone, state_arrays(self))
-        clone.mode = self.mode
-        return clone
 
 
 class FoldedEncoder:

@@ -12,11 +12,12 @@ train under cross-entropy.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
-from .backbone import BackboneConfig, Encoder, Linear, hash_state, load_arrays, state_arrays
+from .backbone import BackboneConfig, Encoder, Linear, hash_state
 from .errors import ArgumentError, UsageError
 from .numerics import SeededRng, Tensor, gelu, log_softmax, log_softmax_nll, no_grad
 from .optim import CosineSchedule, EarlyStopping, ReduceOnPlateau, backprop_step, make_optimizer, run_epochs
@@ -77,11 +78,6 @@ class DinoHead:
         out.update(self.l2.params("l2"))
         return out
 
-    def copy(self) -> "DinoHead":
-        clone = DinoHead(SeededRng(0), self.l1.weight.shape[0], self.l1.weight.shape[1], self.out_dim)
-        load_arrays(clone, state_arrays(self))
-        return clone
-
 
 @dataclass
 class TeacherState:
@@ -119,8 +115,8 @@ class TeacherState:
 
 def make_teacher(student_encoder: Encoder, student_proj: DinoHead, config) -> TeacherState:
     return TeacherState(
-        encoder=student_encoder.copy(),
-        proj=student_proj.copy(),
+        encoder=copy.deepcopy(student_encoder),
+        proj=copy.deepcopy(student_proj),
         center=np.zeros(student_proj.out_dim),
         ema_momentum=config.ema_momentum,
         teacher_temp=config.teacher_temp,

@@ -205,22 +205,4 @@ def ablated(config: RunConfig, name: str) -> RunConfig:
 
 def toy_fscil_config() -> RunConfig:
     """Synthetic-blob protocol: 10 base classes + 4 sessions of 2-way 5-shot."""
-    return RunConfig(
-        model=BackboneConfig(
-            image_size=4,
-            in_channels=1,
-            conv_channels=(32,),
-            conv_kernel=3,
-            conv_stride=1,
-            conv_padding=1,
-            pool_size=2,
-            pool_stride=2,
-            embed_dim=32,
-            layers=2,
-            heads=2,
-            ffn_hidden=64,
-        ),
-        training=desk_profile(prefix_len=8, inc_epochs=15, inc_epochs_base=4),
-        dataset=DatasetConfig(kind="blobs", classes=18, dim=16, train_per_class=40, test_per_class=20, separation=8.0),
-        split=SplitConfig(base_classes=10, ways=2, shots=5),
-    )
+    return RunConfig(training=desk_profile(prefix_len=8))

@@ -129,8 +129,7 @@ def train_session(
         tokens = encoder.tokenize(Tensor(data_x)).data
 
     def step(idx, epoch, start):
-        eps_rng = rng.child("eps", f"e{epoch}", f"b{start}")
-        eps = eps_rng.normal(size=mu.shape) if noise else None
+        eps = head.draw(rng.child("eps", f"e{epoch}", f"b{start}")) if noise else None
         mu[new_rows] = views[2]
         if noise:
             sigma[new_rows] = views[3]

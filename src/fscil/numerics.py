@@ -133,9 +133,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad}{tag})"

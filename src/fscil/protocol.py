@@ -55,6 +55,11 @@ from .prototype_rectification import (
 from .stochastic_classifier import init_means_from_prototypes
 from .task_inference import SharedCovariance, fit_class_stats, select_class_batch
 
+
+def _sha256_json(data) -> str:
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+
 @dataclass
 class RunRecord:
     """Everything one run produced, minus raw samples."""
@@ -75,7 +80,11 @@ class RunRecord:
         return {name: getattr(self, name) for name in names}
 
     def content_hash(self) -> str:
-        return hashlib.sha256(json.dumps(self._hashed(), sort_keys=True).encode()).hexdigest()
+        return _sha256_json(self._hashed())
+
+    def outputs_hash(self) -> str:
+        """Hash of what the run produced: every hashed field but the config."""
+        return _sha256_json({k: v for k, v in self._hashed().items() if k != "config"})
 
     def to_dict(self) -> dict:
         return {**self._hashed(), "started_at": self.started_at, "finished_at": self.finished_at, "content_hash": self.content_hash()}
@@ -177,7 +186,7 @@ def _rectified_prototypes(state, embeddings, remapped_labels, pseudo_x, pseudo_y
         parts.append(select_outlier_pairs(rows, g.mean, min(tc.outliers_inc, len(rows))))
     if len(pseudo_x):
         parts.append(OutlierPairs(inputs=pseudo_x, targets=np.stack([by_class[int(c)].mean for c in pseudo_y])))
-    net = PredictionNet(embeddings.shape[1], session, rng.child("prednet"))
+    net = PredictionNet(embeddings.shape[1], rng.child("prednet"))
     train_prediction_net(net, merge_pairs(parts), tc, rng.child("prednet_train"), log=log, session=session)
     state.prednets[session] = net
     return {g.class_id: g.mean for g in refine_gaussian_stats(net, gaussians)}

@@ -41,11 +41,10 @@ class OutlierPairs:
 class PredictionNet:
     """P: R^D -> R^D; `depth` counts linear layers (1 = purely linear)."""
 
-    def __init__(self, dim: int, session: int, rng: SeededRng, depth: int = 2, hidden: int | None = None):
+    def __init__(self, dim: int, rng: SeededRng, depth: int = 2, hidden: int | None = None):
         if depth not in (1, 2):
             raise ArgumentError(f"prediction net depth must be 1 or 2, got {depth}")
         self.dim = dim
-        self.session = session
         self.depth = depth
         hidden = hidden or dim
         if depth == 1:
@@ -75,9 +74,9 @@ class PredictionNet:
         return out
 
     @classmethod
-    def identity(cls, dim: int, session: int = 0) -> "PredictionNet":
+    def identity(cls, dim: int) -> "PredictionNet":
         """Exact identity map (linear variant), handy as a fixed point."""
-        net = cls(dim, session, SeededRng(0), depth=1)
+        net = cls(dim, SeededRng(0), depth=1)
         net.layers[0].weight.data = np.eye(dim)
         net.layers[0].bias.data = np.zeros(dim)
         return net

@@ -3,11 +3,12 @@
 Each class owns a weight distribution, row m of the (M, d) `mu` and `sigma`
 tensors; a concrete weight vector is drawn with the reparameterization
 phi = mu + eps (*) softplus(sigma - c), eps ~ N(0, 1), so gradients flow into
-both mu and sigma.  One (M, d) draw from the batch's rng gives eps for every
-class.  Scores are temperature-scaled cosine similarities between the
-sampled weight and the feature, turned into class probabilities by a
-softmax.  The training loss is written once, as `head_loss`; the graph node
-`cross_entropy_loss` and prefix sessions both call it.
+both mu and sigma.  One (M, d) draw from the batch's rng,
+`StochasticHead.draw`, gives eps for every class.  Scores are
+temperature-scaled cosine similarities between the sampled weight and the
+feature, turned into class probabilities by a softmax.  The training loss
+is written once, as `head_loss`; the graph node `cross_entropy_loss` and
+prefix sessions both call it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ArgumentError, DomainError
-from .numerics import SeededRng, Tensor, _result, expit, l2_normalize, softmax, softplus
+from .numerics import SeededRng, Tensor, _result, expit, l2_normalize, no_grad, softmax, softplus
 
 SOFTPLUS_OFFSET = 4.0  # hyper-parameter c; sigma starts at c so the initial noise scale is ln 2
 
@@ -46,37 +47,22 @@ class StochasticHead:
         self.mu.grad = self.sigma.grad = None
         return self.num_classes - 1
 
-    def _eps(self, rows: int, rng: SeededRng | None, noise: bool, frozen_eps) -> np.ndarray | None:
-        """(rows, dim) standard-normal draw in `mu`'s dtype, or None when noise is off.
+    def draw(self, rng: SeededRng) -> np.ndarray:
+        """(M, dim) standard-normal eps in `mu`'s dtype, the only draw of head noise.
 
-        One `rng.normal(size=(rows, dim))` call fills the rows in order, so
-        row m is the same for a given rng whatever the number of classes.
+        One `rng.normal` call fills the rows in order, so row m is the same
+        for a given rng whatever the number of classes.
         """
-        if not noise:
-            return None
-        if frozen_eps is not None:
-            return np.asarray(frozen_eps, dtype=self.mu.dtype).reshape(rows, self.dim)
-        if rng is None:
-            raise ArgumentError("noise=True needs an rng or a frozen eps")
-        return rng.normal(size=(rows, self.dim)).astype(self.mu.dtype, copy=False)
+        return rng.normal(size=self.mu.shape).astype(self.mu.dtype, copy=False)
 
-    def _weights(self, mu: Tensor, sigma: Tensor, eps) -> Tensor:
-        """mu + eps (*) softplus(sigma - c) of generic ops; `mu` itself when `eps` is None."""
-        return mu if eps is None else mu + eps * softplus(sigma - self.offset)
+    def weights(self, eps: np.ndarray | None = None) -> Tensor:
+        """phi = mu + eps (*) softplus(sigma - c) for every row; `mu` itself when `eps` is None.
 
-    def sample_weights(self, class_index: int, rng: SeededRng | None = None, noise: bool = True, frozen_eps: np.ndarray | None = None) -> Tensor:
-        """phi_m = mu_m + eps (*) softplus(sigma_m - c); phi = mu when noise is off.
-
-        `frozen_eps` fixes the draw so the sampling path stays deterministic
-        for gradient checking.  This one-row draw is what the Monte-Carlo
-        moment tests and demos/03 sample the reparameterization with.
+        Class m's sample is row m.
         """
-        if not 0 <= class_index < self.num_classes:
-            raise ArgumentError(f"class index {class_index} out of range (M={self.num_classes})")
-        eps = self._eps(1, rng, noise, frozen_eps)
-        return self._weights(self.mu[class_index], self.sigma[class_index], None if eps is None else eps[0])
+        return self.mu if eps is None else self.mu + eps * softplus(self.sigma - self.offset)
 
-    def logits(self, z: Tensor, rng: SeededRng | None = None, noise: bool = False, frozen_eps: np.ndarray | None = None) -> Tensor:
+    def logits(self, z: Tensor, eps: np.ndarray | None = None) -> Tensor:
         """eta * <phi_hat_m, z_hat> for every class; z may be (d,) or (B, d).
 
         Composed of generic ops (`softplus`, `l2_normalize`, matmul); the
@@ -87,16 +73,16 @@ class StochasticHead:
         z = z if isinstance(z, Tensor) else Tensor(z)
         if np.any(np.linalg.norm(z.data, axis=-1) == 0.0):
             raise DomainError("class probabilities undefined for zero feature vectors")
-        weights = self._weights(self.mu, self.sigma, self._eps(self.num_classes, rng, noise, frozen_eps))
-        return (l2_normalize(z) @ l2_normalize(weights).swapaxes(-1, -2)) * self.temperature
+        return (l2_normalize(z) @ l2_normalize(self.weights(eps)).swapaxes(-1, -2)) * self.temperature
 
-    def class_probs(self, z: Tensor, rng: SeededRng | None = None, noise: bool = False, frozen_eps: np.ndarray | None = None) -> Tensor:
-        """P(Y=m | x): softmax over temperature-scaled cosine scores."""
-        return softmax(self.logits(z, rng=rng, noise=noise, frozen_eps=frozen_eps), axis=-1)
+    def class_probs(self, z: Tensor, eps: np.ndarray | None = None) -> Tensor:
+        """P(Y=m | x): softmax over temperature-scaled cosine scores, without a graph."""
+        with no_grad():
+            return softmax(self.logits(z, eps), axis=-1)
 
-    def predict_label(self, z, rng: SeededRng | None = None, noise: bool = False):
+    def predict_label(self, z, eps: np.ndarray | None = None):
         """argmax class; ties break toward the lowest class index."""
-        probs = self.class_probs(z, rng=rng, noise=noise).data
+        probs = self.class_probs(z, eps).data
         return int(np.argmax(probs)) if probs.ndim == 1 else np.argmax(probs, axis=-1)
 
     def params(self) -> dict:
@@ -130,7 +116,7 @@ def head_loss(z: np.ndarray, mu: np.ndarray, sigma: np.ndarray, eps, labels: np.
     `grad(g, rows, want_z)` maps the loss's upstream gradient `g` to
     `(z's gradient or None, mu[rows]'s, sigma[rows]'s or None without
     noise)`.  The loss and, over all rows, the gradients are bitwise those of
-    the composed graph `log_softmax_nll(head.logits(z))`, whose steps the
+    the composed graph `log_softmax_nll(head.logits(z, eps))`, whose steps the
     backward replays in order.
     """
     if not np.all(np.linalg.norm(z, axis=-1)):
@@ -168,7 +154,7 @@ def cross_entropy_loss(head: StochasticHead, z: Tensor, labels: np.ndarray, rng:
     shapes_ok = z.shape[1:] == (head.dim,) and labels.shape == z.shape[:1] and labels.size and np.issubdtype(labels.dtype, np.integer)
     if not (shapes_ok and 0 <= labels.min() <= labels.max() < head.num_classes):
         raise ArgumentError(f"cross_entropy_loss expects (B, {head.dim}) features and B > 0 labels in [0, {head.num_classes}), got {z.shape} and {labels.shape} {labels.dtype}")
-    eps = head._eps(head.num_classes, rng, noise, None)
+    eps = head.draw(rng) if noise else None
     loss, grad = head_loss(z.data, head.mu.data, head.sigma.data, eps, labels, head.offset, head.temperature)
     parents = (z, head.mu) if eps is None else (z, head.mu, head.sigma)
 

@@ -29,7 +29,7 @@ def planted_bias_trial(seed: int) -> bool:
     full = {c: means[c] + rng.child(f"full{c}").normal(size=(n_full, dim)) for c in range(n_classes)}
 
     parts = [select_outlier_pairs(full[c], full[c].mean(axis=0), 20) for c in range(n_classes)]
-    net = PredictionNet(dim, 0, rng.child("net"), depth=2)
+    net = PredictionNet(dim, rng.child("net"), depth=2)
     cfg = desk_profile(prednet_epochs=300, prednet_batch_size=256, prednet_lr=1e-2)
     train_prediction_net(net, merge_pairs(parts), cfg, rng.child("train"))
 

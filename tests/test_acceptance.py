@@ -113,14 +113,14 @@ def test_criterion_1_gradient_integrity():
     check(f_pool, Tensor(enc.pool_proj.data.copy()))
     check(lambda t: (enc.sequence_pool(t) ** 2).sum(), Tensor(grid.copy()))
 
-    # stochastic head with frozen epsilon
+    # stochastic head with a fixed epsilon
     means = rng.child("means").normal(size=(3, 6))
     eps = rng.child("eps").normal(size=(3, 6))
     z = rng.child("z").normal(size=(2, 6))
     labels = np.array([0, 2])
 
     def head_loss(head):
-        logits = head.logits(Tensor(z), noise=True, frozen_eps=eps)
+        logits = head.logits(Tensor(z), eps)
         logp = log_softmax(logits, axis=-1)
         onehot = np.zeros((2, 3))
         onehot[np.arange(2), labels] = 1.0
@@ -168,12 +168,12 @@ def test_criterion_1_gradient_integrity():
     pn_t = rng.child("pnt").normal(size=(4, 5))
 
     def f_net(t):
-        net = PredictionNet(5, 0, SeededRng(200), depth=2)
+        net = PredictionNet(5, SeededRng(200), depth=2)
         net.layers[0].weight = t
         diff = net(Tensor(pn_in)) - Tensor(pn_t)
         return (diff * diff).mean()
 
-    check(f_net, Tensor(PredictionNet(5, 0, SeededRng(200), depth=2).layers[0].weight.data.copy()))
+    check(f_net, Tensor(PredictionNet(5, SeededRng(200), depth=2).layers[0].weight.data.copy()))
 
     elapsed = time.time() - start
     _report("criterion 1 (gradient integrity)", worst <= 1e-4 and elapsed < 120.0, f"max rel err {worst:.2e}, {elapsed:.1f}s")
@@ -241,7 +241,7 @@ def test_criterion_3_routing_oracle():
 
 def test_criterion_4_rectification_algebra():
     rng = np.random.default_rng(500)
-    net = PredictionNet(6, 0, SeededRng(501), depth=2)
+    net = PredictionNet(6, SeededRng(501), depth=2)
     midpoint_ok = True
     for _ in range(100):
         mu = rng.normal(size=6)

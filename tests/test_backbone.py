@@ -1,9 +1,12 @@
 """Backbone tests: tokenizer geometry, attention/FFN oracles, full-block grads, state files."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from fscil.backbone import BackboneConfig, Encoder, hash_state, load_arrays, load_state, save_state, state_arrays
+from fscil.delta_params import PrefixSet
 from fscil.errors import ArgumentError, FormatError
 from fscil.numerics import SeededRng, Tensor, gelu, grad_check, no_grad
 from fscil.stochastic_classifier import StochasticHead
@@ -180,6 +183,27 @@ def test_encoder_eval_deterministic_bitwise():
     assert np.array_equal(z1.data, z2.data)
 
 
+def _halves_of_two_lengths():
+    prefixes = PrefixSet(2, 4, 8)
+    prefixes.p_v = Tensor(np.zeros((2, 3, 8)), requires_grad=True)
+    return prefixes
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: PrefixSet(1, 4, 8), lambda: PrefixSet(2, 4, 6), lambda: PrefixSet(3, 4, 8), _halves_of_two_lengths],
+    ids=["fewer_layers", "other_width", "more_layers", "unequal_halves"],
+)
+def test_encode_rejects_a_prefix_set_built_for_another_encoder(make):
+    # a 2-layer, d = 8 encoder takes two (2, m, 8) tensors, and nothing else on either path
+    enc = Encoder(small_cfg(layers=2), SeededRng(15))
+    tokens = Tensor(np.random.default_rng(13).normal(size=(2, 16, 8)))
+    with no_grad(), pytest.raises(ArgumentError, match=r"\(2, m, 8\) tensors"):
+        enc.eval().encode(tokens, make())  # the folded forward
+    with pytest.raises(ArgumentError, match=r"\(2, m, 8\) tensors"):
+        enc.train().encode(tokens, make())  # the composed forward
+
+
 def test_flop_estimate_scales_with_depth_and_width():
     base = small_cfg(layers=2)
     deep = small_cfg(layers=4)
@@ -246,9 +270,10 @@ def test_checkpoint_with_both_ffn_bns_still_loads(tmp_path):
 
 
 def test_copy_is_an_independent_equal_encoder():
+    # `make_teacher` clones the student this way
     enc = Encoder(small_cfg(), SeededRng(19)).eval()
     before = hash_state(enc)
-    clone = enc.copy()
+    clone = copy.deepcopy(enc)
     assert hash_state(clone) == before and clone.mode == "eval"
     clone.blocks[0].theta1.data[0, 0] += 1.0  # a parameter
     clone.blocks[0].attn_bn.running_mean[0] += 1.0  # a buffer
@@ -257,7 +282,7 @@ def test_copy_is_an_independent_equal_encoder():
 
 def test_hash_state_of_several_models_covers_each():
     a, b = Encoder(small_cfg(), SeededRng(20)), Encoder(small_cfg(), SeededRng(21))
-    assert hash_state(a) == hash_state(a.copy())
+    assert hash_state(a) == hash_state(Encoder(small_cfg(), SeededRng(20)))
     assert hash_state(a, b) != hash_state(a, a) != hash_state(b, b)
 
 

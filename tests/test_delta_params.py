@@ -288,7 +288,7 @@ def test_session_gradients_match_the_autodiff_oracle(layers, heads, prefix_len, 
 
     grads = [np.full_like(g, np.nan) for g in expected]
     mu, sigma = head.mu.data, head.sigma.data
-    eps = SeededRng(seed).child("eps").normal(size=mu.shape) if noise else None
+    eps = head.draw(SeededRng(seed).child("eps")) if noise else None
     value = session_gradients(FoldedEncoder(encoder), tokens, labels, (prefixes.p_k.data, prefixes.p_v.data), head, mu, sigma, eps, new_rows, grads)
 
     np.testing.assert_allclose(value, loss.item(), rtol=1e-10)

@@ -188,16 +188,16 @@ def _head(mu, sigma=None):
 
 @pytest.mark.parametrize("target,noise", [("mu", True), ("sigma", True), ("mu", False)])
 def test_stochastic_weights_passes_grad_check(target, noise):
-    # `StochasticHead.sample_weights`: mu + eps (*) softplus(sigma - c) of one class, composed of generic ops
+    # one class's weights `StochasticHead.weights(eps)[1]`: mu + eps (*) softplus(sigma - c), composed of generic ops
     rng = np.random.default_rng(4)
     mu0, sigma0 = rng.normal(size=(3, 5)), 4.0 + rng.normal(size=(3, 5))
-    eps = rng.normal(size=5) if noise else None
+    eps = rng.normal(size=(3, 5)) if noise else None
     weights = Tensor(rng.normal(size=5))
 
     def f(t):
         head = _head(mu0, sigma0)
         setattr(head, target, t)
-        return (head.sample_weights(1, noise=noise, frozen_eps=eps) ** 2 * weights).sum()
+        return (head.weights(eps)[1] ** 2 * weights).sum()
 
     _check(f, Tensor((mu0 if target == "mu" else sigma0).copy()))
 
@@ -361,7 +361,7 @@ def test_head_loss_matches_the_composed_graph_bitwise(noise):
             loss = cross_entropy_loss(head, z, labels, SeededRng(14), noise=noise)
             assert _graph_size(loss) == 3 + noise  # the node, z, mu and (with noise) sigma
         else:
-            loss = log_softmax_nll(head.logits(z, noise=noise, frozen_eps=eps), labels)
+            loss = log_softmax_nll(head.logits(z, eps), labels)
         loss.backward()
         sides.append([loss.data, z.grad, head.mu.grad] + ([head.sigma.grad] if noise else [head.sigma.grad is None]))
     for fused, oracle in zip(*sides):
@@ -456,7 +456,7 @@ def test_head_eps_row_independent_of_class_count():
         small.add_class(m)
     for m in means:
         large.add_class(m)
-    few, many = (h._eps(h.num_classes, SeededRng(3).child("eps", "e0", "b0"), True, None) for h in (small, large))
+    few, many = (h.draw(SeededRng(3).child("eps", "e0", "b0")) for h in (small, large))
     assert few.shape == (6, 5) and np.array_equal(few, many[:6])
 
 

@@ -276,17 +276,22 @@ def test_stochastic_weights_pass_grad_check_over_shapes(classes, dim, noise, dty
     # the head's (M, d) weights mu + eps (*) softplus(sigma - c), composed of generic ops
     rng = np.random.default_rng(seed)
     mu, sigma = rng.normal(size=(classes, dim)), 4.0 + rng.normal(size=(classes, dim))
-    eps = rng.normal(size=(classes, dim)).astype(dtype) if noise else None  # `StochasticHead._eps` draws in mu's dtype
+    eps = rng.normal(size=(classes, dim)).astype(dtype) if noise else None  # `StochasticHead.draw` draws in mu's dtype
     head = StochasticHead(dim)
+
+    def f(m, s):
+        head.mu, head.sigma = m, s
+        return head.weights(eps)
+
     means = Tensor(mu, dtype=dtype)
-    out = head._weights(means, Tensor(sigma, dtype=dtype), eps)
+    out = f(means, Tensor(sigma, dtype=dtype))
     if not noise:
         assert out is means  # the means themselves: no node, and sigma is out of the graph
         return
     assert out.shape == (classes, dim) and out.dtype == dtype
     want = mu + eps * np.log1p(np.exp(sigma - 4.0))
     np.testing.assert_allclose(out.data, want, rtol=FORWARD_RTOL[dtype] * 10, atol=FORWARD_RTOL[dtype] * 10)
-    check(lambda m, s: head._weights(m, s, eps), [mu, sigma], (classes, dim), dtype, rng)
+    check(f, [mu, sigma], (classes, dim), dtype, rng)
 
 
 @PROPERTY

@@ -1,7 +1,9 @@
 """Protocol runner tests: bookkeeping, determinism, persistence, ablation wiring."""
 
+import copy
 import json
 from collections import Counter
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -85,6 +87,17 @@ def test_determinism_same_seed_same_hash():
     assert rec1.content_hash() == rec2.content_hash()
     rec3, _ = run_from_config(cfg, seed=4)
     assert rec3.content_hash() != rec1.content_hash()
+
+
+def test_outputs_hash_leaves_out_the_config(small_run):
+    cfg, record, _ = small_run
+    # an idx file name means nothing to a blob dataset: another config, the same outputs
+    rerun, _ = run_from_config(replace(cfg, dataset=replace(cfg.dataset, train_images="unused.idx")), seed=11)
+    assert rerun.content_hash() != record.content_hash()
+    assert rerun.outputs_hash() == record.outputs_hash()
+    results = copy.deepcopy(record.session_results)
+    results[-1]["predictions"][0] += 1
+    assert replace(record, session_results=results).outputs_hash() != record.outputs_hash()
 
 
 @pytest.fixture(scope="module")
@@ -267,7 +280,7 @@ def test_saved_state_reloads_into_fresh_models(saved_run):
     for k in sessions:
         models[f"session{k}.prefixes"] = PrefixSet(cfg.model.layers, cfg.training.prefix_len, dim)
     for k in sessions[1:]:
-        models[f"session{k}.prediction_net"] = PredictionNet(dim, k, SeededRng(99))
+        models[f"session{k}.prediction_net"] = PredictionNet(dim, SeededRng(99))
     assert hash_state(encoder) != hash_state(artifacts["encoder"])
 
     arrays = load_state(out / "state.npz", models)

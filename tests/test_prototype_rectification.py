@@ -133,7 +133,7 @@ def test_identity_pairs_reach_small_mse():
     rng = np.random.default_rng(7)
     data = rng.normal(size=(20, 4))
     pairs = OutlierPairs(inputs=data, targets=data.copy())
-    net = PredictionNet(4, 0, SeededRng(0), depth=1)
+    net = PredictionNet(4, SeededRng(0), depth=1)
     cfg = desk_profile(prednet_epochs=400, prednet_batch_size=20, prednet_lr=1e-2)
     train_prediction_net(net, pairs, cfg, SeededRng(1))
     assert all(p.grad is None for p in net.params().values())
@@ -143,7 +143,7 @@ def test_identity_pairs_reach_small_mse():
 
 
 def test_apply_builds_no_graph(monkeypatch):
-    net = PredictionNet(3, 0, SeededRng(11), depth=2)
+    net = PredictionNet(3, SeededRng(11), depth=2)
     x = np.random.default_rng(12).normal(size=(4, 3))
     expected = net(Tensor(x))
     assert expected.requires_grad and expected._parents  # the composed forward builds one
@@ -155,7 +155,7 @@ def test_apply_builds_no_graph(monkeypatch):
 
 def test_single_pair_memorized():
     pairs = OutlierPairs(inputs=np.array([[1.0, -2.0]]), targets=np.array([[0.5, 0.5]]))
-    net = PredictionNet(2, 0, SeededRng(2), depth=2)
+    net = PredictionNet(2, SeededRng(2), depth=2)
     cfg = desk_profile(prednet_epochs=1200, prednet_batch_size=1, prednet_lr=1e-2)
     train_prediction_net(net, pairs, cfg, SeededRng(3))
     mse = float(((net.apply(pairs.inputs) - pairs.targets) ** 2).mean())
@@ -167,7 +167,7 @@ def test_prednet_lr_default():
 
 
 def test_empty_pairs_rejected():
-    net = PredictionNet(2, 0, SeededRng(4))
+    net = PredictionNet(2, SeededRng(4))
     with pytest.raises(ArgumentError):
         train_prediction_net(net, OutlierPairs(np.zeros((0, 2)), np.zeros((0, 2))), desk_profile(), SeededRng(5))
     with pytest.raises(ArgumentError):
@@ -175,10 +175,10 @@ def test_empty_pairs_rejected():
 
 
 def test_linear_variant_and_depth_validation():
-    net = PredictionNet(3, 0, SeededRng(6), depth=1)
+    net = PredictionNet(3, SeededRng(6), depth=1)
     assert len(net.layers) == 1
     with pytest.raises(ArgumentError):
-        PredictionNet(3, 0, SeededRng(7), depth=5)
+        PredictionNet(3, SeededRng(7), depth=5)
 
 
 def test_prediction_net_gradients():
@@ -187,12 +187,12 @@ def test_prediction_net_gradients():
     t = rng.normal(size=(4, 3))
 
     def f(w):
-        net = PredictionNet(3, 0, SeededRng(9), depth=2)
+        net = PredictionNet(3, SeededRng(9), depth=2)
         net.layers[0].weight = w
         diff = net(Tensor(x)) - Tensor(t)
         return (diff * diff).mean()
 
-    start = PredictionNet(3, 0, SeededRng(9), depth=2).layers[0].weight.data
+    start = PredictionNet(3, SeededRng(9), depth=2).layers[0].weight.data
     assert grad_check(f, Tensor(start.copy()), tol=1e-4).passed
 
 
@@ -230,7 +230,7 @@ def test_mse_gradients_pass_grad_check(depth, dtype, tol, step):
 @pytest.mark.parametrize("depth", [1, 2])
 def test_mse_gradients_match_the_composed_prediction_net_bitwise(depth):
     x, target, *params = _mlp_arrays(depth)
-    net = PredictionNet(4, 0, SeededRng(0), depth=depth, hidden=6)
+    net = PredictionNet(4, SeededRng(0), depth=depth, hidden=6)
     tensors = [t for layer in net.layers for t in (layer.weight, layer.bias)]
     for t, a in zip(tensors, params):
         t.data = a.copy()
@@ -262,7 +262,7 @@ def test_closed_form_training_matches_backprop_bitwise(depth, optimizer, n, batc
     rng = np.random.default_rng(30)
     pairs = OutlierPairs(inputs=rng.normal(size=(n, 5)), targets=rng.normal(size=(n, 5)))
     cfg = desk_profile(optimizer=optimizer, prednet_epochs=12, prednet_batch_size=batch, prednet_lr=3e-2, prednet_weight_decay=0.05)
-    nets = [PredictionNet(5, 3, SeededRng(31), depth=depth, hidden=7) for _ in range(2)]
+    nets = [PredictionNet(5, SeededRng(31), depth=depth, hidden=7) for _ in range(2)]
     logs = [EventLog(None), EventLog(None)]
     train_prediction_net(nets[0], pairs, cfg, SeededRng(32), log=logs[0], session=3)
     _backprop_trained(nets[1], pairs, cfg, SeededRng(32), logs[1])
@@ -280,11 +280,11 @@ def test_prediction_net_training_builds_no_graph(monkeypatch):
 
     monkeypatch.setattr(Tensor, "backward", refuse)
     pairs = OutlierPairs(inputs=np.eye(3), targets=np.ones((3, 3)))
-    train_prediction_net(PredictionNet(3, 0, SeededRng(33)), pairs, desk_profile(prednet_epochs=2), SeededRng(34))
+    train_prediction_net(PredictionNet(3, SeededRng(33)), pairs, desk_profile(prednet_epochs=2), SeededRng(34))
 
 
 def test_train_prediction_net_rejects_bad_shapes():
-    net = PredictionNet(3, 0, SeededRng(35))
+    net = PredictionNet(3, SeededRng(35))
     cfg = desk_profile(prednet_epochs=1)
     for inputs, targets in [(np.zeros(3), np.zeros(3)), (np.zeros((4, 3)), np.zeros((4, 2))), (np.zeros((4, 2)), np.zeros((4, 2)))]:
         with pytest.raises(ArgumentError):
@@ -312,7 +312,7 @@ def test_rectify_linear_shift_case():
 
 def test_rectify_matches_half_sum_oracle():
     rng = np.random.default_rng(11)
-    net = PredictionNet(6, 0, SeededRng(12), depth=2)
+    net = PredictionNet(6, SeededRng(12), depth=2)
     for _ in range(20):
         mu = rng.normal(size=6)
         oracle = 0.5 * (net.apply(mu) + mu)
@@ -352,10 +352,10 @@ def test_refine_two_point_hand_case():
 
 
 def test_per_session_net_isolation():
-    net_a = PredictionNet(3, 0, SeededRng(14), depth=2)
+    net_a = PredictionNet(3, SeededRng(14), depth=2)
     frozen = hash_state(net_a)
     pairs = OutlierPairs(inputs=np.random.default_rng(15).normal(size=(6, 3)), targets=np.zeros((6, 3)))
-    net_b = PredictionNet(3, 1, SeededRng(16), depth=2)
+    net_b = PredictionNet(3, SeededRng(16), depth=2)
     train_prediction_net(net_b, pairs, desk_profile(prednet_epochs=20, prednet_batch_size=6), SeededRng(17))
     assert hash_state(net_a) == frozen
 
@@ -373,7 +373,7 @@ def test_planted_bias_debiasing_smoke():
 def test_prediction_net_logs_its_gradient_norm_and_rejects_a_non_finite_one(monkeypatch):
     pairs = OutlierPairs(inputs=np.eye(3), targets=np.ones((3, 3)))
     log = EventLog(None)
-    train_prediction_net(PredictionNet(3, 0, SeededRng(37)), pairs, desk_profile(prednet_epochs=2), SeededRng(38), log=log, session=2)
+    train_prediction_net(PredictionNet(3, SeededRng(37)), pairs, desk_profile(prednet_epochs=2), SeededRng(38), log=log, session=2)
     assert [r["epoch"] for r in log.records if r["key"] == "grad_norm"] == [0, 1]
     assert all(np.isfinite(v) and v > 0 for v in log.series("prediction_net", "grad_norm", session=2))
 
@@ -384,5 +384,5 @@ def test_prediction_net_logs_its_gradient_norm_and_rejects_a_non_finite_one(monk
 
     monkeypatch.setattr(prototype_rectification, "mse_gradients", planted)
     with pytest.raises(NumericError, match="non-finite gradient in phase 'prediction_net', session 2, epoch 0") as info:
-        train_prediction_net(PredictionNet(3, 0, SeededRng(37)), pairs, desk_profile(prednet_epochs=2), SeededRng(38), session=2)
+        train_prediction_net(PredictionNet(3, SeededRng(37)), pairs, desk_profile(prednet_epochs=2), SeededRng(38), session=2)
     assert info.value.exit_code == 5

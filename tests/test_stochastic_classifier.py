@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from fscil import numerics
 from fscil.config import TrainingConfig
 from fscil.errors import ArgumentError, DomainError
-from fscil.numerics import SeededRng, Tensor, grad_check, log_softmax
+from fscil.numerics import SeededRng, Tensor, grad_check, log_softmax, softmax
 from fscil.stochastic_classifier import SOFTPLUS_OFFSET, StochasticHead, init_means_from_prototypes
 
 LN2 = 0.6931471805599453
@@ -23,8 +24,8 @@ def make_head(means, temperature=16.0, offset=4.0):
 
 def test_noise_off_returns_mu_exactly():
     head = make_head([[2.0, -1.0, 0.5]])
-    out = head.sample_weights(0, noise=False)
-    np.testing.assert_array_equal(out.data, [2.0, -1.0, 0.5])
+    assert head.weights() is head.mu and head.weights(None) is head.mu
+    np.testing.assert_array_equal(head.weights().data[0], [2.0, -1.0, 0.5])
 
 
 def test_softplus_offset_is_four():
@@ -34,20 +35,19 @@ def test_softplus_offset_is_four():
 
 def test_sample_moments_match_monte_carlo_oracle():
     # sigma = c  =>  noise scale = softplus(0) = ln 2 per coordinate
+    # N copies of one class: one (N, d) `draw` gives N samples of its weights
+    one = make_head([[2.0, -3.0]])
     head = make_head([[2.0, -3.0]])
-    # one (N, d) draw; its row 0 is the one-row draw `sample_weights` makes from the same rng
-    draws = head._weights(head.mu, head.sigma, head._eps(100_000, SeededRng(77), True, None)).data
-    np.testing.assert_array_equal(head.sample_weights(0, SeededRng(77)).data, draws[0])
+    head.mu.data, head.sigma.data = (np.repeat(t.data, 100_000, axis=0) for t in (head.mu, head.sigma))
+    eps = head.draw(SeededRng(77))
+    assert eps.shape == (100_000, 2) and eps.dtype == head.mu.dtype
+    draws = head.weights(eps).data
+    # row 0 is the one-class head's sample from the same rng
+    np.testing.assert_array_equal(one.weights(one.draw(SeededRng(77))).data, draws[:1])
     mean = draws.mean(axis=0)
     var = draws.var(axis=0)
     np.testing.assert_allclose(mean, [2.0, -3.0], rtol=0.01)  # E[phi] = mu within 1%
     np.testing.assert_allclose(var, [LN2**2, LN2**2], rtol=0.05)  # within 5%
-
-
-def test_sample_weights_bad_class_index():
-    head = make_head([[1.0, 0.0]])
-    with pytest.raises(ArgumentError):
-        head.sample_weights(3, noise=False)
 
 
 # -- probabilities -----------------------------------------------------------------
@@ -162,10 +162,10 @@ def test_ce_gradient_with_frozen_eps_passes_grad_check():
     means = rng.normal(size=(3, 5))
     z = rng.normal(size=(2, 5))
     labels = np.array([0, 2])
-    eps = rng.normal(size=(3, 5))  # frozen so the loss is deterministic
+    eps = rng.normal(size=(3, 5))  # fixed so the loss is deterministic
 
     def loss_from(head):
-        logits = head.logits(Tensor(z), noise=True, frozen_eps=eps)
+        logits = head.logits(Tensor(z), eps)
         logp = log_softmax(logits, axis=-1)
         onehot = np.zeros((2, 3))
         onehot[np.arange(2), labels] = 1.0
@@ -189,7 +189,28 @@ def test_feature_gradient_passes_grad_check():
 
     def f(t):
         head = make_head(means)
-        probs = head.class_probs(t, noise=False)
+        probs = softmax(head.logits(t), axis=-1)  # `class_probs` is this, without a graph
         return (probs * Tensor(np.arange(4.0))).sum()
 
     assert grad_check(f, Tensor(rng.normal(size=6)), tol=1e-4).passed
+
+
+def test_scoring_builds_no_graph_while_mu_trains(monkeypatch):
+    rng = np.random.default_rng(9)
+    head = make_head(rng.normal(size=(4, 6)))
+    assert head.mu.requires_grad and head.sigma.requires_grad
+    z = Tensor(rng.normal(size=(3, 6)))
+    wired = []
+    real_result = numerics._result
+
+    def spy(data, parents, backward):
+        out = real_result(data, parents, backward)
+        wired.append(out.requires_grad)
+        return out
+
+    monkeypatch.setattr(numerics, "_result", spy)
+    for eps in (None, head.draw(SeededRng(10))):
+        probs = head.class_probs(z, eps)
+        assert not probs.requires_grad and probs._parents == ()
+        assert head.predict_label(z, eps).shape == (3,)
+    assert wired and not any(wired)
