@@ -17,7 +17,6 @@ The configs and inputs are built by `bench/run.py`'s `workload_config` and
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
 
@@ -30,14 +29,10 @@ from fscil import protocol  # noqa: E402
 from fscil.config import ABLATION_TOGGLES, ablated  # noqa: E402
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, default=3, help="seeds 0 .. N-1 (default 3)")
-    parser.add_argument("--workload", choices=sorted(WORKLOADS), action="append", help="default: every workload")
-    args = parser.parse_args(argv)
-    for name in args.workload or WORKLOADS:
+def main() -> int:
+    for name in WORKLOADS:
         config = workload_config(name)
-        for seed in range(args.seeds):
+        for seed in range(3):
             dataset, specs = build_inputs(config, seed)
             for arm in ["full", *ABLATION_TOGGLES]:
                 arm_config = config if arm == "full" else ablated(config, arm)
