@@ -273,27 +273,29 @@ class Encoder:
         """tokens (..., n, d) -> z (..., d): the flattened tokens times `pool_proj`."""
         return reshape(tokens, tokens.shape[:-2] + (self._flat_width(tokens),)) @ self.pool_proj
 
-    def forward(self, images: Tensor, prefixes=None) -> Tensor:
+    def forward(self, images: Tensor, prefixes=None, folded=None) -> Tensor:
         """images (B, C, H, W) -> pooled feature z (B, d)."""
-        return self.encode(self.tokenize(images), prefixes=prefixes)
+        return self.encode(self.tokenize(images), prefixes, folded)
 
-    def encode(self, tokens: Tensor, prefixes=None) -> Tensor:
+    def encode(self, tokens: Tensor, prefixes=None, folded=None) -> Tensor:
         """tokens (B, n, d) from `tokenize` -> pooled feature z (B, d): the blocks,
         with the `PrefixSet` `prefixes` (when given) prepended to each layer's
         keys and values, then the final BN and the sequence pool.
 
         An eval-mode forward that builds no graph (no gradient is enabled
         and needed for the tokens, a parameter or a prefix) runs
-        `FoldedEncoder` instead of the composed ops.  Prefixes other than
-        two (L, m, d) tensors of this encoder's L and d raise `ArgumentError`
-        on either path.
+        `FoldedEncoder` instead of the composed ops: `folded`, a fold of
+        this encoder's current weights that the caller reuses over several
+        batches, or else one built here.  Prefixes other than two (L, m, d)
+        tensors of this encoder's L and d raise `ArgumentError` on either
+        path.
         """
         self._flat_width(tokens)  # the folded forward has no check of its own
         kv = [] if prefixes is None else [prefixes.p_k, prefixes.p_v]
         if kv and not (kv[0].shape == kv[1].shape and kv[0].ndim == 3 and kv[0].shape[::2] == (self.cfg.layers, self.cfg.embed_dim)):
             raise ArgumentError(f"prefixes must be two ({self.cfg.layers}, m, {self.cfg.embed_dim}) tensors, got {kv[0].shape} and {kv[1].shape}")
         if self.mode == "eval" and not needs_graph([tokens, *self.params().values(), *kv]):
-            return Tensor(FoldedEncoder(self).forward(tokens.data, [t.data for t in kv] or None))
+            return Tensor((folded or FoldedEncoder(self)).forward(tokens.data, [t.data for t in kv] or None))
         x = tokens
         for i, block in enumerate(self.blocks):
             x, _ = block(x, self.mode, prefix_kv=None if prefixes is None else prefixes.layer_kv(i))

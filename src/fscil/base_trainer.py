@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backbone import BackboneConfig, Encoder, Linear, hash_state
+from .backbone import BackboneConfig, Encoder, FoldedEncoder, Linear, hash_state
 from .errors import ArgumentError, UsageError
 from .numerics import SeededRng, Tensor, gelu, log_softmax, log_softmax_nll, no_grad
 from .optim import CosineSchedule, EarlyStopping, ReduceOnPlateau, backprop_step, make_optimizer, run_epochs
@@ -198,19 +198,23 @@ def dino_step(student_encoder: Encoder, student_proj: DinoHead, teacher: Teacher
 # -- phases -------------------------------------------------------------------
 
 
-def class_prototypes(encoder: Encoder, data_x: np.ndarray, labels: np.ndarray, batch: int = 256) -> dict:
+EMBED_BATCH = 64  # rows per folded forward; its transient arrays grow with the rows
+
+
+def class_prototypes(encoder: Encoder, data_x: np.ndarray, labels: np.ndarray) -> dict:
     """Mean embedding per class id, computed in eval mode without gradients."""
-    embeddings = embed_all(encoder, data_x, batch=batch)
+    embeddings = embed_all(encoder, data_x)
     return {int(c): embeddings[labels == c].mean(axis=0) for c in sorted(set(int(c) for c in labels))}
 
 
-def embed_all(encoder: Encoder, data_x: np.ndarray, prefixes=None, batch: int = 256) -> np.ndarray:
+def embed_all(encoder: Encoder, data_x: np.ndarray, prefixes=None) -> np.ndarray:
+    """Eval-mode embeddings of `data_x` in `EMBED_BATCH`-row batches, with
+    the encoder folded once for the whole call."""
     mode = encoder.mode
     encoder.eval()
-    outs = []
     with no_grad():
-        for start in range(0, len(data_x), batch):
-            outs.append(encoder.forward(Tensor(data_x[start : start + batch]), prefixes=prefixes).data)
+        folded = FoldedEncoder(encoder)
+        outs = [encoder.forward(Tensor(data_x[start : start + EMBED_BATCH]), prefixes, folded).data for start in range(0, len(data_x), EMBED_BATCH)]
     encoder.mode = mode
     return np.concatenate(outs) if outs else np.zeros((0, encoder.cfg.embed_dim))
 

@@ -8,10 +8,12 @@ import pytest
 from fscil import base_trainer
 from fscil.backbone import BackboneConfig, Encoder, hash_state
 from fscil.base_trainer import (
+    EMBED_BATCH,
     DinoHead,
     crop_slots,
     dino_step,
     ema_update_teacher,
+    embed_all,
     linear_probe,
     make_teacher,
     train_base,
@@ -20,7 +22,7 @@ from fscil.base_trainer import (
 from fscil.config import TrainingConfig, desk_profile, toy_fscil_config
 from fscil.errors import ArgumentError, NumericError, UsageError
 from fscil.events import EventLog
-from fscil.numerics import SeededRng, Tensor, log_softmax
+from fscil.numerics import SeededRng, Tensor, log_softmax, no_grad
 
 
 def blob_images(seed=0, classes=4, per_class=20, spread=4.0):
@@ -405,6 +407,19 @@ def test_linear_probe_frozen_teacher_and_baseline():
     majority = max(np.bincount(y)) / len(y)
     assert acc >= majority
     assert tc.probe_lr == 1e-3 and tc.probe_batch_size == 100 and TrainingConfig().probe_epochs == 200
+
+
+def test_embed_all_folds_the_encoder_once_per_call(monkeypatch):
+    encoder = Encoder(tiny_model(), SeededRng(5)).train()
+    x, _ = blob_images(seed=5, classes=5, per_class=2 * EMBED_BATCH // 5 + 1)  # three batches, the last one short
+    folds = []
+    fold = base_trainer.FoldedEncoder
+    monkeypatch.setattr(base_trainer, "FoldedEncoder", lambda enc: folds.append(enc) or fold(enc))
+    out = embed_all(encoder, x)
+    assert folds == [encoder] and encoder.mode == "train"
+    with no_grad():
+        expected = [encoder.eval().forward(Tensor(x[i : i + EMBED_BATCH])).data for i in range(0, len(x), EMBED_BATCH)]
+    assert np.array_equal(out, np.concatenate(expected))
 
 
 def test_crop_slots_shapes():
