@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """The compact transformer backbone, step by step.
 
-Convolutional tokenization (no class token, no positional embedding),
+Patch tokenization (no class token, no positional embedding),
 batch-norm encoder blocks, prefix-augmented attention, and sequence pooling.
 """
 
@@ -9,12 +9,9 @@ from fscil.backbone import BackboneConfig, Encoder
 from fscil.delta_params import PrefixSet
 from fscil.numerics import SeededRng, Tensor
 
-# Tokenizer geometry is pure convolution arithmetic: a 28x28 image through a
-# 7x7 conv (stride 2, padding 2) and a 2x2 max-pool leaves a 6x6 grid.
-cfg = BackboneConfig(
-    image_size=28, conv_channels=(32,), conv_kernel=7, conv_stride=2, conv_padding=2,
-    pool_size=2, pool_stride=2, embed_dim=32, layers=2, heads=4, ffn_hidden=64,
-)
+# The tokenizer embeds non-overlapping patches: 4x4 patches tile a 28x28
+# image as a 7x7 grid, one token per patch.
+cfg = BackboneConfig(image_size=28, conv_channels=(32,), patch_size=4, embed_dim=32, layers=2, heads=4, ffn_hidden=64)
 print("tokens per image:", cfg.token_count())
 print("leading-order multiplies per image:", cfg.flop_estimate())
 

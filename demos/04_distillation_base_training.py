@@ -18,7 +18,7 @@ from fscil.numerics import SeededRng
 dataset = generate_blobs(classes=6, dim=16, samples_per_class=30, separation=8.0, seed=3, test_per_class=0)
 print(f"blob dataset: {dataset.train_x.shape[0]} images, Bayes accuracy ~ {dataset.bayes_accuracy:.3f}")
 
-model = BackboneConfig(image_size=4, conv_channels=(32,), conv_kernel=3, conv_padding=1, pool_size=2, embed_dim=32, layers=2, heads=2, ffn_hidden=64)
+model = BackboneConfig(image_size=4, conv_channels=(32,), patch_size=2, embed_dim=32, layers=2, heads=2, ffn_hidden=64)
 training = desk_profile(ssl_epochs=15, ssl_early_stop=15, sup_epochs=20, sup_early_stop=20, run_probe=True, probe_epochs=40)
 
 log = EventLog()

@@ -1,10 +1,11 @@
-"""Compact convolutional-tokenizer transformer encoder with batch-norm.
+"""Compact patch-tokenizer transformer encoder with batch-norm.
 
 The tokenizer transposes the (B, C, H, W) images to channels-last once,
-applies 1-3 conv layers (each conv -> channel BN -> ReLU -> optional
-max-pool) to (B, H, W, C) maps and reshapes the final grid into a token
-sequence; no class token and no positional embedding are added.  Every
-batch-norm normalizes the last axis.  Encoder blocks are
+applies 1-3 patch-embedding layers to (B, H, W, C) maps (each an unpadded
+`patch_size`-square conv with stride `patch_size`, as in ViT, then a
+channel BN and ReLU; no max-pool drops input) and reshapes the final grid
+into a token sequence; no class token and no positional embedding are
+added.  Every batch-norm normalizes the last axis.  Encoder blocks are
 pre-norm residual blocks whose norms are batch-norm layers, and the FFN
 carries one more BN between its two linear layers.  A final BN normalizes
 the last block's tokens, and one learned (n d, d) projection of the
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, FormatError
-from .numerics import SeededRng, Tensor, batch_norm, bn_scale_shift, conv2d, gelu, gelu_cdf, gelu_grad, maxpool2d, merge_heads, needs_graph, relu, reshape, split_heads
+from .numerics import SeededRng, Tensor, batch_norm, bn_scale_shift, conv2d, gelu, gelu_cdf, gelu_grad, merge_heads, needs_graph, relu, reshape, split_heads
 from .numerics import attention as attention_node
 
 BN_EPS = 1e-5
@@ -49,11 +50,7 @@ class BackboneConfig:
     image_size: int = 4
     in_channels: int = 1
     conv_channels: tuple = ()
-    conv_kernel: int = 3
-    conv_stride: int = 1
-    conv_padding: int = 1
-    pool_size: int = 2
-    pool_stride: int = 2
+    patch_size: int = 2
     embed_dim: int = 32
     layers: int = 2
     heads: int = 2
@@ -69,22 +66,19 @@ class BackboneConfig:
             raise ArgumentError("last tokenizer channel count must equal embed_dim")
         if self.embed_dim % self.heads != 0:
             raise ArgumentError(f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
+        self.grid_after_tokenizer()
 
     @property
     def head_dim(self) -> int:
         return self.embed_dim // self.heads
 
     def grid_after_tokenizer(self) -> int:
-        """Spatial side length after all conv/pool stages (conv arithmetic)."""
+        """Side of the token grid: each conv layer divides the side by `patch_size`."""
         side = self.image_size
         for _ in self.conv_channels:
-            if side + 2 * self.conv_padding < self.conv_kernel:
-                raise ArgumentError(f"kernel {self.conv_kernel} larger than padded input {side + 2 * self.conv_padding}")
-            side = (side + 2 * self.conv_padding - self.conv_kernel) // self.conv_stride + 1
-            if self.pool_size:
-                if side < self.pool_size:
-                    raise ArgumentError(f"pool window {self.pool_size} larger than feature map {side}")
-                side = (side - self.pool_size) // self.pool_stride + 1
+            if self.patch_size < 1 or side % self.patch_size:
+                raise ArgumentError(f"patch_size {self.patch_size} does not divide the {side}x{side} map")
+            side //= self.patch_size
         return side
 
     def token_count(self) -> int:
@@ -135,21 +129,21 @@ class Linear:
 
 
 class ConvTokenizer:
-    """Conv stack producing the token sequence X in R^{n x d}.
+    """Patch-embedding stack producing the token sequence X in R^{n x d}.
 
     The (B, C, H, W) images are transposed once to channels-last; every
-    conv, batch-norm, ReLU and pool stage then works on (B, H, W, C) maps,
-    and the last map's grid cells, in row-major order, are the tokens.
+    patch conv, batch-norm and ReLU then works on (B, H, W, C) maps, and
+    the last map's grid cells, in row-major order, are the tokens.
     """
 
     def __init__(self, rng: SeededRng, cfg: BackboneConfig):
         self.cfg = cfg
         self.weights = []
         self.norms = []
-        in_c = cfg.in_channels
+        in_c, k = cfg.in_channels, cfg.patch_size
         for i, out_c in enumerate(cfg.conv_channels):
-            fan = in_c * cfg.conv_kernel * cfg.conv_kernel
-            w = rng.child(f"conv{i}").normal(size=(out_c, in_c, cfg.conv_kernel, cfg.conv_kernel))
+            fan = in_c * k * k
+            w = rng.child(f"conv{i}").normal(size=(out_c, in_c, k, k))
             self.weights.append(Tensor(w / np.sqrt(fan), requires_grad=True))
             self.norms.append(BatchNorm(out_c))
             in_c = out_c
@@ -157,10 +151,7 @@ class ConvTokenizer:
     def __call__(self, images: Tensor, mode: str) -> Tensor:
         x = images.swapaxes(1, 3).swapaxes(1, 2)  # (B, C, H, W) -> (B, H, W, C)
         for w, bn in zip(self.weights, self.norms):
-            x = conv2d(x, w, stride=self.cfg.conv_stride, padding=self.cfg.conv_padding)
-            x = relu(bn(x, mode))
-            if self.cfg.pool_size:
-                x = maxpool2d(x, self.cfg.pool_size, self.cfg.pool_stride)
+            x = relu(bn(conv2d(x, w), mode))
         b, h, w_, c = x.shape
         return reshape(x, (b, h * w_, c))
 

@@ -20,9 +20,10 @@ in the tests.
   (closed-form backward from the two row sums sum(g) and sum(g * xn)) and
   eval mode (one scale and shift from `bn_scale_shift`); a sum whose
   gradient no parameter needs is skipped;
-- `conv2d` and `maxpool2d`: channels-last (B, H, W, C) maps; the
-  convolution is one im2col matrix product each way, the pooling a running
-  maximum over the window taps;
+- `conv2d`: the patch convolution (stride = kernel side, no padding) of
+  channels-last (B, H, W, C) maps; its im2col matrix is a reshape and
+  transpose of the input, so the forward and each gradient are one matrix
+  product;
 - `attention`: all heads as one batched (B, H, n, d_k) product, with
   optional key/value prefixes projected and prepended inside the node;
 - `log_softmax_nll`: log-softmax plus negative log-likelihood of integer
@@ -622,28 +623,26 @@ def matmul(a, b) -> Tensor:
 # -- structured ops ----------------------------------------------------------
 
 
-def conv2d(x, weight, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-d convolution of channels-last (B, H, W, C) input with an (O, C, k, k) kernel.
+def conv2d(x, weight) -> Tensor:
+    """Patch convolution of channels-last (B, H, W, C) input with an (O, C, k, k)
+    kernel: stride k and no padding, so the k x k windows do not overlap.
 
-    Returns (B, OH, OW, O).  The k x k windows are gathered once into an
-    im2col matrix, so the forward and the kernel gradient are one matrix
-    product each; the input gradient is one product scattered back with k^2
-    strided adds.
+    Returns (B, H/k, W/k, O); a side that k does not divide raises
+    `ArgumentError`.  The patch (im2col) matrix is a reshape and transpose
+    of the input, so the forward and the kernel gradient are one matrix
+    product each, and the input gradient is one product put back by the
+    inverse transpose.
     """
     x, weight = _as_tensor(x), _as_tensor(weight)
     b, h, w, c = x.data.shape
-    out_c, in_c, kh, kw = weight.data.shape
+    out_c, in_c, k, kw = weight.data.shape
     if in_c != c:
         raise ArgumentError(f"conv2d channel mismatch: input {c}, kernel {in_c}")
-    if h + 2 * padding < kh or w + 2 * padding < kw:
-        raise ArgumentError(f"conv2d kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{w + 2 * padding}")
-    xp = x.data
-    if padding:
-        xp = np.zeros((b, h + 2 * padding, w + 2 * padding, c), dtype=x.data.dtype)
-        xp[:, padding : padding + h, padding : padding + w] = x.data
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    oh, ow = win.shape[1], win.shape[2]
-    cols = win.reshape(b * oh * ow, c * kh * kw)  # columns ordered (c, i, j), as the kernel flattens
+    if k != kw or h % k or w % k:
+        raise ArgumentError(f"conv2d kernel {k}x{kw} does not tile the {h}x{w} input")
+    oh, ow = h // k, w // k
+    # (B, oh, i, ow, j, C) -> (B, oh, ow, C, i, j): columns ordered (c, i, j), as the kernel flattens
+    cols = x.data.reshape(b, oh, k, ow, k, c).transpose(0, 1, 3, 5, 2, 4).reshape(b * oh * ow, c * k * k)
     wmat = weight.data.reshape(out_c, -1)
     data = (cols @ wmat.T).reshape(b, oh, ow, out_c)
 
@@ -652,47 +651,9 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0) -> Tensor:
         if weight.requires_grad:
             weight._accumulate((g2.T @ cols).reshape(weight.data.shape))
         if x.requires_grad:
-            dcols = (g2 @ wmat).reshape(b, oh, ow, c, kh, kw)
-            dxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, i : i + stride * oh : stride, j : j + stride * ow : stride] += dcols[..., i, j]
-            x._accumulate(dxp[:, padding : padding + h, padding : padding + w] if padding else dxp)
+            x._accumulate((g2 @ wmat).reshape(b, oh, ow, c, k, k).transpose(0, 1, 4, 2, 5, 3).reshape(b, h, w, c))
 
     return _result(data, (x, weight), backward)
-
-
-def maxpool2d(x, size: int, stride: int | None = None) -> Tensor:
-    """Max pooling over channels-last (B, H, W, C); gradient routes to the first maximal tap.
-
-    The forward is a running maximum over the size^2 window taps (row-major
-    order); the backward hands each output's gradient to the first tap equal
-    to the maximum, which is where an argmax over the window would point.
-    """
-    x = _as_tensor(x)
-    stride = stride or size
-    b, h, w, c = x.data.shape
-    if h < size or w < size:
-        raise ArgumentError(f"maxpool window {size} larger than input {h}x{w}")
-    oh, ow = (h - size) // stride + 1, (w - size) // stride + 1
-    taps = [(slice(i, i + stride * oh, stride), slice(j, j + stride * ow, stride)) for i in range(size) for j in range(size)]
-    data = x.data[:, taps[0][0], taps[0][1]].copy()
-    for rows, cols in taps[1:]:
-        np.maximum(data, x.data[:, rows, cols], out=data)
-
-    def backward(g):
-        if not x.requires_grad:
-            return
-        dx = np.zeros_like(x.data)
-        unrouted = np.ones(data.shape, dtype=bool)
-        for rows, cols in taps:
-            hit = x.data[:, rows, cols] == data
-            hit &= unrouted
-            unrouted ^= hit
-            dx[:, rows, cols] += g * hit
-        x._accumulate(dx)
-
-    return _result(data, (x,), backward)
 
 
 def bn_scale_shift(gamma: np.ndarray, beta: np.ndarray, running_mean: np.ndarray, running_var: np.ndarray, eps: float = 1e-5):

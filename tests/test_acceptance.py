@@ -54,7 +54,7 @@ def test_criterion_1_gradient_integrity():
     worst = 0.0
     rng = SeededRng(100)
     cfg = BackboneConfig(
-        image_size=4, conv_channels=(8,), conv_kernel=3, conv_padding=1, pool_size=0, embed_dim=8, heads=2, layers=1, ffn_hidden=12
+        image_size=4, conv_channels=(8,), patch_size=1, embed_dim=8, heads=2, layers=1, ffn_hidden=12
     )
     enc = Encoder(cfg, rng.child("enc")).train()
     block = enc.blocks[0]
@@ -183,7 +183,7 @@ def test_criterion_1_gradient_integrity():
 
 
 def test_criterion_2_prefix_equivalence():
-    cfg = BackboneConfig(image_size=4, conv_channels=(8,), embed_dim=8, heads=2, layers=1, ffn_hidden=12, conv_kernel=3, conv_padding=1)
+    cfg = BackboneConfig(image_size=4, conv_channels=(8,), embed_dim=8, heads=2, layers=1, ffn_hidden=12)
     block = Encoder(cfg, SeededRng(300)).blocks[0]
     empty_kv = PrefixSet(1, 0, 8, SeededRng(302)).layer_kv(0)
     zero_rows = [t.shape for t in empty_kv] == [(0, 8), (0, 8)]  # the attention node gets rows, not None
@@ -263,7 +263,7 @@ def test_criterion_4_rectification_algebra():
 def test_criterion_5_dino_mechanics():
     from test_base_trainer import _calibrate_teacher_bn
 
-    cfg = BackboneConfig(image_size=4, conv_channels=(16,), conv_kernel=3, conv_padding=1, pool_size=2, embed_dim=16, heads=2, layers=1, ffn_hidden=32)
+    cfg = BackboneConfig(image_size=4, conv_channels=(16,), patch_size=2, embed_dim=16, heads=2, layers=1, ffn_hidden=32)
     encoder = Encoder(cfg, SeededRng(600)).train()
     proj = DinoHead(SeededRng(601), 16, 16, 8)
     tc = desk_profile(proj_dim=8)

@@ -16,10 +16,7 @@ def small_cfg(**kw):
     base = dict(
         image_size=4,
         conv_channels=(8,),
-        conv_kernel=3,
-        conv_stride=1,
-        conv_padding=1,
-        pool_size=0,
+        patch_size=1,
         embed_dim=8,
         layers=1,
         heads=2,
@@ -32,19 +29,26 @@ def small_cfg(**kw):
 # -- tokenizer geometry ----------------------------------------------------------
 
 
-def test_token_count_28px_conv7_stride2_pool2():
-    # convolution arithmetic oracle: (28+4-7)//2+1 = 13, pool -> 6; 6*6 = 36
-    cfg = BackboneConfig(
-        image_size=28, conv_channels=(16,), conv_kernel=7, conv_stride=2, conv_padding=2, pool_size=2, pool_stride=2, embed_dim=16, heads=2
-    )
-    assert cfg.token_count() == 36
+def test_token_count_28px_patch4():
+    # 4x4 patches tile a 28x28 image as a 7x7 grid: 49 tokens
+    cfg = BackboneConfig(image_size=28, conv_channels=(16,), patch_size=4, embed_dim=16, heads=2)
+    assert cfg.token_count() == 49
     enc = Encoder(cfg, SeededRng(0)).eval()
     tokens = enc.tokenize(Tensor(np.random.default_rng(0).normal(size=(2, 1, 28, 28))))
-    assert tokens.shape == (2, 36, 16)
+    assert tokens.shape == (2, 49, 16)
+
+
+def test_tokens_are_the_patches_of_the_image_in_row_major_order():
+    # one linear channel per pixel of a patch (identity kernel; BN is the identity in eval mode)
+    enc = Encoder(BackboneConfig(image_size=4, conv_channels=(4,), patch_size=2, embed_dim=4, heads=1), SeededRng(0)).eval()
+    enc.tokenizer.weights[0].data = np.eye(4).reshape(4, 1, 2, 2)
+    images = np.random.default_rng(0).uniform(size=(3, 1, 4, 4))  # positive, so the ReLU keeps them
+    patches = images.reshape(3, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(3, 4, 4)  # (B, patch row-major, pixel row-major)
+    np.testing.assert_array_equal(enc.tokenize(Tensor(images)).data, patches)
 
 
 def test_token_count_degenerate_kernel_equals_image():
-    cfg = BackboneConfig(image_size=7, conv_channels=(8,), conv_kernel=7, conv_stride=1, conv_padding=0, pool_size=0, embed_dim=8, heads=2)
+    cfg = BackboneConfig(image_size=7, conv_channels=(8,), patch_size=7, embed_dim=8, heads=2)
     assert cfg.token_count() == 1
     enc = Encoder(cfg, SeededRng(1)).eval()
     tokens = enc.tokenize(Tensor(np.zeros((1, 1, 7, 7))))
@@ -52,17 +56,22 @@ def test_token_count_degenerate_kernel_equals_image():
 
 
 def test_two_conv_layers_with_7px_kernels_constructible():
-    cfg = BackboneConfig(
-        image_size=32, conv_channels=(12, 24), conv_kernel=7, conv_stride=2, conv_padding=3, pool_size=2, pool_stride=2, embed_dim=24, heads=4
-    )
+    cfg = BackboneConfig(image_size=49, conv_channels=(12, 24), patch_size=7, embed_dim=24, heads=4)
     enc = Encoder(cfg, SeededRng(2)).eval()
-    tokens = enc.tokenize(Tensor(np.random.default_rng(1).normal(size=(1, 1, 32, 32))))
-    assert tokens.shape[-1] == 24 and tokens.shape[-2] == cfg.token_count()
+    tokens = enc.tokenize(Tensor(np.random.default_rng(1).normal(size=(1, 1, 49, 49))))
+    assert tokens.shape == (1, 1, 24) and cfg.token_count() == 1
 
 
 def test_kernel_larger_than_image_rejected():
-    with pytest.raises(ArgumentError):
-        BackboneConfig(image_size=4, conv_channels=(8,), conv_kernel=9, conv_padding=0, embed_dim=8, heads=2).token_count()
+    with pytest.raises(ArgumentError, match="patch_size 9 does not divide the 4x4 map"):
+        BackboneConfig(image_size=4, conv_channels=(8,), patch_size=9, embed_dim=8, heads=2)
+
+
+@pytest.mark.parametrize("image_size, conv_channels, patch_size", [(4, (8,), 3), (6, (4, 8), 2), (4, (8,), 0)])
+def test_a_patch_size_that_does_not_tile_every_map_is_rejected(image_size, conv_channels, patch_size):
+    # 3 does not divide 4; 2 divides 6 but not the 3x3 map after it; 0 is no patch
+    with pytest.raises(ArgumentError, match=f"patch_size {patch_size} does not divide"):
+        BackboneConfig(image_size=image_size, conv_channels=conv_channels, patch_size=patch_size, embed_dim=8, heads=2)
 
 
 # -- attention --------------------------------------------------------------------
@@ -80,7 +89,7 @@ def test_single_token_single_head_attention():
 
 
 def test_attention_matches_naive_oracle():
-    cfg = BackboneConfig(image_size=4, conv_channels=(2,), embed_dim=2, heads=1, layers=1, ffn_hidden=4, conv_kernel=3, conv_padding=1)
+    cfg = BackboneConfig(image_size=4, conv_channels=(2,), embed_dim=2, heads=1, layers=1, ffn_hidden=4)
     enc = Encoder(cfg, SeededRng(4))
     block = enc.blocks[0]
     q = np.array([[0.3, -0.2], [1.0, 0.4]])
@@ -115,7 +124,7 @@ def test_attention_rows_sum_to_one_and_shape_preserved():
 
 
 def test_paper_scale_heads_divide_embed_dim():
-    cfg = BackboneConfig(image_size=8, conv_channels=(384,), embed_dim=384, heads=6, layers=1, ffn_hidden=128, conv_kernel=3, conv_padding=1, pool_size=2)
+    cfg = BackboneConfig(image_size=8, conv_channels=(384,), embed_dim=384, heads=6, layers=1, ffn_hidden=128, patch_size=2)
     assert cfg.head_dim == 64
     enc = Encoder(cfg, SeededRng(6))
     x = Tensor(np.random.default_rng(4).normal(size=(1, 9, 384)))
@@ -215,7 +224,7 @@ def test_flop_estimate_scales_with_depth_and_width():
 
 
 def test_full_block_gradients_through_train_bn():
-    cfg = small_cfg(layers=1, pool_size=0)
+    cfg = small_cfg(layers=1)
     enc = Encoder(cfg, SeededRng(15)).train()
     x = np.random.default_rng(13).normal(size=(8, 1, 4, 4))
     block = enc.blocks[0]

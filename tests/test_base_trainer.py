@@ -35,7 +35,7 @@ def blob_images(seed=0, classes=4, per_class=20, spread=4.0):
 
 
 def tiny_model():
-    return BackboneConfig(image_size=4, conv_channels=(16,), conv_kernel=3, conv_padding=1, pool_size=2, embed_dim=16, heads=2, layers=1, ffn_hidden=32)
+    return BackboneConfig(image_size=4, conv_channels=(16,), patch_size=2, embed_dim=16, heads=2, layers=1, ffn_hidden=32)
 
 
 # -- multi-crop ------------------------------------------------------------------

@@ -71,7 +71,17 @@ def test_cli_rejects_unknown_ablation_choice(config_path):
 
 @pytest.mark.parametrize(
     "section, key, value",
-    [("training", "pseudo_stats", "all"), ("model", "prefix_capable", True), ("model", "bn_placement", "between"), ("model", "final_norm", True)],
+    [
+        ("training", "pseudo_stats", "all"),
+        ("model", "prefix_capable", True),
+        ("model", "bn_placement", "between"),
+        ("model", "final_norm", True),
+        ("model", "conv_kernel", 3),
+        ("model", "conv_stride", 1),
+        ("model", "conv_padding", 1),
+        ("model", "pool_size", 2),
+        ("model", "pool_stride", 2),
+    ],
 )
 def test_run_rejects_removed_config_key(tmp_path, capsys, section, key, value):
     data = small_config().to_dict()

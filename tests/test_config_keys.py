@@ -1,4 +1,5 @@
-"""Every config key is read somewhere in `src/fscil` outside (de)serialization."""
+"""Every config key is read somewhere in `src/fscil` outside (de)serialization,
+and the committed configs load."""
 
 import ast
 from dataclasses import fields
@@ -27,3 +28,10 @@ def test_every_config_key_is_read():
 def test_reads_in_serializers_do_not_count():
     source = "class C:\n    def to_dict(self):\n        return self.a\n\n    def run(self, c):\n        c.b = c.d\n"
     assert attributes_read(source) == {"d"}
+
+
+def test_the_quality_configs_load():
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    one_shot, five_shot = (RunConfig.load(configs / f"quality_{n}shot.json") for n in (1, 5))
+    assert (one_shot.split.shots, one_shot.dataset.separation, one_shot.resolved_metric()) == (1, 1.5, "euclidean")
+    assert (five_shot.split.shots, five_shot.dataset.separation, five_shot.resolved_metric()) == (5, 1.0, "mahalanobis")

@@ -17,7 +17,7 @@ from fscil.stochastic_classifier import StochasticHead
 
 
 def make_block(d=8, heads=2, seed=0):
-    cfg = BackboneConfig(image_size=4, conv_channels=(d,), embed_dim=d, heads=heads, layers=1, ffn_hidden=2 * d, conv_kernel=3, conv_padding=1)
+    cfg = BackboneConfig(image_size=4, conv_channels=(d,), embed_dim=d, heads=heads, layers=1, ffn_hidden=2 * d)
     return Encoder(cfg, SeededRng(seed)).blocks[0]
 
 
@@ -118,7 +118,7 @@ def test_prefix_gradients_pass_grad_check():
 
 
 def _session_setup(seed=0):
-    cfg = BackboneConfig(image_size=4, conv_channels=(8,), embed_dim=8, heads=2, layers=1, ffn_hidden=16, conv_kernel=3, conv_padding=1)
+    cfg = BackboneConfig(image_size=4, conv_channels=(8,), embed_dim=8, heads=2, layers=1, ffn_hidden=16)
     encoder = Encoder(cfg, SeededRng(seed))
     encoder.set_requires_grad(False)
     encoder.eval()
@@ -237,7 +237,7 @@ def random_eval_encoder(cfg, seed):
 
 @pytest.mark.parametrize("prefix_len", [0, 6])
 def test_folded_no_grad_forward_equals_the_composed_eval_forward(monkeypatch, prefix_len):
-    cfg = BackboneConfig(image_size=4, conv_channels=(8,), embed_dim=8, heads=2, layers=2, ffn_hidden=12, pool_size=0)
+    cfg = BackboneConfig(image_size=4, conv_channels=(8,), embed_dim=8, heads=2, layers=2, ffn_hidden=12, patch_size=1)
     encoder = random_eval_encoder(cfg, 30 + prefix_len)
     prefixes = PrefixSet(layers=2, prefix_len=prefix_len, dim=8, rng=SeededRng(31))
     tokens = np.random.default_rng(32).normal(size=(5, cfg.token_count(), 8))

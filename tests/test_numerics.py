@@ -19,7 +19,6 @@ from fscil.numerics import (
     gelu,
     grad_check,
     log_softmax,
-    maxpool2d,
     no_grad,
     relu,
     softmax,
@@ -218,30 +217,26 @@ def test_elementwise_ops_pass_grad_check(name, fn):
     assert report.passed, f"{name}: max rel error {report.max_rel_error}"
 
 
-def test_conv_and_pool_pass_grad_check():
+def test_stacked_patch_convs_pass_grad_check():
+    # two tokenizer layers with a ReLU between: 2x2 patches of 2x2 patches
     rng = np.random.default_rng(11)
-    w = rng.normal(size=(2, 1, 3, 3)) * 0.5
-    x = Tensor((rng.normal(size=(2, 1, 6, 6)) * 3.0).transpose(0, 2, 3, 1))  # channels-last; well separated, pooling argmax stable
+    arrays = [rng.normal(size=(2, 8, 4, 1)), rng.normal(size=(3, 1, 2, 2)) * 0.5, rng.normal(size=(2, 3, 2, 2)) * 0.5]
+    for i in range(3):
 
-    def f_x(t):
-        return (maxpool2d(conv2d(t, Tensor(w), stride=1, padding=1), 2) ** 2).sum()
+        def f(t, i=i):
+            x, w1, w2 = [t if j == i else Tensor(a) for j, a in enumerate(arrays)]
+            return (conv2d(relu(conv2d(x, w1)), w2) ** 2).sum()
 
-    assert grad_check(f_x, x, tol=1e-4).passed
-
-    def f_w(t):
-        return (conv2d(Tensor(x.data), t, stride=2, padding=0) ** 2).sum()
-
-    assert grad_check(f_w, Tensor(w), tol=1e-4).passed
+        report = grad_check(f, Tensor(arrays[i]), tol=1e-4)
+        assert report.passed, (i, report)
 
 
-def nchw_conv2d(x, weight, stride: int = 1, padding: int = 0) -> Tensor:
-    """The channels-first (B, C, H, W) convolution that loops over kernel taps
-    in its backward, as `conv2d` computed it before im2col (the oracle)."""
+def nchw_conv2d(x, weight, stride: int) -> Tensor:
+    """The channels-first (B, C, H, W) unpadded convolution that loops over
+    kernel taps in its backward, as `conv2d` computed it before im2col (the oracle)."""
     x, weight = _as_tensor(x), _as_tensor(weight)
-    h, w = x.data.shape[2:]
     kh, kw = weight.data.shape[2:]
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x.data
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    win = np.lib.stride_tricks.sliding_window_view(x.data, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
     data = np.einsum("bcxykl,ockl->boxy", win, weight.data, optimize=True)
     oh, ow = data.shape[2], data.shape[3]
 
@@ -249,96 +244,66 @@ def nchw_conv2d(x, weight, stride: int = 1, padding: int = 0) -> Tensor:
         if weight.requires_grad:
             weight._accumulate(np.einsum("bcxykl,boxy->ockl", win, g, optimize=True))
         if x.requires_grad:
-            dxp = np.zeros_like(xp)
+            dx = np.zeros_like(x.data)
             for i in range(kh):
                 for j in range(kw):
                     contrib = np.tensordot(g, weight.data[:, :, i, j], axes=([1], [0]))
-                    dxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += contrib.transpose(0, 3, 1, 2)
-            x._accumulate(dxp[:, :, padding : padding + h, padding : padding + w] if padding else dxp)
+                    dx[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += contrib.transpose(0, 3, 1, 2)
+            x._accumulate(dx)
 
     return _result(data, (x, weight), backward)
-
-
-def nchw_maxpool2d(x, size: int, stride: int) -> Tensor:
-    """Channels-first max pooling through an argmax over each window (the oracle)."""
-    x = _as_tensor(x)
-    b, c = x.data.shape[:2]
-    win = np.lib.stride_tricks.sliding_window_view(x.data, (size, size), axis=(2, 3))[:, :, ::stride, ::stride]
-    oh, ow = win.shape[2], win.shape[3]
-    flat = win.reshape(b, c, oh, ow, size * size)
-    idx = flat.argmax(axis=-1)
-
-    def backward(g):
-        dx = np.zeros_like(x.data)
-        ki, kj = np.divmod(idx, size)
-        for i in range(size):
-            for j in range(size):
-                dx[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += g * ((ki == i) & (kj == j))
-        x._accumulate(dx)
-
-    return _result(np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0], (x,), backward)
 
 
 def channels_last(a):
     return np.ascontiguousarray(a.transpose(0, 2, 3, 1))
 
 
-CONV_CASES = [(stride, padding, channels) for stride in (1, 2) for padding in (0, 1) for channels in (1, 3)]
+# (kernel = stride, wide, channels); `wide` 1 makes the patch grid one column
+# wider than it is tall, so a conv that mixed up height and width would fail
+CONV_CASES = [(kernel, wide, channels) for kernel in (1, 2, 4) for wide in (0, 1) for channels in (1, 3)]
+GRAD_PRECISION = {np.float64: {}, np.float32: {"tol": 5e-2, "step": 1e-2}}
 
 
-@pytest.mark.parametrize("stride, padding, channels", CONV_CASES)
+@pytest.mark.parametrize("kernel, wide, channels", CONV_CASES)
 @pytest.mark.parametrize("target", ["x", "weight"])
-def test_conv2d_passes_grad_check(stride, padding, channels, target):
+def test_conv2d_passes_grad_check(kernel, wide, channels, target):
     rng = np.random.default_rng(15)
-    arrays = {"x": rng.normal(size=(2, 5, 5, channels)), "weight": rng.normal(size=(2, channels, 3, 3)) * 0.5}
-    out_side = (5 + 2 * padding - 3) // stride + 1
-    weights = Tensor(rng.normal(size=(2, out_side, out_side, 2)))
+    arrays = {"x": rng.normal(size=(2, 2 * kernel, (2 + wide) * kernel, channels)), "weight": rng.normal(size=(2, channels, kernel, kernel)) * 0.5}
+    weights = rng.normal(size=(2, 2, 2 + wide, 2))
+    for dtype, precision in GRAD_PRECISION.items():
 
-    def f(t):
-        args = {name: Tensor(a) for name, a in arrays.items()}
-        args[target] = t
-        return (conv2d(args["x"], args["weight"], stride=stride, padding=padding) ** 2 * weights).sum()
+        def f(t, dtype=dtype):
+            args = {name: Tensor(a, dtype=dtype) for name, a in arrays.items()}
+            args[target] = t
+            return (conv2d(args["x"], args["weight"]) ** 2 * Tensor(weights, dtype=dtype)).sum()
 
-    report = grad_check(f, Tensor(arrays[target].copy()), tol=1e-4)
-    assert report.passed, report
+        report = grad_check(f, Tensor(arrays[target], dtype=dtype), **precision)
+        assert report.passed, (dtype, report)
 
 
-@pytest.mark.parametrize("stride, padding, channels", CONV_CASES)
-def test_conv2d_matches_the_nchw_tap_loop_oracle(stride, padding, channels):
+@pytest.mark.parametrize("kernel, wide, channels", CONV_CASES)
+def test_conv2d_matches_the_nchw_tap_loop_oracle(kernel, wide, channels):
     rng = np.random.default_rng(16)
-    x0, w0 = rng.normal(size=(3, channels, 6, 6)), rng.normal(size=(4, channels, 3, 3))
-    x_last, w_last = Tensor(channels_last(x0), requires_grad=True), Tensor(w0, requires_grad=True)
-    x_first, w_first = Tensor(x0, requires_grad=True), Tensor(w0, requires_grad=True)
-    out = conv2d(x_last, w_last, stride=stride, padding=padding)
-    expected = nchw_conv2d(x_first, w_first, stride=stride, padding=padding)
-    np.testing.assert_allclose(out.data, channels_last(expected.data), atol=1e-12)
-    seed = rng.normal(size=expected.shape)
-    out.backward(channels_last(seed))
-    expected.backward(seed)
-    np.testing.assert_allclose(x_last.grad, channels_last(x_first.grad), atol=1e-12)
-    np.testing.assert_allclose(w_last.grad, w_first.grad, atol=1e-12)
+    x0, w0 = rng.normal(size=(3, channels, 3 * kernel, (3 + wide) * kernel)), rng.normal(size=(4, channels, kernel, kernel))
+    seed = rng.normal(size=(3, 4, 3, 3 + wide))
+    for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+        x, w, g = (a.astype(dtype) for a in (x0, w0, seed))
+        x_last, w_last = Tensor(channels_last(x), requires_grad=True, dtype=dtype), Tensor(w, requires_grad=True, dtype=dtype)
+        x_first, w_first = Tensor(x, requires_grad=True, dtype=np.float64), Tensor(w, requires_grad=True, dtype=np.float64)  # the oracle in float64
+        out, expected = conv2d(x_last, w_last), nchw_conv2d(x_first, w_first, stride=kernel)
+        np.testing.assert_allclose(out.data, channels_last(expected.data), rtol=tol, atol=tol)
+        out.backward(channels_last(g))
+        expected.backward(g.astype(np.float64))
+        assert out.dtype == x_last.grad.dtype == w_last.grad.dtype == dtype
+        np.testing.assert_allclose(x_last.grad, channels_last(x_first.grad), rtol=tol, atol=tol)
+        np.testing.assert_allclose(w_last.grad, w_first.grad, rtol=tol, atol=10 * tol)
 
 
-@pytest.mark.parametrize("size, stride", [(2, 2), (3, 3), (2, 1), (3, 2)])  # non-overlapping, then overlapping windows
-def test_maxpool2d_passes_grad_check(size, stride):
-    rng = np.random.default_rng(17)
-    x = Tensor(rng.permutation(2 * 7 * 7 * 2).reshape(2, 7, 7, 2) * 0.1)  # distinct values: every window has one maximum
-    weights = Tensor(rng.normal(size=maxpool2d(x, size, stride).shape))
-    report = grad_check(lambda t: (maxpool2d(t, size, stride) * weights).sum(), x, tol=1e-4)
-    assert report.passed, report
-
-
-@pytest.mark.parametrize("size, stride", [(2, 2), (3, 3), (2, 1), (3, 2)])
-def test_maxpool2d_ties_route_to_the_first_tap_like_the_argmax_oracle(size, stride):
-    rng = np.random.default_rng(18)
-    x0 = rng.integers(0, 3, size=(3, 2, 7, 7)).astype(float)  # many tied maxima
-    x_last, x_first = Tensor(channels_last(x0), requires_grad=True), Tensor(x0, requires_grad=True)
-    out, expected = maxpool2d(x_last, size, stride), nchw_maxpool2d(x_first, size, stride)
-    assert np.array_equal(out.data, channels_last(expected.data))
-    seed = rng.normal(size=expected.shape)
-    out.backward(channels_last(seed))
-    expected.backward(seed)
-    assert np.array_equal(x_last.grad, channels_last(x_first.grad))
+@pytest.mark.parametrize("x_shape, w_shape", [((1, 4, 5, 1), (2, 1, 2, 2)), ((1, 6, 6, 1), (2, 1, 4, 4)), ((1, 4, 4, 1), (2, 1, 2, 1)), ((1, 4, 4, 2), (2, 1, 2, 2))])
+def test_conv2d_rejects_a_kernel_that_does_not_tile_the_input(x_shape, w_shape):
+    # a width 2 does not divide, a 4x4 kernel on a 6x6 map, a non-square kernel, a channel mismatch
+    with pytest.raises(ArgumentError):
+        conv2d(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)))
 
 
 @pytest.mark.parametrize("a_shape", [(3, 4, 5), (2, 3, 4, 5)])

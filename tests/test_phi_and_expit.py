@@ -36,6 +36,19 @@ def test_phi_stays_in_the_unit_interval_and_saturates_beyond_the_table():
     np.testing.assert_array_equal(gelu_cdf(np.array([-8.5, -9.0, 8.5, 9.0])), [0.0, 0.0, 1.0, 1.0])
 
 
+@pytest.mark.parametrize("lo, hi", [(-12.0, 12.0), (7.4, 7.8)])
+def test_phi_never_falls_by_more_than_one_ulp_and_gelu_is_monotone(lo, hi):
+    # Near Phi = 1 the cubics of neighbouring grid cells can round one ulp apart, and
+    # between x = 7.5 and 7.7 the denser grid finds Phi(x + dx) one ulp below Phi(x)
+    x = np.linspace(lo, hi, 100_001)
+    phi = gelu_cdf(x)
+    step = np.diff(phi)
+    assert np.all(step >= -np.spacing(phi[:-1]))
+    g = np.diff(x * phi)  # GELU falls to its minimum near x = -0.75, then rises
+    low = int(np.argmin(x * phi))
+    assert np.all(g[:low] <= 0) and np.all(g[low:] >= 0)
+
+
 def test_expit_error_against_an_extended_precision_reference():
     x = GRID
     wide = x.astype(np.longdouble)

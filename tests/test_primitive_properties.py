@@ -243,7 +243,7 @@ def test_attention_passes_grad_check_over_shapes(heads, dk, batch, n, prefix, dt
 @given(side=st.integers(1, 3), d=st.integers(1, 4), batch=st.none() | st.integers(1, 3), dtype=dtypes, seed=seeds)
 def test_sequence_pool_passes_grad_check_over_shapes(side, d, batch, dtype, seed):
     """A side x side token grid of width d; `batch` None is a 2-d (n, d) input."""
-    encoder = Encoder(BackboneConfig(image_size=side, conv_channels=(d,), embed_dim=d, heads=1, layers=0, pool_size=0), SeededRng(seed))
+    encoder = Encoder(BackboneConfig(image_size=side, conv_channels=(d,), embed_dim=d, heads=1, layers=0, patch_size=1), SeededRng(seed))
     rng = np.random.default_rng(seed)
     n = side * side
     lead = () if batch is None else (batch,)

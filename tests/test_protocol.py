@@ -28,7 +28,7 @@ def small_config(**dataset_kw) -> RunConfig:
     ds = dict(kind="blobs", classes=8, dim=16, train_per_class=12, test_per_class=6, separation=8.0)
     ds.update(dataset_kw)
     return RunConfig(
-        model=BackboneConfig(image_size=4, conv_channels=(16,), conv_kernel=3, conv_padding=1, pool_size=2, embed_dim=16, heads=2, layers=1, ffn_hidden=32),
+        model=BackboneConfig(image_size=4, conv_channels=(16,), patch_size=2, embed_dim=16, heads=2, layers=1, ffn_hidden=32),
         training=desk_profile(
             ssl_epochs=3,
             ssl_early_stop=3,
