@@ -93,6 +93,16 @@ def test_run_rejects_removed_config_key(tmp_path, capsys, section, key, value):
     assert not (tmp_path / "run").exists()
 
 
+def test_run_rejects_a_patch_size_that_does_not_tile_the_image(tmp_path, capsys):
+    data = small_config().to_dict()
+    data["model"]["patch_size"] = 3  # the images are 4x4
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--config", str(path), "--seed", "0", "--out", str(tmp_path / "run")]) == 2
+    assert "patch_size 3 does not divide the 4x4 map" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("train_per_class, code", [(1, 5), (2, 0)])
 def test_forced_mahalanobis_with_one_sample_per_class_exits_with_a_numeric_error(tmp_path, capsys, train_per_class, code):
     # one sample per class leaves a zero scatter, so the regularized covariance is singular

@@ -484,5 +484,5 @@ def _toy_step_nodes(classes: int) -> int:
 
 def test_toy_training_step_graph_size():
     # one (d, H, d_k) leaf per q/k/v role, one (M, d) mu and sigma leaf whatever M is,
-    # one node for the head's loss, a reshape and a product for the pool, and no max-pool
+    # one node for the head's loss, and a reshape and a product for the pool
     assert _toy_step_nodes(10) == _toy_step_nodes(74) == 59
