@@ -64,6 +64,8 @@ class BackboneConfig:
             raise ArgumentError("tokenizer supports 1-3 conv layers")
         if self.conv_channels[-1] != self.embed_dim:
             raise ArgumentError("last tokenizer channel count must equal embed_dim")
+        if self.heads < 1:
+            raise ArgumentError(f"heads must be at least 1, got {self.heads}")
         if self.embed_dim % self.heads != 0:
             raise ArgumentError(f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
         self.grid_after_tokenizer()
@@ -291,9 +293,6 @@ class Encoder:
         for i, block in enumerate(self.blocks):
             x, _ = block(x, self.mode, prefix_kv=None if prefixes is None else prefixes.layer_kv(i))
         return self.sequence_pool(self.final_bn(x, self.mode))
-
-    def __call__(self, images: Tensor, prefixes=None) -> Tensor:
-        return self.forward(images, prefixes=prefixes)
 
     def params(self) -> dict:
         out = self.tokenizer.params("tokenizer")

@@ -6,8 +6,8 @@ drawn from that batch's one random stream), teacher targets are centered
 and sharpened before the softmax, no gradient reaches the teacher, and the
 teacher tracks the student by exponential moving average.  Once that phase
 finishes (early stopping on the distillation loss), the classifier means
-are initialized from class prototypes and the encoder plus stochastic head
-train under cross-entropy.
+are initialized at the class means of the distilled embeddings and the
+encoder plus stochastic head train under cross-entropy.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .errors import ArgumentError, UsageError
 from .numerics import SeededRng, Tensor, gelu, log_softmax, log_softmax_nll, no_grad
 from .optim import CosineSchedule, EarlyStopping, ReduceOnPlateau, backprop_step, make_optimizer, run_epochs
 from .stochastic_classifier import StochasticHead, cross_entropy_loss, init_means_from_prototypes
+from .task_inference import fit_class_stats
 
 
 # -- multi-crop views ---------------------------------------------------------
@@ -201,12 +202,6 @@ def dino_step(student_encoder: Encoder, student_proj: DinoHead, teacher: Teacher
 EMBED_BATCH = 64  # rows per folded forward; its transient arrays grow with the rows
 
 
-def class_prototypes(encoder: Encoder, data_x: np.ndarray, labels: np.ndarray) -> dict:
-    """Mean embedding per class id, computed in eval mode without gradients."""
-    embeddings = embed_all(encoder, data_x)
-    return {int(c): embeddings[labels == c].mean(axis=0) for c in sorted(set(int(c) for c in labels))}
-
-
 def embed_all(encoder: Encoder, data_x: np.ndarray, prefixes=None) -> np.ndarray:
     """Eval-mode embeddings of `data_x` in `EMBED_BATCH`-row batches, with
     the encoder folded once for the whole call."""
@@ -230,9 +225,9 @@ def train_base(
     """Full base-task routine.
 
     Phase 1 distills with cosine-scheduled learning rate and weight decay
-    until early stopping (`ssl_epochs=0` skips it); phase 2 initializes the head means from class
-    prototypes and runs supervised cross-entropy.  Phase 2 never starts
-    before phase 1 has finished.  Returns (encoder, head, teacher, history).
+    until early stopping (`ssl_epochs=0` skips it); phase 2 starts the head means at the
+    `fit_class_stats` means of the distilled embeddings and runs supervised cross-entropy.
+    Phase 2 never starts before phase 1 has finished.  Returns (encoder, head, teacher, history).
     """
     data_x = np.asarray(data_x, dtype=float)
     data_y = np.asarray(data_y, dtype=int)
@@ -250,8 +245,8 @@ def train_base(
     _ssl_phase(encoder, proj, teacher, data_x, config, rng.child("ssl"), history, log)
 
     head = StochasticHead(model_cfg.embed_dim, temperature=config.head_temperature, offset=config.head_offset)
-    prototypes = class_prototypes(encoder, data_x, data_y)
-    init_means_from_prototypes(head, prototypes)
+    gaussians, _ = fit_class_stats(embed_all(encoder, data_x), data_y, 0)
+    init_means_from_prototypes(head, {g.class_id: g.mean for g in gaussians})
     _supervised_phase(encoder, head, data_x, data_y, config, rng.child("supervised"), history, log)
     return encoder, head, teacher, history
 

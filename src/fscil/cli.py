@@ -64,7 +64,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_ablate(args) -> int:
     config = RunConfig.load(args.config)
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
+    except ValueError as exc:
+        raise ArgumentError(f"--seeds {args.seeds!r} is not a comma-separated list of integers") from exc
     if not seeds:
         raise ArgumentError("at least one seed is required")
     report = run_ablation(config, args.without, seeds)

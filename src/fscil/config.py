@@ -77,7 +77,7 @@ class TrainingConfig:
     prednet_epochs: int = 300
     prednet_batch_size: int = 100
     prednet_weight_decay: float = 0.0
-    prediction_net: bool = True  # False: no rectification; new head rows start at raw prototypes
+    prediction_net: bool = True  # False: no rectification; new head rows start at the enriched class means
 
     # linear probe diagnostic (frozen teacher)
     run_probe: bool = False

@@ -63,6 +63,9 @@ def generate_blobs(
     """
     if separation <= 0:
         raise ArgumentError("separation must be positive")
+    for name, value, low in (("classes", classes, 1), ("samples_per_class", samples_per_class, 1), ("test_per_class", test_per_class, 0)):
+        if value < low:
+            raise ArgumentError(f"blob {name} must be at least {low}, got {value}")
     side = int(round(np.sqrt(dim)))
     if side * side != dim:
         raise ArgumentError(f"blob dim {dim} must be a perfect square to form images")
@@ -227,6 +230,8 @@ def build_fscil_splits(train_labels, test_labels, base_classes: int, ways: int, 
             spec_shots = shots
         seen.extend(label_set)
         test_idx = np.sort(np.flatnonzero(np.isin(test_labels, seen)))
+        if not len(test_idx):
+            raise ArgumentError(f"the test set holds 0 samples of the {len(seen)} classes seen by session {k}")
         specs.append(
             SessionSpec(session=k, label_set=label_set, ways=len(label_set), shots=spec_shots, train_indices=train_idx, test_indices=test_idx)
         )

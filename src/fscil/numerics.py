@@ -98,11 +98,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     """Dense n-d array with an optional gradient buffer and graph links."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
     # an ndarray on the left of an operator defers to the reflected Tensor method
     __array_ufunc__ = None
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype or DEFAULT_DTYPE)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
@@ -111,7 +111,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._backward = None
-        self.name = name
 
     # -- introspection -----------------------------------------------------
 
@@ -135,13 +134,9 @@ class Tensor:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
 
     def __repr__(self):
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad}{tag})"
+        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     # -- graph plumbing ----------------------------------------------------
-
-    def zero_grad(self):
-        self.grad = None
 
     def _accumulate(self, grad: np.ndarray):
         """Keep the first gradient as is; add later ones out of place.
@@ -896,12 +891,13 @@ def grad_check(f, x: Tensor, tol: float = 1e-4, step: float = 1e-5) -> GradCheck
     `f` must be pure and deterministic; it is evaluated twice up front and a
     mismatch raises `UsageError`.
 
-    The default tolerance suits float64.  A float32 `x` is perturbed in
+    The default tolerance suits float64.  `f` sees a float32 `x` perturbed in
     float32, so use the relaxed `tol=5e-2` with `step=1e-2` there.
     """
-    probe = Tensor(x.data.copy(), requires_grad=True)
+    dtype = x.data.dtype
+    probe = Tensor(x.data.copy(), requires_grad=True, dtype=dtype)
     out1 = f(probe)
-    out2 = f(Tensor(x.data.copy(), requires_grad=True))
+    out2 = f(Tensor(x.data.copy(), requires_grad=True, dtype=dtype))
     if out1.data.size != 1:
         raise ArgumentError("grad_check needs a scalar-valued function")
     if not np.array_equal(out1.data, out2.data):
@@ -914,9 +910,9 @@ def grad_check(f, x: Tensor, tol: float = 1e-4, step: float = 1e-5) -> GradCheck
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + step
-        hi = f(Tensor(flat.reshape(x.data.shape))).item()
+        hi = f(Tensor(flat.reshape(x.data.shape), dtype=dtype)).item()
         flat[i] = orig - step
-        lo = f(Tensor(flat.reshape(x.data.shape))).item()
+        lo = f(Tensor(flat.reshape(x.data.shape), dtype=dtype)).item()
         flat[i] = orig
         numeric.reshape(-1)[i] = (hi - lo) / (2.0 * step)
 

@@ -4,10 +4,10 @@ Session order: (session 0 only) train the base backbone and head; embed the
 session's samples with the frozen prefix-free backbone; fit and accumulate
 Gaussian statistics, always enriched by the test-pool embeddings that are
 pseudo-labeled as this session's classes - these raw statistics are what
-routing uses; (later sessions) train the session's prediction network on
-outlier pairs and those pseudo-labeled embeddings, and extend the classifier
-with rows initialized from the rectified prototypes; then train the
-session's prefixes together with its head rows.
+routing uses; (later sessions) add one head row per new class at its enriched
+mean, first rectified by the session's prediction network (trained on outlier
+pairs and those pseudo-labeled embeddings) unless `prediction_net` is off;
+then train the session's prefixes together with its head rows.
 Evaluation routes every test sample through the shared-covariance ranking to
 pick a session's prefixes before the stochastic head predicts the label.
 While the backbone is frozen, a test sample's embedding under a given prefix
@@ -171,12 +171,12 @@ def _fit_session_stats(state, encoder, view_images, remapped_labels, session, po
     return embeddings, pseudo_x, pseudo_y
 
 
-def _rectified_prototypes(state, embeddings, remapped_labels, pseudo_x, pseudo_y, session, tc, rng, log) -> dict:
+def _rectified_prototypes(state, embeddings, remapped_labels, pseudo_x, pseudo_y, session, tc, rng, log) -> list:
     """Train the session's prediction net and rectify its class means.
 
     The net learns to map each class's `outliers_inc` farthest members and
     the pseudo-labeled pool rows onto the session's (enriched) class means.
-    Returns R(mu) by class id; the routing statistics are left as they are.
+    Returns the Gaussians with each mean mu replaced by R(mu); routing keeps its own.
     """
     gaussians = state.gaussians_by_session[session]
     by_class = {g.class_id: g for g in gaussians}
@@ -189,7 +189,7 @@ def _rectified_prototypes(state, embeddings, remapped_labels, pseudo_x, pseudo_y
     net = PredictionNet(embeddings.shape[1], rng.child("prednet"))
     train_prediction_net(net, merge_pairs(parts), tc, rng.child("prednet_train"), log=log, session=session)
     state.prednets[session] = net
-    return {g.class_id: g.mean for g in refine_gaussian_stats(net, gaussians)}
+    return refine_gaussian_stats(net, gaussians)
 
 
 def _finetune_backbone_session(view, remapped, encoder, head, new_rows, tc, rng, log, session):
@@ -284,13 +284,11 @@ def run_protocol(
         if k == 0:
             new_rows = list(range(head.num_classes))
         else:
-            session_classes = sorted(set(int(c) for c in remapped))
+            gaussians = state.gaussians_by_session[k]
             if tc.prediction_net:
-                prototypes = _rectified_prototypes(state, embeddings, remapped, pseudo_x, pseudo_y, k, tc, rng.child(f"stats{k}"), log)
-            else:
-                prototypes = {cls: embeddings[remapped == cls].mean(axis=0) for cls in session_classes}
-            new_rows = list(range(head.num_classes, head.num_classes + len(session_classes)))
-            init_means_from_prototypes(head, prototypes)
+                gaussians = _rectified_prototypes(state, embeddings, remapped, pseudo_x, pseudo_y, k, tc, rng.child(f"stats{k}"), log)
+            new_rows = list(range(head.num_classes, head.num_classes + len(gaussians)))
+            init_means_from_prototypes(head, {g.class_id: g.mean for g in gaussians})
         if tc.delta_params:
             prefixes = PrefixSet(config.model.layers, tc.prefix_len, config.model.embed_dim, rng.child(f"prefix{k}"))
             state.prefixes[k] = prefixes

@@ -422,6 +422,29 @@ def test_embed_all_folds_the_encoder_once_per_call(monkeypatch):
     assert np.array_equal(out, np.concatenate(expected))
 
 
+def test_head_rows_start_at_the_class_means_of_the_distilled_embeddings(monkeypatch):
+    x, y = blob_images(seed=38, classes=3, per_class=10)
+    monkeypatch.setattr(base_trainer, "_supervised_phase", lambda *args: None)
+    encoder, head, _, _ = train_base(x, y, tiny_model(), desk_profile(ssl_epochs=2, ssl_batch_size=16), SeededRng(39))
+    emb = embed_all(encoder, x)
+    assert np.array_equal(head.mu.data, np.stack([emb[y == c].mean(axis=0) for c in range(3)]))
+
+
+def test_a_non_finite_distilled_embedding_raises_before_supervised_training(monkeypatch):
+    x, y = blob_images(seed=40, classes=3, per_class=10)
+    real = base_trainer._ssl_phase
+
+    def poisoned(encoder, *args):
+        real(encoder, *args)
+        encoder.pool_proj.data[0, 0] = np.nan  # column 0 of every embedding
+
+    monkeypatch.setattr(base_trainer, "_ssl_phase", poisoned)
+    monkeypatch.setattr(base_trainer, "_supervised_phase", lambda *args: pytest.fail("supervised training started"))
+    with pytest.raises(NumericError, match="session 0, class 0: embedding statistics are not finite") as info:
+        train_base(x, y, tiny_model(), desk_profile(ssl_epochs=1, ssl_batch_size=16), SeededRng(41))
+    assert info.value.exit_code == 5
+
+
 def test_crop_slots_shapes():
     x, _ = blob_images(seed=28, classes=2, per_class=5)
     slots = crop_slots(x[:6], SeededRng(29), n_local=3, global_scale=(0.6, 1.0), local_scale=(0.2, 0.5))

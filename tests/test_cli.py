@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from fscil import protocol
 from fscil.cli import main
 from fscil.harness import load_idx_images, load_idx_labels
 
@@ -147,3 +148,27 @@ def test_run_rejects_a_batch_size_below_one_or_a_negative_prefix_length(tmp_path
     path.write_text(json.dumps(data))
     assert main(["run", "--config", str(path), "--seed", "0", "--out", str(tmp_path / "run")]) == 2
     assert phase in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, section, key, value, message",
+    [
+        ("ablate --config {config} --seeds a", None, None, None, "--seeds 'a' is not a comma-separated list of integers"),
+        ("gen-blobs --classes 0 --dim 16 --shots 4 --out {out}", None, None, None, "blob classes must be at least 1, got 0"),
+        ("gen-blobs --classes 3 --dim 16 --shots 0 --out {out}", None, None, None, "blob samples_per_class must be at least 1, got 0"),
+        ("gen-blobs --classes 3 --dim 16 --shots 4 --test-per-class -1 --out {out}", None, None, None, "blob test_per_class must be at least 0, got -1"),
+        ("run --config {config} --seed 0 --out {out}", "dataset", "classes", 0, "blob classes must be at least 1, got 0"),
+        ("run --config {config} --seed 0 --out {out}", "dataset", "test_per_class", 0, "the test set holds 0 samples of the 4 classes seen by session 0"),
+        ("run --config {config} --seed 0 --out {out}", "model", "heads", 0, "heads must be at least 1, got 0"),
+    ],
+)
+def test_a_bad_argument_or_config_value_exits_2_with_one_line_before_any_training(tmp_path, capsys, monkeypatch, argv, section, key, value, message):
+    data = small_config().to_dict()
+    if section is not None:
+        data[section][key] = value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    monkeypatch.setattr(protocol, "train_base", lambda *args, **kwargs: pytest.fail("training started"))
+    assert main(argv.format(config=config, out=tmp_path / "out").split()) == 2
+    assert capsys.readouterr().err == f"error (ArgumentError): {message}\n"
+    assert not (tmp_path / "out").exists()

@@ -181,6 +181,17 @@ def test_grad_check_constant_function():
     assert report.max_rel_error == 0.0
 
 
+def test_grad_check_evaluates_a_float32_input_in_float32():
+    seen = []
+
+    def f(t):
+        seen.append(t.dtype)
+        return (t * t).sum()
+
+    assert grad_check(f, Tensor([1.0, 2.0], dtype=np.float32), tol=5e-2, step=1e-2).passed
+    assert set(seen) == {np.dtype(np.float32)}
+
+
 def test_grad_check_rejects_nondeterministic():
     state = {"calls": 0}
 

@@ -1,6 +1,7 @@
-"""Property tests of the elementwise, reduction and broadcast primitives, of
-the fused `attention` node, of the encoder's sequence pool, and of the
-stochastic head's weights and loss node.
+"""Property tests of the elementwise, activation, reduction, softmax, shape,
+indexing, matmul and broadcast primitives, of the fused `batch_norm`,
+`log_softmax_nll` and `attention` nodes, of the encoder's sequence pool,
+and of the stochastic head's weights and loss node.
 
 Hypothesis draws the shapes, broadcasts, axes and a value seed; each case
 checks the forward value against numpy and the gradient of every input
@@ -15,6 +16,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import special
 
 from fscil.backbone import BackboneConfig, Encoder
 from fscil.numerics import (
@@ -22,14 +24,27 @@ from fscil.numerics import (
     Tensor,
     add,
     attention,
+    batch_norm,
     broadcast_to,
     div,
+    exp,
     gelu,
     gelu_cdf,
     gelu_grad,
     grad_check,
+    log,
+    log_softmax,
+    log_softmax_nll,
+    matmul,
     mul,
     power,
+    relu,
+    reshape,
+    softmax,
+    softplus,
+    sqrt,
+    swapaxes,
+    take,
     tensor_mean,
     tensor_sum,
 )
@@ -50,6 +65,10 @@ def normal(rng, shape):
 
 def away_from_zero(rng, shape):
     return rng.choice([-1.0, 1.0], size=shape) * rng.uniform(0.5, 2.0, size=shape)
+
+
+def positive(rng, shape):
+    return rng.uniform(0.5, 2.0, size=shape)
 
 
 def check(f, inputs, out_shape, dtype, rng):
@@ -142,6 +161,160 @@ def test_broadcast_to_passes_grad_check(pair, dtype, seed):
     assert out.dtype == dtype
     np.testing.assert_array_equal(out.data, np.broadcast_to(np.asarray(a, dtype), target))
     check(lambda t: broadcast_to(t, target), [a], target, dtype, rng)
+
+
+# name -> (primitive, numpy oracle, input draw); relu's inputs keep off its kink
+UNARY = {
+    "exp": (exp, np.exp, normal),
+    "log": (log, np.log, positive),
+    "sqrt": (sqrt, np.sqrt, positive),
+    "relu": (relu, lambda a: np.maximum(a, 0.0), away_from_zero),
+    "gelu": (gelu, lambda a: a * phi_oracle(a.astype(np.float64)), normal),
+    "softplus": (softplus, lambda a: np.log1p(np.exp(a.astype(np.float64))), normal),
+}
+
+
+@PROPERTY
+@given(name=st.sampled_from(sorted(UNARY)), shape=shapes, dtype=dtypes, seed=seeds)
+def test_unary_primitives_match_numpy_and_pass_grad_check(name, shape, dtype, seed):
+    op, oracle, draw = UNARY[name]
+    rng = np.random.default_rng(seed)
+    a = draw(rng, shape)
+    out = op(Tensor(a, dtype=dtype))
+    assert out.shape == shape and out.dtype == dtype
+    np.testing.assert_allclose(out.data, oracle(np.asarray(a, dtype)), rtol=FORWARD_RTOL[dtype], atol=FORWARD_RTOL[dtype])
+    check(op, [a], shape, dtype, rng)
+
+
+@st.composite
+def shape_and_axis(draw):
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=3))
+    return shape, draw(st.integers(-len(shape), len(shape) - 1))
+
+
+@PROPERTY
+@given(case=shape_and_axis(), log_space=st.booleans(), dtype=dtypes, seed=seeds)
+def test_softmax_and_log_softmax_match_scipy_and_pass_grad_check(case, log_space, dtype, seed):
+    shape, axis = case
+    op, oracle = (log_softmax, special.log_softmax) if log_space else (softmax, special.softmax)
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=shape) * 2
+    out = op(Tensor(a, dtype=dtype), axis=axis)
+    assert out.shape == shape and out.dtype == dtype
+    np.testing.assert_allclose(out.data, oracle(np.asarray(a, dtype).astype(np.float64), axis=axis), rtol=FORWARD_RTOL[dtype], atol=FORWARD_RTOL[dtype])
+    check(lambda t: op(t, axis=axis), [a], shape, dtype, rng)
+
+
+@PROPERTY
+@given(
+    operands=hnp.mutually_broadcastable_shapes(signature=np.matmul.signature, max_dims=2, max_side=3),
+    dtype=dtypes,
+    seed=seeds,
+)
+def test_matmul_matches_numpy_over_1d_2d_and_batched_operands(operands, dtype, seed):
+    rng = np.random.default_rng(seed)
+    a, b = (rng.normal(size=shape) for shape in operands.input_shapes)
+    out = matmul(Tensor(a, dtype=dtype), Tensor(b, dtype=dtype))
+    assert out.shape == operands.result_shape and out.dtype == dtype
+    np.testing.assert_allclose(out.data, np.asarray(a, dtype) @ np.asarray(b, dtype), rtol=FORWARD_RTOL[dtype], atol=FORWARD_RTOL[dtype])
+    check(matmul, [a, b], operands.result_shape, dtype, rng)
+
+
+@st.composite
+def basic_indexing(draw):
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=3))
+    return shape, draw(hnp.basic_indices(shape, allow_newaxis=False))
+
+
+@PROPERTY
+@given(case=basic_indexing(), dtype=dtypes, seed=seeds)
+def test_take_matches_numpy_indexing_and_passes_grad_check(case, dtype, seed):
+    shape, idx = case
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=shape)
+    want = np.asarray(a, dtype)[idx]
+    out = take(Tensor(a, dtype=dtype), idx)
+    assert out.shape == want.shape and out.dtype == dtype
+    np.testing.assert_array_equal(out.data, want)
+    check(lambda t: take(t, idx), [a], want.shape, dtype, rng)
+
+
+@st.composite
+def shape_ops(draw):
+    """(shape, name, op): a reshape to an equal-size shape or a swap of two axes."""
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=3))
+    size = int(np.prod(shape))
+    if draw(st.booleans()):
+        target = draw(st.sampled_from([(size,), (-1,), shape[::-1], (1,) + shape, (size, 1)]))
+        return shape, (lambda t: reshape(t, target)), (lambda a: a.reshape(target))
+    ax1, ax2 = (draw(st.integers(-len(shape), len(shape) - 1)) for _ in range(2))
+    return shape, (lambda t: swapaxes(t, ax1, ax2)), (lambda a: a.swapaxes(ax1, ax2))
+
+
+@PROPERTY
+@given(case=shape_ops(), dtype=dtypes, seed=seeds)
+def test_reshape_and_swapaxes_match_numpy_and_pass_grad_check(case, dtype, seed):
+    shape, op, oracle = case
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=shape)
+    want = oracle(np.asarray(a, dtype))
+    out = op(Tensor(a, dtype=dtype))
+    assert out.dtype == dtype
+    np.testing.assert_array_equal(out.data, want)
+    check(op, [a], want.shape, dtype, rng)
+
+
+def batch_norm_oracle(x, gamma, beta, running_mean, running_var, train, eps, momentum):
+    """Output and updated running stats of batch-norm over every axis but the last."""
+    rows = x.reshape(-1, x.shape[-1]).astype(np.float64)
+    if train:
+        mean, var = rows.mean(axis=0), rows.var(axis=0)
+        out = (x - mean) / np.sqrt(var + eps) * gamma + beta
+        return out, (1 - momentum) * running_mean + momentum * mean, (1 - momentum) * running_var + momentum * var
+    return (x - running_mean) / np.sqrt(np.maximum(running_var, eps)) * gamma + beta, running_mean, running_var
+
+
+@PROPERTY
+@given(
+    lead=st.sampled_from([(2,), (3,), (2, 2), (1, 3), (3, 2)]),
+    channels=st.integers(1, 3),
+    train=st.booleans(),
+    dtype=dtypes,
+    seed=seeds,
+)
+def test_batch_norm_matches_its_definition_and_passes_grad_check(lead, channels, train, dtype, seed):
+    # train mode needs at least two rows per feature; every lead shape has two
+    rng = np.random.default_rng(seed)
+    shape = lead + (channels,)
+    x, gamma, beta = rng.normal(size=shape) * 2 + 1, positive(rng, channels), rng.normal(size=channels)
+    stats = rng.normal(size=channels), positive(rng, channels)
+    mode = "train" if train else "eval"
+
+    def f(x, gamma, beta, running=None):
+        if running is None:  # fresh stats on every grad_check call: train mode updates them in place
+            running = [np.array(s, dtype=dtype) for s in stats]
+        return batch_norm(x, gamma, beta, *running, mode, eps=1e-5, momentum=0.1)
+
+    running = [np.array(s, dtype=dtype) for s in stats]
+    out = f(*(Tensor(a, dtype=dtype) for a in (x, gamma, beta)), running)
+    assert out.shape == shape and out.dtype == dtype
+    want, *want_stats = batch_norm_oracle(*(np.asarray(a, dtype) for a in (x, gamma, beta, *stats)), train, 1e-5, 0.1)
+    tol = FORWARD_RTOL[dtype] * 10
+    for got, expected in zip([out.data, *running], [want, *want_stats]):
+        np.testing.assert_allclose(got, expected, rtol=tol, atol=tol)
+    check(f, [x, gamma, beta], shape, dtype, rng)
+
+
+@PROPERTY
+@given(batch=st.integers(1, 4), classes=st.integers(1, 4), dtype=dtypes, seed=seeds)
+def test_log_softmax_nll_matches_scipy_and_passes_grad_check(batch, classes, dtype, seed):
+    rng = np.random.default_rng(seed)
+    logits, labels = rng.normal(size=(batch, classes)) * 2, rng.integers(0, classes, size=batch)
+    out = log_softmax_nll(Tensor(logits, dtype=dtype), labels)
+    assert out.shape == () and out.dtype == dtype
+    want = -special.log_softmax(np.asarray(logits, dtype).astype(np.float64), axis=1)[np.arange(batch), labels].mean()
+    np.testing.assert_allclose(out.data, want, rtol=FORWARD_RTOL[dtype], atol=FORWARD_RTOL[dtype])
+    check(lambda t: log_softmax_nll(t, labels), [logits], (), dtype, rng)
 
 
 # name -> (the Tensor expression, the same expression on a numpy array);

@@ -351,19 +351,20 @@ def test_stochastic_head_toggle_disables_noise():
 @pytest.fixture(scope="module")
 def rectification_arms():
     """Artifacts of full and `prediction_net`-ablated `small_config()` runs at
-    seed 11, and the prototypes each incremental session of the full arm
-    handed to `init_means_from_prototypes`."""
-    prototypes = []
+    seed 11, and the prototypes each incremental session of either arm
+    handed to `init_means_from_prototypes`, by arm."""
+    prototypes = {"full": [], "plain": []}
+    runs = {}
+    for arm, cfg in (("full", small_config()), ("plain", ablated(small_config(), "prediction_net"))):
 
-    def recording(head, protos):
-        prototypes.append(dict(protos))
-        return init_means_from_prototypes(head, protos)
+        def recording(head, protos, arm=arm):
+            prototypes[arm].append(dict(protos))
+            return init_means_from_prototypes(head, protos)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(protocol, "init_means_from_prototypes", recording)
-        _, full = run_from_config(small_config(), seed=11)
-    _, plain = run_from_config(ablated(small_config(), "prediction_net"), seed=11)
-    return full, plain, prototypes
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(protocol, "init_means_from_prototypes", recording)
+            _, runs[arm] = run_from_config(cfg, seed=11)
+    return runs["full"], runs["plain"], prototypes
 
 
 def test_rectification_leaves_routing_statistics_alone(rectification_arms):
@@ -379,12 +380,22 @@ def test_rectification_leaves_routing_statistics_alone(rectification_arms):
 
 def test_new_head_rows_start_at_rectified_routing_means(rectification_arms):
     full, _, prototypes = rectification_arms
-    assert len(prototypes) == 2  # one call per incremental session
-    for k, protos in zip((1, 2), prototypes):
+    assert len(prototypes["full"]) == 2  # one call per incremental session
+    for k, protos in zip((1, 2), prototypes["full"]):
         routing = {g.class_id: g.mean for g in full["gaussians"][k]}
         assert sorted(protos) == sorted(routing)
         for cls, proto in protos.items():
             np.testing.assert_allclose(proto, rectify_prototype(full["prednets"][k], routing[cls]), rtol=0, atol=1e-12)
+
+
+def test_without_the_prediction_net_new_head_rows_start_at_the_enriched_routing_means(rectification_arms):
+    _, plain, prototypes = rectification_arms
+    assert len(prototypes["plain"]) == 2
+    for k, protos in zip((1, 2), prototypes["plain"]):
+        routing = {g.class_id: g.mean for g in plain["gaussians"][k]}
+        assert sorted(protos) == sorted(routing)
+        for cls, proto in protos.items():
+            assert np.array_equal(proto, routing[cls])
 
 
 def test_prediction_net_toggle_skips_rectification():
