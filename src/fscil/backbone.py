@@ -64,6 +64,8 @@ class BackboneConfig:
             raise ArgumentError("tokenizer supports 1-3 conv layers")
         if self.conv_channels[-1] != self.embed_dim:
             raise ArgumentError("last tokenizer channel count must equal embed_dim")
+        if self.layers < 0:
+            raise ArgumentError(f"layers must be at least 0, got {self.layers}")
         if self.heads < 1:
             raise ArgumentError(f"heads must be at least 1, got {self.heads}")
         if self.embed_dim % self.heads != 0:

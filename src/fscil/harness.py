@@ -44,6 +44,48 @@ class ArrayDataset:
         return digest.hexdigest()
 
 
+NEAR_TIE = 1e-9  # relative band inside which the per-row formulas decide, far wider than rounding
+
+
+def _clears_placed(candidate: np.ndarray, placed: np.ndarray, separation: float) -> bool:
+    """`all(np.linalg.norm(candidate - m) >= separation for m in placed)`.
+
+    One vectorized distance to the nearest placed mean decides unless it lies
+    within a relative `NEAR_TIE` of `separation`; the two computations differ
+    by a few ulps, so only there do the per-mean norms run.
+    """
+    if not len(placed):
+        return True
+    nearest = float(np.sqrt(((placed - candidate) ** 2).sum(axis=1).min()))
+    if abs(nearest - separation) > NEAR_TIE * separation:
+        return nearest > separation
+    return all(np.linalg.norm(candidate - m) >= separation for m in placed)
+
+
+def _nearest_means(rows: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """`((rows[:, None] - means[None]) ** 2).sum(axis=2).argmin(axis=1)`, bitwise.
+
+    Ranks by ||x||^2 - 2 x.mu + ||mu||^2 (one matrix product and two row
+    norms).  That form's rounding error, about (D + 3) u (||x||^2 + 2|x.mu| +
+    ||mu||^2), is far inside the band NEAR_TIE (||x||^2 + max ||mu||^2), so a
+    row whose runner-up lies outside the band has the same argmin under the
+    broadcast formula; the rows with a runner-up inside it are re-ranked by
+    that formula, which keeps its first-index tie rule.
+    """
+    mean_sq = np.einsum("cd,cd->c", means, means)
+    row_sq = np.einsum("nd,nd->n", rows, rows)
+    dists = rows @ (-2.0 * means.T)
+    dists += row_sq[:, None]
+    dists += mean_sq
+    nearest = dists.argmin(axis=1)
+    band = NEAR_TIE * (row_sq + mean_sq.max())
+    near_tie = (dists <= (dists.min(axis=1) + band)[:, None]).sum(axis=1) > 1
+    if near_tie.any():
+        tied = rows[near_tie]
+        nearest[near_tie] = ((tied[:, None, :] - means[None]) ** 2).sum(axis=2).argmin(axis=1)
+    return nearest
+
+
 def generate_blobs(
     classes: int,
     dim: int,
@@ -56,34 +98,41 @@ def generate_blobs(
     """Gaussian clusters (unit within-class std) whose means sit at pairwise
     distance >= separation, reshaped to single-channel square images.
 
+    A candidate mean is kept when `np.linalg.norm(candidate - m) >= separation`
+    for every placed mean m; `_clears_placed` tests all of them with one
+    vectorized distance and falls back to those norms when the nearest lies
+    within a relative `NEAR_TIE` of `separation`.
+
     Ships a Monte-Carlo estimate of the Bayes-optimal (nearest-true-mean)
     accuracy alongside the data.  The probe rows are ranked `BAYES_BLOCK` at
-    a time; each row's distances are the same reduction in any block, so
-    the estimate is bitwise the one-array estimate's.
+    a time by `_nearest_means`: one matrix product per block, with the rows
+    whose runner-up lies within the `NEAR_TIE` band re-ranked by the
+    broadcast difference formula.  Both fallbacks cover every case in which
+    rounding could flip a decision, so means, data and estimate are bitwise
+    those of the per-mean norms and the one-array broadcast estimate.
     """
     if separation <= 0:
         raise ArgumentError("separation must be positive")
-    for name, value, low in (("classes", classes, 1), ("samples_per_class", samples_per_class, 1), ("test_per_class", test_per_class, 0)):
+    for name, value, low in (("classes", classes, 1), ("dim", dim, 1), ("samples_per_class", samples_per_class, 1), ("test_per_class", test_per_class, 0)):
         if value < low:
             raise ArgumentError(f"blob {name} must be at least {low}, got {value}")
     side = int(round(np.sqrt(dim)))
     if side * side != dim:
         raise ArgumentError(f"blob dim {dim} must be a perfect square to form images")
     rng = SeededRng(seed).child("blobs")
-    means = []
+    means = np.empty((classes, dim))
     scale = max(separation, 1.0)
     mean_rng = rng.child("means")
     for c in range(classes):
         for attempt in range(2000):
             candidate = mean_rng.normal(size=dim, scale=scale)
-            if all(np.linalg.norm(candidate - m) >= separation for m in means):
-                means.append(candidate)
+            if _clears_placed(candidate, means[:c], separation):
+                means[c] = candidate
                 break
             if attempt % 200 == 199:
                 scale *= 1.3
         else:
             raise ArgumentError(f"could not place {classes} means at separation {separation}")
-    means = np.stack(means)
 
     def draw(count: int, label: str):
         xs, ys = [], []
@@ -101,8 +150,7 @@ def generate_blobs(
     truth = np.repeat(np.arange(classes), bayes_draws)
     nearest = np.empty(len(flat), dtype=int)
     for start in range(0, len(flat), BAYES_BLOCK):
-        block = flat[start : start + BAYES_BLOCK]
-        nearest[start : start + BAYES_BLOCK] = ((block[:, None, :] - means[None]) ** 2).sum(axis=2).argmin(axis=1)
+        nearest[start : start + BAYES_BLOCK] = _nearest_means(flat[start : start + BAYES_BLOCK], means)
     bayes = float((nearest == truth).mean())
     return ArrayDataset(train_x, train_y, test_x, test_y, true_means=means, bayes_accuracy=bayes)
 

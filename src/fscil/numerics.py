@@ -406,7 +406,9 @@ def _phi_table() -> list:
     off by at most a^4 / 4.
     """
     x0 = np.arange(-_PHI_HALF, _PHI_HALF + 1) * 2.0**-_PHI_BITS
-    cdf = np.array([0.5 * math.erfc(-v * _INV_SQRT2) if v <= 0 else 1.0 - 0.5 * math.erfc(v * _INV_SQRT2) for v in x0])
+    # the grid is symmetric, so Phi(x0) = 1 - Phi(-x0) for x0 > 0 mirrors the lower tail
+    tail = np.array([0.5 * math.erfc(-v * _INV_SQRT2) for v in x0[: _PHI_HALF + 1]])
+    cdf = np.concatenate([tail, 1.0 - tail[-2::-1]])
     pdf = np.exp(-0.5 * x0 * x0) * _INV_SQRT_2PI
     a2 = 4.0 ** -(_PHI_BITS + 1)
     columns = [(x0 * x0 - 1) * pdf / 6, -x0 * pdf / 2 - (x0**3 - 3 * x0) * pdf / 24 * a2, pdf, cdf]

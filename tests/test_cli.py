@@ -157,9 +157,11 @@ def test_run_rejects_a_batch_size_below_one_or_a_negative_prefix_length(tmp_path
         ("gen-blobs --classes 0 --dim 16 --shots 4 --out {out}", None, None, None, "blob classes must be at least 1, got 0"),
         ("gen-blobs --classes 3 --dim 16 --shots 0 --out {out}", None, None, None, "blob samples_per_class must be at least 1, got 0"),
         ("gen-blobs --classes 3 --dim 16 --shots 4 --test-per-class -1 --out {out}", None, None, None, "blob test_per_class must be at least 0, got -1"),
+        ("gen-blobs --classes 3 --dim 0 --shots 4 --out {out}", None, None, None, "blob dim must be at least 1, got 0"),
         ("run --config {config} --seed 0 --out {out}", "dataset", "classes", 0, "blob classes must be at least 1, got 0"),
         ("run --config {config} --seed 0 --out {out}", "dataset", "test_per_class", 0, "the test set holds 0 samples of the 4 classes seen by session 0"),
         ("run --config {config} --seed 0 --out {out}", "model", "heads", 0, "heads must be at least 1, got 0"),
+        ("run --config {config} --seed 0 --out {out}", "model", "layers", -1, "layers must be at least 0, got -1"),
     ],
 )
 def test_a_bad_argument_or_config_value_exits_2_with_one_line_before_any_training(tmp_path, capsys, monkeypatch, argv, section, key, value, message):

@@ -8,6 +8,8 @@ import pytest
 from fscil.errors import ArgumentError, ContractViolation, FormatError
 from fscil.harness import (
     BAYES_BLOCK,
+    _clears_placed,
+    _nearest_means,
     SessionDataVault,
     build_fscil_splits,
     check_disjoint,
@@ -20,6 +22,7 @@ from fscil.harness import (
     write_idx_labels,
 )
 from fscil.numerics import SeededRng
+from test_bench_contract import bench_module
 
 CUB_CUMULATIVE = [2864, 3143, 3430, 3728, 4028, 4326, 4614, 4911, 5206, 5494, 5794]
 
@@ -141,6 +144,74 @@ def test_bayes_estimate_peak_memory_is_bounded_by_the_block():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def _per_mean_blob_oracle(classes, dim, separation, seed, bayes_draws=200):
+    """Means placed by one `np.linalg.norm` per placed mean, and the Bayes
+    estimate from the broadcast difference array, as `generate_blobs` defines them."""
+    rng = SeededRng(seed).child("blobs")
+    mean_rng, means, scale = rng.child("means"), [], max(separation, 1.0)
+    for _ in range(classes):
+        for attempt in range(2000):
+            candidate = mean_rng.normal(size=dim, scale=scale)
+            if all(np.linalg.norm(candidate - m) >= separation for m in means):
+                means.append(candidate)
+                break
+            if attempt % 200 == 199:
+                scale *= 1.3
+    means = np.stack(means)
+    flat = (rng.child("bayes").normal(size=(classes, bayes_draws, dim)) + means[:, None, :]).reshape(-1, dim)
+    nearest = np.concatenate([((flat[i : i + BAYES_BLOCK, None, :] - means[None]) ** 2).sum(axis=2).argmin(axis=1) for i in range(0, len(flat), BAYES_BLOCK)])
+    return means, float((nearest == np.repeat(np.arange(classes), bayes_draws)).mean())
+
+
+@pytest.mark.parametrize("name", sorted(bench_module("run").WORKLOADS))
+@pytest.mark.parametrize("seed", range(3))
+def test_blobs_of_the_benchmark_workloads_equal_the_per_mean_oracle_bitwise(name, seed):
+    ds = bench_module("run").workload_config(name).dataset
+    blobs = generate_blobs(ds.classes, ds.dim, ds.train_per_class, ds.separation, seed, test_per_class=ds.test_per_class)
+    means, bayes = _per_mean_blob_oracle(ds.classes, ds.dim, ds.separation, seed)
+    assert blobs.true_means.tobytes() == means.tobytes()
+    assert blobs.bayes_accuracy == bayes
+
+
+def test_near_tied_probes_are_ranked_by_the_broadcast_formula_with_its_first_index():
+    dim = 16
+    axis = np.eye(dim)
+    # exactly midway between means 0 and 1 (a tie: the first index wins), 1e-12 off
+    # the midpoint, and probes near the midpoint of two means far from the origin,
+    # where the expanded form's cancellation hides which mean is nearer
+    means = np.stack([np.zeros(dim), 2 * axis[0], 3 * axis[1]])
+    rows = np.stack([axis[0], (1 + 1e-12) * axis[0], (1 - 1e-12) * axis[0]])
+    assert _nearest_means(rows, means).tolist() == [0, 1, 0]
+    assert _nearest_means(rows, means[[1, 0, 2]]).tolist() == [0, 0, 1]
+    far = means + 1e4
+    probes = far[0] + axis[0] + np.random.default_rng(0).normal(size=(BAYES_BLOCK, dim)) * 1e-9
+    exact = ((probes[:, None, :] - far[None]) ** 2).sum(axis=2).argmin(axis=1)
+    expanded = (probes @ (-2.0 * far.T) + (probes**2).sum(axis=1)[:, None] + (far**2).sum(axis=1)).argmin(axis=1)
+    assert set(exact.tolist()) == {0, 1}
+    assert (expanded != exact).any()  # the expanded form alone would misrank these
+    assert np.array_equal(_nearest_means(probes, far), exact)
+
+
+def test_a_candidate_at_the_separation_is_decided_by_the_per_mean_norms():
+    # (3, 4) is exactly 5 from the origin: kept at separation 5, rejected one ulp above
+    candidate = np.zeros(4)
+    candidate[:2] = 3.0, 4.0
+    placed = np.stack([np.zeros(4), np.full(4, 20.0)])
+    assert _clears_placed(candidate, placed, 5.0)
+    assert not _clears_placed(candidate, placed, np.nextafter(5.0, np.inf))
+    assert _clears_placed(candidate, placed[:0], 5.0)
+    rng = np.random.default_rng(1)
+    rounding_differs = 0
+    for _ in range(200):
+        placed, candidate = rng.normal(size=(6, 16)) * 8, rng.normal(size=16) * 8
+        norms = [np.linalg.norm(candidate - m) for m in placed]
+        nearest = min(norms)
+        rounding_differs += np.sqrt(((placed - candidate) ** 2).sum(axis=1)).min() != nearest
+        for separation in (np.nextafter(nearest, 0.0), nearest, np.nextafter(nearest, np.inf)):
+            assert _clears_placed(candidate, placed, separation) == all(n >= separation for n in norms)
+    assert rounding_differs  # the vectorized distance alone would decide some of these wrongly
 
 
 def test_blob_dataset_hash_deterministic():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from fscil.numerics import Tensor, expit, gelu, gelu_cdf, grad_check, softplus
+from fscil.numerics import _INV_SQRT2, _PHI_BITS, _PHI_COLUMNS, _PHI_HALF, Tensor, expit, gelu, gelu_cdf, grad_check, softplus
 
 EPS64 = float(np.finfo(np.float64).eps)  # 2.2e-16: the scipy formula's own maximum error against math.erfc
 GRID = np.concatenate([np.linspace(-40.0, 40.0, 400_001), np.arange(-9.0, 9.0, 2.0**-11) + 2.0**-12])
@@ -28,6 +28,14 @@ def test_phi_error_against_math_erfc_is_no_worse_than_the_scipy_formula():
     assert error.max() <= scipy_error.max()
     # errors above one ulp of [0.5, 1) are no more frequent than the scipy formula's
     assert np.sum(error > 1.2e-16) <= np.sum(scipy_error > 1.2e-16)
+
+
+def test_phi_table_mirrors_the_lower_tail_bitwise_into_the_per_point_values():
+    # the table's Phi column against one math.erfc call per grid point, with the table's end values
+    x0 = np.arange(-_PHI_HALF, _PHI_HALF + 1) * 2.0**-_PHI_BITS
+    per_point = np.array([0.5 * math.erfc(-v * _INV_SQRT2) if v <= 0 else 1.0 - 0.5 * math.erfc(v * _INV_SQRT2) for v in x0])
+    per_point[0], per_point[-1] = 0.0, 1.0
+    assert _PHI_COLUMNS[3].tobytes() == per_point.tobytes()
 
 
 def test_phi_stays_in_the_unit_interval_and_saturates_beyond_the_table():
