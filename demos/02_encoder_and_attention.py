@@ -11,7 +11,7 @@ from fscil.numerics import SeededRng, Tensor
 
 # The tokenizer embeds non-overlapping patches: 4x4 patches tile a 28x28
 # image as a 7x7 grid, one token per patch.
-cfg = BackboneConfig(image_size=28, conv_channels=(32,), patch_size=4, embed_dim=32, layers=2, heads=4, ffn_hidden=64)
+cfg = BackboneConfig(image_size=28, patch_size=4, embed_dim=32, layers=2, heads=4, ffn_hidden=64)
 print("tokens per image:", cfg.token_count())
 print("leading-order multiplies per image:", cfg.flop_estimate())
 

@@ -1,9 +1,9 @@
 """Compact patch-tokenizer transformer encoder with batch-norm.
 
 The tokenizer transposes the (B, C, H, W) images to channels-last once,
-applies 1-3 patch-embedding layers to (B, H, W, C) maps (each an unpadded
-`patch_size`-square conv with stride `patch_size`, as in ViT, then a
-channel BN and ReLU; no max-pool drops input) and reshapes the final grid
+embeds the patches of the (B, H, W, C) map (one unpadded `patch_size`-square
+conv with stride `patch_size` and `embed_dim` output channels, as in ViT,
+then a channel BN and ReLU; no max-pool drops input) and reshapes the grid
 into a token sequence; no class token and no positional embedding are
 added.  Every batch-norm normalizes the last axis.  Encoder blocks are
 pre-norm residual blocks whose norms are batch-norm layers, and the FFN
@@ -49,7 +49,6 @@ def trunc_normal(rng: SeededRng, shape, std: float = 0.02) -> np.ndarray:
 class BackboneConfig:
     image_size: int = 4
     in_channels: int = 1
-    conv_channels: tuple = ()
     patch_size: int = 2
     embed_dim: int = 32
     layers: int = 2
@@ -57,13 +56,6 @@ class BackboneConfig:
     ffn_hidden: int = 64
 
     def __post_init__(self):
-        if not self.conv_channels:
-            self.conv_channels = (self.embed_dim,)
-        self.conv_channels = tuple(self.conv_channels)
-        if not 1 <= len(self.conv_channels) <= 3:
-            raise ArgumentError("tokenizer supports 1-3 conv layers")
-        if self.conv_channels[-1] != self.embed_dim:
-            raise ArgumentError("last tokenizer channel count must equal embed_dim")
         if self.layers < 0:
             raise ArgumentError(f"layers must be at least 0, got {self.layers}")
         if self.heads < 1:
@@ -77,13 +69,11 @@ class BackboneConfig:
         return self.embed_dim // self.heads
 
     def grid_after_tokenizer(self) -> int:
-        """Side of the token grid: each conv layer divides the side by `patch_size`."""
+        """Side of the token grid: the patch conv divides the image side by `patch_size`."""
         side = self.image_size
-        for _ in self.conv_channels:
-            if self.patch_size < 1 or side % self.patch_size:
-                raise ArgumentError(f"patch_size {self.patch_size} does not divide the {side}x{side} map")
-            side //= self.patch_size
-        return side
+        if self.patch_size < 1 or side % self.patch_size:
+            raise ArgumentError(f"patch_size {self.patch_size} does not divide the {side}x{side} map")
+        return side // self.patch_size
 
     def token_count(self) -> int:
         return self.grid_after_tokenizer() ** 2
@@ -133,44 +123,31 @@ class Linear:
 
 
 class ConvTokenizer:
-    """Patch-embedding stack producing the token sequence X in R^{n x d}.
+    """Patch embedding producing the token sequence X in R^{n x d}.
 
-    The (B, C, H, W) images are transposed once to channels-last; every
-    patch conv, batch-norm and ReLU then works on (B, H, W, C) maps, and
-    the last map's grid cells, in row-major order, are the tokens.
+    The (B, C, H, W) images are transposed once to channels-last; the patch
+    conv, batch-norm and ReLU then work on the (B, H, W, C) map, and its
+    grid cells, in row-major order, are the tokens.
     """
 
     def __init__(self, rng: SeededRng, cfg: BackboneConfig):
         self.cfg = cfg
-        self.weights = []
-        self.norms = []
-        in_c, k = cfg.in_channels, cfg.patch_size
-        for i, out_c in enumerate(cfg.conv_channels):
-            fan = in_c * k * k
-            w = rng.child(f"conv{i}").normal(size=(out_c, in_c, k, k))
-            self.weights.append(Tensor(w / np.sqrt(fan), requires_grad=True))
-            self.norms.append(BatchNorm(out_c))
-            in_c = out_c
+        c, k = cfg.in_channels, cfg.patch_size
+        w = rng.child("conv0").normal(size=(cfg.embed_dim, c, k, k))
+        self.weight = Tensor(w / np.sqrt(c * k * k), requires_grad=True)
+        self.norm = BatchNorm(cfg.embed_dim)
 
     def __call__(self, images: Tensor, mode: str) -> Tensor:
         x = images.swapaxes(1, 3).swapaxes(1, 2)  # (B, C, H, W) -> (B, H, W, C)
-        for w, bn in zip(self.weights, self.norms):
-            x = relu(bn(conv2d(x, w), mode))
-        b, h, w_, c = x.shape
-        return reshape(x, (b, h * w_, c))
+        x = relu(self.norm(conv2d(x, self.weight), mode))
+        b, h, w, c = x.shape
+        return reshape(x, (b, h * w, c))
 
     def params(self, prefix: str) -> dict:
-        out = {}
-        for i, (w, bn) in enumerate(zip(self.weights, self.norms)):
-            out[f"{prefix}.conv{i}.weight"] = w
-            out.update(bn.params(f"{prefix}.bn{i}"))
-        return out
+        return {f"{prefix}.conv0.weight": self.weight, **self.norm.params(f"{prefix}.bn0")}
 
     def buffers(self, prefix: str) -> dict:
-        out = {}
-        for i, bn in enumerate(self.norms):
-            out.update(bn.buffers(f"{prefix}.bn{i}"))
-        return out
+        return self.norm.buffers(f"{prefix}.bn0")
 
 
 class EncoderBlock:
@@ -239,7 +216,7 @@ class Encoder:
         self.blocks = [EncoderBlock(rng.child(f"block{i}"), cfg) for i in range(cfg.layers)]
         self.final_bn = BatchNorm(cfg.embed_dim)
         n_d = cfg.token_count() * cfg.embed_dim
-        # fan-in scaled, as the tokenizer convs are, so z starts at a mean pool's scale
+        # fan-in scaled, as the tokenizer conv is, so z starts at a mean pool's scale
         self.pool_proj = Tensor(trunc_normal(rng.child("pool"), (n_d, cfg.embed_dim), std=1 / np.sqrt(n_d)), requires_grad=True)
 
     def train(self):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .backbone import BackboneConfig, Encoder, FoldedEncoder, Linear, hash_state
 from .errors import ArgumentError, UsageError
-from .numerics import SeededRng, Tensor, gelu, log_softmax, log_softmax_nll, no_grad
+from .numerics import SeededRng, Tensor, gelu, log_softmax, no_grad
 from .optim import CosineSchedule, EarlyStopping, ReduceOnPlateau, backprop_step, make_optimizer, run_epochs
 from .stochastic_classifier import StochasticHead, cross_entropy_loss, init_means_from_prototypes
 from .task_inference import fit_class_stats
@@ -323,32 +323,3 @@ def _supervised_phase(encoder, head, data_x, data_y, config, rng, history, log):
     )
     history["sup_loss"].extend(losses)
     encoder.eval()
-
-
-def linear_probe(teacher: TeacherState, data_x: np.ndarray, data_y: np.ndarray, config, rng: SeededRng, log=None):
-    """Train a linear head on frozen teacher features; the teacher must not move.
-
-    Returns (probe Linear, accuracy on the provided data).
-    """
-    before = teacher.state_hash()
-    data_y = np.asarray(data_y, dtype=int)
-    classes = sorted(set(int(c) for c in data_y))
-    features = embed_all(teacher.encoder, np.asarray(data_x, dtype=float))
-    index = {c: i for i, c in enumerate(classes)}
-    targets = np.array([index[int(c)] for c in data_y])
-
-    probe = Linear(rng.child("probe"), features.shape[1], len(classes))
-    opt = make_optimizer(config.probe_optimizer, [{"params": list(probe.params("p").values()), "lr": config.probe_lr}])
-
-    def batch_loss(idx, epoch, start):
-        return log_softmax_nll(probe(Tensor(features[idx])), targets[idx])
-
-    stopper = EarlyStopping(config.probe_early_stop)
-    run_epochs(opt, len(features), config.probe_batch_size, config.probe_epochs, rng, backprop_step(opt, batch_loss), log, "linear_probe", stopper=stopper)
-
-    with no_grad():
-        preds = np.argmax(probe(Tensor(features)).data, axis=-1)
-    accuracy = float((preds == targets).mean())
-    if teacher.state_hash() != before:
-        raise UsageError("linear probe modified the frozen teacher")
-    return probe, accuracy

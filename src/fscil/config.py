@@ -14,15 +14,25 @@ from .backbone import BackboneConfig
 from .errors import ArgumentError
 
 
-def _known_keys(cls, data: dict) -> dict:
+# by the type of a field's default: the JSON types the field accepts (a bool is not an int), and their name
+_ACCEPTED = {bool: ((bool,), "a boolean"), int: ((int,), "an integer"), float: ((int, float), "a number"), str: ((str,), "a string"), tuple: ((list, tuple), "an array"), type(None): ((int, type(None)), "an integer or null")}
+
+
+def _known_keys(cls, data, where: str):
+    if not isinstance(data, dict):
+        raise ArgumentError(f"{where} must be a JSON object, got {json.dumps(data)}")
     unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
         raise ArgumentError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    return data
 
 
-def _from_mapping(cls, data: dict):
-    return cls(**_known_keys(cls, data))
+def _from_mapping(cls, data, section: str):
+    _known_keys(cls, data, f"config section {section!r}")
+    for f in fields(cls):
+        accepted, name = _ACCEPTED[type(f.default)]
+        if f.name in data and type(data[f.name]) not in accepted:
+            raise ArgumentError(f"{section}.{f.name} must be {name}, got {json.dumps(data[f.name])}")
+    return cls(**data)
 
 
 @dataclass
@@ -78,14 +88,6 @@ class TrainingConfig:
     prednet_batch_size: int = 100
     prednet_weight_decay: float = 0.0
     prediction_net: bool = True  # False: no rectification; new head rows start at the enriched class means
-
-    # linear probe diagnostic (frozen teacher)
-    run_probe: bool = False
-    probe_optimizer: str = "adam"
-    probe_lr: float = 1e-3
-    probe_batch_size: int = 100
-    probe_epochs: int = 200
-    probe_early_stop: int = 10
 
     # stochastic classifier
     head_temperature: float = 16.0
@@ -168,12 +170,12 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        _known_keys(cls, data)
+        _known_keys(cls, data, "a run config")
         return cls(
-            model=_from_mapping(BackboneConfig, data.get("model", {})),
-            training=_from_mapping(TrainingConfig, data.get("training", {})),
-            dataset=_from_mapping(DatasetConfig, data.get("dataset", {})),
-            split=_from_mapping(SplitConfig, data.get("split", {})),
+            model=_from_mapping(BackboneConfig, data.get("model", {}), "model"),
+            training=_from_mapping(TrainingConfig, data.get("training", {}), "training"),
+            dataset=_from_mapping(DatasetConfig, data.get("dataset", {}), "dataset"),
+            split=_from_mapping(SplitConfig, data.get("split", {}), "split"),
             metric=data.get("metric", "auto"),
         )
 

@@ -34,12 +34,12 @@ class EventRecords(Sequence):
 
 
 class EventLog:
-    """Collects per-epoch records in memory and optionally appends to a JSONL file."""
+    """Collects per-epoch records in memory and optionally writes them to a new JSONL file."""
 
     def __init__(self, path=None):
         self.path = path
         self.records = EventRecords()
-        self._fh = open(path, "a") if path else None
+        self._fh = open(path, "w") if path else None
 
     def emit(self, phase: str, session: int, epoch: int, key: str, value):
         self.records.append(phase, int(session), int(epoch), key, float(value))

@@ -27,7 +27,7 @@ in the tests.
 - `attention`: all heads as one batched (B, H, n, d_k) product, with
   optional key/value prefixes projected and prepended inside the node;
 - `log_softmax_nll`: log-softmax plus negative log-likelihood of integer
-  labels (the linear probe's loss).
+  labels (the composed-graph oracle of the head's loss).
 
 `Tensor.backward` expands only parents that need a gradient (a parent that
 does not is always a leaf, which the sweep would skip), and it releases the

@@ -6,13 +6,13 @@ default everywhere.  The adaptive variants keep their moments in one flat
 buffer per parameter group, so a step costs a few whole-buffer array ops
 rather than a Python loop of them per parameter.  `run_epochs` is the one
 shuffle/batch/log loop that distillation, supervised training, prefix
-sessions, the backbone-finetune ablation, prediction nets and the linear
-probe all run.  It calls a per-batch `step(idx, epoch, start) -> float`
-that makes one optimizer step and returns the batch's mean loss: the
-supervised, backbone-finetune and linear-probe phases pass
-`backprop_step(opt, batch_loss)`, distillation a step whose `dino_step`
-backpropagates one crop slot at a time, and prefix sessions and prediction
-nets closed-form steps that write their gradients without building a graph.
+sessions, the backbone-finetune ablation and prediction nets all run.  It
+calls a per-batch `step(idx, epoch, start) -> float` that makes one
+optimizer step and returns the batch's mean loss: the supervised and
+backbone-finetune phases pass `backprop_step(opt, batch_loss)`,
+distillation a step whose `dino_step` backpropagates one crop slot at a
+time, and prefix sessions and prediction nets closed-form steps that write
+their gradients without building a graph.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .backbone import save_state
-from .base_trainer import embed_all, linear_probe, train_base
+from .base_trainer import embed_all, train_base
 from .config import RunConfig, ablated
 from .delta_params import PrefixSet, train_session, trainable_fraction
 from .events import EventLog
@@ -70,13 +70,12 @@ class RunRecord:
     metrics: dict
     trainable_fractions: list = field(default_factory=list)
     bayes_accuracy: float | None = None
-    probe_accuracy: float | None = None
     started_at: str = ""
     finished_at: str = ""
 
     def _hashed(self) -> dict:
         """Every field except the time stamps."""
-        names = ("config", "seed", "session_results", "metrics", "trainable_fractions", "bayes_accuracy", "probe_accuracy")
+        names = ("config", "seed", "session_results", "metrics", "trainable_fractions", "bayes_accuracy")
         return {name: getattr(self, name) for name in names}
 
     def content_hash(self) -> str:
@@ -264,7 +263,6 @@ def run_protocol(
 
     session_results = []
     trainable_fractions = []
-    probe_accuracy = None
     encoder = head = None
 
     for spec in specs:
@@ -274,11 +272,9 @@ def run_protocol(
         _, pool_y = vault.test_pool(k)
 
         if k == 0:
-            encoder, head, teacher, _ = train_base(view.images, remapped, config.model, tc, rng.child("base"), log=log)
+            encoder, head, _, _ = train_base(view.images, remapped, config.model, tc, rng.child("base"), log=log)
             encoder.set_requires_grad(False)
             encoder.eval()
-            if tc.run_probe:
-                _, probe_accuracy = linear_probe(teacher, view.images, remapped, tc, rng.child("probe"), log=log)
         pool_emb = pool.embed(encoder, spec.test_indices)
         embeddings, pseudo_x, pseudo_y = _fit_session_stats(state, encoder, view.images, remapped, k, pool_emb, metric)
         if k == 0:
@@ -329,7 +325,6 @@ def run_protocol(
         metrics=metrics.to_dict(),
         trainable_fractions=trainable_fractions,
         bayes_accuracy=dataset.bayes_accuracy,
-        probe_accuracy=probe_accuracy,
         started_at=started,
         finished_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
     )

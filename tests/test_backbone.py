@@ -15,7 +15,6 @@ from fscil.stochastic_classifier import StochasticHead
 def small_cfg(**kw):
     base = dict(
         image_size=4,
-        conv_channels=(8,),
         patch_size=1,
         embed_dim=8,
         layers=1,
@@ -31,7 +30,7 @@ def small_cfg(**kw):
 
 def test_token_count_28px_patch4():
     # 4x4 patches tile a 28x28 image as a 7x7 grid: 49 tokens
-    cfg = BackboneConfig(image_size=28, conv_channels=(16,), patch_size=4, embed_dim=16, heads=2)
+    cfg = BackboneConfig(image_size=28, patch_size=4, embed_dim=16, heads=2)
     assert cfg.token_count() == 49
     enc = Encoder(cfg, SeededRng(0)).eval()
     tokens = enc.tokenize(Tensor(np.random.default_rng(0).normal(size=(2, 1, 28, 28))))
@@ -40,38 +39,31 @@ def test_token_count_28px_patch4():
 
 def test_tokens_are_the_patches_of_the_image_in_row_major_order():
     # one linear channel per pixel of a patch (identity kernel; BN is the identity in eval mode)
-    enc = Encoder(BackboneConfig(image_size=4, conv_channels=(4,), patch_size=2, embed_dim=4, heads=1), SeededRng(0)).eval()
-    enc.tokenizer.weights[0].data = np.eye(4).reshape(4, 1, 2, 2)
+    enc = Encoder(BackboneConfig(image_size=4, patch_size=2, embed_dim=4, heads=1), SeededRng(0)).eval()
+    enc.tokenizer.weight.data = np.eye(4).reshape(4, 1, 2, 2)
     images = np.random.default_rng(0).uniform(size=(3, 1, 4, 4))  # positive, so the ReLU keeps them
     patches = images.reshape(3, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(3, 4, 4)  # (B, patch row-major, pixel row-major)
     np.testing.assert_array_equal(enc.tokenize(Tensor(images)).data, patches)
 
 
 def test_token_count_degenerate_kernel_equals_image():
-    cfg = BackboneConfig(image_size=7, conv_channels=(8,), patch_size=7, embed_dim=8, heads=2)
+    cfg = BackboneConfig(image_size=7, patch_size=7, embed_dim=8, heads=2)
     assert cfg.token_count() == 1
     enc = Encoder(cfg, SeededRng(1)).eval()
     tokens = enc.tokenize(Tensor(np.zeros((1, 1, 7, 7))))
     assert tokens.shape == (1, 1, 8)
 
 
-def test_two_conv_layers_with_7px_kernels_constructible():
-    cfg = BackboneConfig(image_size=49, conv_channels=(12, 24), patch_size=7, embed_dim=24, heads=4)
-    enc = Encoder(cfg, SeededRng(2)).eval()
-    tokens = enc.tokenize(Tensor(np.random.default_rng(1).normal(size=(1, 1, 49, 49))))
-    assert tokens.shape == (1, 1, 24) and cfg.token_count() == 1
-
-
 def test_kernel_larger_than_image_rejected():
     with pytest.raises(ArgumentError, match="patch_size 9 does not divide the 4x4 map"):
-        BackboneConfig(image_size=4, conv_channels=(8,), patch_size=9, embed_dim=8, heads=2)
+        BackboneConfig(image_size=4, patch_size=9, embed_dim=8, heads=2)
 
 
-@pytest.mark.parametrize("image_size, conv_channels, patch_size", [(4, (8,), 3), (6, (4, 8), 2), (4, (8,), 0)])
-def test_a_patch_size_that_does_not_tile_every_map_is_rejected(image_size, conv_channels, patch_size):
-    # 3 does not divide 4; 2 divides 6 but not the 3x3 map after it; 0 is no patch
-    with pytest.raises(ArgumentError, match=f"patch_size {patch_size} does not divide"):
-        BackboneConfig(image_size=image_size, conv_channels=conv_channels, patch_size=patch_size, embed_dim=8, heads=2)
+@pytest.mark.parametrize("image_size, patch_size", [(4, 3), (4, 0)])
+def test_a_patch_size_that_does_not_tile_every_map_is_rejected(image_size, patch_size):
+    # 3 does not divide 4; 0 is no patch
+    with pytest.raises(ArgumentError, match=f"patch_size {patch_size} does not divide the 4x4 map"):
+        BackboneConfig(image_size=image_size, patch_size=patch_size, embed_dim=8, heads=2)
 
 
 # -- attention --------------------------------------------------------------------
@@ -89,7 +81,7 @@ def test_single_token_single_head_attention():
 
 
 def test_attention_matches_naive_oracle():
-    cfg = BackboneConfig(image_size=4, conv_channels=(2,), embed_dim=2, heads=1, layers=1, ffn_hidden=4)
+    cfg = BackboneConfig(image_size=4, embed_dim=2, heads=1, layers=1, ffn_hidden=4)
     enc = Encoder(cfg, SeededRng(4))
     block = enc.blocks[0]
     q = np.array([[0.3, -0.2], [1.0, 0.4]])
@@ -112,7 +104,7 @@ def test_attention_matches_naive_oracle():
 
 
 def test_attention_rows_sum_to_one_and_shape_preserved():
-    cfg = small_cfg(heads=4, embed_dim=16, conv_channels=(16,))
+    cfg = small_cfg(heads=4, embed_dim=16)
     enc = Encoder(cfg, SeededRng(5))
     rng = np.random.default_rng(3)
     for _ in range(10):
@@ -124,7 +116,7 @@ def test_attention_rows_sum_to_one_and_shape_preserved():
 
 
 def test_paper_scale_heads_divide_embed_dim():
-    cfg = BackboneConfig(image_size=8, conv_channels=(384,), embed_dim=384, heads=6, layers=1, ffn_hidden=128, patch_size=2)
+    cfg = BackboneConfig(image_size=8, embed_dim=384, heads=6, layers=1, ffn_hidden=128, patch_size=2)
     assert cfg.head_dim == 64
     enc = Encoder(cfg, SeededRng(6))
     x = Tensor(np.random.default_rng(4).normal(size=(1, 9, 384)))
@@ -235,7 +227,7 @@ def test_full_block_gradients_through_train_bn():
         ("attn_bn.gamma", lambda: block.attn_bn.gamma, lambda t: setattr(block.attn_bn, "gamma", t)),
         ("ffn_bn_mid.beta", lambda: block.inner_bn.beta, lambda t: setattr(block.inner_bn, "beta", t)),
         ("pool_proj", lambda: enc.pool_proj, lambda t: setattr(enc, "pool_proj", t)),
-        ("conv0", lambda: enc.tokenizer.weights[0], lambda t: enc.tokenizer.weights.__setitem__(0, t)),
+        ("conv0", lambda: enc.tokenizer.weight, lambda t: setattr(enc.tokenizer, "weight", t)),
     ]
     for name, getter, setter in checks:
 
@@ -387,4 +379,4 @@ def test_unreadable_state_file_raises_format_error(tmp_path, damage):
 
 def test_embed_dim_must_divide_heads():
     with pytest.raises(ArgumentError):
-        BackboneConfig(image_size=4, embed_dim=10, heads=4, conv_channels=(10,))
+        BackboneConfig(image_size=4, embed_dim=10, heads=4)

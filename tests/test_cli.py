@@ -82,6 +82,13 @@ def test_cli_rejects_unknown_ablation_choice(config_path):
         ("model", "conv_padding", 1),
         ("model", "pool_size", 2),
         ("model", "pool_stride", 2),
+        ("model", "conv_channels", [32]),
+        ("training", "run_probe", False),
+        ("training", "probe_optimizer", "adam"),
+        ("training", "probe_lr", 0.001),
+        ("training", "probe_batch_size", 100),
+        ("training", "probe_epochs", 200),
+        ("training", "probe_early_stop", 10),
     ],
 )
 def test_run_rejects_removed_config_key(tmp_path, capsys, section, key, value):
@@ -137,13 +144,12 @@ def test_run_on_an_idx_file_with_an_overflowing_header_exits_with_a_format_error
         ("sup_batch_size", 0, "supervised"),
         ("inc_batch_size", 0, "incremental"),
         ("prednet_batch_size", 0, "prediction_net"),
-        ("probe_batch_size", 0, "linear_probe"),
         ("prefix_len", -2, "prefix length"),
     ],
 )
 def test_run_rejects_a_batch_size_below_one_or_a_negative_prefix_length(tmp_path, capsys, key, value, phase):
     data = small_config().to_dict()
-    data["training"].update({key: value, "run_probe": True})
+    data["training"][key] = value
     path = tmp_path / "config.json"
     path.write_text(json.dumps(data))
     assert main(["run", "--config", str(path), "--seed", "0", "--out", str(tmp_path / "run")]) == 2
@@ -172,5 +178,31 @@ def test_a_bad_argument_or_config_value_exits_2_with_one_line_before_any_trainin
     config.write_text(json.dumps(data))
     monkeypatch.setattr(protocol, "train_base", lambda *args, **kwargs: pytest.fail("training started"))
     assert main(argv.format(config=config, out=tmp_path / "out").split()) == 2
+    assert capsys.readouterr().err == f"error (ArgumentError): {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "section, value, message",
+    [
+        (None, [], "a run config must be a JSON object, got []"),
+        ("model", 5, "config section 'model' must be a JSON object, got 5"),
+        ("split", None, "config section 'split' must be a JSON object, got null"),
+        ("training", {"ssl_epochs": "3"}, 'training.ssl_epochs must be an integer, got "3"'),
+        ("model", {"layers": True}, "model.layers must be an integer, got true"),
+        ("split", {"shots": 2.0}, "split.shots must be an integer, got 2.0"),
+        ("training", {"sup_lr": "0.1"}, 'training.sup_lr must be a number, got "0.1"'),
+        ("training", {"delta_params": 1}, "training.delta_params must be a boolean, got 1"),
+        ("training", {"optimizer": ["adam"]}, 'training.optimizer must be a string, got ["adam"]'),
+        ("training", {"local_crop_scale": 0.3}, "training.local_crop_scale must be an array, got 0.3"),
+        ("dataset", {"seed": 1.5}, "dataset.seed must be an integer or null, got 1.5"),
+    ],
+)
+def test_a_config_of_the_wrong_json_type_exits_2_with_one_line_before_any_training(tmp_path, capsys, monkeypatch, section, value, message):
+    data = value if section is None else {**small_config().to_dict(), section: value}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    monkeypatch.setattr(protocol, "train_base", lambda *args, **kwargs: pytest.fail("training started"))
+    assert main(["run", "--config", str(config), "--seed", "0", "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error (ArgumentError): {message}\n"
     assert not (tmp_path / "out").exists()

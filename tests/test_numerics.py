@@ -229,7 +229,7 @@ def test_elementwise_ops_pass_grad_check(name, fn):
 
 
 def test_stacked_patch_convs_pass_grad_check():
-    # two tokenizer layers with a ReLU between: 2x2 patches of 2x2 patches
+    # two patch convs with a ReLU between: 2x2 patches of 2x2 patches
     rng = np.random.default_rng(11)
     arrays = [rng.normal(size=(2, 8, 4, 1)), rng.normal(size=(3, 1, 2, 2)) * 0.5, rng.normal(size=(2, 3, 2, 2)) * 0.5]
     for i in range(3):
