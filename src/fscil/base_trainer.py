@@ -8,6 +8,10 @@ teacher tracks the student by exponential moving average.  Once that phase
 finishes (early stopping on the distillation loss), the classifier means
 are initialized at the class means of the distilled embeddings and the
 encoder plus stochastic head train under cross-entropy.
+
+The recipe values below are fixed, not config keys: every run uses the
+same ones.  The distillation values are those of Caron et al. (ICCV 2021,
+"Emerging Properties in Self-Supervised Vision Transformers").
 """
 
 from __future__ import annotations
@@ -23,6 +27,18 @@ from .numerics import SeededRng, Tensor, gelu, log_softmax, no_grad
 from .optim import CosineSchedule, EarlyStopping, ReduceOnPlateau, backprop_step, make_optimizer, run_epochs
 from .stochastic_classifier import StochasticHead, cross_entropy_loss, init_means_from_prototypes
 from .task_inference import fit_class_stats
+
+SSL_WEIGHT_DECAY, SSL_WEIGHT_DECAY_END = 0.04, 0.4  # cosine-scheduled over the distillation epochs
+TEACHER_TEMP = 0.07
+WARMUP_TEACHER_TEMP = 0.04  # rises linearly to TEACHER_TEMP over the first WARMUP_FRACTION of the epochs
+WARMUP_FRACTION = 0.1
+STUDENT_TEMP = 0.1
+EMA_MOMENTUM = 0.996  # teacher weights track the student's
+CENTER_MOMENTUM = 0.9  # the teacher's output center tracks its batch means
+GLOBAL_CROP_SCALE, LOCAL_CROP_SCALE = (0.6, 1.0), (0.2, 0.5)  # crop area as a share of the image
+PROJ_HIDDEN_DIM = 64
+SUP_PLATEAU_FACTOR, SUP_MIN_LR = 0.25, 3e-5  # supervised phase: lr cut on a plateau, and its floor
+SUP_WEIGHT_DECAY = 3e-6
 
 
 # -- multi-crop views ---------------------------------------------------------
@@ -85,16 +101,9 @@ class TeacherState:
     encoder: Encoder
     proj: DinoHead
     center: np.ndarray
-    ema_momentum: float
-    teacher_temp: float
-    warmup_teacher_temp: float
-    current_temp: float = 0.0
+    current_temp: float = WARMUP_TEACHER_TEMP
 
     def __post_init__(self):
-        if self.teacher_temp <= 0 or self.warmup_teacher_temp <= 0:
-            raise ArgumentError("teacher temperatures must be positive")
-        if self.current_temp == 0.0:
-            self.current_temp = self.warmup_teacher_temp
         self.encoder.eval()
         self.encoder.set_requires_grad(False)
         for p in self.proj.params().values():
@@ -114,41 +123,32 @@ class TeacherState:
         return hash_state(self.encoder, self.proj)
 
 
-def make_teacher(student_encoder: Encoder, student_proj: DinoHead, config) -> TeacherState:
-    return TeacherState(
-        encoder=copy.deepcopy(student_encoder),
-        proj=copy.deepcopy(student_proj),
-        center=np.zeros(student_proj.out_dim),
-        ema_momentum=config.ema_momentum,
-        teacher_temp=config.teacher_temp,
-        warmup_teacher_temp=config.warmup_teacher_temp,
-    )
+def make_teacher(student_encoder: Encoder, student_proj: DinoHead) -> TeacherState:
+    return TeacherState(encoder=copy.deepcopy(student_encoder), proj=copy.deepcopy(student_proj), center=np.zeros(student_proj.out_dim))
 
 
-def update_center(teacher: TeacherState, batch_outputs: np.ndarray, momentum: float | None = None) -> np.ndarray:
+def update_center(teacher: TeacherState, batch_outputs: np.ndarray, momentum: float = CENTER_MOMENTUM) -> np.ndarray:
     """c <- m*c + (1-m)*mean(batch outputs)."""
     batch_outputs = np.asarray(batch_outputs, dtype=float)
     if batch_outputs.size == 0:
         raise ArgumentError("update_center needs a non-empty batch")
-    m = teacher.ema_momentum if momentum is None else momentum
-    teacher.center = m * teacher.center + (1.0 - m) * batch_outputs.mean(axis=0)
+    teacher.center = momentum * teacher.center + (1.0 - momentum) * batch_outputs.mean(axis=0)
     return teacher.center
 
 
-def ema_update_teacher(teacher: TeacherState, student_encoder: Encoder, student_proj: DinoHead, momentum: float | None = None):
+def ema_update_teacher(teacher: TeacherState, student_encoder: Encoder, student_proj: DinoHead, momentum: float = EMA_MOMENTUM):
     """theta_t <- m*theta_t + (1-m)*theta_s elementwise (buffers included)."""
-    m = teacher.ema_momentum if momentum is None else momentum
     s_params = student_encoder.params()
     for name, p in teacher.encoder.params().items():
         if p.data.shape != s_params[name].data.shape:
             raise ArgumentError(f"teacher/student shape mismatch at {name}")
-        p.data = m * p.data + (1.0 - m) * s_params[name].data
+        p.data = momentum * p.data + (1.0 - momentum) * s_params[name].data
     s_buffers = student_encoder.buffers()
     for name, buf in teacher.encoder.buffers().items():
-        buf[...] = m * buf + (1.0 - m) * s_buffers[name]
+        buf[...] = momentum * buf + (1.0 - momentum) * s_buffers[name]
     sp = student_proj.params()
     for name, p in teacher.proj.params().items():
-        p.data = m * p.data + (1.0 - m) * sp[name].data
+        p.data = momentum * p.data + (1.0 - momentum) * sp[name].data
 
 
 # -- distillation step --------------------------------------------------------
@@ -238,13 +238,13 @@ def train_base(
         raise ArgumentError("base task needs at least 2 classes")
 
     encoder = Encoder(model_cfg, rng.child("init"))
-    proj = DinoHead(rng.child("proj"), model_cfg.embed_dim, config.proj_hidden_dim, config.proj_dim)
-    teacher = make_teacher(encoder, proj, config)
+    proj = DinoHead(rng.child("proj"), model_cfg.embed_dim, PROJ_HIDDEN_DIM, config.proj_dim)
+    teacher = make_teacher(encoder, proj)
     history = {"ssl_loss": [], "sup_loss": [], "teacher_entropy": []}
 
     _ssl_phase(encoder, proj, teacher, data_x, config, rng.child("ssl"), history, log)
 
-    head = StochasticHead(model_cfg.embed_dim, temperature=config.head_temperature, offset=config.head_offset)
+    head = StochasticHead(model_cfg.embed_dim)
     gaussians, _ = fit_class_stats(embed_all(encoder, data_x), data_y, 0)
     init_means_from_prototypes(head, {g.class_id: g.mean for g in gaussians})
     _supervised_phase(encoder, head, data_x, data_y, config, rng.child("supervised"), history, log)
@@ -254,10 +254,10 @@ def train_base(
 def _ssl_phase(encoder, proj, teacher, data_x, config, rng, history, log):
     encoder.train()
     params = list(encoder.params().values()) + list(proj.params().values())
-    opt = make_optimizer(config.optimizer, [{"params": params, "lr": config.ssl_lr, "weight_decay": config.ssl_weight_decay}])
+    opt = make_optimizer(config.optimizer, [{"params": params, "lr": config.ssl_lr, "weight_decay": SSL_WEIGHT_DECAY}])
     lr_schedule = CosineSchedule(config.ssl_lr, config.ssl_lr * 1e-2, config.ssl_epochs)
-    wd_schedule = CosineSchedule(config.ssl_weight_decay, config.ssl_weight_decay_end, config.ssl_epochs)
-    warmup_epochs = max(1, int(config.warmup_fraction * config.ssl_epochs))
+    wd_schedule = CosineSchedule(SSL_WEIGHT_DECAY, SSL_WEIGHT_DECAY_END, config.ssl_epochs)
+    warmup_epochs = max(1, int(WARMUP_FRACTION * config.ssl_epochs))
     entropies = []
 
     def record_entropy(epoch):
@@ -272,22 +272,20 @@ def _ssl_phase(encoder, proj, teacher, data_x, config, rng, history, log):
             record_entropy(epoch - 1)
         if epoch < warmup_epochs:
             frac = epoch / warmup_epochs
-            teacher.current_temp = config.warmup_teacher_temp + frac * (config.teacher_temp - config.warmup_teacher_temp)
+            teacher.current_temp = WARMUP_TEACHER_TEMP + frac * (TEACHER_TEMP - WARMUP_TEACHER_TEMP)
         else:
-            teacher.current_temp = config.teacher_temp
+            teacher.current_temp = TEACHER_TEMP
         for group in opt.groups:
             group["lr"] = lr_schedule.value(epoch)
             group["weight_decay"] = wd_schedule.value(epoch)
 
     def step(idx, epoch, start):
-        slots = crop_slots(
-            data_x[idx], rng.child("crops", f"e{epoch}", f"b{start}"), config.n_local_crops, config.global_crop_scale, config.local_crop_scale
-        )
+        slots = crop_slots(data_x[idx], rng.child("crops", f"e{epoch}", f"b{start}"), config.n_local_crops, GLOBAL_CROP_SCALE, LOCAL_CROP_SCALE)
         opt.zero_grad()
-        loss, info = dino_step(encoder, proj, teacher, slots, config.student_temp)
+        loss, info = dino_step(encoder, proj, teacher, slots, STUDENT_TEMP)
         opt.step()
         ema_update_teacher(teacher, encoder, proj)
-        update_center(teacher, info["teacher_outputs"], momentum=config.center_momentum)
+        update_center(teacher, info["teacher_outputs"])
         entropies.append(info["teacher_entropy"])
         return loss
 
@@ -306,8 +304,8 @@ def _supervised_phase(encoder, head, data_x, data_y, config, rng, history, log):
     opt = make_optimizer(
         config.optimizer,
         [
-            {"params": list(encoder.params().values()), "lr": config.sup_lr, "weight_decay": config.sup_weight_decay},
-            {"params": head.trained_params(config.head_noise_train), "lr": config.sup_classifier_lr, "weight_decay": config.sup_weight_decay},
+            {"params": list(encoder.params().values()), "lr": config.sup_lr, "weight_decay": SUP_WEIGHT_DECAY},
+            {"params": head.trained_params(config.head_noise_train), "lr": config.sup_classifier_lr, "weight_decay": SUP_WEIGHT_DECAY},
         ],
     )
 
@@ -315,7 +313,7 @@ def _supervised_phase(encoder, head, data_x, data_y, config, rng, history, log):
         z = encoder.forward(Tensor(data_x[idx]))
         return cross_entropy_loss(head, z, data_y[idx], rng.child("eps", f"e{epoch}", f"b{start}"), noise=config.head_noise_train)
 
-    plateau = ReduceOnPlateau(opt, config.sup_plateau_patience, config.sup_plateau_factor, config.sup_min_lr)
+    plateau = ReduceOnPlateau(opt, config.sup_plateau_patience, SUP_PLATEAU_FACTOR, SUP_MIN_LR)
     stopper = EarlyStopping(config.sup_early_stop)
     losses = run_epochs(
         opt, len(data_x), config.sup_batch_size, config.sup_epochs, rng, backprop_step(opt, batch_loss), log, "supervised",

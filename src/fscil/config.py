@@ -1,8 +1,11 @@
 """Run configuration: JSON-serializable, schema-checked.
 
 `TrainingConfig` defaults are the published large-scale values; call
-`desk_profile()` for settings sized to seconds-scale synthetic runs.  Every
-hyperparameter that the protocol consumes has a named key here.
+`desk_profile()` for settings sized to seconds-scale synthetic runs.  A
+hyperparameter has a key here only if runs or sweeps set it to more than one
+value; the fixed parts of the recipe (distillation temperatures, momenta and
+crop scales, the plateau factors and floors) are named constants beside the
+code that uses them.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from .errors import ArgumentError
 
 
 # by the type of a field's default: the JSON types the field accepts (a bool is not an int), and their name
-_ACCEPTED = {bool: ((bool,), "a boolean"), int: ((int,), "an integer"), float: ((int, float), "a number"), str: ((str,), "a string"), tuple: ((list, tuple), "an array"), type(None): ((int, type(None)), "an integer or null")}
+_ACCEPTED = {bool: ((bool,), "a boolean"), int: ((int,), "an integer"), float: ((int, float), "a number"), str: ((str,), "a string"), type(None): ((int, type(None)), "an integer or null")}
 
 
 def _known_keys(cls, data, where: str):
@@ -41,46 +44,28 @@ class TrainingConfig:
 
     # self-supervised phase (teacher/student distillation)
     ssl_lr: float = 2.5e-4
-    ssl_weight_decay: float = 0.04
-    ssl_weight_decay_end: float = 0.4
     ssl_epochs: int = 500
     ssl_early_stop: int = 30
     ssl_batch_size: int = 70
-    teacher_temp: float = 0.07
-    warmup_teacher_temp: float = 0.04
-    warmup_fraction: float = 0.1
-    student_temp: float = 0.1
-    ema_momentum: float = 0.996
-    center_momentum: float = 0.9
     n_local_crops: int = 4
-    global_crop_scale: tuple = (0.6, 1.0)
-    local_crop_scale: tuple = (0.2, 0.5)
-    proj_hidden_dim: int = 64
     proj_dim: int = 32
 
     # supervised phase on the base task
     sup_lr: float = 1e-5
     sup_classifier_lr: float = 0.01
     sup_plateau_patience: int = 10
-    sup_plateau_factor: float = 0.25
-    sup_min_lr: float = 3e-5
     sup_epochs: int = 1000
     sup_early_stop: int = 30
     sup_batch_size: int = 230
-    sup_weight_decay: float = 3e-6
 
     # incremental sessions (delta parameters + new classifier rows)
     inc_lr: float = 0.01
-    inc_plateau_patience: int = 5
-    inc_plateau_factor: float = 0.25
-    inc_min_lr: float = 0.0
     inc_epochs_base: int = 4
     inc_epochs: int = 15
     inc_batch_size: int = 200
     inc_weight_decay: float = 0.0
     delta_params: bool = True  # False: no prefixes; later sessions fine-tune the backbone instead
     prefix_len: int = 16
-    outliers_inc: int = 1
 
     # prediction network
     prednet_lr: float = 1e-3
@@ -90,13 +75,12 @@ class TrainingConfig:
     prediction_net: bool = True  # False: no rectification; new head rows start at the enriched class means
 
     # stochastic classifier
-    head_temperature: float = 16.0
-    head_offset: float = 4.0
     head_noise_train: bool = True
 
     def __post_init__(self):
-        self.global_crop_scale = tuple(self.global_crop_scale)
-        self.local_crop_scale = tuple(self.local_crop_scale)
+        for key in ("ssl_epochs", "sup_epochs", "inc_epochs_base", "inc_epochs", "prednet_epochs"):
+            if getattr(self, key) < 0:
+                raise ArgumentError(f"{key} must be at least 0, got {getattr(self, key)}")
 
 
 def desk_profile(**overrides) -> TrainingConfig:
@@ -165,7 +149,7 @@ class RunConfig:
         return "euclidean" if self.split.shots == 1 else "mahalanobis"
 
     def to_dict(self) -> dict:
-        """Nested plain dict; tuple fields stay tuples, which JSON writes as lists."""
+        """Nested plain dict."""
         return asdict(self)
 
     @classmethod

@@ -22,6 +22,7 @@ from .optim import ReduceOnPlateau, make_optimizer, run_epochs
 from .stochastic_classifier import head_loss
 
 PREFIX_INIT_RANGE = 0.02
+INC_PLATEAU_PATIENCE, INC_PLATEAU_FACTOR, INC_MIN_LR = 5, 0.25, 0.0  # session lr: cut by the factor after 5 flat epochs
 
 
 class PrefixSet:
@@ -118,7 +119,7 @@ def train_session(
     shapes = [a.shape for a in init]
     views, grads = flat_views(theta.data, shapes), flat_views(grad, shapes)
     opt = make_optimizer(config.optimizer, [{"params": [theta], "lr": config.inc_lr, "weight_decay": config.inc_weight_decay}])
-    plateau = ReduceOnPlateau(opt, config.inc_plateau_patience, config.inc_plateau_factor, config.inc_min_lr)
+    plateau = ReduceOnPlateau(opt, INC_PLATEAU_PATIENCE, INC_PLATEAU_FACTOR, INC_MIN_LR)
 
     encoder.eval()  # frozen backbone: running stats must not move
     epochs = config.inc_epochs_base if session == 0 else config.inc_epochs

@@ -55,6 +55,8 @@ from .prototype_rectification import (
 from .stochastic_classifier import init_means_from_prototypes
 from .task_inference import SharedCovariance, fit_class_stats, select_class_batch
 
+OUTLIERS_INC = 1  # farthest members per class that the prediction net learns to map onto the class mean
+
 
 def _sha256_json(data) -> str:
     return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
@@ -173,7 +175,7 @@ def _fit_session_stats(state, encoder, view_images, remapped_labels, session, po
 def _rectified_prototypes(state, embeddings, remapped_labels, pseudo_x, pseudo_y, session, tc, rng, log) -> list:
     """Train the session's prediction net and rectify its class means.
 
-    The net learns to map each class's `outliers_inc` farthest members and
+    The net learns to map each class's `OUTLIERS_INC` farthest members and
     the pseudo-labeled pool rows onto the session's (enriched) class means.
     Returns the Gaussians with each mean mu replaced by R(mu); routing keeps its own.
     """
@@ -182,7 +184,7 @@ def _rectified_prototypes(state, embeddings, remapped_labels, pseudo_x, pseudo_y
     parts = []
     for g in gaussians:
         rows = embeddings[remapped_labels == g.class_id]
-        parts.append(select_outlier_pairs(rows, g.mean, min(tc.outliers_inc, len(rows))))
+        parts.append(select_outlier_pairs(rows, g.mean, min(OUTLIERS_INC, len(rows))))
     if len(pseudo_x):
         parts.append(OutlierPairs(inputs=pseudo_x, targets=np.stack([by_class[int(c)].mean for c in pseudo_y])))
     net = PredictionNet(embeddings.shape[1], rng.child("prednet"))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fscil.backbone import BackboneConfig, Encoder
-from fscil.base_trainer import DinoHead, dino_step, ema_update_teacher, make_teacher, train_base
+from fscil.base_trainer import STUDENT_TEMP, DinoHead, dino_step, ema_update_teacher, make_teacher, train_base
 from fscil.config import ablated, desk_profile, toy_fscil_config
 from fscil.delta_params import PrefixSet
 from fscil.errors import ContractViolation
@@ -266,13 +266,12 @@ def test_criterion_5_dino_mechanics():
     cfg = BackboneConfig(image_size=4, patch_size=2, embed_dim=16, heads=2, layers=1, ffn_hidden=32)
     encoder = Encoder(cfg, SeededRng(600)).train()
     proj = DinoHead(SeededRng(601), 16, 16, 8)
-    tc = desk_profile(proj_dim=8)
-    teacher = make_teacher(encoder, proj, tc)
-    teacher.current_temp = tc.student_temp
+    teacher = make_teacher(encoder, proj)
+    teacher.current_temp = STUDENT_TEMP
     batch = np.random.default_rng(602).normal(size=(2, 1, 4, 4))
     slots = [batch.copy() for _ in range(4)]
     _calibrate_teacher_bn(encoder, teacher.encoder, batch)
-    loss, info = dino_step(encoder, proj, teacher, slots, student_temp=tc.student_temp)
+    loss, info = dino_step(encoder, proj, teacher, slots, student_temp=STUDENT_TEMP)
     probs = teacher.probs(teacher.logits(batch))
     entropy = float(-(probs * np.log(probs)).sum(axis=-1).mean())
     entropy_ok = isinstance(loss, float) and abs(loss - info["n_pairs"] * entropy) < 1e-9
@@ -281,7 +280,7 @@ def test_criterion_5_dino_mechanics():
     # EMA contraction factor
     enc2 = Encoder(cfg, SeededRng(603)).train()
     proj2 = DinoHead(SeededRng(604), 16, 16, 8)
-    teacher2 = make_teacher(enc2, proj2, tc)
+    teacher2 = make_teacher(enc2, proj2)
     for p in enc2.params().values():
         p.data = p.data + np.random.default_rng(605).normal(size=p.data.shape)
 

@@ -8,7 +8,16 @@ import pytest
 from fscil import base_trainer
 from fscil.backbone import BackboneConfig, Encoder, hash_state
 from fscil.base_trainer import (
+    CENTER_MOMENTUM,
     EMBED_BATCH,
+    GLOBAL_CROP_SCALE,
+    LOCAL_CROP_SCALE,
+    PROJ_HIDDEN_DIM,
+    SSL_WEIGHT_DECAY,
+    SSL_WEIGHT_DECAY_END,
+    STUDENT_TEMP,
+    TEACHER_TEMP,
+    WARMUP_TEACHER_TEMP,
     DinoHead,
     crop_slots,
     dino_step,
@@ -118,11 +127,10 @@ def _student_teacher(seed=3, proj_dim=8, equal_temps=True):
     cfg = tiny_model()
     encoder = Encoder(cfg, SeededRng(seed)).train()
     proj = DinoHead(SeededRng(seed).child("proj"), cfg.embed_dim, 16, proj_dim)
-    tc = desk_profile(proj_dim=proj_dim)
-    teacher = make_teacher(encoder, proj, tc)
+    teacher = make_teacher(encoder, proj)
     if equal_temps:
-        teacher.current_temp = tc.student_temp  # match so p_teacher == p_student
-    return encoder, proj, teacher, tc
+        teacher.current_temp = STUDENT_TEMP  # match so p_teacher == p_student
+    return encoder, proj, teacher
 
 
 def _iter_bns(encoder):
@@ -149,11 +157,11 @@ def _calibrate_teacher_bn(student, teacher_encoder, batch):
 
 
 def test_teacher_equals_student_loss_is_summed_entropy():
-    encoder, proj, teacher, tc = _student_teacher()
+    encoder, proj, teacher = _student_teacher()
     batch = np.random.default_rng(3).normal(size=(2, 1, 4, 4))
     slots = [batch.copy() for _ in range(4)]  # identical deterministic "crops"
     _calibrate_teacher_bn(encoder, teacher.encoder, batch)
-    loss, info = dino_step(encoder, proj, teacher, slots, student_temp=tc.student_temp)
+    loss, info = dino_step(encoder, proj, teacher, slots, student_temp=STUDENT_TEMP)
     # identical nets, identical inputs, equal temps, zero center -> CE(p, p) = H(p)
     probs = teacher.probs(teacher.logits(batch))
     entropy = float(-(probs * np.log(probs)).sum(axis=-1).mean())
@@ -162,16 +170,16 @@ def test_teacher_equals_student_loss_is_summed_entropy():
 
 
 def test_pair_count_two_global_two_local():
-    encoder, proj, teacher, tc = _student_teacher(4)
+    encoder, proj, teacher = _student_teacher(4)
     batch = np.random.default_rng(4).normal(size=(2, 1, 4, 4))
     slots = [batch, batch * 0.9, batch * 0.8, batch * 0.7]
-    loss, info = dino_step(encoder, proj, teacher, slots, student_temp=tc.student_temp)
+    loss, info = dino_step(encoder, proj, teacher, slots, student_temp=STUDENT_TEMP)
     assert info["n_pairs"] == 6  # 2 * (|V| - 1)
     assert isinstance(loss, float)
 
 
 def test_sharpening_limit_approaches_argmax_ce():
-    encoder, proj, teacher, tc = _student_teacher(5)
+    encoder, proj, teacher = _student_teacher(5)
     batch = np.random.default_rng(5).normal(size=(1, 1, 4, 4))
     slots = [batch, batch * 0.5]
     import fscil.numerics as num
@@ -182,10 +190,10 @@ def test_sharpening_limit_approaches_argmax_ce():
     assert gap > 0 and not teacher.center.any()  # premise: a unique argmax of the uncentred logits
     # tau_t -> 0+: the target is one-hot up to weights below exp(-40)
     teacher.current_temp = gap / 40
-    loss, info = dino_step(encoder, proj, teacher, slots, student_temp=tc.student_temp)
+    loss, info = dino_step(encoder, proj, teacher, slots, student_temp=STUDENT_TEMP)
 
     with num.no_grad():
-        s_logits = [proj(encoder.forward(num.Tensor(s))).data / tc.student_temp for s in slots]
+        s_logits = [proj(encoder.forward(num.Tensor(s))).data / STUDENT_TEMP for s in slots]
     expected = 0.0
     for t_idx in range(2):
         hot = t_logits[t_idx].argmax(axis=-1)
@@ -198,10 +206,10 @@ def test_sharpening_limit_approaches_argmax_ce():
 
 
 def test_teacher_receives_no_gradient():
-    encoder, proj, teacher, tc = _student_teacher(6)
+    encoder, proj, teacher = _student_teacher(6)
     before = teacher.state_hash()
     batch = np.random.default_rng(6).normal(size=(2, 1, 4, 4))
-    dino_step(encoder, proj, teacher, [batch, batch * 0.5, batch * 0.2], student_temp=tc.student_temp)
+    dino_step(encoder, proj, teacher, [batch, batch * 0.5, batch * 0.2], student_temp=STUDENT_TEMP)
     # dino_step backpropagates by itself: the student holds gradients, the teacher none
     assert all(p.grad is not None for p in proj.params().values())
     assert teacher.state_hash() == before
@@ -228,28 +236,28 @@ def _toy_distillation(seed):
     cfg = toy_fscil_config().model
     tc = desk_profile(n_local_crops=4)
     encoder = Encoder(cfg, SeededRng(seed)).train()
-    proj = DinoHead(SeededRng(seed).child("proj"), cfg.embed_dim, tc.proj_hidden_dim, tc.proj_dim)
-    teacher = make_teacher(encoder, proj, tc)
+    proj = DinoHead(SeededRng(seed).child("proj"), cfg.embed_dim, PROJ_HIDDEN_DIM, tc.proj_dim)
+    teacher = make_teacher(encoder, proj)
     teacher.center = SeededRng(seed).child("center").normal(size=tc.proj_dim)
     for i, p in enumerate(list(encoder.params().values()) + list(proj.params().values())):
         p.data = p.data + 0.05 * SeededRng(seed).child("drift", str(i)).normal(size=p.data.shape)
     images = SeededRng(seed).child("images").normal(size=(64, 1, cfg.image_size, cfg.image_size), scale=3.0)
-    slots = crop_slots(images, SeededRng(seed).child("crops"), tc.n_local_crops, tc.global_crop_scale, tc.local_crop_scale)
+    slots = crop_slots(images, SeededRng(seed).child("crops"), tc.n_local_crops, GLOBAL_CROP_SCALE, LOCAL_CROP_SCALE)
     assert len(slots) == 6
-    return encoder, proj, teacher, tc, slots
+    return encoder, proj, teacher, slots
 
 
 @pytest.mark.parametrize("seed", [11, 12])
 def test_slot_at_a_time_backward_is_bitwise_the_one_graph_backward(seed):
     runs = []
     for one_graph in (True, False):
-        encoder, proj, teacher, tc, slots = _toy_distillation(seed)
+        encoder, proj, teacher, slots = _toy_distillation(seed)
         if one_graph:
-            loss = one_graph_dino_loss(encoder, proj, teacher, slots, tc.student_temp)
+            loss = one_graph_dino_loss(encoder, proj, teacher, slots, STUDENT_TEMP)
             loss.backward()
             value = loss.item()
         else:
-            value, info = dino_step(encoder, proj, teacher, slots, tc.student_temp)
+            value, info = dino_step(encoder, proj, teacher, slots, STUDENT_TEMP)
             assert info["n_pairs"] == 10
         grads = {f"encoder.{n}": p.grad for n, p in encoder.params().items()}
         grads.update({f"proj.{n}": p.grad for n, p in proj.params().items()})
@@ -268,13 +276,13 @@ def test_slot_at_a_time_backward_is_bitwise_the_one_graph_backward(seed):
 def test_dino_step_peak_memory_is_one_slot_working_set():
     peaks = []
     for one_graph in (True, False):
-        encoder, proj, teacher, tc, slots = _toy_distillation(13)
+        encoder, proj, teacher, slots = _toy_distillation(13)
         tracemalloc.start()
         try:
             if one_graph:
-                one_graph_dino_loss(encoder, proj, teacher, slots, tc.student_temp).backward()
+                one_graph_dino_loss(encoder, proj, teacher, slots, STUDENT_TEMP).backward()
             else:
-                dino_step(encoder, proj, teacher, slots, tc.student_temp)
+                dino_step(encoder, proj, teacher, slots, STUDENT_TEMP)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -283,7 +291,7 @@ def test_dino_step_peak_memory_is_one_slot_working_set():
 
 
 def test_dino_step_mode_contracts():
-    encoder, proj, teacher, tc = _student_teacher(7)
+    encoder, proj, teacher = _student_teacher(7)
     encoder.eval()
     with pytest.raises(UsageError):
         dino_step(encoder, proj, teacher, [np.zeros((1, 1, 4, 4))] * 2, student_temp=0.1)
@@ -297,14 +305,14 @@ def test_dino_step_mode_contracts():
 
 
 def test_update_center_momentum_zero_is_batch_mean():
-    _, _, teacher, _ = _student_teacher(8)
+    _, _, teacher = _student_teacher(8)
     outputs = np.random.default_rng(8).normal(size=(10, 8))
     update_center(teacher, outputs, momentum=0.0)
     np.testing.assert_allclose(teacher.center, outputs.mean(axis=0), atol=1e-12)
 
 
 def test_update_center_momentum_one_is_identity():
-    _, _, teacher, _ = _student_teacher(9)
+    _, _, teacher = _student_teacher(9)
     teacher.center = np.arange(8.0)
     update_center(teacher, np.random.default_rng(9).normal(size=(5, 8)), momentum=1.0)
     np.testing.assert_array_equal(teacher.center, np.arange(8.0))
@@ -312,7 +320,7 @@ def test_update_center_momentum_one_is_identity():
 
 def test_update_center_geometric_convergence():
     # constant outputs o: c_t -> o at rate (1 - m) per step
-    _, _, teacher, _ = _student_teacher(10)
+    _, _, teacher = _student_teacher(10)
     o = np.full(8, 2.0)
     m = 0.9
     teacher.center = np.zeros(8)
@@ -322,14 +330,24 @@ def test_update_center_geometric_convergence():
         np.testing.assert_allclose(teacher.center, expected, atol=1e-10)
 
 
+def test_update_center_defaults_to_the_center_momentum():
+    _, _, teacher = _student_teacher(14)
+    outputs = np.random.default_rng(14).normal(size=(6, 8))
+    teacher.center = np.arange(8.0)
+    expected = update_center(teacher, outputs, momentum=0.9).copy()
+    teacher.center = np.arange(8.0)
+    np.testing.assert_array_equal(update_center(teacher, outputs), expected)
+    assert CENTER_MOMENTUM == 0.9 and base_trainer.EMA_MOMENTUM == 0.996
+
+
 def test_update_center_empty_batch_rejected():
-    _, _, teacher, _ = _student_teacher(11)
+    _, _, teacher = _student_teacher(11)
     with pytest.raises(ArgumentError):
         update_center(teacher, np.zeros((0, 8)))
 
 
 def test_ema_momentum_one_and_zero():
-    encoder, proj, teacher, _ = _student_teacher(12)
+    encoder, proj, teacher = _student_teacher(12)
     for p in encoder.params().values():
         p.data = p.data + 1.0
     before = teacher.state_hash()
@@ -340,7 +358,7 @@ def test_ema_momentum_one_and_zero():
 
 
 def test_ema_contraction_factor_matches_momentum():
-    encoder, proj, teacher, _ = _student_teacher(13)
+    encoder, proj, teacher = _student_teacher(13)
     rng = np.random.default_rng(13)
     for p in encoder.params().values():
         p.data = p.data + rng.normal(size=p.data.shape)
@@ -391,8 +409,8 @@ def test_train_base_enforces_two_classes():
 def test_published_early_stop_and_temperature_defaults():
     tc = TrainingConfig()
     assert tc.ssl_early_stop == 30 and tc.sup_early_stop == 30
-    assert tc.teacher_temp == 0.07 and tc.warmup_teacher_temp == 0.04
-    assert tc.ssl_weight_decay == 0.04 and tc.ssl_weight_decay_end == 0.4
+    assert TEACHER_TEMP == 0.07 and WARMUP_TEACHER_TEMP == 0.04
+    assert SSL_WEIGHT_DECAY == 0.04 and SSL_WEIGHT_DECAY_END == 0.4
 
 
 def test_embed_all_folds_the_encoder_once_per_call(monkeypatch):

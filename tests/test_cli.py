@@ -89,6 +89,26 @@ def test_cli_rejects_unknown_ablation_choice(config_path):
         ("training", "probe_batch_size", 100),
         ("training", "probe_epochs", 200),
         ("training", "probe_early_stop", 10),
+        ("training", "ssl_weight_decay", 0.04),
+        ("training", "ssl_weight_decay_end", 0.4),
+        ("training", "teacher_temp", 0.07),
+        ("training", "warmup_teacher_temp", 0.04),
+        ("training", "warmup_fraction", 0.1),
+        ("training", "student_temp", 0.1),
+        ("training", "ema_momentum", 0.996),
+        ("training", "center_momentum", 0.9),
+        ("training", "global_crop_scale", [0.6, 1.0]),
+        ("training", "local_crop_scale", [0.2, 0.5]),
+        ("training", "proj_hidden_dim", 64),
+        ("training", "sup_plateau_factor", 0.25),
+        ("training", "sup_min_lr", 3e-5),
+        ("training", "sup_weight_decay", 3e-6),
+        ("training", "head_temperature", 16.0),
+        ("training", "head_offset", 4.0),
+        ("training", "inc_plateau_patience", 5),
+        ("training", "inc_plateau_factor", 0.25),
+        ("training", "inc_min_lr", 0.0),
+        ("training", "outliers_inc", 1),
     ],
 )
 def test_run_rejects_removed_config_key(tmp_path, capsys, section, key, value):
@@ -168,6 +188,11 @@ def test_run_rejects_a_batch_size_below_one_or_a_negative_prefix_length(tmp_path
         ("run --config {config} --seed 0 --out {out}", "dataset", "test_per_class", 0, "the test set holds 0 samples of the 4 classes seen by session 0"),
         ("run --config {config} --seed 0 --out {out}", "model", "heads", 0, "heads must be at least 1, got 0"),
         ("run --config {config} --seed 0 --out {out}", "model", "layers", -1, "layers must be at least 0, got -1"),
+        ("run --config {config} --seed 0 --out {out}", "training", "ssl_epochs", -1, "ssl_epochs must be at least 0, got -1"),
+        ("run --config {config} --seed 0 --out {out}", "training", "sup_epochs", -1, "sup_epochs must be at least 0, got -1"),
+        ("run --config {config} --seed 0 --out {out}", "training", "inc_epochs_base", -1, "inc_epochs_base must be at least 0, got -1"),
+        ("run --config {config} --seed 0 --out {out}", "training", "inc_epochs", -1, "inc_epochs must be at least 0, got -1"),
+        ("run --config {config} --seed 0 --out {out}", "training", "prednet_epochs", -1, "prednet_epochs must be at least 0, got -1"),
     ],
 )
 def test_a_bad_argument_or_config_value_exits_2_with_one_line_before_any_training(tmp_path, capsys, monkeypatch, argv, section, key, value, message):
@@ -194,7 +219,6 @@ def test_a_bad_argument_or_config_value_exits_2_with_one_line_before_any_trainin
         ("training", {"sup_lr": "0.1"}, 'training.sup_lr must be a number, got "0.1"'),
         ("training", {"delta_params": 1}, "training.delta_params must be a boolean, got 1"),
         ("training", {"optimizer": ["adam"]}, 'training.optimizer must be a string, got ["adam"]'),
-        ("training", {"local_crop_scale": 0.3}, "training.local_crop_scale must be an array, got 0.3"),
         ("dataset", {"seed": 1.5}, "dataset.seed must be an integer or null, got 1.5"),
     ],
 )

@@ -1,7 +1,8 @@
 """Every config key is read somewhere in `src/fscil` outside (de)serialization,
-and the committed configs load."""
+and the committed configs load and spell out exactly the current keys."""
 
 import ast
+import json
 from dataclasses import fields
 from pathlib import Path
 
@@ -32,6 +33,8 @@ def test_reads_in_serializers_do_not_count():
 
 def test_the_quality_configs_load():
     configs = Path(__file__).resolve().parents[1] / "configs"
+    for path in configs.glob("*.json"):  # every key present, none stale: nothing falls back to a default
+        assert json.loads(path.read_text()) == RunConfig.load(path).to_dict(), path.name
     one_shot, five_shot = (RunConfig.load(configs / f"quality_{n}shot.json") for n in (1, 5))
     assert (one_shot.split.shots, one_shot.dataset.separation, one_shot.resolved_metric()) == (1, 1.5, "euclidean")
     assert (five_shot.split.shots, five_shot.dataset.separation, five_shot.resolved_metric()) == (5, 1.0, "mahalanobis")

@@ -22,6 +22,7 @@ from fscil.prototype_rectification import (
     select_outlier_pairs,
     train_prediction_net,
 )
+from fscil.protocol import OUTLIERS_INC
 from fscil.task_inference import SharedCovariance, fit_class_stats
 
 
@@ -82,8 +83,7 @@ def test_outlier_ranking_matches_full_sort_oracle():
 
 
 def test_outlier_count_defaults_follow_published_settings():
-    cfg = TrainingConfig()
-    assert cfg.outliers_inc == 1
+    assert OUTLIERS_INC == 1
 
 
 def test_too_many_outliers_rejected():

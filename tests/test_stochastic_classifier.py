@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fscil import numerics
-from fscil.config import TrainingConfig
 from fscil.errors import ArgumentError, DomainError
 from fscil.numerics import SeededRng, Tensor, grad_check, log_softmax, softmax
 from fscil.stochastic_classifier import SOFTPLUS_OFFSET, StochasticHead, init_means_from_prototypes
@@ -30,7 +29,7 @@ def test_noise_off_returns_mu_exactly():
 
 def test_softplus_offset_is_four():
     assert SOFTPLUS_OFFSET == 4.0
-    assert TrainingConfig().head_offset == 4.0
+    assert StochasticHead(3).offset == 4.0  # the base head `train_base` builds
 
 
 def test_sample_moments_match_monte_carlo_oracle():
